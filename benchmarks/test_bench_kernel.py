@@ -6,7 +6,10 @@ artifact next to ``BENCH_runner.json``):
 * **micro** — a zero-delay resume chain, a timed-event chain and a
   mass-timer workload (20k concurrent periodic timers — the regime where
   the timer wheel engages) driven through ``Simulator`` with the fast
-  path on and off, reporting events/sec for each lane;
+  path on and off, reporting events/sec for each lane, plus an idle
+  deployed pair reporting host microseconds per heartbeat
+  (``us_per_beat``: the beat clock's replay cost; the tree with two
+  kernel events per beat measured ~3.1 on the bench host);
 * **campaign** — seeded missions of the statistical fault-injection
   campaign, measured along two axes: legacy kernel vs fast kernel, and
   fresh-built worlds vs arena-reused worlds (``REPRO_WORLD_REUSE``),
@@ -15,9 +18,11 @@ artifact next to ``BENCH_runner.json``):
   --coschedule`` ships.  Before any number is reported, every reuse and
   co-scheduled result is asserted byte-identical to the fresh serial
   reference, and one seeded mission is asserted trace-digest-identical
-  across all four (fast|legacy kernel) x (express|plain heartbeat)
-  combinations — the heartbeat express lane and the timer wheel are
-  optimisations, never semantics changes.  Co-scheduled throughput is compared against the serial
+  on the fast and the legacy kernel — the lanes and the timer wheel are
+  optimisations, never semantics changes (the beat clock has no switch
+  to flip: ``tests/kernel/test_beat_clock.py`` pins it to golden
+  fingerprints and a plain-event reference detector instead).
+  Co-scheduled throughput is compared against the serial
   lane with *paired* back-to-back runs (the ratio of adjacent runs
   cancels shared-hardware drift that inverts phase-sequential
   comparisons): at every grid size the best pair must reach >= 1.0x and
@@ -48,15 +53,17 @@ from conftest import run_once
 
 from repro import exp
 from repro.eval import campaign
+from repro.ftm import deploy_ftm_pair
 from repro.kernel import (
     Simulator,
+    World,
     clear_world_arena,
+    release_world,
     run_solo,
     set_world_reuse,
     world_arena_stats,
     world_reuse_enabled,
 )
-from repro.kernel import network as netmod
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 
@@ -161,30 +168,44 @@ def _mass_timer_chain(fast_path):
     return MASS_TIMER_EVENTS / max(time.perf_counter() - started, 1e-9)
 
 
-def _heartbeat_parity_digests():
-    """One seeded mission's trace digest per (fast, express) combination.
+def _idle_pair_us_per_beat(simulated_ms=200_000.0):
+    """Host microseconds per heartbeat of an idle deployed pair.
 
-    The byte-identity gate for the control-plane fast lane: the timer
-    wheel (fast kernel) and the heartbeat express path must replay the
-    legacy kernel bit for bit — same event order, same RNG draws, same
-    fault drops — so all four digests must be one digest.
+    Nothing but the failure detectors runs: two beat streams, two
+    watchdogs.  The whole horizon is one replay window of the beat
+    clock, so this is its floor cost per beat.
+    """
+    world = World(seed=3)
+    world.add_nodes(["alpha", "beta", "client"])
+    world.run_process(deploy_ftm_pair(world, "pbr", ["alpha", "beta"]))
+    sent = world.network.messages_sent
+    started = time.perf_counter()
+    world.run(until=world.now + simulated_ms)
+    elapsed = time.perf_counter() - started
+    return elapsed / (world.network.messages_sent - sent) * 1e6
+
+
+def _kernel_parity_digests():
+    """One seeded mission's trace digest per kernel (fast, legacy).
+
+    The byte-identity gate for the kernel lanes: ready deque and timer
+    wheel must replay the single-heap kernel bit for bit — same event
+    order, same RNG draws, same fault drops — so both digests must be
+    one digest.  The digest is taken before the world goes back to the
+    arena (release trims the trace).
     """
     digests = {}
     shipped_fast = Simulator.DEFAULT_FAST_PATH
     try:
         for fast in (True, False):
-            for express in (True, False):
-                netmod.set_beat_express(express)
-                Simulator.DEFAULT_FAST_PATH = fast
-                task = campaign.mission_task(5003, requests=REQUESTS)
-                run_solo(task)
-                key = (
-                    f"{'fast' if fast else 'legacy'}_"
-                    f"{'express' if express else 'plain'}"
-                )
-                digests[key] = task.world.trace.digest()
+            Simulator.DEFAULT_FAST_PATH = fast
+            task = campaign.mission_task(5003, requests=REQUESTS)
+            task.world.sim.advance(task.process.terminated)
+            task.result()
+            digests["fast" if fast else "legacy"] = task.world.trace.digest()
+            assert len(task.world.trace.records) > 100
+            release_world(task.world)
     finally:
-        netmod.set_beat_express(True)
         Simulator.DEFAULT_FAST_PATH = shipped_fast
     return digests
 
@@ -255,13 +276,13 @@ def test_bench_kernel_fast_path_and_coschedule(benchmark):
             lambda: _mass_timer_chain(True)),
         "mass_timer_legacy_events_per_sec": _best(
             lambda: _mass_timer_chain(False)),
+        "us_per_beat": min(_idle_pair_us_per_beat() for _ in range(REPS)),
     }
 
-    # -- byte-identity: (fast|legacy) x (express|plain) --------------------
-    parity_digests = _heartbeat_parity_digests()
+    # -- byte-identity: fast vs legacy kernel ------------------------------
+    parity_digests = _kernel_parity_digests()
     assert len(set(parity_digests.values())) == 1, (
-        f"trace digests diverge across kernel/heartbeat combos: "
-        f"{parity_digests}"
+        f"trace digests diverge across kernels: {parity_digests}"
     )
 
     # -- campaign: (legacy|fast) x (fresh|reuse) x coschedule grid ---------
@@ -286,6 +307,8 @@ def test_bench_kernel_fast_path_and_coschedule(benchmark):
     reference = exp.run(_campaign_spec(), jobs=1)
     ref_json = json.dumps(reference.results, sort_keys=True)
     events_by_source = dict(reference.events_by_source)
+    beats = {"beats_replayed": reference.beats_replayed,
+             "beats_materialised": reference.beats_materialised}
 
     def _assert_identical(result, label):
         assert json.dumps(result.results, sort_keys=True) == ref_json, (
@@ -366,13 +389,15 @@ def test_bench_kernel_fast_path_and_coschedule(benchmark):
             f"best-of-{REPS}; missions/sec over {MISSIONS} seeded campaign "
             "missions, single process; micro numbers are kernel events/sec"
         ),
-        "micro": {k: round(v, 1) for k, v in micro.items()},
+        "micro": {k: round(v, 3 if k == "us_per_beat" else 1)
+                  for k, v in micro.items()},
         "parity": {
             "byte_identical": True,
             "combos": sorted(parity_digests),
             "trace_digest": next(iter(parity_digests.values())),
         },
         "events_by_source": events_by_source,
+        **beats,
         "campaign": {
             "missions": MISSIONS,
             "requests": REQUESTS,
@@ -423,9 +448,12 @@ def test_bench_kernel_fast_path_and_coschedule(benchmark):
         f" legacy; timed {micro['timed_fast_events_per_sec']:,.0f} vs "
         f"{micro['timed_legacy_events_per_sec']:,.0f}; mass-timer "
         f"{micro['mass_timer_fast_events_per_sec']:,.0f} vs "
-        f"{micro['mass_timer_legacy_events_per_sec']:,.0f}\n"
-        f"parity: 4-combo trace digest "
-        f"{report['parity']['trace_digest']}\n"
+        f"{micro['mass_timer_legacy_events_per_sec']:,.0f}; idle pair "
+        f"{micro['us_per_beat']:.2f} us/beat\n"
+        f"parity: fast|legacy trace digest "
+        f"{report['parity']['trace_digest']}; beats replayed "
+        f"{beats['beats_replayed']}, materialised "
+        f"{beats['beats_materialised']}\n"
         f"campaign ({MISSIONS} missions): legacy {legacy_solo:.1f}/s, "
         f"fresh {fresh_solo:.1f}/s, reuse {reuse_solo:.1f}/s solo; "
         f"reuse serial {reuse_serial:.1f}/s vs coscheduled "

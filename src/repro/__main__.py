@@ -221,7 +221,9 @@ def _cmd_reproduce(args) -> int:
             f"{source} {count}"
             for source, count in sorted(stats.events_by_source.items())
         )
-        print(f"[events] by source: {breakdown}", file=out)
+        print(f"[events] by source: {breakdown}; beats replayed "
+              f"{stats.beats_replayed}, materialised "
+              f"{stats.beats_materialised}", file=out)
     if args.json:
         print(json.dumps(
             {
@@ -234,6 +236,8 @@ def _cmd_reproduce(args) -> int:
                 "cells_cached": stats.cells_cached,
                 "cells_executed": stats.cells_executed,
                 "events_by_source": dict(stats.events_by_source),
+                "beats_replayed": stats.beats_replayed,
+                "beats_materialised": stats.beats_materialised,
                 "failures": failures,
                 "artifacts": summaries,
             },
@@ -508,7 +512,9 @@ def _cmd_profile(args) -> int:
             f"{source} {count} ({100.0 * count / total:.0f}%)"
             for source, count in sorted(result.events_by_source.items())
         )
-        print(f"[events by source: {breakdown}]", file=sys.stderr)
+        print(f"[events by source: {breakdown}; beats replayed "
+              f"{result.beats_replayed}, materialised "
+              f"{result.beats_materialised}]", file=sys.stderr)
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     return 0

@@ -45,14 +45,16 @@ always carry a ``"type"`` key.  The conversation::
     coordinator -> worker   {"type": "batch", "id": N,
                              "units": [[index, seed, params], ...]}
     worker -> coordinator   {"type": "result", "id": N,
-                             "values": [[index, value], ...]}
+                             "values": [[index, value], ...],
+                             "ev": [count, ...]}
 
     # digest mode (worker store shadowing: ~100 B/cell return path)
     coordinator -> worker   {"type": "cells", "id": N, "cells":
                              [{"key":..., "params":..., "seeds":...,
                                "h": hash12}, ...]}
     worker -> coordinator   RXD1 {"type": "digest", "id": N, "cells":
-                             [[key, hash12, file_digest, executed], ...]}
+                             [[key, hash12, file_digest, executed], ...],
+                             "ev": [count, ...]}
     coordinator -> worker   {"type": "fetch", "id": N,
                              "cells": [[key, hash12], ...]}      # misses
     worker -> coordinator   {"type": "body", "id": N,
@@ -60,6 +62,10 @@ always carry a ``"type"`` key.  The conversation::
 
     worker -> coordinator   {"type": "error", "id": N, "message": ...}
     coordinator -> worker   {"type": "bye"}
+
+``"ev"`` is the batch's kernel event attribution (one short list of
+counts per batch-complete frame, never per cell), credited to the
+coordinating process so remote runs report ``events_by_source`` too.
 
 Worker store shadowing and the reconciliation invariant
 -------------------------------------------------------
@@ -136,11 +142,13 @@ from repro.exp.runner import (
     ExecutionPlan,
     ExecutorBackend,
     _normalise,
+    batch_event_counts,
     function_ref,
     resolve_function_ref,
     run_unit_batch,
 )
 from repro.exp.store import FILE_DIGEST_BYTES, ResultStore, file_digest
+from repro.kernel.sim import credit_event_attribution
 
 try:  # blake2b is in hashlib everywhere we run, but keep the import local
     from hashlib import blake2b
@@ -569,7 +577,8 @@ class RemoteBackend(ExecutorBackend):
                     f"for a {len(units)}-unit batch"
                 )
             scheduler.complete(bid)
-            with out_cond:
+            with out_cond:  # also serialises the feeders' credits
+                credit_event_attribution(reply.get("ev", ()))
                 out.append(values)
                 out_cond.notify()
 
@@ -677,6 +686,8 @@ class RemoteBackend(ExecutorBackend):
                         f"worker {label} sent {kind!r} (id {reply.get('id')}) "
                         f"while digest ack {bid} was outstanding"
                     )
+                with out_cond:  # serialises the feeders' credits
+                    credit_event_attribution(reply.get("ev", ()))
                 done: List[CompletedCell] = []
                 needed: List[Tuple[str, str, str]] = []
                 for ack in reply["cells"]:
@@ -922,6 +933,7 @@ def _serve_digest_batch(conn: socket.socket, message: Dict[str, Any],
     """Execute one cells batch and reply with an RXD1 digest frame."""
     bid = message["id"]
     acks: List[List[Any]] = []
+    batch_event_counts()  # scope the counters to this batch
     for cell in message["cells"]:
         spec, trial = _rebuild_cell(hello, trial_fn, reduce_fn,
                                     cotrial_fn, cell)
@@ -953,8 +965,8 @@ def _serve_digest_batch(conn: socket.socket, message: Dict[str, Any],
                 conn.close()
                 os._exit(0)
         acks.append([trial.key, actual, file_digest(path), executed])
-    send_msg(conn, {"type": "digest", "id": bid, "cells": acks},
-             magic=DIGEST_MAGIC)
+    send_msg(conn, {"type": "digest", "id": bid, "cells": acks,
+                    "ev": batch_event_counts()}, magic=DIGEST_MAGIC)
 
 
 def _serve_fetch(conn: socket.socket, message: Dict[str, Any],
@@ -1016,6 +1028,7 @@ def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
             bid = message["id"]
             units = [(int(i), int(seed), params)
                      for i, seed, params in message["units"]]
+            batch_event_counts()  # scope the counters to this batch
             try:
                 values = run_unit_batch(trial_fn, cotrial_fn, width, units)
             except Exception as exc:  # noqa: BLE001 - shipped to coordinator
@@ -1023,7 +1036,8 @@ def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
                                 "message": f"{type(exc).__name__}: {exc}"})
                 return
             send_msg(conn, {"type": "result", "id": bid,
-                            "values": [[i, v] for i, v in values]})
+                            "values": [[i, v] for i, v in values],
+                            "ev": batch_event_counts()})
         else:
             raise ProtocolError(
                 f"expected cells, batch, fetch or bye, got {kind!r}"

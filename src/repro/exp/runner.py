@@ -114,16 +114,22 @@ class ExecutionStats:
     wire_bytes_in: int = 0
     wire_bytes_out: int = 0
     events_by_source: Dict[str, int] = field(default_factory=dict)
+    beats_replayed: int = 0
+    beats_materialised: int = 0
 
-    def record_event_sources(self, sources: Dict[str, int]) -> None:
+    def record_event_sources(self, sources: Dict[str, int],
+                             beats_replayed: int = 0,
+                             beats_materialised: int = 0) -> None:
         """Accumulate the kernel's per-subsystem event attribution.
 
         Counters come from worlds released in this process plus the
-        per-batch deltas local pool workers ship back with their
-        results; the ``remote`` backend does not carry attribution over
-        the wire, so remote runs report zeros (a documented limitation,
-        like the wire counters being remote-only).
+        per-batch deltas pool and remote workers ship back with their
+        results.  The beat clock's two counters travel with them but
+        are kept apart: ``events_by_source`` stays "kernel events by
+        producer".
         """
+        self.beats_replayed += beats_replayed
+        self.beats_materialised += beats_materialised
         acc = self.events_by_source
         for key, value in sources.items():
             acc[key] = acc.get(key, 0) + value
@@ -194,6 +200,8 @@ class ExperimentResult:
     wire_bytes_in: int = 0
     wire_bytes_out: int = 0
     events_by_source: Dict[str, int] = field(default_factory=dict)
+    beats_replayed: int = 0
+    beats_materialised: int = 0
 
     def cell(self, key: str) -> Any:
         """Per-run results (or reduced summary) of one cell."""
@@ -219,6 +227,8 @@ class ExperimentResult:
             "wire_bytes_in": self.wire_bytes_in,
             "wire_bytes_out": self.wire_bytes_out,
             "events_by_source": dict(self.events_by_source),
+            "beats_replayed": self.beats_replayed,
+            "beats_materialised": self.beats_materialised,
             "elapsed_s": round(self.elapsed_s, 6),
         }
 
@@ -368,19 +378,29 @@ def run_unit_batch(
 
 def _execute_pool_task(
     task: _PoolTask,
-) -> Tuple[List[Tuple[int, Any]], Dict[str, int]]:
+) -> Tuple[List[Tuple[int, Any]], List[int]]:
     """Run one batch in a pool worker, resolving the cached context.
 
-    Returns the labelled results plus the batch's event-source counters:
-    attribution accumulates per process, so the worker must ship its
-    delta back for the coordinating process to fold in — otherwise
-    ``jobs>1`` runs would report zero events by source.
+    Returns the labelled results plus the batch's event-source counts
+    (see :func:`batch_event_counts`).
     """
     key, units = task
     trial_fn, cotrial_fn = _resolve_context(key)
     take_event_attribution()  # scope the counters to this batch
     results = run_unit_batch(trial_fn, cotrial_fn, key[2], units)
-    return results, take_event_attribution()
+    return results, batch_event_counts()
+
+
+def batch_event_counts() -> List[int]:
+    """Take this process's event attribution as a bare list of counts.
+
+    Attribution accumulates per process, so pool and remote workers ship
+    the delta of every batch back for the coordinating process to fold
+    in with ``credit_event_attribution`` — otherwise ``jobs>1`` and
+    remote runs would report zero events by source.  One short list per
+    *batch*, not per cell: it rides in the batch-complete frame.
+    """
+    return list(take_event_attribution().values())
 
 
 def _normalise(value: Any, spec_name: str) -> Any:
@@ -798,6 +818,7 @@ def run(
     wire_in_before, wire_out_before = stats.wire_bytes_in, stats.wire_bytes_out
     started = time.perf_counter()
     event_sources: Dict[str, int] = {}
+    beats_replayed = beats_materialised = 0
     if units:
         take_event_attribution()  # scope the kernel counters to this run
         size = (default_batch(len(units), worker_count)
@@ -821,7 +842,10 @@ def run(
             if owned:
                 executor.close()
             event_sources = take_event_attribution()
-            stats.record_event_sources(event_sources)
+            beats_replayed = event_sources.pop("beats_replayed")
+            beats_materialised = event_sources.pop("beats_materialised")
+            stats.record_event_sources(
+                event_sources, beats_replayed, beats_materialised)
     elapsed = time.perf_counter() - started if units else 0.0
 
     missing = [trial.key for trial in spec.trials
@@ -866,4 +890,6 @@ def run(
         wire_bytes_in=stats.wire_bytes_in - wire_in_before,
         wire_bytes_out=stats.wire_bytes_out - wire_out_before,
         events_by_source=event_sources,
+        beats_replayed=beats_replayed,
+        beats_materialised=beats_materialised,
     )

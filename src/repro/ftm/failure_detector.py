@@ -6,23 +6,24 @@ transitions, and its background processes keep running while variable
 features are being swapped, so a real crash during a transition is still
 detected (Sec. 5.3, distributed consistency).
 
-Per replica: a sender process emitting heartbeats to the peer, a
-synchronous mailbox *sink* consuming them (heartbeats are the dominant
-event source in long campaigns — a sink handles each one inside the
-network delivery event instead of waking a monitor process per beat),
-and a watchdog process that suspects the peer when no heartbeat arrives
-within the timeout, then invokes ``peer_failed`` on the protocol
-component.
+Per replica: a :class:`~repro.kernel.beats.BeatStream` emitting
+heartbeats to the peer, a :class:`~repro.kernel.beats.BeatMonitor`
+installed as the mailbox *sink* consuming them, and a watchdog process
+that suspects the peer when no heartbeat arrives within the timeout,
+then invokes ``peer_failed`` on the protocol component.  Heartbeats were
+the dominant event source in long campaigns; stream and monitor live in
+the kernel's virtual beat clock, so a beat costs no kernel event.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from repro.components.impl import ComponentImpl
 from repro.components.model import Multiplicity
-from repro.kernel.errors import NodeDown
-from repro.kernel.sim import Process, Timeout
+from repro.kernel.beats import BeatMonitor, BeatStream
+from repro.kernel.sim import Process
 
 
 class HeartbeatFailureDetector(ComponentImpl):
@@ -34,11 +35,21 @@ class HeartbeatFailureDetector(ComponentImpl):
     def on_attach(self) -> None:
         self._processes: List[Process] = []
         self.suspected = False
-        self.heartbeats_seen = 0
+        #: Counts heartbeats and keeps the expiry deadline; installed as
+        #: the ``fd`` mailbox's sink while the detector runs.
+        self._beats = BeatMonitor(self.ctx.sim, self.prop("timeout", 60.0))
         self._suspended = False
         self._started_at = 0.0
-        self._deadline = 0.0
         self._mailbox = None
+
+    @property
+    def heartbeats_seen(self) -> int:
+        """Heartbeats received so far."""
+        return self._beats.seen
+
+    @heartbeats_seen.setter
+    def heartbeats_seen(self, value: int) -> None:
+        self._beats.seen = value
 
     # -- lifecycle hooks -----------------------------------------------------------
 
@@ -46,9 +57,10 @@ class HeartbeatFailureDetector(ComponentImpl):
         self._started_at = self.ctx.sim.now
         if self._processes and any(p.alive for p in self._processes):
             return  # restart after a stop: processes still running
-        node = self.ctx.node
-        self._deadline = self._started_at + self.prop("timeout", 60.0)
-        self._processes = self._spawn_processes(node)
+        monitor = self._beats
+        monitor.timeout = self.prop("timeout", 60.0)
+        monitor.deadline = self._started_at + monitor.timeout
+        self._processes = self._spawn_processes(self.ctx.node)
 
     def _spawn_processes(self, node) -> List[Process]:
         """The background processes this detector runs (subclass hook)."""
@@ -59,60 +71,35 @@ class HeartbeatFailureDetector(ComponentImpl):
         ]
 
     def _spawn_sender(self, node):
-        """Emit one heartbeat per period through the network's beat lane.
+        """Emit one heartbeat per period as a kernel beat stream.
 
-        The hottest loop in campaign workloads: a ticker fires the send
-        straight from the event loop — same beat instants and event
-        ordering as the old ``while True: send; yield Timeout(period)``
-        process, without a generator resume per beat — and each beat
-        goes through a preallocated :meth:`Network.beat_lane` (one per
-        peer, built on first use so the ``peer`` prop stays dynamic —
-        reconfigurable).  The lane preserves full fault semantics:
-        crash/omission drops and limp-factor delays hit express beats
-        exactly as they hit :meth:`Network.send` traffic.
+        The hottest loop in campaign workloads, so it costs no kernel
+        events at all: the simulator's virtual beat clock replays ticks
+        and deliveries lazily in ``(time, seq)`` order — same beat
+        instants, draws, drops and limp-factor delays as a ``while True:
+        send; yield Timeout(period)`` process.  The ``peer`` prop is
+        looked up again whenever anything but the clock has run, so it
+        stays reconfigurable.
         """
-        network = self.ctx.network
-        me = node.name
-        beat_payload = ("heartbeat", me)
-        props = self.component.properties
-        lanes = {}
-
-        def beat() -> None:
-            peer = props.get("peer", "")
-            if peer and node.is_up:
-                lane = lanes.get(peer)
-                if lane is None:
-                    lane = network.beat_lane(me, peer, "fd", beat_payload, 32)
-                    lanes[peer] = lane
-                try:
-                    lane.send()
-                except NodeDown:  # pragma: no cover - killed first in practice
-                    ticker.kill()
-
-        ticker = node.every(self.prop("period", 20.0), beat, heartbeat=True)
-        return ticker
+        return BeatStream(
+            self.ctx.network, node.name,
+            partial(self.component.properties.get, "peer", ""), "fd",
+            ("heartbeat", node.name), 32, self.prop("period", 20.0),
+        )
 
     def _install_monitor_sink(self) -> None:
-        """Consume heartbeats synchronously inside the delivery event.
+        """Consume heartbeats synchronously inside the delivery.
 
         The receive loop deliberately spawns no process and parks no
-        getter: a process here would cost a ready-lane event plus a
-        generator resume for every heartbeat (the dominant event source
-        in long missions).  Expiry is owned by :meth:`_watchdog`, which
-        keeps exactly one timer armed — same suspicion instants, a
-        fraction of the scheduler traffic.  Buffered beats are drained
-        on install, so a detector redeployed onto a restarted node picks
-        up exactly where a blocking monitor would have.
+        getter: the mailbox hands every beat to the :class:`BeatMonitor`
+        sink (the beat clock applies its own deliveries without even
+        calling it).  Expiry is owned by :meth:`_watchdog`.  Buffered
+        beats are drained on install, so a detector redeployed onto a
+        restarted node picks up exactly where a blocking monitor would
+        have.
         """
         self._mailbox = self.ctx.mailbox("fd")
-        timeout = self.prop("timeout", 60.0)
-        sim = self.ctx.sim
-
-        def on_heartbeat(_message) -> None:
-            self.heartbeats_seen += 1
-            self._deadline = sim.now + timeout
-
-        self._mailbox.set_sink(on_heartbeat)
+        self._mailbox.set_sink(self._beats)
 
     def on_stop(self) -> None:
         # The FD is a common part and is normally never stopped; if a script
@@ -152,24 +139,24 @@ class HeartbeatFailureDetector(ComponentImpl):
     def _watchdog(self):
         """Suspect the peer when no heartbeat lands before the deadline.
 
-        Sleeps until the current deadline; if heartbeats moved it while
-        sleeping, re-arms for the remainder instead of firing.  This is
-        observably identical to a ``get(timeout=...)`` loop — suspicion
-        happens at exactly ``last_heartbeat + timeout`` — without a
-        schedule/cancel pair per message.
+        Sleeps on the monitor until its deadline has passed — observably
+        a ``get(timeout=...)`` loop: suspicion happens at exactly
+        ``last_heartbeat + timeout`` — without a schedule/cancel pair
+        per message (the re-arms are replayed by the beat clock).
         """
-        timeout = self.prop("timeout", 60.0)
+        monitor = self._beats
+        timeout = monitor.timeout
         sim = self.ctx.sim
         while True:
             now = sim.now
-            if now < self._deadline:
-                yield Timeout(self._deadline - now)
+            if now < monitor.deadline:
+                yield monitor
                 continue
-            self._deadline = now + timeout  # expiry window restarts
+            monitor.deadline = now + timeout  # expiry window restarts
             if self._suspended or self.suspected:
                 continue
             if (
-                self.heartbeats_seen == 0
+                monitor.seen == 0
                 and now - self._started_at < self.prop("grace", 500.0)
             ):
                 continue  # startup grace: the peer may still be deploying
@@ -181,4 +168,4 @@ class HeartbeatFailureDetector(ComponentImpl):
                 peer=self.prop("peer", ""),
             )
             yield from self.ref("control").invoke("peer_failed")
-            self._deadline = sim.now + timeout  # the wait restarts here
+            monitor.deadline = sim.now + timeout  # the wait restarts here

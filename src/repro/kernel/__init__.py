@@ -14,6 +14,7 @@ Public surface::
     result = world.run_process(hello())
 """
 
+from repro.kernel.beats import BeatMonitor, BeatStream
 from repro.kernel.costs import CostModel, DEFAULT_COSTS
 from repro.kernel.errors import (
     KernelError,
@@ -46,14 +47,7 @@ from repro.kernel.coschedule import (
     world_arena_stats,
     world_reuse_enabled,
 )
-from repro.kernel.network import (
-    BeatLane,
-    Link,
-    Message,
-    Network,
-    beat_express_enabled,
-    set_beat_express,
-)
+from repro.kernel.network import Link, Message, Network
 from repro.kernel.node import Cluster, Node, NodeState
 from repro.kernel.rand import DeterministicRandom
 from repro.kernel.sim import (
@@ -87,12 +81,11 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "bit_flip",
-    "BeatLane",
+    "BeatMonitor",
+    "BeatStream",
     "Link",
     "Message",
     "Network",
-    "beat_express_enabled",
-    "set_beat_express",
     "Cluster",
     "Node",
     "NodeState",

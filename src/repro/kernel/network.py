@@ -16,7 +16,6 @@ the ``bandwidth drop`` adaptation trigger of Figure 8 is produced.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -25,24 +24,6 @@ from repro.kernel.errors import NetworkUnreachable, NodeDown
 from repro.kernel.node import Node
 from repro.kernel.sim import _WHEEL_ENGAGE, Channel, Simulator
 from repro.kernel.trace import Trace
-
-#: Express-lane toggle — ``REPRO_BEAT_EXPRESS=0`` (or
-#: :func:`set_beat_express`) makes :meth:`Network.beat_lane` hand out a
-#: shim that routes every beat through the general :meth:`Network.send`
-#: machinery instead, the reference the parity tests compare against.
-_BEAT_EXPRESS = os.environ.get("REPRO_BEAT_EXPRESS", "1") != "0"
-
-
-def set_beat_express(enabled: bool) -> None:
-    """Enable or disable the heartbeat express lane process-wide."""
-    global _BEAT_EXPRESS
-    _BEAT_EXPRESS = bool(enabled)
-
-
-def beat_express_enabled() -> bool:
-    """Is :meth:`Network.beat_lane` currently handing out express lanes?"""
-    return _BEAT_EXPRESS
-
 
 class Message:
     """An envelope delivered to a mailbox.
@@ -448,217 +429,3 @@ class Network:
         destination.bytes_received += message.size
         self.messages_delivered += 1
         mailbox.put(message)
-
-    # -- heartbeat express lane --------------------------------------------
-
-    def beat_lane(
-        self,
-        source: str,
-        destination: str,
-        port: str,
-        payload: Any,
-        size: int,
-    ) -> "BeatLane":
-        """A preallocated send lane for periodic liveness beats.
-
-        Every beat from ``source`` to ``destination`` carries the same
-        port, payload and size, so the endpoint lookups, the link, the
-        delivery callback and the message envelope itself can all be
-        resolved once instead of per send — :meth:`BeatLane.send` then
-        costs two dict-free fault checks, the loss/jitter draws and one
-        event insert, with zero allocations on the delivered path.
-
-        Fault semantics are fully preserved: crash, partition, omission
-        loss and delivery filters drop beats exactly as :meth:`send`
-        would (same RNG draws, same counters, same trace records), and
-        limp factors installed by ``apply_slow`` delay them, because the
-        lane aliases the live :class:`Link` object that the fault
-        injector mutates in place.  The delivered envelope is *reused*
-        across beats — consumers must not retain it (the failure
-        detector's sink reads nothing but the arrival itself).
-
-        With the express lane disabled (:func:`set_beat_express`) this
-        returns a shim driving :meth:`send`; both forms are
-        byte-identical in trace and store.
-        """
-        if not _BEAT_EXPRESS:
-            return _LegacyBeatLane(self, source, destination, port, payload, size)
-        return BeatLane(self, source, destination, port, payload, size)
-
-
-class BeatLane:
-    """One sender's preallocated heartbeat path to one destination.
-
-    Constructed via :meth:`Network.beat_lane`.  Safe across world resets
-    only because callers (the failure detector) build lanes after each
-    reset; the cached Node and Link objects themselves survive resets —
-    ``Network.reset`` mutates links in place — so a lane built at
-    component start observes every later re-characterisation, including
-    gray-failure limp factors.
-    """
-
-    __slots__ = (
-        "_network", "_sim", "_source_node", "_dest_node", "_link",
-        "_message", "_source", "_dest_name", "_port", "_payload", "_size",
-        "_deliver_cb", "_mailbox_key", "_energy_per_byte", "_jitter_fraction",
-    )
-
-    def __init__(
-        self,
-        network: Network,
-        source: str,
-        destination: str,
-        port: str,
-        payload: Any,
-        size: int,
-    ):
-        nodes = network._nodes
-        src_node = nodes.get(source)
-        if src_node is None:
-            raise KeyError(f"unknown node {source!r}")
-        dst_node = nodes.get(destination)
-        if dst_node is None:
-            raise KeyError(f"unknown node {destination!r}")
-        if source == destination:
-            link = None  # loopback: fixed delay, no link characteristics
-        else:
-            link = network._links.get((source, destination))
-            if link is None:
-                raise NetworkUnreachable(source, destination)
-        self._network = network
-        self._sim = network.sim
-        self._source_node = src_node
-        self._dest_node = dst_node
-        self._link = link
-        self._source = source
-        self._dest_name = destination
-        self._port = port
-        self._payload = payload
-        self._size = size
-        self._message = Message(source, destination, port, payload, size, 0.0)
-        self._deliver_cb = self._deliver
-        self._mailbox_key = (destination, port)
-        self._energy_per_byte = network.costs.energy_per_byte_sent
-        self._jitter_fraction = network.costs.jitter_fraction
-
-    def send(self) -> None:
-        """Emit one beat — :meth:`Network.send` minus the per-send setup.
-
-        Every branch mirrors ``send`` exactly, in the same order, with
-        the same RNG draws from the same substream, so the express lane
-        replays the legacy path bit for bit.
-        """
-        network = self._network
-        sim = self._sim
-        src_node = self._source_node
-        if not src_node.is_up:
-            raise NodeDown(self._source, "send")
-        message = self._message
-        message.sent_at = sim.now
-        network.messages_sent += 1
-        size = self._size
-        # inlined src_node.charge_energy_for_send(size)
-        src_node.bytes_sent += size
-        src_node.energy += size * self._energy_per_byte
-        link = self._link
-        if link is None:
-            delay = 0.01  # loopback
-        else:
-            source = self._source
-            dest_name = self._dest_name
-            if network._partitions and network.partitioned(source, dest_name):
-                network._drop(message, "partition")
-                return
-            loss = network._loss_probability
-            if link.loss > loss:
-                loss = link.loss
-            if loss > 0.0 and network._rand.chance(loss):
-                network._drop(message, "loss")
-                return
-            # verbatim copy of send()'s inlined jitter — the float
-            # expression must match term for term for byte-identity
-            delay = link.latency + size / link.bandwidth
-            fraction = self._jitter_fraction
-            if fraction > 0.0:
-                low = 1.0 - fraction
-                high = 1.0 + fraction
-                delay = delay * (low + (high - low) * network._rng_random())
-        sim._ev_heartbeat += 1
-        if delay == 0.0 and sim.fast_path:
-            sim._seq += 1
-            sim._ready.append((sim._seq, None, self._deliver_cb, ()))
-        else:
-            sim._seq += 1
-            if sim.fast_path and len(sim._queue) >= _WHEEL_ENGAGE:
-                sim._wheel_insert(sim.now + delay, None, self._deliver_cb, ())
-            else:
-                heapq.heappush(
-                    sim._queue,
-                    (sim.now + delay, sim._seq, None, self._deliver_cb, ()),
-                )
-
-    def _deliver(self) -> None:
-        """``Network._deliver`` for the reused envelope (no allocation)."""
-        network = self._network
-        if network._delivery_filters:
-            # rare path: hand the filters a private copy so they can
-            # treat it as an ordinary immutable envelope
-            message = self._message
-            network._deliver(
-                Message(
-                    message.source, message.destination, message.port,
-                    message.payload, message.size, message.sent_at,
-                )
-            )
-            return
-        message = self._message
-        destination = self._dest_node
-        if not destination.is_up:
-            network._drop(message, "destination_down")
-            return
-        if network._partitions and network.partitioned(
-            self._source, self._dest_name
-        ):
-            network._drop(message, "partition")
-            return
-        mailbox = network._mailboxes.get(self._mailbox_key)
-        if mailbox is None:
-            network._drop(message, "no_mailbox")
-            return
-        destination.bytes_received += self._size
-        network.messages_delivered += 1
-        # inlined mailbox.put() sink fast path: heartbeat mailboxes have
-        # a sink and no blocked getters in steady state
-        sink = mailbox._sink
-        if sink is not None and not mailbox._getters:
-            sink(message)
-        else:
-            mailbox.put(message)
-
-
-class _LegacyBeatLane:
-    """Parity shim: a beat lane that routes through :meth:`Network.send`."""
-
-    __slots__ = ("_send_args",)
-
-    def __init__(
-        self,
-        network: Network,
-        source: str,
-        destination: str,
-        port: str,
-        payload: Any,
-        size: int,
-    ):
-        nodes = network._nodes
-        if source not in nodes:
-            raise KeyError(f"unknown node {source!r}")
-        if destination not in nodes:
-            raise KeyError(f"unknown node {destination!r}")
-        if source != destination and (source, destination) not in network._links:
-            raise NetworkUnreachable(source, destination)
-        self._send_args = (network.send, source, destination, port, payload, size)
-
-    def send(self) -> None:
-        send, source, destination, port, payload, size = self._send_args
-        send(source, destination, port, payload, size)

@@ -38,20 +38,13 @@ class Ticker:
     fires as a no-op.
     """
 
-    __slots__ = ("sim", "period", "fn", "_killed", "_heartbeat")
+    __slots__ = ("sim", "period", "fn", "_killed")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        period: float,
-        fn: Callable[[], None],
-        heartbeat: bool = False,
-    ):
+    def __init__(self, sim: Simulator, period: float, fn: Callable[[], None]):
         self.sim = sim
         self.period = period
         self.fn = fn
         self._killed = False
-        self._heartbeat = heartbeat
 
     @property
     def alive(self) -> bool:
@@ -65,10 +58,7 @@ class Ticker:
         if self._killed:
             return
         sim = self.sim
-        if self._heartbeat:
-            sim._ev_heartbeat += 1
-        else:
-            sim._ev_timer += 1
+        sim._ev_timer += 1
         self.fn()
         if not self._killed:  # fn may have killed us
             # sim.call_later(self.period, self._tick) inlined: the re-arm
@@ -166,20 +156,16 @@ class Node:
         self.processes.append(process)
         return process
 
-    def every(
-        self, period: float, fn: Callable[[], None], heartbeat: bool = False
-    ) -> Ticker:
+    def every(self, period: float, fn: Callable[[], None]) -> Ticker:
         """Run ``fn()`` now and then every ``period`` ms until killed.
 
         Equivalent to spawning ``while True: fn(); yield Timeout(period)``
         — first call at the current instant via the zero-delay lane, one
         timed event per tick thereafter — minus the per-tick generator
         resume.  Killed when the node crashes, like any spawned process.
-        ``heartbeat=True`` attributes the ticks to the heartbeat bucket
-        of ``Simulator.events_by_source`` instead of the timer bucket.
         """
         self.check_up("every")
-        ticker = Ticker(self.sim, period, fn, heartbeat)
+        ticker = Ticker(self.sim, period, fn)
         self.processes.append(ticker)
         self.sim.post(ticker._tick)
         return ticker

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Dict, Generator, Iterator, List, Optional
+from math import inf
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence
 
 from repro.kernel.errors import (
     ProcessInterrupted,
@@ -184,7 +185,7 @@ class Simulator:
         # exactly once, when consumption reaches it (_wheel_sorted is
         # that slot, _wheel_idx the consumption index into it).
         # _wheel_next memoises the earliest wheel entry as ``(entry,
-        # slot)`` so the merge in step()/advance() does not rescan
+        # slot)`` so the merge in advance() does not rescan
         # buckets per event; when it is non-None it always points at
         # ``bucket[_wheel_idx]`` of the sorted slot.
         self._wheel: List[List] = [[] for _ in range(_WHEEL_SLOTS)]
@@ -194,23 +195,21 @@ class Simulator:
         self._wheel_sorted = -1
         self._wheel_idx = 0
         self._wheel_next: Optional[tuple] = None
-        # per-run event attribution (see ``events_by_source``)
-        self._ev_heartbeat = 0
-        self._ev_timer = 0
-        self._ev_request = 0
-        self._ev_fault = 0
+        # per-run event attribution (see ``events_by_source``) and the
+        # beat clock's counters: beat events replayed without a kernel
+        # event / beats sent as ordinary messages after all
+        for _key, counter in _SOURCES:
+            setattr(self, counter, 0)
+        #: The virtual heartbeat clock (``beats.BeatClock``), installed on
+        #: first use.
+        self._beat_clock: Any = None
         self.processes: List["Process"] = []
         self._process_arena: List["Process"] = []
 
     @property
     def events_by_source(self) -> Dict[str, int]:
         """Scheduled-event attribution by producing subsystem (this run)."""
-        return {
-            "heartbeat": self._ev_heartbeat,
-            "timer": self._ev_timer,
-            "request": self._ev_request,
-            "fault": self._ev_fault,
-        }
+        return {key: getattr(self, counter) for key, counter in _SOURCES[:4]}
 
     # -- scheduling --------------------------------------------------------
 
@@ -234,26 +233,14 @@ class Simulator:
                 )
         return handle
 
-    def _schedule_timed(
-        self, time: float, handle: Optional[Handle], fn: Callable, args: tuple
-    ) -> None:
-        """Insert one timed entry: the overflow heap while the timed
-        population is small, wheel buckets once it crosses the engage
-        threshold (fast path only)."""
-        self._seq += 1
-        if self.fast_path and len(self._queue) >= _WHEEL_ENGAGE:
-            self._wheel_insert(time, handle, fn, args)
-        else:
-            heapq.heappush(self._queue, (time, self._seq, handle, fn, args))
-
     def _wheel_insert(
         self, time: float, handle: Optional[Handle], fn: Callable, args: tuple
     ) -> None:
         """Bucket one engaged timed entry (sequence already assigned).
 
-        The engaged-path tail of :meth:`_schedule_timed`, shared by the
-        call sites that inline the cheap disengaged branch.  Entries
-        beyond the span window still overflow to the heap.
+        Shared by the call sites that inline the cheap disengaged branch
+        (one heap push).  Entries beyond the span window still overflow
+        to the heap.
         """
         offset = time - self._wheel_base
         if offset < _WHEEL_NEAR:
@@ -325,8 +312,7 @@ class Simulator:
             self._seq += 1
             self._ready.append((self._seq, None, fn, args))
         else:
-            # _schedule_timed inlined: delivery timers are the hottest
-            # timed insert in the kernel
+            # delivery timers are the hottest timed insert in the kernel
             self._seq += 1
             if self.fast_path and len(self._queue) >= _WHEEL_ENGAGE:
                 self._wheel_insert(self.now + delay, None, fn, args)
@@ -438,6 +424,7 @@ class Simulator:
         self._wheel_sorted = -1
         self._wheel_idx = 0
         self._dead = 0
+        self._beat_clock = None  # its streams died with the processes
         arena = self._process_arena
         for process in self.processes:
             process.gen = None  # drop the exhausted generator frame
@@ -455,10 +442,8 @@ class Simulator:
         self._seq = 0
         self.now = 0.0
         self._wheel_base = 0.0
-        self._ev_heartbeat = 0
-        self._ev_timer = 0
-        self._ev_request = 0
-        self._ev_fault = 0
+        for _key, counter in _SOURCES:
+            setattr(self, counter, 0)
         self.random.reseed(seed)
 
     # -- lazy-cancel bookkeeping -------------------------------------------
@@ -525,6 +510,12 @@ class Simulator:
         """
         if self._ready:
             return self.now
+        entry = self._peek_timed()
+        return None if entry is None else entry[0]
+
+    def _peek_timed(self) -> Optional[tuple]:
+        """The earliest live timed entry across wheel and overflow heap
+        (ready lane aside), pruning cancelled heads; None when empty."""
         wnext = self._wheel_next
         if wnext is not None:
             whandle = wnext[0][2]
@@ -542,16 +533,21 @@ class Simulator:
                 self._dead -= 1
                 continue
             if wnext is not None and wnext[0] < head:
-                return wnext[0][0]
-            return head[0]
-        if wnext is not None:
-            return wnext[0][0]
-        return None
+                return wnext[0]
+            return head
+        return None if wnext is None else wnext[0]
 
     # -- execution ---------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the earliest pending event. Returns False when idle.
+    def advance(self, stop: "Event", budget: Optional[int] = None) -> str:
+        """Execute events until ``stop`` triggers, the queues drain, or
+        ``budget`` events have run.
+
+        Returns ``"done"`` (stop triggered), ``"idle"`` (nothing left to
+        execute) or ``"budget"`` (budget exhausted first).  This is the
+        one dispatch loop: process runners, :meth:`run` and the world
+        co-scheduler execute one Python call per *drain* instead of one
+        per event, which is measurable at campaign scale.
 
         Ready-lane entries run at the current time, but a timed entry
         that landed on exactly ``now`` with a smaller sequence number
@@ -560,81 +556,12 @@ class Simulator:
         """
         ready = self._ready
         queue = self._queue
-        while True:
-            # earliest timed entry across wheel and overflow heap
-            tentry = self._wheel_next
-            if tentry is None and self._wheel_count:
-                tentry = self._wheel_peek()
-            if tentry is None:
-                tentry = queue[0] if queue else None
-                from_wheel = False
-            else:
-                tentry = tentry[0]
-                from_wheel = True
-                if queue and queue[0] < tentry:
-                    tentry = queue[0]
-                    from_wheel = False
-            if ready and not (
-                tentry is not None
-                and tentry[0] <= self.now
-                and tentry[1] < ready[0][0]
-            ):
-                _seq, handle, fn, args = ready.popleft()
-                if handle is not None:
-                    if handle._cancelled:
-                        continue
-                    handle._fired = True
-                fn(*args)
-                return True
-            if tentry is None:
-                return False
-            if from_wheel:
-                slot = self._wheel_next[1]
-                bucket = self._wheel[slot]
-                idx = self._wheel_idx
-                time, _seq, handle, fn, args = bucket[idx]
-                self._wheel_count -= 1
-                idx += 1
-                # the next wheel minimum is this bucket's next unconsumed
-                # entry (no earlier bucket can be non-empty) or a rescan
-                if idx == len(bucket):
-                    bucket.clear()
-                    self._wheel_idx = 0
-                    self._wheel_next = None
-                else:
-                    self._wheel_idx = idx
-                    self._wheel_next = (bucket[idx], slot)
-            else:
-                time, _seq, handle, fn, args = heapq.heappop(queue)
-            if handle is not None:
-                if handle._cancelled:
-                    self._dead -= 1
-                    continue
-                handle._fired = True
-            if time < self.now:
-                raise SimulationError("time went backwards")
-            self.now = time
-            fn(*args)
-            return True
-
-    def advance(self, stop: "Event", budget: Optional[int] = None) -> str:
-        """Execute events until ``stop`` triggers, the queues drain, or
-        ``budget`` events have run.
-
-        Returns ``"done"`` (stop triggered), ``"idle"`` (nothing left to
-        execute) or ``"budget"`` (budget exhausted first).  This is
-        :meth:`step` fused with the driving loop — process runners and
-        the world co-scheduler execute one Python call per *drain*
-        instead of one per event, which is measurable at campaign scale.
-        """
-        ready = self._ready
-        queue = self._queue
         heappop = heapq.heappop
         if stop.triggered:
             return "done"
         remaining = -1 if budget is None else budget
         # cancelled entries `continue` without charging the budget: only
-        # executed events count, exactly as repeated step() calls would
+        # executed events count
         while remaining != 0:
             if not self._wheel_count:
                 # disengaged wheel (``_wheel_next`` is None by invariant):
@@ -663,18 +590,8 @@ class Simulator:
                 else:
                     return "done" if stop.triggered else "idle"
             else:
-                tentry = self._wheel_next
-                if tentry is None:
-                    tentry = self._wheel_peek()
-                if tentry is None:
-                    tentry = queue[0] if queue else None
-                    from_wheel = False
-                else:
-                    tentry = tentry[0]
-                    from_wheel = True
-                    if queue and queue[0] < tentry:
-                        tentry = queue[0]
-                        from_wheel = False
+                tentry = self._peek_timed()
+                from_wheel = not (queue and queue[0] is tentry)
                 if ready and not (
                     tentry is not None
                     and tentry[0] <= self.now
@@ -723,32 +640,26 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue (optionally stopping at time ``until``).
 
-        Returns the simulation time when execution stopped.
+        Returns the simulation time when execution stopped.  The horizon
+        is itself a timed entry, ordered after every event at ``until``
+        (its ``seq`` is infinite): whoever looks for the next pending
+        event — the beat clock replaying up to it — finds the horizon.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
+        stop = Event(self, "run.until")
+        handle = Handle(self)
+        if until is not None:
+            heapq.heappush(
+                self._queue,
+                (max(until, self.now), inf, handle, stop.trigger, ()),
+            )
         try:
-            while True:
-                if not self._ready:
-                    time = self.peek_time()
-                    if time is None:
-                        break
-                    if until is not None and time > until:
-                        self.now = until
-                        break
-                if not self.step():
-                    break
+            self.advance(stop)
         finally:
             self._running = False
-        if (
-            until is not None
-            and self.now < until
-            and not self._queue
-            and not self._ready
-            and not self._wheel_count
-        ):
-            self.now = until
+            handle.cancel()
         return self.now
 
     def run_process(self, gen: Generator, name: str = "main") -> Any:
@@ -775,25 +686,29 @@ class Simulator:
 # ---------------------------------------------------------------------------
 
 
-#: Process-wide accumulator for per-subsystem event attribution.  Worlds
-#: fold their counters in when they are released (see
-#: ``coschedule.release_world``); the experiment runner takes the total
-#: per dispatch.  Counters are a side channel: they never influence
-#: event order, RNG draws or store bytes.
-_ATTRIBUTION: Dict[str, int] = {
-    "heartbeat": 0, "timer": 0, "request": 0, "fault": 0,
-}
+#: Attribution key -> the ``Simulator`` counter it accumulates: four
+#: kernel-event producers (``events_by_source``), then the beat clock's two.
+_SOURCES = (
+    ("heartbeat", "_ev_heartbeat"), ("timer", "_ev_timer"),
+    ("request", "_ev_request"), ("fault", "_ev_fault"),
+    ("beats_replayed", "beats_replayed"),
+    ("beats_materialised", "beats_materialised"),
+)
+
+#: Process-wide accumulator for per-subsystem event attribution, plus the
+#: beat clock's two counters.  Worlds fold their counters in when they
+#: are released (see ``coschedule.release_world``); the experiment runner
+#: takes the total per dispatch.  Counters are a side channel: they never
+#: influence event order, RNG draws or store bytes.
+_ATTRIBUTION: Dict[str, int] = {key: 0 for key, _attr in _SOURCES}
 
 
 def harvest_event_attribution(sim: Simulator) -> None:
     """Fold one simulator's source counters into the process-wide
     accumulator and zero them (idempotent on repeated release)."""
-    acc = _ATTRIBUTION
-    acc["heartbeat"] += sim._ev_heartbeat
-    acc["timer"] += sim._ev_timer
-    acc["request"] += sim._ev_request
-    acc["fault"] += sim._ev_fault
-    sim._ev_heartbeat = sim._ev_timer = sim._ev_request = sim._ev_fault = 0
+    for key, attr in _SOURCES:
+        _ATTRIBUTION[key] += getattr(sim, attr)
+        setattr(sim, attr, 0)
 
 
 def take_event_attribution() -> Dict[str, int]:
@@ -804,12 +719,12 @@ def take_event_attribution() -> Dict[str, int]:
     return out
 
 
-def credit_event_attribution(sources: Dict[str, int]) -> None:
+def credit_event_attribution(counts: Sequence[int]) -> None:
     """Fold counters harvested in *another* process into this one's
-    accumulator — worker backends ship their per-batch attribution back
-    to the coordinating process through this."""
-    for key, count in sources.items():
-        _ATTRIBUTION[key] = _ATTRIBUTION.get(key, 0) + count
+    accumulator — worker backends ship ``take_event_attribution()``'s
+    values (in its key order) back with every batch through this."""
+    for key, count in zip(_ATTRIBUTION, counts):
+        _ATTRIBUTION[key] += count
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,9 @@ def test_remote_campaign_matches_serial_including_store(tmp_path,
     assert remote.cells_acked_digest == len(spec.trials)
     assert remote.cells_shipped_full == 0
     assert remote.wire_bytes_in > 0 and remote.wire_bytes_out > 0
+    # event attribution crosses the wire in the batch-complete frames
+    assert remote.events_by_source == serial.events_by_source
+    assert remote.beats_replayed == serial.beats_replayed > 0
 
 
 def test_units_wire_mode_is_byte_identical_too(tmp_path, two_workers):
@@ -266,6 +269,8 @@ def test_units_wire_mode_is_byte_identical_too(tmp_path, two_workers):
     # full values crossed the wire: no digest acks in units mode
     assert remote.cells_shipped_full == len(spec.trials)
     assert remote.cells_acked_digest == 0
+    assert remote.events_by_source == serial.events_by_source
+    assert remote.events_by_source["timer"] > 0
 
 
 def test_digest_mode_fetch_fallback_without_shadow_reads(tmp_path,

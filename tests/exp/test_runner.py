@@ -81,18 +81,37 @@ def test_results_are_json_normalised():
 
 
 def test_events_by_source_attribution_flows_to_result():
-    # a campaign mission is heartbeat-dominated: the per-subsystem
-    # attribution harvested from released worlds must reach both the
-    # ExperimentResult summary and an aggregating ExecutionStats
+    # a campaign mission is heartbeat-dominated, but the beat clock
+    # replays beats without kernel events: the per-subsystem attribution
+    # harvested from released worlds (kernel events by producer) and the
+    # clock's own counters must reach both the ExperimentResult summary
+    # and an aggregating ExecutionStats
     spec = campaign.spec(missions=2, base_seed=42, requests=8)
     stats = exp.ExecutionStats()
     result = exp.run(spec, jobs=1, stats=stats)
     sources = result.events_by_source
-    assert set(sources) >= {"heartbeat", "timer", "request", "fault"}
-    assert sources["heartbeat"] > sources["request"] > 0
+    assert set(sources) == {"heartbeat", "timer", "request", "fault"}
+    assert sources["heartbeat"] > 0 and sources["request"] > 0
     assert sources["timer"] > 0
+    assert result.beats_replayed > 5 * sources["heartbeat"]
+    assert 0 < result.beats_materialised < sources["heartbeat"]
     assert stats.events_by_source == sources
-    assert result.summary()["events_by_source"] == sources
+    assert stats.beats_replayed == result.beats_replayed
+    summary = result.summary()
+    assert summary["events_by_source"] == sources
+    assert summary["beats_replayed"] == result.beats_replayed
+    assert summary["beats_materialised"] == result.beats_materialised
+
+
+def test_table3_trials_report_their_events_too():
+    # Table 3 builds throwaway worlds outside the arena; they are
+    # released all the same, so their attribution is harvested
+    from repro.eval import table3
+
+    result = exp.run(table3.spec(runs=1, ftms=["pbr", "lfr"]), jobs=1,
+                     store=None)
+    assert result.events_by_source["timer"] > 0
+    assert result.beats_replayed > 0
 
 
 def test_events_by_source_resets_between_runs():
