@@ -1,10 +1,10 @@
 """Benchmark: executor backends — serial, local pool, remote, sharded.
 
 Writes ``BENCH_distributed.json`` (uploaded as a CI artifact next to
-``BENCH_runner.json`` / ``BENCH_kernel.json``) with four sections:
+``BENCH_runner.json`` / ``BENCH_kernel.json``) with three sections:
 
-* **grid** — campaign missions/sec across a jobs × coschedule × workers
-  grid: single-process serial, the persistent local pool, the remote
+* **grid** — campaign missions/sec across a jobs × workers grid:
+  single-process serial, the persistent local pool, the remote
   backend fanning digest-mode batches over 2 localhost ``repro worker``
   subprocesses, and a 2-coordinator sharded campaign merged post hoc.
   Every configuration's results are asserted byte-identical to the
@@ -16,12 +16,6 @@ Writes ``BENCH_distributed.json`` (uploaded as a CI artifact next to
   digest)`` tuples over ``RXD1`` frames) vs full-body ``units`` mode.
   The digest figure is asserted ≤ ``WIRE_BUDGET_BYTES_PER_CELL`` and
   recorded as ``bytes_per_cell_on_wire``.
-* **coschedule** — the small-campaign clamp gate: at every campaign
-  size in ``COSCHEDULE_SIZES`` the shipped ``coschedule=8`` must be
-  ≥ 1.0× the serial lane.  Below ``COSCHEDULE_MIN_UNITS`` the runner
-  auto-clamps to width 1, so parity holds *by identity* (asserted via
-  ``coschedule_effective`` and byte-compare); at or above the threshold
-  the ratio is measured with paired back-to-back runs.
 * **pool** — dispatch overhead of the persistent pool vs a cold pool
   per ``exp.run`` call, over a burst of small specs.
 
@@ -35,7 +29,6 @@ import json
 import os
 import re
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -49,13 +42,12 @@ from repro.eval import campaign
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_distributed.json"
 
-#: The recorded PR 4 single-process figure (BENCH_kernel.json,
-#: fast_coscheduled_missions_per_sec) — the cross-PR reference.
+#: The single-process figure BENCH_kernel.json recorded at PR 4 — the
+#: cross-PR reference.
 PR4_RECORDED_MISSIONS_PER_SEC = 117.0
 
 MISSIONS = int(os.environ.get("BENCH_DISTRIBUTED_MISSIONS", "48"))
 REQUESTS = 30
-COSCHEDULE = 8
 REPS = max(1, int(os.environ.get("BENCH_DISTRIBUTED_REPS", "2")))
 #: Batches sized so every worker gets several (load-balancing realism).
 CELL_SIZE = max(1, MISSIONS // 8)
@@ -65,20 +57,6 @@ WIRE_BUDGET_BYTES_PER_CELL = 150
 #: The wire spec uses small cells so per-cell framing overhead is
 #: measured at its *worst* (many cells, few units each).
 WIRE_CELL_SIZE = 2
-
-#: Campaign sizes for the coschedule parity gate: one below the
-#: auto-clamp threshold (parity by identity) and one above (measured).
-COSCHEDULE_SIZES = (MISSIONS, 256)
-#: Extra paired samples for a measured size whose best ratio has not
-#: reached 1.0x yet (noise retries, never a loosened bar).
-GRID_RETRIES = 4
-#: Minimum paired samples before the best-pair bar may stop early, and
-#: the hard floor for the *median* pair — the same non-inferiority
-#: methodology as ``test_bench_kernel.py`` (one pair's shared-hardware
-#: noise is ±5–10%, so the median over several pairs is the robust
-#: regression detector while best-of carries the file's semantics).
-MIN_PAIRS = 3
-NONINFERIORITY_FLOOR = 0.93
 
 POOL_BURST_SPECS = 8
 POOL_BURST_CELLS = 4
@@ -150,65 +128,6 @@ def _pool_burst(persistent):
     return elapsed
 
 
-def _coschedule_gate():
-    """Parity of the shipped ``coschedule=8`` vs the serial lane at
-    every campaign size — clamped sizes by identity, measured above."""
-    sizes = {}
-    for missions in COSCHEDULE_SIZES:
-        # the kernel bench's cell shape (missions // 4): the lane the
-        # shipped ``repro campaign --coschedule`` actually exercises
-        spec = _campaign_spec(missions=missions, seed=5200 + missions,
-                              cell_size=max(1, missions // 4))
-        serial, serial_mps = _timed_run(spec=spec, jobs=1,
-                                        backend="serial")
-        clamped = spec.unit_count < exp.COSCHEDULE_MIN_UNITS
-        cosched, mps = _timed_run(spec=spec, jobs=1, backend="serial",
-                                  coschedule=COSCHEDULE)
-        assert _dump(cosched) == _dump(serial), f"missions={missions}"
-        entry = {
-            "missions": missions,
-            "clamped": clamped,
-            "coschedule_effective": cosched.coschedule_effective,
-            "serial_missions_per_sec": round(serial_mps, 2),
-            "coscheduled_missions_per_sec": round(mps, 2),
-        }
-        if clamped:
-            # below the threshold the runner reroutes to the serial
-            # lane: the very same code path, so parity is structural
-            assert cosched.coschedule == COSCHEDULE
-            assert cosched.coschedule_effective == 1
-            entry["ratio_vs_serial"] = 1.0
-            entry["ratio_basis"] = "identity (auto-clamped to width 1)"
-        else:
-            assert cosched.coschedule_effective == COSCHEDULE
-            ratios = [mps / serial_mps]
-            max_pairs = max(REPS, MIN_PAIRS) + GRID_RETRIES
-            while len(ratios) < max_pairs and (
-                    max(ratios) < 1.0
-                    or len(ratios) < max(REPS, MIN_PAIRS)):
-                _, s_mps = _timed_run(spec=spec, jobs=1, backend="serial")
-                _, c_mps = _timed_run(spec=spec, jobs=1, backend="serial",
-                                      coschedule=COSCHEDULE)
-                ratios.append(c_mps / s_mps)
-            best = max(ratios)
-            median = statistics.median(ratios)
-            assert best >= 1.0, (
-                f"coschedule={COSCHEDULE} lost to serial at "
-                f"missions={missions}: best paired ratio {best:.3f} "
-                f"over {len(ratios)} pairs"
-            )
-            assert median >= NONINFERIORITY_FLOOR, (
-                f"coschedule={COSCHEDULE} costs throughput at "
-                f"missions={missions}: median paired ratio "
-                f"{median:.3f} < {NONINFERIORITY_FLOOR}"
-            )
-            entry["ratio_vs_serial"] = round(best, 3)
-            entry["ratio_median"] = round(median, 3)
-            entry["ratio_basis"] = f"best of {len(ratios)} paired runs"
-        sizes[str(missions)] = entry
-    return sizes
-
-
 def test_bench_distributed_backends(benchmark):
     cpu_count = os.cpu_count() or 1
     workers = [_start_worker() for _ in range(2)]
@@ -218,19 +137,13 @@ def test_bench_distributed_backends(benchmark):
         reference = exp.run(_campaign_spec(), jobs=1, backend="serial")
 
         grid = [
-            ("serial jobs=1 coschedule=1",
-             dict(jobs=1, backend="serial")),
-            ("serial jobs=1 coschedule=8",
-             dict(jobs=1, backend="serial", coschedule=COSCHEDULE)),
-            ("local jobs=2 coschedule=8",
-             dict(jobs=2, backend="local", coschedule=COSCHEDULE)),
-            ("remote workers=2 digest",
-             dict(workers=addresses, coschedule=COSCHEDULE)),
+            ("serial jobs=1", dict(jobs=1, backend="serial")),
+            ("local jobs=2", dict(jobs=2, backend="local")),
+            ("remote workers=2 digest", dict(workers=addresses)),
         ]
         if cpu_count > 2:
-            grid.insert(3, (f"local jobs={cpu_count} coschedule=8",
-                            dict(jobs=cpu_count, backend="local",
-                                 coschedule=COSCHEDULE)))
+            grid.insert(2, (f"local jobs={cpu_count}",
+                            dict(jobs=cpu_count, backend="local")))
 
         # interleaved best-of-REPS: shared-hardware load drifts on a
         # minutes scale, so only back-to-back runs compare like with like
@@ -305,7 +218,7 @@ def test_bench_distributed_backends(benchmark):
             shutil.rmtree(shadow, ignore_errors=True)
         exp.shutdown_local_pool()
 
-    baseline = best["serial jobs=1 coschedule=1"]
+    baseline = best["serial jobs=1"]
     rows = [
         {
             "scenario": scenario,
@@ -319,9 +232,6 @@ def test_bench_distributed_backends(benchmark):
         if "jobs=" in scenario and "jobs=1" not in scenario
         or "workers=2" in scenario
     )
-
-    # -- coschedule parity gate (single process, no workers needed) -------
-    coschedule_sizes = _coschedule_gate()
 
     # -- pool micro-benchmark: persistent vs cold dispatch ----------------
     cold_s = min(_pool_burst(persistent=False) for _ in range(REPS))
@@ -361,11 +271,6 @@ def test_bench_distributed_backends(benchmark):
             "cells_acked_digest": digest_run.cells_acked_digest,
             "cells_shipped_full": digest_run.cells_shipped_full,
         },
-        "coschedule": {
-            "width": COSCHEDULE,
-            "min_units_threshold": exp.COSCHEDULE_MIN_UNITS,
-            "sizes": coschedule_sizes,
-        },
         "pool": {
             "burst_specs": POOL_BURST_SPECS,
             "cold_pool_s": round(cold_s, 3),
@@ -380,18 +285,12 @@ def test_bench_distributed_backends(benchmark):
         f"({row['speedup']:.2f}x)"
         for row in rows
     ]
-    cosched_lines = [
-        f"missions={entry['missions']:<4d} ratio "
-        f"{entry['ratio_vs_serial']:.3f} ({entry['ratio_basis']})"
-        for entry in coschedule_sizes.values()
-    ]
     print(
         "\ndistributed grid (campaign missions/s, byte-identical):\n  "
         + "\n  ".join(lines)
         + f"\nwire: digest {digest_bpc:.0f} B/cell vs full "
         f"{full_bpc:.0f} B/cell over {wire_cells} cells "
         f"(budget {WIRE_BUDGET_BYTES_PER_CELL})"
-        + "\ncoschedule parity:\n  " + "\n  ".join(cosched_lines)
         + f"\npool burst ({POOL_BURST_SPECS} specs): cold {cold_s:.2f}s vs "
         f"persistent {warm_s:.2f}s "
         f"({100 * (1 - warm_s / cold_s):.0f}% dispatch overhead saved)\n"

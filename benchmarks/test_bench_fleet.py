@@ -1,8 +1,8 @@
 """Benchmark: fleet-scale campaign throughput across executor backends.
 
 Writes ``BENCH_fleet.json`` (uploaded as a CI artifact next to the other
-``BENCH_*.json`` reports) with fleet missions/sec for the serial,
-co-scheduled, and persistent local-pool configurations.  A fleet mission
+``BENCH_*.json`` reports) with fleet missions/sec for the serial and
+persistent local-pool configurations.  A fleet mission
 is much heavier than a single-pair campaign mission — one random
 multi-host topology, several placed FTM pairs, open-loop load, churn,
 and the fleet Resilience Manager's periodic shared-R sweeps — so the
@@ -32,7 +32,6 @@ HOSTS = int(os.environ.get("BENCH_FLEET_HOSTS", "12"))
 APPS = int(os.environ.get("BENCH_FLEET_APPS", "4"))
 MISSIONS = int(os.environ.get("BENCH_FLEET_MISSIONS", "4"))
 REPS = max(1, int(os.environ.get("BENCH_FLEET_REPS", "2")))
-COSCHEDULE = 4
 
 
 def _spec():
@@ -56,11 +55,8 @@ def _timed_run(**kwargs):
 def test_bench_fleet_campaign(benchmark):
     cpu_count = os.cpu_count() or 1
     grid = [
-        ("serial jobs=1 coschedule=1", dict(jobs=1, backend="serial")),
-        ("serial jobs=1 coschedule=4",
-         dict(jobs=1, backend="serial", coschedule=COSCHEDULE)),
-        ("local jobs=2 coschedule=4",
-         dict(jobs=2, backend="local", coschedule=COSCHEDULE)),
+        ("serial jobs=1", dict(jobs=1, backend="serial")),
+        ("local jobs=2", dict(jobs=2, backend="local")),
     ]
     try:
         reference = exp.run(_spec(), jobs=1, backend="serial")
@@ -81,7 +77,7 @@ def test_bench_fleet_campaign(benchmark):
     finally:
         exp.shutdown_local_pool()
 
-    baseline = best["serial jobs=1 coschedule=1"]
+    baseline = best["serial jobs=1"]
     rows = [
         {
             "scenario": scenario,

@@ -36,7 +36,6 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_gray.json"
 
 MISSIONS = max(2, int(os.environ.get("BENCH_GRAY_MISSIONS", "3")))
 REPS = max(1, int(os.environ.get("BENCH_GRAY_REPS", "2")))
-COSCHEDULE = 4
 
 #: The limping-primary scenario: PBR checkpoints through a disk that
 #: silently runs 8x slower; a 10 ms SLO sits between healthy PBR (~8 ms)
@@ -73,11 +72,8 @@ def _availability_delta():
 def test_bench_gray(benchmark):
     cpu_count = os.cpu_count() or 1
     grid = [
-        ("serial jobs=1 coschedule=1", dict(jobs=1, backend="serial")),
-        ("serial jobs=1 coschedule=4",
-         dict(jobs=1, backend="serial", coschedule=COSCHEDULE)),
-        ("local jobs=2 coschedule=4",
-         dict(jobs=2, backend="local", coschedule=COSCHEDULE)),
+        ("serial jobs=1", dict(jobs=1, backend="serial")),
+        ("local jobs=2", dict(jobs=2, backend="local")),
     ]
     try:
         reference = exp.run(_spec(), jobs=1, backend="serial")
@@ -125,7 +121,7 @@ def test_bench_gray(benchmark):
         sum(1 for o in proactive if o.detected), len(proactive)
     )
 
-    baseline = best["serial jobs=1 coschedule=1"]
+    baseline = best["serial jobs=1"]
     rows = [
         {"scenario": "pbr->lfr limping disk x8: reactive unavailability",
          "value": round(reactive_unavail, 4), "unit": "SLO-miss fraction"},

@@ -24,16 +24,15 @@ Commands
     (crash/corrupt/omission), under client load.  ``--smoke`` runs the
     cheap CI subset.  Exits non-zero if any cell loses requests or
     fails to converge.
-``campaign [--missions N] [--jobs N] [--coschedule K] [--json] [...]``
+``campaign [--missions N] [--jobs N] [--json] [...]``
     The sharded statistical fault-injection campaign: missions split
     into ~100-mission shard cells, each reduced to counts the moment it
     completes, with Wilson 95% CIs computed from the streamed counts —
     peak memory is bounded by the shard size however many missions run.
     Completed shards land in the result store, so an interrupted 10k
-    campaign resumes from where it stopped.  ``--coschedule K``
-    interleaves K mission worlds inside one event loop per worker
-    (results stay byte-identical — it is pure execution strategy).
-    ``--backend serial|local|remote`` picks where shards execute;
+    campaign resumes from where it stopped.
+    ``--backend serial|local|remote`` picks where shards execute
+    (results stay byte-identical — it is pure execution strategy);
     ``--workers host:port,...`` fans them over ``repro worker``
     processes (implies the remote backend, digest-only returns by
     default — ``--wire full`` streams every value back instead).
@@ -47,8 +46,8 @@ Commands
     and let the fleet Resilience Manager recompute every pair's R from
     the *shared* host/link utilisation — executing the mandatory
     transitions contention forces.  One cell per (placement policy ×
-    churn rate); same store/backends/co-scheduling knobs as
-    ``campaign``, with the same byte-identical guarantee.
+    churn rate); same store/backend knobs as ``campaign``, with the
+    same byte-identical guarantee.
 ``gray-matrix [--missions N] [--factors F1,F2] [--json] [...]``
     The gray-failure matrix: every (FTM × slow resource × slowdown
     factor) cell runs missions whose primary starts *limping* mid-run
@@ -56,12 +55,11 @@ Commands
     limp (never the crash detector), PBR cells must answer with a
     proactive PBR→LFR transition, and every request must still succeed.
     Reports detection/masking rates with Wilson CIs and the mean
-    detection latency; same store/backends/co-scheduling knobs as
-    ``campaign``.  Exits non-zero if any gray-failure claim fails.
-``worker --listen HOST:PORT [--coschedule K] [--shadow DIR] [...]``
+    detection latency; same store/backend knobs as ``campaign``.
+    Exits non-zero if any gray-failure claim fails.
+``worker --listen HOST:PORT [--shadow DIR] [...]``
     Serve trial batches to a remote-backend coordinator: accepts framed
-    TCP batches, drains each through the co-scheduling ``WorldPool``,
-    and — in digest mode — persists completed cells into its own
+    TCP batches, runs each, and — in digest mode — persists completed cells into its own
     content-addressed shadow store (``--shadow``, default
     ``.repro-shadow``), acking only ``(slug, hash, digest)`` tuples.
     Start one per host, then point ``campaign --workers`` (or
@@ -312,8 +310,7 @@ def _cmd_campaign(args) -> int:
             return 2
         result, info = exp.run_multi_coordinator(
             spec, workers, store_root=str(store.root),
-            coordinators=args.coordinators, jobs=jobs,
-            coschedule=args.coschedule, mode=wire_mode,
+            coordinators=args.coordinators, jobs=jobs, mode=wire_mode,
             keep_partitions=args.keep_partitions,
         )
     else:
@@ -323,8 +320,7 @@ def _cmd_campaign(args) -> int:
 
             backend = RemoteBackend(workers, mode=wire_mode)
         result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh,
-                         coschedule=args.coschedule, backend=backend,
-                         workers=workers)
+                         backend=backend, workers=workers)
         info = None
     data = campaign.from_shard_results(result.results)
     print(campaign.render_sharded(data), file=out)
@@ -378,8 +374,7 @@ def _cmd_fleet_campaign(args) -> int:
     workers = ([w.strip() for w in args.workers.split(",") if w.strip()]
                if args.workers else None)
     result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh,
-                     coschedule=args.coschedule, backend=args.backend,
-                     workers=workers)
+                     backend=args.backend, workers=workers)
     data = fleet_campaign.from_results(result.results)
     print(fleet_campaign.render(data), file=out)
     problems = fleet_campaign.shape_checks(data)
@@ -426,8 +421,7 @@ def _cmd_gray_matrix(args) -> int:
     workers = ([w.strip() for w in args.workers.split(",") if w.strip()]
                if args.workers else None)
     result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh,
-                     coschedule=args.coschedule, backend=args.backend,
-                     workers=workers)
+                     backend=args.backend, workers=workers)
     data = gray.from_results(result.results)
     print(gray.render(data), file=out)
     problems = gray.shape_checks(data)
@@ -492,16 +486,11 @@ def _cmd_profile(args) -> int:
     from repro import exp
 
     spec = _PROFILE_SPECS[args.spec](args)
-    lane = (f"coschedule={args.coschedule}" if args.coschedule > 1
-            else "solo lane")
     print(f"profiling spec {spec.name!r}: {spec.unit_count} unit(s), "
-          f"jobs=1, {lane}, store off ...", file=sys.stderr)
+          f"jobs=1, store off ...", file=sys.stderr)
     profiler = cProfile.Profile()
     profiler.enable()
-    # the profile measures the requested lane itself, so the small-run
-    # co-schedule clamp must not silently reroute it to the solo lane
-    result = exp.run(spec, jobs=1, store=None, coschedule=args.coschedule,
-                     coschedule_min_units=0)
+    result = exp.run(spec, jobs=1, store=None)
     profiler.disable()
     print(f"[{result.executed} trial(s) in {result.elapsed_s:.2f}s — "
           f"{result.executed / max(result.elapsed_s, 1e-9):.1f} units/s]",
@@ -547,8 +536,7 @@ def _cmd_worker(args) -> int:
     from repro.exp import distributed
 
     host, port = distributed.parse_address(args.listen)
-    distributed.serve(host, port, coschedule=args.coschedule,
-                      max_batches=args.max_batches,
+    distributed.serve(host, port, max_batches=args.max_batches,
                       shadow=args.shadow,
                       crash_after_persist=args.crash_after_persist)
     return 0
@@ -748,11 +736,6 @@ def main(argv=None) -> int:
                       help="disable the result store")
     camp.add_argument("--fresh", action="store_true",
                       help="recompute even when stored shards exist")
-    camp.add_argument("--coschedule", type=_positive_int, default=1,
-                      metavar="K",
-                      help="mission worlds interleaved per event loop "
-                           "(default: 1 = off; results are byte-identical "
-                           "either way)")
     camp.add_argument("--backend", choices=("serial", "local", "remote"),
                       default=None,
                       help="execution backend (default: local, or remote "
@@ -813,11 +796,6 @@ def main(argv=None) -> int:
                        help="disable the result store")
     fleet.add_argument("--fresh", action="store_true",
                        help="recompute even when stored cells exist")
-    fleet.add_argument("--coschedule", type=_positive_int, default=1,
-                       metavar="K",
-                       help="fleet worlds interleaved per event loop "
-                            "(default: 1 = off; results are byte-identical "
-                            "either way)")
     fleet.add_argument("--backend", choices=("serial", "local", "remote"),
                        default=None,
                        help="execution backend (default: local, or remote "
@@ -857,11 +835,6 @@ def main(argv=None) -> int:
                       help="disable the result store")
     gray.add_argument("--fresh", action="store_true",
                       help="recompute even when stored cells exist")
-    gray.add_argument("--coschedule", type=_positive_int, default=1,
-                      metavar="K",
-                      help="mission worlds interleaved per event loop "
-                           "(default: 1 = off; results are byte-identical "
-                           "either way)")
     gray.add_argument("--backend", choices=("serial", "local", "remote"),
                       default=None,
                       help="execution backend (default: local, or remote "
@@ -876,9 +849,6 @@ def main(argv=None) -> int:
     worker.add_argument("--listen", required=True, metavar="HOST:PORT",
                         help="address to listen on (port 0 = OS-assigned; "
                              "the bound address is printed on stdout)")
-    worker.add_argument("--coschedule", type=_positive_int, default=None,
-                        metavar="K",
-                        help="override the coordinator's co-schedule width")
     worker.add_argument("--max-batches", type=_positive_int, default=None,
                         metavar="N",
                         help="hard-exit after N batches (crash testing)")
@@ -910,9 +880,6 @@ def main(argv=None) -> int:
                          help="missions (campaign specs; default: 50)")
     profile.add_argument("--requests", type=_positive_int, default=30,
                          help="client requests per mission (default: 30)")
-    profile.add_argument("--coschedule", type=_positive_int, default=1,
-                         help="co-schedule K worlds per event loop, matching "
-                              "the campaign hot path (default: 1 = solo)")
     profile.add_argument("--seed", type=int, default=0,
                          help="offset added to the experiment base seed")
     profile.add_argument("--top", type=_positive_int, default=20,

@@ -58,7 +58,7 @@ def _build_world(seed: int) -> World:
 
 
 def mission_task(seed: int, requests: int = 30) -> WorldTask:
-    """One randomised mission as a co-schedulable :class:`WorldTask`.
+    """One randomised mission as an unrun :class:`WorldTask`.
 
     The task's result is the mission outcome as a plain dict (JSON-safe
     for the result store); :func:`run_mission` is the solo-execution
@@ -140,16 +140,11 @@ def _trial(seed: int, params: Mapping) -> Dict:
     return run_solo(mission_task(seed, requests=params["requests"]))
 
 
-def _cotrial(seed: int, params: Mapping) -> WorldTask:
-    """The co-schedulable form of :func:`_trial` (same result, unrun)."""
-    return mission_task(seed, requests=params["requests"])
-
-
 def spec(missions: int = 10, base_seed: int = 5000,
          requests: int = 30) -> ExperimentSpec:
     """The campaign experiment: one cell, one seed per mission."""
     return ExperimentSpec(
-        name="campaign", trial=_trial, cotrial=_cotrial,
+        name="campaign", trial=_trial,
         trials=(Trial(
             key="campaign", params={"requests": requests},
             seeds=tuple(base_seed + 101 * m for m in range(missions)),
@@ -242,8 +237,7 @@ def sharded_spec(missions: int = 10000, base_seed: int = 5000,
         for start in range(0, missions, cell_size)
     )
     return ExperimentSpec(name="campaign-sharded", trial=_trial,
-                          trials=trials, reduce=_reduce_shard,
-                          cotrial=_cotrial)
+                          trials=trials, reduce=_reduce_shard)
 
 
 def from_shard_results(results: Dict) -> Dict:
@@ -275,13 +269,12 @@ def from_shard_results(results: Dict) -> Dict:
 def generate_sharded(missions: int = 10000, base_seed: int = 5000,
                      requests: int = 30, jobs: int = 1,
                      store: Optional[ResultStore] = None,
-                     cell_size: int = SHARD_CELL_SIZE,
-                     coschedule: int = 1) -> Dict:
+                     cell_size: int = SHARD_CELL_SIZE) -> Dict:
     """Run the sharded campaign and aggregate the streamed counts."""
     result = run_experiment(
         sharded_spec(missions=missions, base_seed=base_seed,
                      requests=requests, cell_size=cell_size),
-        jobs=jobs, store=store, coschedule=coschedule,
+        jobs=jobs, store=store,
     )
     return from_shard_results(result.results)
 

@@ -8,7 +8,7 @@ pair's (FT, A, R) context from the *shared* host/link utilisation —
 transitions included.  The campaign shards missions into
 :class:`~repro.exp.ExperimentSpec` cells over a (placement policy ×
 churn rate) grid, so it runs unchanged on every executor backend
-(serial, persistent local pool, co-scheduled, remote workers) with
+(serial, persistent local pool, remote workers) with
 byte-identical stores.
 
 Every mission outcome carries a ``trace_digest`` — a stable hash of the
@@ -105,7 +105,7 @@ def fleet_task(
     duration_ms: float = 8_000.0,
     limp_fraction: float = 0.0,
 ) -> WorldTask:
-    """One fleet mission as a co-schedulable :class:`WorldTask`."""
+    """One fleet mission as an unrun :class:`WorldTask`."""
     topology = make_fleet(kind, hosts, seed=seed)
     world = lease_world("eval.fleet", seed, _build_world)
     outcome = FleetOutcome(seed=seed, hosts=hosts, apps=apps,
@@ -179,11 +179,6 @@ def _trial(seed: int, params: Mapping) -> Dict:
     return run_solo(fleet_task(seed, **dict(params)))
 
 
-def _cotrial(seed: int, params: Mapping) -> WorldTask:
-    """The co-schedulable form of :func:`_trial` (same result, unrun)."""
-    return fleet_task(seed, **dict(params))
-
-
 def _reduce_cell(values: List[Dict]) -> Dict:
     """Collapse one cell's mission outcomes to streaming counts.
 
@@ -244,8 +239,7 @@ def spec(
         for churn in churn_rates
     )
     return ExperimentSpec(name="fleet-campaign", trial=_trial,
-                          trials=trials, reduce=_reduce_cell,
-                          cotrial=_cotrial)
+                          trials=trials, reduce=_reduce_cell)
 
 
 def from_results(results: Dict) -> Dict:
@@ -328,12 +322,11 @@ def generate(
     base_seed: int = 9000,
     jobs: int = 1,
     store: Optional[ResultStore] = None,
-    coschedule: int = 1,
     **grid,
 ) -> Dict:
     """Run the fleet campaign and aggregate the streamed counts."""
     result = run_experiment(
         spec(missions=missions, base_seed=base_seed, **grid),
-        jobs=jobs, store=store, coschedule=coschedule,
+        jobs=jobs, store=store,
     )
     return from_results(result.results)

@@ -146,7 +146,7 @@ def gray_task(
     slo_ms: float = 30.0,
     proactive: bool = True,
 ) -> WorldTask:
-    """One gray mission as a co-schedulable :class:`WorldTask`.
+    """One gray mission as an unrun :class:`WorldTask`.
 
     After ``warmup`` healthy requests the primary starts limping
     (``resource`` × ``factor``) and stays limping to the end — a true
@@ -245,11 +245,6 @@ def _trial(seed: int, params: Mapping) -> Dict:
     return run_solo(gray_task(seed, **dict(params)))
 
 
-def _cotrial(seed: int, params: Mapping) -> WorldTask:
-    """The co-schedulable form of :func:`_trial` (same result, unrun)."""
-    return gray_task(seed, **dict(params))
-
-
 def _reduce_cell(values: List[Dict]) -> Dict:
     """Collapse one cell's mission outcomes to streaming counts."""
     outcomes = [GrayOutcome(**raw) for raw in values]
@@ -312,7 +307,7 @@ def spec(
         for factor in factors
     )
     return ExperimentSpec(name="gray-matrix", trial=_trial, trials=trials,
-                          reduce=_reduce_cell, cotrial=_cotrial)
+                          reduce=_reduce_cell)
 
 
 def from_results(results: Dict) -> Dict:
@@ -433,12 +428,11 @@ def generate(
     base_seed: int = 41_000,
     jobs: int = 1,
     store: Optional[ResultStore] = None,
-    coschedule: int = 1,
     **grid,
 ) -> Dict:
     """Run the gray matrix and aggregate the streamed counts."""
     result = run_experiment(
         spec(missions=missions, base_seed=base_seed, **grid),
-        jobs=jobs, store=store, coschedule=coschedule,
+        jobs=jobs, store=store,
     )
     return from_results(result.results)

@@ -141,7 +141,7 @@ def _build_world(seed: int) -> World:
 def cell_task(
     seed: int, source: str, target: str, fault: str, requests: int = 20
 ) -> WorldTask:
-    """One matrix cell as a co-schedulable :class:`WorldTask`.
+    """One matrix cell as an unrun :class:`WorldTask`.
 
     The task's result is the cell outcome as a plain dict;
     :func:`run_cell` is the solo wrapper returning :class:`CellOutcome`.
@@ -248,14 +248,6 @@ def _trial(seed: int, params: Mapping) -> Dict:
     ))
 
 
-def _cotrial(seed: int, params: Mapping) -> WorldTask:
-    """The co-schedulable form of :func:`_trial` (same result, unrun)."""
-    return cell_task(
-        seed, params["source"], params["target"], params["fault"],
-        requests=params["requests"],
-    )
-
-
 def spec(runs: int = 1, base_seed: int = 7000, requests: int = 20,
          smoke: bool = False) -> ExperimentSpec:
     """The matrix experiment: one trial per (transition, fault) cell.
@@ -282,7 +274,7 @@ def spec(runs: int = 1, base_seed: int = 7000, requests: int = 20,
             ))
     return ExperimentSpec(
         name="transition_matrix" + ("_smoke" if smoke else ""),
-        trial=_trial, trials=tuple(trials), cotrial=_cotrial,
+        trial=_trial, trials=tuple(trials),
     )
 
 

@@ -47,7 +47,6 @@ from repro.exp.merge import (
 )
 from repro.exp.runner import (
     BACKENDS,
-    COSCHEDULE_MIN_UNITS,
     CompletedCell,
     ExecutionPlan,
     ExecutionStats,
@@ -79,7 +78,6 @@ from repro.exp.store import DEFAULT_ROOT, ResultStore
 
 __all__ = [
     "BACKENDS",
-    "COSCHEDULE_MIN_UNITS",
     "CompletedCell",
     "DEFAULT_ROOT",
     "DistributedError",

@@ -13,8 +13,7 @@ fans them over a local pool.  This module supplies both halves:
 * :func:`serve` — the worker.  ``repro worker --listen HOST:PORT``
   accepts one coordinator at a time and drains each batch through the
   same :func:`~repro.exp.runner.run_unit_batch` body every other backend
-  uses, including :class:`~repro.kernel.coschedule.WorldPool`
-  co-scheduling of the batch's worlds.
+  uses.
 
 Wire protocol (version 2)
 -------------------------
@@ -35,8 +34,7 @@ always carry a ``"type"`` key.  The conversation::
 
     coordinator -> worker   {"type": "hello", "version": 2, "spec": ...,
                              "spec_version": ..., "trial": "mod:fn",
-                             "cotrial": "mod:fn"|null,
-                             "reduce": "mod:fn"|null, "width": K,
+                             "reduce": "mod:fn"|null,
                              "mode": "digest"|"units"}
     worker -> coordinator   {"type": "ready", "host": ..., "pid": ...,
                              "shadow": "/abs/path"|null}
@@ -478,17 +476,14 @@ class RemoteBackend(ExecutorBackend):
     # -- feeder thread ------------------------------------------------
 
     def _hello(self, plan: ExecutionPlan) -> Dict[str, Any]:
-        trial_ref, cotrial_ref, width = plan.context_key()
         spec = plan.spec
         return {
             "type": "hello",
             "version": PROTOCOL_VERSION,
             "spec": spec.name,
             "spec_version": spec.version,
-            "trial": trial_ref,
-            "cotrial": cotrial_ref,
+            "trial": function_ref(spec.trial),
             "reduce": None if spec.reduce is None else function_ref(spec.reduce),
-            "width": width,
             "mode": self.mode,
         }
 
@@ -874,7 +869,7 @@ def _cell_values_from_text(text: str, digest: str, key: str) -> Any:
 
 
 def _rebuild_cell(hello: Dict[str, Any], trial_fn: Any, reduce_fn: Any,
-                  cotrial_fn: Any, cell: Dict[str, Any]
+                  cell: Dict[str, Any]
                   ) -> Tuple["spec_mod.ExperimentSpec", "spec_mod.Trial"]:
     """Reconstruct a one-cell spec from the hello + a dispatched cell.
 
@@ -895,13 +890,11 @@ def _rebuild_cell(hello: Dict[str, Any], trial_fn: Any, reduce_fn: Any,
         trials=(trial,),
         version=str(hello.get("spec_version", "2")),
         reduce=reduce_fn,
-        cotrial=cotrial_fn,
     )
     return spec, trial
 
 
 def _worker_run_cell(spec: "spec_mod.ExperimentSpec", trial: "spec_mod.Trial",
-                     trial_fn: Any, cotrial_fn: Any, width: int,
                      shadow: ResultStore) -> Tuple[Any, int]:
     """Run (or recall) one cell and persist it into the shadow store.
 
@@ -915,7 +908,7 @@ def _worker_run_cell(spec: "spec_mod.ExperimentSpec", trial: "spec_mod.Trial",
         return shadow.cell_path(spec, trial), 0
     units = [(i, seed, dict(trial.params))
              for i, seed in enumerate(trial.seeds)]
-    raw = run_unit_batch(trial_fn, cotrial_fn, width, units)
+    raw = run_unit_batch(spec.trial, units)
     ordered: List[Any] = [None] * len(units)
     for index, value in raw:
         ordered[index] = _normalise(value, spec.name)
@@ -928,15 +921,14 @@ def _worker_run_cell(spec: "spec_mod.ExperimentSpec", trial: "spec_mod.Trial",
 
 def _serve_digest_batch(conn: socket.socket, message: Dict[str, Any],
                         hello: Dict[str, Any], trial_fn: Any, reduce_fn: Any,
-                        cotrial_fn: Any, width: int, shadow: ResultStore,
+                        shadow: ResultStore,
                         persist_budget: List[Optional[int]]) -> None:
     """Execute one cells batch and reply with an RXD1 digest frame."""
     bid = message["id"]
     acks: List[List[Any]] = []
     batch_event_counts()  # scope the counters to this batch
     for cell in message["cells"]:
-        spec, trial = _rebuild_cell(hello, trial_fn, reduce_fn,
-                                    cotrial_fn, cell)
+        spec, trial = _rebuild_cell(hello, trial_fn, reduce_fn, cell)
         expected = str(cell.get("h", ""))
         actual = spec_mod.cell_hash(spec, trial)[:12]
         if expected and expected != actual:
@@ -950,8 +942,7 @@ def _serve_digest_batch(conn: socket.socket, message: Dict[str, Any],
             })
             return
         try:
-            path, executed = _worker_run_cell(
-                spec, trial, trial_fn, cotrial_fn, width, shadow)
+            path, executed = _worker_run_cell(spec, trial, shadow)
         except Exception as exc:  # noqa: BLE001 - shipped to coordinator
             send_msg(conn, {"type": "error", "id": bid,
                             "message": f"{type(exc).__name__}: {exc}"})
@@ -990,7 +981,7 @@ def _serve_fetch(conn: socket.socket, message: Dict[str, Any],
 
 
 def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
-                      coschedule: Optional[int], shadow: ResultStore,
+                      shadow: ResultStore,
                       persist_budget: List[Optional[int]]) -> None:
     """Drive one coordinator conversation on an accepted connection."""
     hello = recv_msg(conn)
@@ -1002,12 +993,6 @@ def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
             f"{hello.get('version')}, worker speaks {PROTOCOL_VERSION}"
         )
     trial_fn = resolve_function_ref(hello["trial"])
-    cotrial_ref = hello.get("cotrial")
-    width = int(hello.get("width") or 1)
-    if coschedule is not None:
-        width = max(1, coschedule)
-    cotrial_fn = (resolve_function_ref(cotrial_ref)
-                  if cotrial_ref and width > 1 else None)
     reduce_ref = hello.get("reduce")
     reduce_fn = resolve_function_ref(reduce_ref) if reduce_ref else None
     send_msg(conn, {"type": "ready",
@@ -1023,14 +1008,14 @@ def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
             continue
         if kind == "cells":
             _serve_digest_batch(conn, message, hello, trial_fn, reduce_fn,
-                                cotrial_fn, width, shadow, persist_budget)
+                                shadow, persist_budget)
         elif kind == "batch":
             bid = message["id"]
             units = [(int(i), int(seed), params)
                      for i, seed, params in message["units"]]
             batch_event_counts()  # scope the counters to this batch
             try:
-                values = run_unit_batch(trial_fn, cotrial_fn, width, units)
+                values = run_unit_batch(trial_fn, units)
             except Exception as exc:  # noqa: BLE001 - shipped to coordinator
                 send_msg(conn, {"type": "error", "id": bid,
                                 "message": f"{type(exc).__name__}: {exc}"})
@@ -1051,21 +1036,18 @@ def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
                 os._exit(0)
 
 
-def serve(host: str, port: int, coschedule: Optional[int] = None,
-          max_batches: Optional[int] = None,
+def serve(host: str, port: int, max_batches: Optional[int] = None,
           shadow: Optional[str] = None,
           crash_after_persist: Optional[int] = None) -> None:
     """Run a ``repro worker``: accept coordinators until interrupted.
 
     One coordinator at a time (the protocol is strictly request/reply
     per connection); each batch runs through the shared
-    :func:`~repro.exp.runner.run_unit_batch` body, so a remote worker
-    co-schedules its batch's worlds exactly like the local backends.
-    Digest-mode cells are persisted into the worker's **shadow store**
-    (``shadow``, default ``.repro-shadow/`` under the worker's working
-    directory) and acknowledged by content digest only.
+    :func:`~repro.exp.runner.run_unit_batch` body.  Digest-mode cells
+    are persisted into the worker's **shadow store** (``shadow``,
+    default ``.repro-shadow/`` under the worker's working directory)
+    and acknowledged by content digest only.
 
-    ``coschedule`` overrides the width the coordinator asks for;
     ``max_batches`` hard-exits the process after N completed batches,
     and ``crash_after_persist`` hard-exits after the Nth freshly
     executed cell is shadow-persisted but *before* its digest ack — the
@@ -1086,8 +1068,7 @@ def serve(host: str, port: int, coschedule: Optional[int] = None,
             conn, _addr = server.accept()
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
-                _serve_connection(conn, budget, coschedule, shadow_store,
-                                  persist_budget)
+                _serve_connection(conn, budget, shadow_store, persist_budget)
             except Exception as exc:  # noqa: BLE001 - a bad coordinator
                 # (broken frame, unresolvable trial ref) must not take
                 # the worker down; it just costs that one connection

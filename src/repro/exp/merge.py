@@ -52,9 +52,9 @@ class MergeConflict(ExperimentError):
 def split_spec(spec: ExperimentSpec, parts: int) -> List[ExperimentSpec]:
     """Split a spec's cells round-robin into ``parts`` sub-specs.
 
-    Every sub-spec shares the parent's name, version and trial/reduce/
-    cotrial functions, so each cell's ``cell_hash`` — and therefore its
-    store file name *and bytes* — is unchanged.  Cells are dealt
+    Every sub-spec shares the parent's name, version and trial/reduce
+    functions, so each cell's ``cell_hash`` — and therefore its store
+    file name *and bytes* — is unchanged.  Cells are dealt
     ``trials[i::parts]``, which keeps shard sizes balanced within one
     for the homogeneous cells campaigns generate.
     """
@@ -68,7 +68,6 @@ def split_spec(spec: ExperimentSpec, parts: int) -> List[ExperimentSpec]:
             trials=tuple(spec.trials[i::parts]),
             version=spec.version,
             reduce=spec.reduce,
-            cotrial=spec.cotrial,
         )
         for i in range(parts)
     ]
@@ -137,8 +136,7 @@ def merge_stores(sources: Sequence[Any], dest: Any) -> Dict[str, Any]:
 
 def _coordinator_main(spec: ExperimentSpec, store_root: str,
                       workers: Sequence[str], jobs: int,
-                      coschedule: Optional[int], batch: Optional[int],
-                      mode: str, coschedule_min_units: Optional[int]) -> None:
+                      batch: Optional[int], mode: str) -> None:
     """One coordinator process: run its sub-spec against its partition."""
     from repro.exp import runner
     from repro.exp.distributed import RemoteBackend
@@ -146,9 +144,7 @@ def _coordinator_main(spec: ExperimentSpec, store_root: str,
     backend = RemoteBackend(list(workers), mode=mode)
     store = ResultStore(store_root)
     result = runner.run(
-        spec, jobs=jobs, store=store, backend=backend,
-        coschedule=coschedule, batch=batch,
-        coschedule_min_units=coschedule_min_units,
+        spec, jobs=jobs, store=store, backend=backend, batch=batch,
     )
     summary_path = Path(store_root) / "coordinator.json"
     summary_path.write_text(
@@ -161,10 +157,8 @@ def run_multi_coordinator(
     store_root: str,
     coordinators: int = 2,
     jobs: int = 1,
-    coschedule: Optional[int] = None,
     batch: Optional[int] = None,
     mode: str = "digest",
-    coschedule_min_units: Optional[int] = None,
     keep_partitions: bool = False,
 ) -> Tuple[Any, Dict[str, Any]]:
     """Run ``spec`` under N coordinators and merge their partitions.
@@ -194,8 +188,7 @@ def run_multi_coordinator(
     for i, (sub, root, wset) in enumerate(zip(subs, roots, worker_sets)):
         process = multiprocessing.Process(
             target=_coordinator_main,
-            args=(sub, str(root), wset, jobs, coschedule, batch, mode,
-                  coschedule_min_units),
+            args=(sub, str(root), wset, jobs, batch, mode),
             name=f"repro-coordinator-{i}",
         )
         processes.append(process)

@@ -19,14 +19,13 @@ strategy:
 
 *Where* units execute is delegated to an :class:`ExecutorBackend`:
 
-* ``serial`` runs units inline (optionally co-scheduled through a
-  :class:`~repro.kernel.coschedule.WorldPool`);
+* ``serial`` runs units inline, in unit order;
 * ``local`` fans batches over a **persistent** ``multiprocessing.Pool``
   that outlives individual :func:`run` calls — campaign pipelines that
   execute several specs in one process pay pool startup once, and
   workers resolve the trial function from a compact import reference
-  installed once per (spec, width) context instead of unpickling a
-  function object per task;
+  installed once per spec instead of unpickling a function object per
+  task;
 * ``remote`` (:mod:`repro.exp.distributed`) ships the same batches over
   TCP to ``repro worker`` processes on other hosts.
 
@@ -63,10 +62,9 @@ from typing import (
     Union,
 )
 
-from repro.exp.errors import ExperimentError, ResultTypeError, SpecError
+from repro.exp.errors import ExperimentError, ResultTypeError
 from repro.exp.spec import ExperimentSpec, spec_hash
 from repro.exp.store import ResultStore
-from repro.kernel.coschedule import WorldPool, dissolve_tasks
 from repro.kernel.sim import credit_event_attribution, take_event_attribution
 
 #: Legacy process-wide mirror of trials executed (cache hits do not
@@ -191,10 +189,8 @@ class ExperimentResult:
     elapsed_s: float
     cells_cached: int = 0
     cells_executed: int = 0
-    coschedule: int = 1
     backend: str = "serial"
     cache_state: str = "disabled"
-    coschedule_effective: int = 1
     cells_shipped_full: int = 0
     cells_acked_digest: int = 0
     wire_bytes_in: int = 0
@@ -221,8 +217,6 @@ class ExperimentResult:
             "cached": self.cached,
             "cache_state": self.cache_state,
             "jobs": self.jobs,
-            "coschedule": self.coschedule,
-            "coschedule_effective": self.coschedule_effective,
             "backend": self.backend,
             "wire_bytes_in": self.wire_bytes_in,
             "wire_bytes_out": self.wire_bytes_out,
@@ -252,32 +246,8 @@ class CompletedCell(NamedTuple):
     fetched: bool = False
 
 
-#: Units a run must dispatch before a requested co-schedule width > 1 is
-#: honoured.  Below this, per-pool bookkeeping costs more than world
-#: interleaving saves (BENCH_distributed recorded 0.84x at 48 missions),
-#: so the runner auto-selects width 1 — pure execution strategy, so the
-#: bytes cannot change.  Override per call with ``coschedule_min_units``
-#: (0 disables the clamp) or process-wide with the
-#: ``REPRO_COSCHEDULE_MIN_UNITS`` environment variable.
-COSCHEDULE_MIN_UNITS = 192
-
-
-def _coschedule_threshold(override: Optional[int]) -> int:
-    """The effective co-schedule clamp threshold for one run."""
-    if override is not None:
-        return max(0, int(override))
-    env = os.environ.get("REPRO_COSCHEDULE_MIN_UNITS")
-    if env is not None:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return COSCHEDULE_MIN_UNITS
-
-#: One local-pool task: (context key, units).  The context key is the
-#: compact import-reference form of the spec's execution context — see
-#: :func:`_resolve_context`.
-_PoolTask = Tuple[Tuple[str, Optional[str], int], List[_Unit]]
+#: One local-pool task: (trial function's import reference, units).
+_PoolTask = Tuple[str, List[_Unit]]
 
 
 def function_ref(fn: Any) -> str:
@@ -297,61 +267,21 @@ def resolve_function_ref(ref: str) -> Any:
     return obj
 
 
-#: Per-process cache of resolved execution contexts:
-#: (trial_ref, cotrial_ref, width) -> (trial_fn, cotrial_fn).  Worker
-#: processes resolve each context once, then every batch is a cache hit.
-_RESOLVED_CONTEXTS: Dict[Tuple[str, Optional[str], int], Tuple[Any, Any]] = {}
+#: Per-process cache of resolved trial functions by import reference.
+#: Worker processes resolve each spec's trial once, then every batch is
+#: a cache hit.
+_RESOLVED_TRIALS: Dict[str, Any] = {}
 
 
-def _resolve_context(key: Tuple[str, Optional[str], int]) -> Tuple[Any, Any]:
-    """The (trial, cotrial) functions of a compact context key (cached)."""
-    fns = _RESOLVED_CONTEXTS.get(key)
-    if fns is None:
-        trial_ref, cotrial_ref, _width = key
-        fns = (
-            resolve_function_ref(trial_ref),
-            None if cotrial_ref is None else resolve_function_ref(cotrial_ref),
-        )
-        _RESOLVED_CONTEXTS[key] = fns
-    return fns
+def _resolve_trial(ref: str) -> Any:
+    """The trial function behind an import reference (cached)."""
+    fn = _RESOLVED_TRIALS.get(ref)
+    if fn is None:
+        fn = _RESOLVED_TRIALS[ref] = resolve_function_ref(ref)
+    return fn
 
 
-def _run_units_coscheduled(
-    cotrial_fn: Any, units: Sequence[_Unit], width: int
-) -> List[Tuple[int, Any]]:
-    """Run units in co-scheduled groups of ``width`` worlds per pool.
-
-    Grouping bounds peak memory to ``width`` live worlds; results come
-    back labelled by unit index, so arrival order never matters.  Cycle
-    collection is deferred per group — the group's worlds allocate
-    heavily and die together, so collecting in the inter-group gap is
-    strictly cheaper (this also covers the in-process ``jobs=1`` path,
-    which never goes through a worker pool).
-    """
-    out: List[Tuple[int, Any]] = []
-    for start in range(0, len(units), width):
-        group = units[start:start + width]
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            tasks = [
-                cotrial_fn(seed, params) for _index, seed, params in group
-            ]
-            for unit, value in zip(group, WorldPool(tasks).run()):
-                out.append((unit[0], value))
-            # results are out: worlds go back to the arena, task shells
-            # onto the free list, ready for the next group's lease
-            dissolve_tasks(tasks)
-        finally:
-            if was_enabled:
-                gc.enable()
-    return out
-
-
-def run_unit_batch(
-    trial_fn: Any, cotrial_fn: Any, width: int, units: Sequence[_Unit]
-) -> List[Tuple[int, Any]]:
+def run_unit_batch(trial_fn: Any, units: Sequence[_Unit]) -> List[Tuple[int, Any]]:
     """Run one batch of (cell, seed) units in the current process.
 
     The shared execution body of every backend's worker side: a batch is
@@ -366,8 +296,6 @@ def run_unit_batch(
     if was_enabled:
         gc.disable()
     try:
-        if cotrial_fn is not None and width > 1 and len(units) > 1:
-            return _run_units_coscheduled(cotrial_fn, units, width)
         return [
             (index, trial_fn(seed, params)) for index, seed, params in units
         ]
@@ -379,15 +307,14 @@ def run_unit_batch(
 def _execute_pool_task(
     task: _PoolTask,
 ) -> Tuple[List[Tuple[int, Any]], List[int]]:
-    """Run one batch in a pool worker, resolving the cached context.
+    """Run one batch in a pool worker, resolving the cached trial.
 
     Returns the labelled results plus the batch's event-source counts
     (see :func:`batch_event_counts`).
     """
-    key, units = task
-    trial_fn, cotrial_fn = _resolve_context(key)
+    trial_ref, units = task
     take_event_attribution()  # scope the counters to this batch
-    results = run_unit_batch(trial_fn, cotrial_fn, key[2], units)
+    results = run_unit_batch(_resolve_trial(trial_ref), units)
     return results, batch_event_counts()
 
 
@@ -440,16 +367,15 @@ class ExecutionPlan:
     """Everything a backend needs to execute one spec's missing units.
 
     The plan is execution strategy made explicit: the spec (for the
-    trial/cotrial functions), the units to run, the requested local
-    parallelism, the co-schedule width and the batch size.  Backends
-    consume the plan and yield ``(unit index, raw value)`` pairs in any
-    order; the caller owns normalisation, assembly and persistence.
+    trial function), the units to run, the requested local parallelism
+    and the batch size.  Backends consume the plan and yield ``(unit
+    index, raw value)`` pairs in any order; the caller owns
+    normalisation, assembly and persistence.
     """
 
     spec: ExperimentSpec
     units: List[_Unit]
     worker_count: int
-    width: int = 1
     batch_size: int = 1
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     #: The missing cells behind ``units``: (trial, that cell's units), in
@@ -469,15 +395,6 @@ class ExecutionPlan:
             list(self.units[start:start + size])
             for start in range(0, len(self.units), size)
         ]
-
-    def context_key(self) -> Tuple[str, Optional[str], int]:
-        """The compact import-reference form of the execution context."""
-        cotrial = self.spec.cotrial
-        return (
-            function_ref(self.spec.trial),
-            None if cotrial is None or self.width <= 1 else function_ref(cotrial),
-            self.width,
-        )
 
 
 class ExecutorBackend:
@@ -516,14 +433,8 @@ class SerialBackend(ExecutorBackend):
     name = "serial"
 
     def execute(self, plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
-        units = plan.units
-        if plan.width > 1 and len(units) > 1:
-            yield from _run_units_coscheduled(
-                plan.spec.cotrial, units, plan.width
-            )
-            return
         trial = plan.spec.trial
-        for index, seed, params in units:
+        for index, seed, params in plan.units:
             yield index, trial(seed, params)
 
 
@@ -535,21 +446,20 @@ _LOCAL_POOL_PROCESSES = 0
 _LOCAL_POOL_REUSES = 0
 
 
-def _pool_worker_init(context_key: Tuple[str, Optional[str], int]) -> None:
-    """Pool initializer: pre-resolve the spawning run's context once.
+def _pool_worker_init(trial_ref: str) -> None:
+    """Pool initializer: pre-resolve the spawning run's trial once.
 
     Later runs reusing the pool with a *different* spec fall back to the
-    lazy per-context cache in :func:`_resolve_context` — either way a
-    worker resolves each context exactly once for the pool's lifetime.
+    lazy cache in :func:`_resolve_trial` — either way a worker resolves
+    each trial exactly once for the pool's lifetime.
     """
     try:
-        _resolve_context(context_key)
+        _resolve_trial(trial_ref)
     except Exception:  # noqa: BLE001 - resolve again (and report) per task
-        _RESOLVED_CONTEXTS.pop(context_key, None)
+        pass
 
 
-def local_pool(processes: int,
-               context_key: Optional[Tuple[str, Optional[str], int]] = None):
+def local_pool(processes: int, trial_ref: Optional[str] = None):
     """The process-wide persistent worker pool, (re)sized to ``processes``.
 
     The pool outlives individual :func:`run` calls: campaign pipelines
@@ -565,8 +475,8 @@ def local_pool(processes: int,
     shutdown_local_pool()
     _LOCAL_POOL = multiprocessing.Pool(
         processes=processes,
-        initializer=None if context_key is None else _pool_worker_init,
-        initargs=() if context_key is None else (context_key,),
+        initializer=None if trial_ref is None else _pool_worker_init,
+        initargs=() if trial_ref is None else (trial_ref,),
     )
     _LOCAL_POOL_PROCESSES = processes
     _LOCAL_POOL_REUSES = 0
@@ -595,13 +505,12 @@ atexit.register(shutdown_local_pool)
 class LocalPoolBackend(ExecutorBackend):
     """Fan batches over the persistent in-host ``multiprocessing.Pool``.
 
-    Tasks carry the compact context key (two import-reference strings
-    and the co-schedule width) instead of pickled function objects;
-    workers resolve the context once and serve every later batch of the
-    same spec from a cache hit.  Plans with one worker or one unit run
-    inline — a pool cannot beat a function call.  A failure mid-dispatch
-    tears the pool down so stale in-flight tasks never burn CPU into the
-    next run.
+    Tasks carry the trial's import-reference string instead of a
+    pickled function object; workers resolve it once and serve every
+    later batch of the same spec from a cache hit.  Plans with one
+    worker or one unit run inline — a pool cannot beat a function call.
+    A failure mid-dispatch tears the pool down so stale in-flight tasks
+    never burn CPU into the next run.
     """
 
     name = "local"
@@ -610,10 +519,10 @@ class LocalPoolBackend(ExecutorBackend):
         if plan.worker_count <= 1 or len(plan.units) <= 1:
             yield from SerialBackend().execute(plan)
             return
-        key = plan.context_key()
-        tasks: List[_PoolTask] = [(key, batch) for batch in plan.batches()]
+        ref = function_ref(plan.spec.trial)
+        tasks: List[_PoolTask] = [(ref, batch) for batch in plan.batches()]
         plan.stats.record_batches(len(tasks))
-        pool = local_pool(plan.worker_count, context_key=key)
+        pool = local_pool(plan.worker_count, trial_ref=ref)
         try:
             for batch_results, sources in pool.imap_unordered(
                 _execute_pool_task, tasks
@@ -747,10 +656,8 @@ def run(
     fresh: bool = False,
     batch: Optional[int] = None,
     stats: Optional[ExecutionStats] = None,
-    coschedule: Optional[int] = None,
     backend: Union[str, ExecutorBackend, None] = None,
     workers: Optional[Sequence[str]] = None,
-    coschedule_min_units: Optional[int] = None,
 ) -> ExperimentResult:
     """Execute ``spec`` and return its merged, normalised results.
 
@@ -764,33 +671,18 @@ def run(
     automatically); ``stats``, when given, accumulates execution
     counters across calls.
 
-    ``coschedule=K`` (with a spec that defines a ``cotrial``) interleaves
-    K units' worlds inside one event loop per executor.  Runs dispatching
-    fewer than :data:`COSCHEDULE_MIN_UNITS` units auto-select width 1 —
-    below that, pool bookkeeping costs more than interleaving saves —
-    and ``coschedule_min_units`` overrides the threshold (0 disables the
-    clamp).  The requested width is reported as ``result.coschedule``,
-    the width actually used as ``result.coschedule_effective``; results
-    are byte-identical either way.
-
     ``backend`` picks the execution strategy: ``"serial"``, ``"local"``
     (the default — a persistent in-host process pool), ``"remote"``
     (TCP fan-out to ``repro worker`` processes named by ``workers=
     ["host:port", ...]``; implied when ``workers`` is given), or any
-    :class:`ExecutorBackend` instance.  Backends — like ``jobs``,
-    ``batch`` and ``coschedule`` — are pure execution strategy: results
-    and store bytes are identical across all of them.
+    :class:`ExecutorBackend` instance.  Backends — like ``jobs`` and
+    ``batch`` — are pure execution strategy: results and store bytes
+    are identical across all of them.
     """
     global TRIALS_EXECUTED
     stats = stats if stats is not None else ExecutionStats()
     digest = spec_hash(spec)
     worker_count = default_jobs() if jobs is None else max(1, int(jobs))
-    width = 1 if coschedule is None else max(1, int(coschedule))
-    if width > 1 and spec.cotrial is None:
-        raise SpecError(
-            f"spec {spec.name!r} defines no cotrial; "
-            "co-scheduling needs a (seed, params) -> WorldTask builder"
-        )
 
     cached_cells: Dict[str, Any] = {}
     if store is not None and not fresh:
@@ -809,10 +701,6 @@ def run(
             units.extend(cell_units)
             plan_cells.append((trial, cell_units))
 
-    effective_width = width
-    if width > 1 and len(units) < _coschedule_threshold(coschedule_min_units):
-        effective_width = 1
-
     shipped_before = stats.cells_shipped_full
     digest_before = stats.cells_acked_digest
     wire_in_before, wire_out_before = stats.wire_bytes_in, stats.wire_bytes_out
@@ -823,11 +711,9 @@ def run(
         take_event_attribution()  # scope the kernel counters to this run
         size = (default_batch(len(units), worker_count)
                 if batch is None else max(1, int(batch)))
-        if effective_width > size:
-            size = effective_width  # a batch holds at least one full pool
         plan = ExecutionPlan(
             spec=spec, units=units, worker_count=worker_count,
-            width=effective_width, batch_size=size, stats=stats,
+            batch_size=size, stats=stats,
             cells=plan_cells, store=store,
         )
         try:
@@ -881,10 +767,8 @@ def run(
         elapsed_s=elapsed,
         cells_cached=len(cached_cells),
         cells_executed=len(spec.trials) - len(cached_cells),
-        coschedule=width,
         backend=executor.name,
         cache_state=cache_state,
-        coschedule_effective=effective_width,
         cells_shipped_full=stats.cells_shipped_full - shipped_before,
         cells_acked_digest=stats.cells_acked_digest - digest_before,
         wire_bytes_in=stats.wire_bytes_in - wire_in_before,

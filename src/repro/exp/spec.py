@@ -114,16 +114,6 @@ class ExperimentSpec:
     that lets a 10k-mission campaign keep counts instead of 10k dicts.
     Like the trial function it must be a module-level ``def`` and its
     source participates in the content hash.
-
-    ``cotrial``, when set, is the co-schedulable form of the trial: a
-    pure function ``(seed, params) -> WorldTask`` whose solo execution
-    (:func:`repro.kernel.coschedule.run_solo`) returns exactly what
-    ``trial(seed, params)`` returns.  It lets the runner interleave many
-    units inside one event loop (``run(spec, coschedule=K)``).  Being an
-    *execution strategy* — like ``jobs`` or ``batch`` — it is excluded
-    from the content hash: enabling co-scheduling must not invalidate
-    stored results, which is exactly the byte-identity contract the
-    determinism tests enforce.
     """
 
     name: str
@@ -131,15 +121,12 @@ class ExperimentSpec:
     trials: Tuple[Trial, ...]
     version: str = "2"
     reduce: Optional[ReduceFn] = None
-    cotrial: Optional[Callable[[int, Mapping[str, Any]], Any]] = None
 
     def __post_init__(self) -> None:
         """Reject functions a worker process could not import."""
         _require_importable(self.name, self.trial, "trial")
         if self.reduce is not None:
             _require_importable(self.name, self.reduce, "reduce")
-        if self.cotrial is not None:
-            _require_importable(self.name, self.cotrial, "cotrial")
         keys = [trial.key for trial in self.trials]
         if len(set(keys)) != len(keys):
             raise SpecError(f"spec {self.name!r}: duplicate trial keys")

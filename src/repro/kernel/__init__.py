@@ -33,15 +33,12 @@ from repro.kernel.faults import (
     FaultKind,
     bit_flip,
 )
-from repro.kernel.coschedule import (
+from repro.kernel.arena import (
     WorldArena,
-    WorldPool,
     WorldTask,
     clear_world_arena,
-    dissolve_tasks,
     lease_world,
     release_world,
-    run_cotasks,
     run_solo,
     set_world_reuse,
     world_arena_stats,
@@ -106,13 +103,10 @@ __all__ = [
     "World",
     "WorldSnapshot",
     "WorldArena",
-    "WorldPool",
     "WorldTask",
     "clear_world_arena",
-    "dissolve_tasks",
     "lease_world",
     "release_world",
-    "run_cotasks",
     "run_solo",
     "set_world_reuse",
     "world_arena_stats",

@@ -15,14 +15,13 @@ the ``bandwidth drop`` adaptation trigger of Figure 8 is produced.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.kernel.costs import CostModel, DEFAULT_COSTS
 from repro.kernel.errors import NetworkUnreachable, NodeDown
 from repro.kernel.node import Node
-from repro.kernel.sim import _WHEEL_ENGAGE, Channel, Simulator
+from repro.kernel.sim import Channel, Simulator
 from repro.kernel.trace import Trace
 
 class Message:
@@ -370,29 +369,8 @@ class Network:
                 low = 1.0 - fraction
                 high = 1.0 + fraction
                 delay = delay * (low + (high - low) * self._rng_random())
-        # inlined sim.call_later(delay, self._deliver_cb, message) — one
-        # frame per message on the kernel's dominant timed-event source
         sim._ev_request += 1
-        if delay == 0.0 and sim.fast_path:
-            sim._seq += 1
-            sim._ready.append((sim._seq, None, self._deliver_cb, (message,)))
-        else:
-            sim._seq += 1
-            if sim.fast_path and len(sim._queue) >= _WHEEL_ENGAGE:
-                sim._wheel_insert(
-                    sim.now + delay, None, self._deliver_cb, (message,)
-                )
-            else:
-                heapq.heappush(
-                    sim._queue,
-                    (
-                        sim.now + delay,
-                        sim._seq,
-                        None,
-                        self._deliver_cb,
-                        (message,),
-                    ),
-                )
+        sim._push(delay, self._deliver_cb, (message,))
 
     def _drop(self, message: Message, reason: str) -> None:
         self.messages_dropped += 1

@@ -9,12 +9,11 @@ volatile state is lost; only :mod:`repro.kernel.storage` survives).
 from __future__ import annotations
 
 import enum
-import heapq
 from typing import Callable, Generator, List, Optional
 
 from repro.kernel.costs import CostModel, DEFAULT_COSTS
 from repro.kernel.errors import NodeDown
-from repro.kernel.sim import _WHEEL_ENGAGE, Process, Simulator, Timeout
+from repro.kernel.sim import Process, Simulator, Timeout
 from repro.kernel.trace import Trace
 
 
@@ -61,16 +60,7 @@ class Ticker:
         sim._ev_timer += 1
         self.fn()
         if not self._killed:  # fn may have killed us
-            # sim.call_later(self.period, self._tick) inlined: the re-arm
-            # runs once per tick on the busiest periodic loops
-            sim._seq += 1
-            if sim.fast_path and len(sim._queue) >= _WHEEL_ENGAGE:
-                sim._wheel_insert(sim.now + self.period, None, self._tick, ())
-            else:
-                heapq.heappush(
-                    sim._queue,
-                    (sim.now + self.period, sim._seq, None, self._tick, ()),
-                )
+            sim._push(self.period, self._tick, ())
 
 
 class Node:

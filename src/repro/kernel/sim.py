@@ -25,21 +25,19 @@ Time is virtual: the simulator jumps from event to event, so a simulated
 second costs microseconds of wall time, and two runs with the same seed
 produce byte-identical traces.
 
-The event loop has **three lanes**.  Zero-delay events — process
-resumes, channel handoffs, join delivery, i.e. the overwhelming majority
-of traffic in protocol-heavy workloads — bypass the heap entirely and go
-through a FIFO *ready deque*, which costs an append/popleft instead of a
-``log n`` sift plus tuple comparisons.  Short-horizon timed events
-(heartbeat periods, message delivery delays, request timeouts) rotate
-through a **timer wheel**: fixed-granularity buckets indexed by arrival
-time, so the dominant timed traffic costs a push into a tiny per-bucket
-heap instead of a sift through one big global heap.  Everything beyond
-the wheel's span overflows to the classic binary heap ordered by
-``(time, seq)``.  Because every entry in every lane carries the global
-sequence number, the three lanes replay exactly the single-heap
-``(time, seq)`` order: the fast path is an optimisation, never a
-semantics change (``Simulator(fast_path=False)`` forces everything
-through the heap to prove it).
+The event loop has **two lanes** fed by **one schedule routine**
+(:meth:`Simulator._push`).  Zero-delay events — process resumes, channel
+handoffs, join delivery, i.e. the overwhelming majority of traffic in
+protocol-heavy workloads — bypass the heap and go through a FIFO *ready
+deque*, which costs an append/popleft instead of a ``log n`` sift plus
+tuple comparisons.  Timed events live in a binary heap ordered by
+``(time, seq)``.  Every entry in either lane carries the global sequence
+number, and the dispatch loop lets a heap entry that landed on exactly
+``now`` with a smaller ``seq`` go before the ready head, so the two
+lanes replay exactly the single-heap ``(time, seq)`` order.
+``Simulator(fast_path=False)`` sends zero-delay entries to the heap as
+well: with an empty ready deque the same loop *is* the single-heap
+kernel, the reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -84,7 +82,8 @@ class Handle:
     Heap-resident handles keep a back-reference to their simulator so a
     cancellation can bump the dead-entry counter that drives lazy-cancel
     compaction; ready-lane handles pass ``sim=None`` (the deque drains
-    every step, so cancelled entries there are bounded by construction).
+    before time moves on, so cancelled entries there are bounded by
+    construction).
     """
 
     __slots__ = ("_cancelled", "_fired", "_sim")
@@ -112,46 +111,6 @@ class Handle:
 #: (compacting a tiny heap costs more than carrying the garbage).
 _COMPACT_MIN_DEAD = 64
 
-#: Timer-wheel geometry (fast path only).  Timed events landing within
-#: ``_WHEEL_SLOTS * _WHEEL_GRANULARITY`` time units of the wheel base go
-#: into fixed-granularity buckets; anything further out overflows to the
-#: global binary heap.  The granularity is a power of two so ``offset *
-#: _WHEEL_INV_GRAN`` is exact float arithmetic — slot indexing can never
-#: disagree with the comparison-based ordering.  Future buckets are
-#: *unsorted* append-only lists (insert is one C-speed ``list.append``,
-#: cheaper than a heap sift); a bucket is Timsort-ed exactly once, when
-#: consumption reaches it, and then drained through an index.  Inserts
-#: targeting the bucket currently being consumed ride the overflow heap
-#: instead (the merge already orders heap entries against the wheel), so
-#: a sorted bucket is never mutated mid-drain.  512 x 4 spans 2048
-#: units; rarer longer-horizon timers (mission drain tails) overflow to
-#: the binary heap as well.
-_WHEEL_SLOTS = 512
-_WHEEL_GRANULARITY = 4.0
-_WHEEL_INV_GRAN = 0.25
-_WHEEL_SPAN = _WHEEL_SLOTS * _WHEEL_GRANULARITY
-
-#: Far-horizon inserts divert to wheel buckets only while the overflow
-#: heap is at least this deep, which makes the wheel a *parking
-#: structure*: the heap self-regulates around the threshold (below it,
-#: inserts deepen the heap; at it, they park in buckets), so hot
-#: re-arm/pop traffic always works against a bounded-depth heap while
-#: the standing mass waits in O(1) append buckets.  C ``heapq`` is hard
-#: to beat from interpreted code — measured on mass-timer workloads the
-#: parking only pays off once tens of thousands of entries are pending,
-#: and a 3-node mission keeps ~6 timers pending — so the threshold is
-#: set where realistic worlds (missions, fleets of hundreds of tickers)
-#: never pay wheel bookkeeping at all.
-_WHEEL_ENGAGE = 4096
-
-#: Entries landing within this horizon ride the binary heap even when
-#: the wheel is engaged: at short horizons the heap stays shallow (it
-#: drains as fast as it fills) and one C heappush beats wheel slot
-#: bookkeeping — while far-out timers, which would otherwise churn the
-#: heap for a long time, take the O(1) bucket append.  Two bucket
-#: widths keeps near inserts out of the bucket being consumed.
-_WHEEL_NEAR = 2.0 * _WHEEL_GRANULARITY
-
 #: Upper bound on recycled :class:`Process` shells kept by a simulator.
 #: A mission spawns a few dozen processes; the cap only guards against a
 #: pathological workload flooding the free list.
@@ -161,8 +120,8 @@ _PROCESS_ARENA_MAX = 512
 class Simulator:
     """The event loop: a ready deque plus a priority queue of timed events."""
 
-    #: Class-wide default for the two-lane fast path.  Benchmarks flip
-    #: this to measure the legacy single-heap kernel on identical code.
+    #: Class-wide default for the ready deque.  Benchmarks and parity
+    #: tests flip this to run the single-heap reference on identical code.
     DEFAULT_FAST_PATH = True
 
     def __init__(self, seed: int = 0, fast_path: Optional[bool] = None):
@@ -176,25 +135,6 @@ class Simulator:
         self.fast_path = (
             self.DEFAULT_FAST_PATH if fast_path is None else fast_path
         )
-        # timer wheel: _wheel_base is the start time of the cursor's
-        # bucket; it advances past empty buckets during peeks and may
-        # run ahead of ``now`` (inserts landing behind it divert to the
-        # overflow heap via the near-horizon rule).  Future buckets are
-        # *unsorted*
-        # append-only lists — O(1) insert at C speed; a bucket is sorted
-        # exactly once, when consumption reaches it (_wheel_sorted is
-        # that slot, _wheel_idx the consumption index into it).
-        # _wheel_next memoises the earliest wheel entry as ``(entry,
-        # slot)`` so the merge in advance() does not rescan
-        # buckets per event; when it is non-None it always points at
-        # ``bucket[_wheel_idx]`` of the sorted slot.
-        self._wheel: List[List] = [[] for _ in range(_WHEEL_SLOTS)]
-        self._wheel_count = 0
-        self._wheel_base = 0.0
-        self._wheel_cursor = 0
-        self._wheel_sorted = -1
-        self._wheel_idx = 0
-        self._wheel_next: Optional[tuple] = None
         # per-run event attribution (see ``events_by_source``) and the
         # beat clock's counters: beat events replayed without a kernel
         # event / beats sent as ordinary messages after all
@@ -213,114 +153,52 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
+    def _push(
+        self, delay: float, fn: Callable, args: tuple, cancellable: bool = False
+    ) -> Optional[Handle]:
+        """The one schedule routine: queue ``fn(*args)`` at ``now + delay``.
+
+        Takes the next global sequence number and picks the lane: the
+        ready deque for zero delays, the ``(time, seq)`` heap otherwise
+        (and for everything when ``fast_path`` is off).  Mints the
+        :class:`Handle` when the caller wants one, so no caller needs to
+        know which lane its entry rides.  ``delay`` is already validated.
+        """
+        self._seq += 1
+        if delay == 0.0 and self.fast_path:
+            handle = Handle() if cancellable else None
+            self._ready.append((self._seq, handle, fn, args))
+        else:
+            handle = Handle(self) if cancellable else None
+            heapq.heappush(
+                self._queue, (self.now + delay, self._seq, handle, fn, args)
+            )
+        return handle
+
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Handle:
         """Run ``fn(*args)`` after ``delay`` time units; returns a Handle."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        if delay == 0.0 and self.fast_path:
-            self._seq += 1
-            handle = Handle()
-            self._ready.append((self._seq, handle, fn, args))
-        else:
-            handle = Handle(self)
-            self._seq += 1
-            if self.fast_path and len(self._queue) >= _WHEEL_ENGAGE:
-                self._wheel_insert(self.now + delay, handle, fn, args)
-            else:
-                heapq.heappush(
-                    self._queue,
-                    (self.now + delay, self._seq, handle, fn, args),
-                )
-        return handle
-
-    def _wheel_insert(
-        self, time: float, handle: Optional[Handle], fn: Callable, args: tuple
-    ) -> None:
-        """Bucket one engaged timed entry (sequence already assigned).
-
-        Shared by the call sites that inline the cheap disengaged branch
-        (one heap push).  Entries beyond the span window still overflow
-        to the heap.
-        """
-        offset = time - self._wheel_base
-        if offset < _WHEEL_NEAR:
-            # near-horizon entries (and times behind an advanced anchor)
-            # ride the binary heap: they drain as fast as they fill, so
-            # the heap stays shallow and one C heappush beats the wheel
-            # bookkeeping they would immediately pay back out of
-            heapq.heappush(self._queue, (time, self._seq, handle, fn, args))
-            return
-        if offset >= _WHEEL_SPAN:
-            if self._wheel_count:
-                heapq.heappush(
-                    self._queue, (time, self._seq, handle, fn, args)
-                )
-                return
-            # empty wheel: re-anchor the base at the current instant so
-            # the span window tracks the simulation clock
-            self._wheel_base = self.now
-            self._wheel_cursor = 0
-            offset = time - self.now
-            if offset >= _WHEEL_SPAN:
-                heapq.heappush(
-                    self._queue, (time, self._seq, handle, fn, args)
-                )
-                return
-        slot = self._wheel_cursor + int(offset * _WHEEL_INV_GRAN)
-        if slot >= _WHEEL_SLOTS:
-            slot -= _WHEEL_SLOTS
-        entry = (time, self._seq, handle, fn, args)
-        if slot == self._wheel_sorted:
-            # latecomer into the bucket currently being consumed: ride
-            # the overflow heap — the event merge already orders heap
-            # entries against the wheel, and a heap push beats a
-            # memmove-insert into the middle of a large sorted bucket
-            heapq.heappush(self._queue, entry)
-            return
-        self._wheel_count += 1
-        self._wheel[slot].append(entry)
-        nxt = self._wheel_next
-        if nxt is not None and entry < nxt[0]:
-            # new global minimum in a not-yet-sorted bucket: drop the
-            # memo; the next peek sorts that bucket and switches to it
-            self._wheel_next = None
+        return self._push(delay, fn, args, True)
 
     def post(self, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` at the current time; no cancellation handle.
 
-        The allocation-light lane for the kernel's own zero-delay events
+        The allocation-light form for the kernel's own zero-delay events
         (process resumes, channel handoffs, event triggers) whose handles
-        were never cancellable in practice — one deque append, no Handle,
-        no heap sift.
+        were never cancellable in practice.
         """
-        self._seq += 1
-        if self.fast_path:
-            self._ready.append((self._seq, None, fn, args))
-        else:
-            heapq.heappush(self._queue, (self.now, self._seq, None, fn, args))
+        self._push(0.0, fn, args)
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
         """Timed :meth:`post`: run ``fn(*args)`` after ``delay``, no Handle.
 
-        For fire-and-forget timed events that are never cancelled — the
-        network uses it for message delivery, the dominant source of
-        timed traffic — saving one Handle allocation per event.
+        For fire-and-forget timed events that are never cancelled,
+        saving one Handle allocation per event.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        if delay == 0.0 and self.fast_path:
-            self._seq += 1
-            self._ready.append((self._seq, None, fn, args))
-        else:
-            # delivery timers are the hottest timed insert in the kernel
-            self._seq += 1
-            if self.fast_path and len(self._queue) >= _WHEEL_ENGAGE:
-                self._wheel_insert(self.now + delay, None, fn, args)
-            else:
-                heapq.heappush(
-                    self._queue,
-                    (self.now + delay, self._seq, None, fn, args),
-                )
+        self._push(delay, fn, args)
 
     def spawn(self, gen: Generator, name: str = "proc") -> "Process":
         """Wrap a generator into a Process and start it at the current time.
@@ -339,68 +217,8 @@ class Simulator:
         self.post(process._resume_cb, None, None)
         return process
 
-    # -- timer wheel -------------------------------------------------------
-
-    def _wheel_peek(self) -> Optional[tuple]:
-        """Memoise and return ``(entry, slot)`` for the earliest live
-        wheel entry, pruning cancelled heads along the way.
-
-        Scans at most one rotation starting at the cursor *without*
-        moving the cursor or base: bucket windows increase in scan order
-        from the cursor, so the first non-empty bucket holds the global
-        wheel minimum.  That bucket is sorted here (once — later inserts
-        targeting it divert to the overflow heap) and consumed in place
-        through ``_wheel_idx``; when consumption switches to a different
-        bucket, the old one's consumed prefix is deleted first so the
-        list holds only unexecuted entries again.  The anchor advances
-        past runs of empty buckets so repeated peeks never re-walk the
-        consumed region of the wheel.
-        """
-        self._wheel_next = None  # never left stale if nothing live is found
-        wheel = self._wheel
-        slot = self._wheel_cursor
-        for passed in range(_WHEEL_SLOTS):
-            bucket = wheel[slot]
-            if bucket:
-                if passed:
-                    # every bucket between the cursor and here is empty:
-                    # advance the anchor so future scans (and the span
-                    # window) start at this slot instead of re-walking
-                    # the consumed region of the wheel
-                    self._wheel_cursor = slot
-                    self._wheel_base += passed * _WHEEL_GRANULARITY
-                if slot != self._wheel_sorted:
-                    prev = self._wheel_sorted
-                    if prev >= 0 and self._wheel_idx:
-                        pbucket = wheel[prev]
-                        if pbucket:
-                            del pbucket[: self._wheel_idx]
-                    self._wheel_sorted = slot
-                    self._wheel_idx = 0
-                    bucket.sort()
-                idx = self._wheel_idx
-                length = len(bucket)
-                while idx < length:
-                    head = bucket[idx]
-                    handle = head[2]
-                    if handle is not None and handle._cancelled:
-                        idx += 1
-                        self._wheel_count -= 1
-                        self._dead -= 1
-                        continue
-                    self._wheel_idx = idx
-                    found = (head, slot)
-                    self._wheel_next = found
-                    return found
-                bucket.clear()  # everything in it was cancelled
-                self._wheel_idx = 0
-            slot += 1
-            if slot == _WHEEL_SLOTS:
-                slot = 0
-        return None
-
     def drain(self) -> None:
-        """Kill every process and drop all event lanes (idempotent).
+        """Kill every process and drop both event lanes (idempotent).
 
         Live generators close (``finally`` blocks run), then the
         terminated shells are parked on the free list for :meth:`spawn`
@@ -413,16 +231,6 @@ class Simulator:
             process.kill()
         self._ready.clear()
         self._queue.clear()
-        if self._wheel_count:
-            for bucket in self._wheel:
-                if bucket:
-                    bucket.clear()
-            self._wheel_count = 0
-        self._wheel_next = None
-        self._wheel_base = self.now
-        self._wheel_cursor = 0
-        self._wheel_sorted = -1
-        self._wheel_idx = 0
         self._dead = 0
         self._beat_clock = None  # its streams died with the processes
         arena = self._process_arena
@@ -441,7 +249,6 @@ class Simulator:
         self.drain()
         self._seq = 0
         self.now = 0.0
-        self._wheel_base = 0.0
         for _key, counter in _SOURCES:
             setattr(self, counter, 0)
         self.random.reseed(seed)
@@ -451,62 +258,34 @@ class Simulator:
     def _note_dead(self) -> None:
         """One more cancelled timed entry is pending; maybe compact."""
         self._dead += 1
-        if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 >= (
-            len(self._queue) + self._wheel_count
-        ):
+        if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 >= len(self._queue):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (in place: ``step`` may
-        hold a reference to the containers while a callback cancels
-        handles).  Sweeps the overflow heap and every wheel bucket."""
+        """Drop cancelled heap entries and re-heapify (in place:
+        ``advance`` holds a reference to the list while a callback
+        cancels handles)."""
         self._queue[:] = [
             e for e in self._queue if e[2] is None or not e[2]._cancelled
         ]
         heapq.heapify(self._queue)
-        if self._wheel_count:
-            # drop the sorted bucket's consumed prefix first: those
-            # entries already executed and must not survive the filter
-            if self._wheel_sorted >= 0 and self._wheel_idx:
-                del self._wheel[self._wheel_sorted][: self._wheel_idx]
-            self._wheel_sorted = -1
-            self._wheel_idx = 0
-            count = 0
-            for bucket in self._wheel:
-                if bucket:
-                    bucket[:] = [
-                        e for e in bucket
-                        if e[2] is None or not e[2]._cancelled
-                    ]
-                    count += len(bucket)
-            self._wheel_count = count
-            self._wheel_next = None
         self._dead = 0
 
     def pending(self) -> int:
-        """Live (non-cancelled) scheduled events across all lanes."""
+        """Live (non-cancelled) scheduled events across both lanes."""
         live_heap = sum(
             1 for e in self._queue if e[2] is None or not e[2]._cancelled
         )
         live_ready = sum(
             1 for e in self._ready if e[1] is None or not e[1]._cancelled
         )
-        live_wheel = 0
-        if self._wheel_count:
-            for slot, bucket in enumerate(self._wheel):
-                # skip the sorted bucket's consumed (already executed) prefix
-                start = self._wheel_idx if slot == self._wheel_sorted else 0
-                for e in bucket[start:] if start else bucket:
-                    if e[2] is None or not e[2]._cancelled:
-                        live_wheel += 1
-        return live_heap + live_ready + live_wheel
+        return live_heap + live_ready
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or None when idle.
 
-        Cancelled heap and wheel heads are pruned as a side effect, so
-        the answer is exact; the co-scheduler uses this to merge worlds
-        by virtual time without executing anything.
+        Cancelled heap heads are pruned as a side effect, so the answer
+        is exact.
         """
         if self._ready:
             return self.now
@@ -514,17 +293,8 @@ class Simulator:
         return None if entry is None else entry[0]
 
     def _peek_timed(self) -> Optional[tuple]:
-        """The earliest live timed entry across wheel and overflow heap
-        (ready lane aside), pruning cancelled heads; None when empty."""
-        wnext = self._wheel_next
-        if wnext is not None:
-            whandle = wnext[0][2]
-            if whandle is not None and whandle._cancelled:
-                # the memoised head was cancelled since it was found:
-                # re-peek, which prunes it (and any cancelled run after)
-                wnext = self._wheel_peek()
-        elif self._wheel_count:
-            wnext = self._wheel_peek()
+        """The earliest live heap entry (ready lane aside), pruning
+        cancelled heads; None when the heap is empty."""
         queue = self._queue
         while queue:
             head = queue[0]
@@ -532,110 +302,51 @@ class Simulator:
                 heapq.heappop(queue)
                 self._dead -= 1
                 continue
-            if wnext is not None and wnext[0] < head:
-                return wnext[0]
             return head
-        return None if wnext is None else wnext[0]
+        return None
 
     # -- execution ---------------------------------------------------------
 
-    def advance(self, stop: "Event", budget: Optional[int] = None) -> str:
-        """Execute events until ``stop`` triggers, the queues drain, or
-        ``budget`` events have run.
+    def advance(self, stop: "Event") -> None:
+        """Execute events until ``stop`` triggers or the queues drain
+        (callers tell the two apart by ``stop.triggered``).
 
-        Returns ``"done"`` (stop triggered), ``"idle"`` (nothing left to
-        execute) or ``"budget"`` (budget exhausted first).  This is the
-        one dispatch loop: process runners, :meth:`run` and the world
-        co-scheduler execute one Python call per *drain* instead of one
-        per event, which is measurable at campaign scale.
+        This is the one dispatch loop: process runners and :meth:`run`
+        execute one Python call per *drain* instead of one per event,
+        which is measurable at campaign scale.
 
         Ready-lane entries run at the current time, but a timed entry
         that landed on exactly ``now`` with a smaller sequence number
-        still goes first — the three lanes together replay the strict
-        ``(time, seq)`` order of the single-heap kernel.
+        still goes first — the two lanes together replay the strict
+        ``(time, seq)`` order of a single heap.
         """
         ready = self._ready
         queue = self._queue
         heappop = heapq.heappop
-        if stop.triggered:
-            return "done"
-        remaining = -1 if budget is None else budget
-        # cancelled entries `continue` without charging the budget: only
-        # executed events count
-        while remaining != 0:
-            if not self._wheel_count:
-                # disengaged wheel (``_wheel_next`` is None by invariant):
-                # exactly the two-lane merge of the legacy kernel, with no
-                # wheel bookkeeping on the per-event path
-                if ready and not (
-                    queue
-                    and queue[0][0] <= self.now
-                    and queue[0][1] < ready[0][0]
-                ):
-                    _seq, handle, fn, args = ready.popleft()
-                    if handle is not None:
-                        if handle._cancelled:
-                            continue
-                        handle._fired = True
-                elif queue:
-                    time, _seq, handle, fn, args = heappop(queue)
-                    if handle is not None:
-                        if handle._cancelled:
-                            self._dead -= 1
-                            continue
-                        handle._fired = True
-                    if time < self.now:
-                        raise SimulationError("time went backwards")
-                    self.now = time
-                else:
-                    return "done" if stop.triggered else "idle"
+        while not stop.triggered:
+            if ready and not (
+                queue
+                and queue[0][0] <= self.now
+                and queue[0][1] < ready[0][0]
+            ):
+                _seq, handle, fn, args = ready.popleft()
+                if handle is not None:
+                    if handle._cancelled:
+                        continue
+                    handle._fired = True
+            elif queue:
+                time, _seq, handle, fn, args = heappop(queue)
+                if handle is not None:
+                    if handle._cancelled:
+                        self._dead -= 1
+                        continue
+                    handle._fired = True
+                if time < self.now:
+                    raise SimulationError("time went backwards")
+                self.now = time
             else:
-                tentry = self._peek_timed()
-                from_wheel = not (queue and queue[0] is tentry)
-                if ready and not (
-                    tentry is not None
-                    and tentry[0] <= self.now
-                    and tentry[1] < ready[0][0]
-                ):
-                    _seq, handle, fn, args = ready.popleft()
-                    if handle is not None:
-                        if handle._cancelled:
-                            continue
-                        handle._fired = True
-                elif tentry is not None:
-                    if from_wheel:
-                        slot = self._wheel_next[1]
-                        bucket = self._wheel[slot]
-                        idx = self._wheel_idx
-                        time, _seq, handle, fn, args = bucket[idx]
-                        self._wheel_count -= 1
-                        idx += 1
-                        # next wheel min: this bucket's next unconsumed
-                        # entry (no earlier bucket is non-empty), or rescan
-                        if idx == len(bucket):
-                            bucket.clear()
-                            self._wheel_idx = 0
-                            self._wheel_next = None
-                        else:
-                            self._wheel_idx = idx
-                            self._wheel_next = (bucket[idx], slot)
-                    else:
-                        time, _seq, handle, fn, args = heappop(queue)
-                    if handle is not None:
-                        if handle._cancelled:
-                            self._dead -= 1
-                            continue
-                        handle._fired = True
-                    if time < self.now:
-                        raise SimulationError("time went backwards")
-                    self.now = time
-                else:
-                    return "done" if stop.triggered else "idle"
+                return
             fn(*args)
-            if stop.triggered:
-                return "done"
-            remaining -= 1
-        return "budget"
 
     def run(self, until: Optional[float] = None) -> float:
         """Drain the event queue (optionally stopping at time ``until``).
@@ -697,7 +408,7 @@ _SOURCES = (
 
 #: Process-wide accumulator for per-subsystem event attribution, plus the
 #: beat clock's two counters.  Worlds fold their counters in when they
-#: are released (see ``coschedule.release_world``); the experiment runner
+#: are released (see ``arena.release_world``); the experiment runner
 #: takes the total per dispatch.  Counters are a side channel: they never
 #: influence event order, RNG draws or store bytes.
 _ATTRIBUTION: Dict[str, int] = {key: 0 for key, _attr in _SOURCES}
@@ -743,36 +454,12 @@ class Timeout:
         self.delay = delay
 
     def _subscribe(self, process: "Process") -> "Handle":
-        # the Handle itself is the canceller (see Process._abort_wait) —
-        # no bound-method allocation on the hottest wait path.  The
-        # schedule() body is inlined (delay was validated in __init__),
-        # with the shared _RESUME_ARGS pair instead of a fresh tuple.
+        # the Handle itself is the canceller (see Process._abort_wait) and
+        # every wake-up shares the _RESUME_ARGS pair: no bound-method or
+        # tuple allocation on the hottest wait path
         sim = process.sim
         sim._ev_timer += 1
-        delay = self.delay
-        if delay == 0.0 and sim.fast_path:
-            sim._seq += 1
-            handle = Handle()
-            sim._ready.append((sim._seq, handle, process._resume_cb, _RESUME_ARGS))
-        else:
-            handle = Handle(sim)
-            sim._seq += 1
-            if sim.fast_path and len(sim._queue) >= _WHEEL_ENGAGE:
-                sim._wheel_insert(
-                    sim.now + delay, handle, process._resume_cb, _RESUME_ARGS
-                )
-            else:
-                heapq.heappush(
-                    sim._queue,
-                    (
-                        sim.now + delay,
-                        sim._seq,
-                        handle,
-                        process._resume_cb,
-                        _RESUME_ARGS,
-                    ),
-                )
-        return handle
+        return sim._push(self.delay, process._resume_cb, _RESUME_ARGS, True)
 
 
 class Event:
@@ -895,17 +582,7 @@ class Channel:
             if timeout_handle is not None:
                 timeout_handle.cancel()
             process._cancel_wait = None
-            # inlined sim.post(...) — the channel handoff is the single
-            # hottest zero-delay producer, one call frame matters here
-            sim = self.sim
-            sim._seq += 1
-            if sim.fast_path:
-                sim._ready.append((sim._seq, None, process._resume_cb, (item, None)))
-            else:
-                heapq.heappush(
-                    sim._queue,
-                    (sim.now, sim._seq, None, process._resume_cb, (item, None)),
-                )
+            self.sim._push(0.0, process._resume_cb, (item, None))
             return
         if self._sink is not None:
             self._sink(item)

@@ -142,9 +142,8 @@ class World:
         rebuild this state on the next lease anyway, but trimming at
         release time means a parked world pins only its wiring — not the
         trace records, storage contents and scheduled-event object
-        graphs of whatever mission it last ran.  Keeping parked worlds
-        skinny matters for co-scheduled throughput: stale mission state
-        is exactly the kind of long-lived garbage that inflates every
+        graphs of whatever mission it last ran.  Stale mission state is
+        exactly the kind of long-lived garbage that inflates every
         cyclic-GC pass.
         """
         self.sim.drain()

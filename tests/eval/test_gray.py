@@ -65,14 +65,17 @@ def test_proactive_beats_reactive_on_the_limping_primary():
     assert proactive.unavailability < reactive.unavailability
 
 
-def test_small_matrix_is_byte_identical_serial_vs_coscheduled():
+def test_small_matrix_is_byte_identical_serial_vs_local_pool():
     grid = dict(ftms=("pbr",), resources=("disk",), factors=(8.0,),
                 requests=60)
-    serial = exp.run(gray.spec(missions=1, **grid), jobs=1,
+    serial = exp.run(gray.spec(missions=2, **grid), jobs=1,
                      backend="serial")
-    cosched = exp.run(gray.spec(missions=1, **grid), jobs=1,
-                      backend="serial", coschedule=4, coschedule_min_units=0)
-    assert serial.results == cosched.results
+    try:
+        local = exp.run(gray.spec(missions=2, **grid), jobs=2,
+                        backend="local", batch=1)
+    finally:
+        exp.shutdown_local_pool()
+    assert serial.results == local.results
 
 
 def test_from_results_and_render_report_the_headlines():

@@ -3,8 +3,8 @@
 Every eval builder leases its world through the process arena (build
 once, snapshot, reset, rerun).  These tests pin the product-level
 contract on each campaign family: the store produced with reuse on —
-serial and co-scheduled, first lease (miss) and re-lease (hit) — is
-byte-for-byte the store produced by fresh per-mission construction.
+first lease (miss) and re-lease (hit) — is byte-for-byte the store
+produced by fresh per-mission construction.
 Because every mission outcome embeds a ``trace_digest`` (or full trace
 counts), byte-identity certifies event-order identity, not just equal
 summaries.
@@ -37,7 +37,7 @@ def _store_json(spec, **kwargs):
     return json.dumps(result.results, sort_keys=True)
 
 
-def _assert_reuse_identical(make_spec, coschedule=4):
+def _assert_reuse_identical(make_spec):
     set_world_reuse(False)
     clear_world_arena()
     fresh = _store_json(make_spec(), jobs=1)
@@ -48,12 +48,9 @@ def _assert_reuse_identical(make_spec, coschedule=4):
     stats = world_arena_stats()
     assert stats["hits"] > 0, "the arena never re-leased a world"
     reuse_again = _store_json(make_spec(), jobs=1)  # every lease a hit
-    reuse_cosched = _store_json(make_spec(), jobs=1, coschedule=coschedule,
-                                coschedule_min_units=0)
 
     assert reuse_serial == fresh
     assert reuse_again == fresh
-    assert reuse_cosched == fresh
 
 
 def test_campaign_reuse_byte_identical():
@@ -80,14 +77,13 @@ def test_fleet_campaign_reuse_byte_identical():
             missions=2, base_seed=4400, hosts=6, apps=2,
             placements=("round-robin",), churn_rates=(0, 2),
             duration_ms=3_000.0,
-        ),
-        coschedule=2,
+        )
     )
 
 
 def test_campaign_reuse_identical_across_backends():
-    """Serial, co-scheduled and the persistent local pool all drain the
-    same lease path; their stores must match the fresh serial store."""
+    """Serial and the persistent local pool drain the same lease path;
+    their stores must match the fresh serial store."""
 
     def make_spec():
         return campaign.sharded_spec(
@@ -100,11 +96,6 @@ def test_campaign_reuse_identical_across_backends():
     clear_world_arena()
     try:
         local = _store_json(make_spec(), jobs=2, backend="local", batch=2)
-        local_cosched = _store_json(
-            make_spec(), jobs=2, backend="local", coschedule=4,
-            coschedule_min_units=0,
-        )
     finally:
         exp.shutdown_local_pool()
     assert local == fresh
-    assert local_cosched == fresh

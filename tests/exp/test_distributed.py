@@ -236,8 +236,7 @@ def test_remote_campaign_matches_serial_including_store(tmp_path,
     serial_store = exp.ResultStore(tmp_path / "serial")
     remote_store = exp.ResultStore(tmp_path / "remote")
     serial = exp.run(spec, jobs=1, backend="serial", store=serial_store)
-    remote = exp.run(spec, batch=1, workers=two_workers, store=remote_store,
-                     coschedule=4, coschedule_min_units=0)
+    remote = exp.run(spec, batch=1, workers=two_workers, store=remote_store)
     assert _dump(serial) == _dump(remote)
     assert remote.backend == "remote"
     serial_bytes = _store_bytes(tmp_path / "serial")

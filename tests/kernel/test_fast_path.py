@@ -1,11 +1,11 @@
 """The two-lane event loop: fast/legacy parity and lazy-cancel bounds.
 
-The fast path (ready deque for zero-delay events, lazy-cancel heap for
-timed ones) is an optimisation, never a semantics change.  These tests
-pin that claim: identical workloads replay in identical order under
-``fast_path=True`` and ``fast_path=False``, a full seeded mission is
-byte-identical across the two kernels, and mass timer cancellation can
-no longer grow the heap without bound.
+The ready deque for zero-delay events is an optimisation, never a
+semantics change.  These tests pin that claim: identical workloads
+replay in identical order — down to the final sequence number — under
+``fast_path=True`` and ``fast_path=False`` (everything through the
+heap), a full seeded mission is byte-identical across the two, and mass
+timer cancellation cannot grow the heap without bound.
 """
 
 import json
@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.kernel import SimulationError, Simulator, Timeout
+from repro.kernel import Channel, Link, SimulationError, Simulator, Timeout, World
 
 
 def _nop():
@@ -24,9 +24,17 @@ def _record(log, sim, tag):
     log.append((sim.now, tag))
 
 
-def _mixed_workload(sim, log):
-    """Every scheduling lane at once: timed, zero-delay, post, call_later,
-    nested scheduling from callbacks, and a cancellation."""
+def _mixed_workload(fast_path):
+    """Every insert site at once, on one simulator: ``schedule``,
+    ``post``, ``call_later``, nested scheduling from callbacks, a
+    cancellation, and a two-node world driving a ``Node.every`` ticker,
+    ``Network.send`` (jittered link, loopback, and a zero-latency
+    zero-size message — the only kind with ``delay == 0.0``) plus a
+    ``Channel.put`` hand-off to a parked getter."""
+    world = World(seed=3)
+    sim = world.sim
+    sim.fast_path = fast_path
+    log = []
     sim.schedule(5.0, _record, log, sim, "timed-5")
     sim.schedule(0.0, _record, log, sim, "zero-a")
     sim.post(_record, log, sim, "post-a")
@@ -42,15 +50,99 @@ def _mixed_workload(sim, log):
         sim.schedule(1.0, _record, log, sim, "nested-timed")
 
     sim.schedule(4.0, nested)
+
+    alpha, _beta = world.add_nodes(["alpha", "beta"])
+    network = world.network
+    network.configure_links({("beta", "alpha"): Link(latency=0.0, bandwidth=1.0)})
+    handoff = Channel(sim, "handoff")
+
+    def receiver(mailbox, tag, reply=None):
+        while True:
+            message = yield mailbox.get()
+            log.append((sim.now, f"{tag}-{message.payload}"))
+            if reply is not None:
+                reply(message.payload)
+
+    def echo(count):
+        network.send("beta", "alpha", "echo", count, size=0)
+        handoff.put(count)
+
+    def taker():
+        while True:
+            item = yield handoff.get()
+            log.append((sim.now, f"handoff-{item}"))
+
+    sim.spawn(receiver(network.bind("beta", "data"), "data", echo))
+    sim.spawn(receiver(network.bind("alpha", "echo"), "echo"))
+    sim.spawn(receiver(network.bind("alpha", "loop"), "loop"))
+    sim.spawn(taker())
+    ticks = []
+
+    def tick():
+        ticks.append(sim.now)
+        log.append((sim.now, f"tick-{len(ticks)}"))
+        network.send("alpha", "beta", "data", len(ticks))
+        if len(ticks) % 2:
+            network.send("alpha", "alpha", "loop", len(ticks))
+        if len(ticks) == 6:
+            ticker.kill()
+
+    ticker = alpha.every(1.5, tick)
     sim.run()
+    return log, sim._seq
+
+
+def _period_regimes(fast_path):
+    """Self-rescheduling timers from sub-unit to multi-thousand-unit
+    periods, all interleaving into one global order."""
+    sim = Simulator(seed=3, fast_path=fast_path)
+    log = []
+    horizon = 600.0
+
+    def make(tag, period):
+        def tick():
+            log.append((sim.now, tag))
+            if sim.now + period < horizon:
+                sim.call_later(period, tick)
+        return tick
+
+    for tag, period in enumerate(
+        [0.5, 1.0, 3.0, 5.0, 17.0, 64.0, 300.0, 2098.0]
+    ):
+        sim.call_later(period, make(tag, period))
+    sim.run()
+    return log, sim._seq
+
+
+def _timeout_waiters(fast_path):
+    """Processes sleeping on ``Timeout`` waits of very different lengths."""
+    sim = Simulator(seed=11, fast_path=fast_path)
+    log = []
+
+    def proc(tag, period):
+        for _ in range(20):
+            yield Timeout(period)
+            log.append((sim.now, tag))
+
+    for tag, period in enumerate([1.5, 7.0, 23.0, 160.0]):
+        sim.spawn(proc(tag, period))
+    sim.run()
+    return log, sim._seq
 
 
 def test_fast_and_legacy_replay_identical_order():
-    fast_log, legacy_log = [], []
-    _mixed_workload(Simulator(fast_path=True), fast_log)
-    _mixed_workload(Simulator(fast_path=False), legacy_log)
-    assert fast_log == legacy_log
-    assert fast_log[0][1] in ("zero-a",)  # zero-delay fires before timers
+    logs = {}
+    for workload in (_mixed_workload, _period_regimes, _timeout_waiters):
+        fast = workload(True)
+        assert fast == workload(False), workload.__name__
+        logs[workload], _final_seq = fast
+        assert len(logs[workload]) > 30
+    log = logs[_mixed_workload]
+    assert log[0][1] == "zero-a"  # zero-delay fires before timers
+    times = {tag: time for time, tag in log}
+    for expected in ("tick-6", "data-6", "echo-6", "handoff-6", "loop-5"):
+        assert expected in times
+    assert times["echo-6"] == times["data-6"]  # the send with delay == 0.0
 
 
 def test_heap_entry_at_now_with_smaller_seq_beats_ready_entry():

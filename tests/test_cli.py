@@ -104,18 +104,18 @@ def test_cli_campaign_reports_wilson_cis(capsys, tmp_path):
     assert cached["campaign"] == report["campaign"]
 
 
-def test_cli_campaign_coschedule_matches_sequential(capsys, tmp_path):
+def test_cli_campaign_two_jobs_matches_sequential(capsys, tmp_path):
     base = [
         "campaign", "--missions", "6", "--cell-size", "3", "--requests", "6",
-        "--jobs", "1", "--no-store", "--json",
+        "--no-store", "--json",
     ]
-    assert main(base) == 0
+    assert main(base + ["--jobs", "1"]) == 0
     sequential = json.loads(capsys.readouterr().out)
-    assert main(base + ["--coschedule", "3"]) == 0
-    coscheduled = json.loads(capsys.readouterr().out)
-    assert coscheduled["campaign"] == sequential["campaign"]
-    assert coscheduled["coschedule"] == 3
-    assert sequential["coschedule"] == 1
+    assert main(base + ["--jobs", "2"]) == 0
+    parallel = json.loads(capsys.readouterr().out)
+    assert parallel["campaign"] == sequential["campaign"]
+    assert parallel["jobs"] == 2
+    assert sequential["jobs"] == 1
 
 
 def test_cli_profile_prints_hot_spots(capsys):
@@ -127,13 +127,13 @@ def test_cli_profile_prints_hot_spots(capsys):
     assert "units/s" in captured.err
 
 
-def test_cli_profile_coschedule_lane(capsys):
+def test_cli_profile_campaign_reports_event_sources(capsys):
     assert main([
         "profile", "campaign-sharded", "--missions", "4",
-        "--requests", "3", "--coschedule", "2", "--top", "3",
+        "--requests", "3", "--top", "3",
     ]) == 0
     captured = capsys.readouterr()
-    assert "coschedule=2" in captured.err
+    assert "events by source" in captured.err
     assert "units/s" in captured.err
     assert "function calls" in captured.out
 
@@ -186,17 +186,17 @@ def test_cli_fleet_campaign_smoke(capsys, tmp_path):
     assert cached["fleet"] == report["fleet"]
 
 
-def test_cli_fleet_campaign_coschedule_matches_sequential(capsys):
+def test_cli_fleet_campaign_two_jobs_matches_sequential(capsys):
     base = [
-        "fleet-campaign", "--hosts", "8", "--apps", "2", "--missions", "1",
+        "fleet-campaign", "--hosts", "8", "--apps", "2", "--missions", "2",
         "--placements", "round-robin", "--churn", "2",
-        "--duration-ms", "4000", "--jobs", "1", "--no-store", "--json",
+        "--duration-ms", "4000", "--no-store", "--json",
     ]
-    assert main(base) == 0
+    assert main(base + ["--jobs", "1"]) == 0
     sequential = json.loads(capsys.readouterr().out)
-    assert main(base + ["--coschedule", "2"]) == 0
-    coscheduled = json.loads(capsys.readouterr().out)
-    assert coscheduled["fleet"] == sequential["fleet"]
+    assert main(base + ["--jobs", "2"]) == 0
+    parallel = json.loads(capsys.readouterr().out)
+    assert parallel["fleet"] == sequential["fleet"]
 
 
 def test_cli_bench_report_warns_instead_of_failing(capsys, tmp_path):
