@@ -31,6 +31,7 @@ Identity is computed at two granularities:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -149,12 +150,17 @@ def _trial_ref(fn: Callable) -> str:
     return f"{fn.__module__}:{getattr(fn, '__qualname__', fn.__name__)}"
 
 
+@functools.lru_cache(maxsize=None)
 def _trial_source_digest(fn: Callable) -> str:
     """SHA-256 of the trial function's source (best effort).
 
     Editing the measurement code silently invalidates stored results; when
     the source is unavailable (REPL, frozen app) the digest degrades to the
-    import reference alone.
+    import reference alone.  Memoised on the function *object* (held for
+    the life of the process, as module-level functions are anyway): the
+    source is tokenised once per function, a reloaded or redefined function
+    is a new object and hashes afresh, and the digest names the code that
+    was imported, not whatever the file holds mid-run.
     """
     try:
         source = inspect.getsource(fn)

@@ -50,7 +50,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exp import spec as spec_mod
 
@@ -119,20 +119,22 @@ class ResultStore:
         """The spec-level manifest file (may not exist yet)."""
         return self.spec_dir(spec) / MANIFEST_NAME
 
+    def _cell_address(self, spec: "spec_mod.ExperimentSpec",
+                      trial: "spec_mod.Trial") -> Tuple[str, Path]:
+        """One cell's ``(hash, path)`` — derived once per store call."""
+        digest = spec_mod.cell_hash(spec, trial)
+        slug = spec_mod.cell_slug(trial.key)
+        return digest, self.spec_dir(spec) / f"{slug}-{digest[:12]}.json"
+
     def cell_path(self, spec: "spec_mod.ExperimentSpec",
                   trial: "spec_mod.Trial") -> Path:
         """The file one cell's values live in (may not exist yet)."""
-        digest = spec_mod.cell_hash(spec, trial)
-        slug = spec_mod.cell_slug(trial.key)
-        return self.spec_dir(spec) / f"{slug}-{digest[:12]}.json"
+        return self._cell_address(spec, trial)[1]
 
     def legacy_path_for(self, spec: "spec_mod.ExperimentSpec") -> Path:
         """Where the pre-cell-granular format stored this spec (legacy)."""
         digest = spec_mod.spec_hash(spec)
         return self.root / f"{spec.name}-{digest[:16]}.json"
-
-    # legacy alias: callers predating the cell-granular layout
-    path_for = legacy_path_for
 
     # -- atomic writes -----------------------------------------------------
 
@@ -159,10 +161,9 @@ class ResultStore:
     def load_cell(self, spec: "spec_mod.ExperimentSpec",
                   trial: "spec_mod.Trial") -> Optional[Any]:
         """Stored values of one cell, or ``None`` on miss/corruption."""
-        payload = _read_json(self.cell_path(spec, trial))
-        if payload is None:
-            return None
-        if payload.get("cell_hash") != spec_mod.cell_hash(spec, trial):
+        digest, path = self._cell_address(spec, trial)
+        payload = _read_json(path)
+        if payload is None or payload.get("cell_hash") != digest:
             return None
         if "values" not in payload:
             return None
@@ -177,13 +178,14 @@ class ResultStore:
                   trial: "spec_mod.Trial", values: Any,
                   meta: Optional[Dict[str, Any]] = None) -> Path:
         """Atomically persist one completed cell; returns the cell path."""
+        digest, path = self._cell_address(spec, trial)
         payload = {
-            "cell_hash": spec_mod.cell_hash(spec, trial),
+            "cell_hash": digest,
             "fingerprint": spec_mod.cell_fingerprint(spec, trial),
             "meta": dict(meta or {}),
             "values": values,
         }
-        return self._write_atomic(self.cell_path(spec, trial), payload)
+        return self._write_atomic(path, payload)
 
     def load_cells(self, spec: "spec_mod.ExperimentSpec") -> Dict[str, Any]:
         """Every stored cell of ``spec`` — possibly a partial subset.
@@ -214,12 +216,9 @@ class ResultStore:
         """Record the spec-level index over the cells present on disk."""
         cells: Dict[str, Dict[str, str]] = {}
         for trial in spec.trials:
-            path = self.cell_path(spec, trial)
+            digest, path = self._cell_address(spec, trial)
             if path.is_file():
-                cells[trial.key] = {
-                    "file": path.name,
-                    "hash": spec_mod.cell_hash(spec, trial),
-                }
+                cells[trial.key] = {"file": path.name, "hash": digest}
         payload = {
             "hash": spec_mod.spec_hash(spec),
             "fingerprint": spec_mod.fingerprint(spec),

@@ -1,13 +1,19 @@
 """Unit tests for experiment specs: seed derivation, hashing, validation."""
 
 import hashlib
+import importlib
+import inspect
+import json
+import sys
 import zlib
 
 import pytest
 
 from repro import exp
 from repro.eval import table3
+from repro.exp.distributed import _rebuild_cell
 from repro.exp.errors import SpecError
+from tests.golden import cell_addresses
 
 
 def _echo(seed, params):
@@ -165,8 +171,6 @@ def test_spec_level_changes_invalidate_every_cell():
 
 
 def test_cell_fingerprint_is_json_safe():
-    import json
-
     spec = _spec()
     fp = exp.cell_fingerprint(spec, spec.cell("a"))
     json.dumps(fp)
@@ -207,3 +211,63 @@ def test_spec_cell_lookup():
     assert spec.unit_count == 3
     with pytest.raises(SpecError):
         spec.cell("missing")
+
+
+# -- identity is computed once per function object -----------------------------
+
+
+@pytest.mark.parametrize("label", sorted(cell_addresses.SPECS))
+def test_cell_addresses_match_the_pre_memo_golden(label):
+    # recorded from the parent tree: stores it wrote must still be full hits
+    golden = json.loads(cell_addresses.GOLDEN_PATH.read_text())[label]
+    assert cell_addresses.addresses(cell_addresses.SPECS[label]()) == golden
+
+
+def test_reloading_an_edited_trial_module_changes_cell_hash(tmp_path, monkeypatch):
+    name = "reloadable_trial_mod"
+    path = tmp_path / f"{name}.py"
+    path.write_text("def trial(seed, params):\n    return seed\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    module = importlib.import_module(name)
+    try:
+        cell = exp.Trial("a", {"x": 1}, (1,))
+        spec = exp.ExperimentSpec(name="t", trial=module.trial, trials=(cell,))
+        before = exp.cell_hash(spec, cell)
+        path.write_text("def trial(seed, params):\n    return seed + 1\n")
+        # a mid-run file edit must not move the address of imported code
+        assert exp.cell_hash(spec, cell) == before
+        importlib.reload(module)
+        reloaded = exp.ExperimentSpec(name="t", trial=module.trial, trials=(cell,))
+        assert exp.cell_hash(reloaded, cell) != before
+    finally:
+        sys.modules.pop(name, None)
+
+
+def test_sourceless_function_is_reference_only_and_memoised(monkeypatch):
+    namespace = {"__name__": __name__}
+    exec("def ghost(seed, params):\n    return seed\n", namespace)
+    calls = []
+    real_getsource = inspect.getsource
+
+    def counting_getsource(fn):
+        calls.append(fn)
+        return real_getsource(fn)
+
+    monkeypatch.setattr(inspect, "getsource", counting_getsource)
+    cell = exp.Trial("a", {}, (1,))
+    spec = exp.ExperimentSpec(name="t", trial=namespace["ghost"], trials=(cell,))
+    first = exp.cell_hash(spec, cell)
+    assert exp.cell_hash(spec, cell) == first
+    assert exp.fingerprint(spec)["trial_source_sha256"] == ""
+    assert exp.fingerprint(spec)["trial"].endswith(":ghost")
+    assert calls == [namespace["ghost"]]
+
+
+def test_worker_rebuilt_cell_hashes_equal_the_coordinators():
+    spec = _spec(reduce=_sum_reduce)
+    hello = {"spec": spec.name, "spec_version": spec.version}
+    for trial in spec.trials:
+        wire = {"key": trial.key, "params": dict(trial.params),
+                "seeds": list(trial.seeds)}
+        rebuilt, cell = _rebuild_cell(hello, spec.trial, spec.reduce, wire)
+        assert exp.cell_hash(rebuilt, cell) == exp.cell_hash(spec, trial)

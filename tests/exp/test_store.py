@@ -1,15 +1,28 @@
 """Result-store tests: cell layout, cache hits, legacy read-through, GC."""
 
+import collections
+import inspect
 import json
 
 from repro import exp
 from repro.eval import figure9
+from repro.exp import spec as spec_mod
 from repro.exp.store import MANIFEST_NAME
 
 
 def echo_trial(seed, params):
     """A trivial trial: echoes its inputs."""
     return {"seed": seed, "tag": params.get("tag")}
+
+
+def budget_trial(seed, params):
+    """A trial only the call-budget test hashes (its memo entry is its own)."""
+    return {"seed": seed}
+
+
+def budget_reduce(values):
+    """The matching reduce: a count."""
+    return {"n": len(values)}
 
 
 def _spec(**overrides):
@@ -196,3 +209,44 @@ def test_entries_digest(tmp_path):
     assert entry["cells"] == 2
     assert entry["hash"] == exp.spec_hash(_spec())
     assert entry["format"] == "cells"
+
+
+def test_identity_call_budget_cold_run_then_replay(tmp_path, monkeypatch):
+    sources = collections.Counter()
+    real_getsource = inspect.getsource
+
+    def counting_getsource(fn):
+        sources[fn] += 1
+        return real_getsource(fn)
+
+    hashes = collections.Counter()
+    real_cell_hash = spec_mod.cell_hash
+
+    def counting_cell_hash(spec, trial):
+        hashes[trial.key] += 1
+        return real_cell_hash(spec, trial)
+
+    monkeypatch.setattr(inspect, "getsource", counting_getsource)
+    monkeypatch.setattr(spec_mod, "cell_hash", counting_cell_hash)
+    spec = exp.ExperimentSpec(
+        name="budget", trial=budget_trial, reduce=budget_reduce,
+        trials=tuple(exp.Trial(f"c{i:02d}", {"i": i}, (i, i + 100))
+                     for i in range(20)),
+    )
+    store = exp.ResultStore(tmp_path)
+
+    # write path: one address per save_cell, one per write_manifest
+    cold = exp.run(spec, jobs=1, backend="serial", store=store, fresh=True)
+    assert cold.cache_state == "cold" and cold.executed == 40
+    assert set(hashes) == {t.key for t in spec.trials}
+    assert max(hashes.values()) <= 2, hashes
+
+    # read path: one address per load_cell, one per write_manifest
+    hashes.clear()
+    replay = exp.run(spec, jobs=1, backend="serial", store=store)
+    assert replay.cache_state == "full" and replay.executed == 0
+    assert max(hashes.values()) <= 2, hashes
+
+    # the source of each function was tokenised at most once, process-wide
+    assert set(sources) <= {budget_trial, budget_reduce}
+    assert all(count <= 1 for count in sources.values()), sources
