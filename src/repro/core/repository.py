@@ -17,11 +17,17 @@ side over the lossy simulated network in sized chunks, which is what the
 resilient transition path of the Adaptation Engine (retry/backoff,
 checksum guard, degraded fallback) exercises.  An unattached repository
 behaves as before — the fetch is a flat local cost.
+
+The cold work itself — blueprints, differential script, off-line
+validation — runs once per *process*, not once per simulated world:
+packages between catalogue FTMs live in one build-once table
+(:func:`catalogue_package`) that every :class:`Repository` reads.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.components.spec import AssemblySpec
@@ -57,6 +63,67 @@ def spec_architecture(spec: AssemblySpec) -> Dict:
 
 #: Builds one replica-side blueprint: (ftm, role, peer) -> AssemblySpec.
 SpecBuilder = Callable[..., AssemblySpec]
+
+
+def validate_package(
+    package: TransitionPackage, source_spec: AssemblySpec
+) -> List[str]:
+    """Off-line validation: statically simulate the script."""
+    architecture = {source_spec.name: spec_architecture(source_spec)}
+    return validate_script(
+        package.script,
+        architecture,
+        [spec.name for spec in package.components],
+    )
+
+
+def _validated_package(
+    spec: SpecBuilder,
+    source_ftm: str,
+    target_ftm: str,
+    role: str,
+    peer: str,
+    app: str,
+    assertion: str,
+    composite: str,
+) -> TransitionPackage:
+    """Both blueprints, their differential package, off-line validation."""
+    common = dict(
+        role=role, peer=peer, app=app, assertion=assertion, composite=composite
+    )
+    source_spec = spec(source_ftm, **common)
+    target_spec = spec(target_ftm, **common)
+    package = build_package(
+        source_ftm, target_ftm, source_spec, target_spec, composite
+    )
+    problems = validate_package(package, source_spec)
+    if problems:
+        raise PackageRejected(problems)
+    return package
+
+
+@lru_cache(maxsize=None)
+def catalogue_package(
+    source_ftm: str,
+    target_ftm: str,
+    role: str,
+    peer: str,
+    app: str,
+    assertion: str,
+    composite: str,
+) -> TransitionPackage:
+    """The validated package between two *catalogue* FTMs, built once.
+
+    Memoized per process like :func:`ftm_assembly`: a package is a
+    deeply frozen value (frozen dataclasses over tuples) fully
+    determined by its key, so every world of a campaign shares one
+    validated object instead of re-running the cold side.  A rejection
+    raises :class:`PackageRejected` and is *not* memoized — the next
+    call validates again.
+    """
+    return _validated_package(
+        ftm_assembly, source_ftm, target_ftm, role, peer, app, assertion, composite
+    )
 
 
 class Repository:
@@ -172,24 +239,31 @@ class Repository:
         assertion: str = "always-true",
         composite: str = "ftm",
     ) -> TransitionPackage:
-        """Build (or fetch from cache) the validated differential package."""
+        """Build (or fetch from cache) the validated differential package.
+
+        Catalogue packages come from the process-wide
+        :func:`catalogue_package` table; an FTM added with
+        :meth:`register_ftm` or a custom ``spec_builder`` is private to
+        this repository and built here.  Either way ``_cache`` records
+        what *this* repository admitted.
+        """
         key = (source_ftm, target_ftm, role, peer, app, assertion, composite)
         if key in self._cache:
             return self._cache[key]
 
-        common = dict(
-            role=role, peer=peer, app=app, assertion=assertion, composite=composite
+        shared = (
+            self._spec_builder is ftm_assembly
+            and source_ftm not in self._custom_ftms
+            and target_ftm not in self._custom_ftms
         )
-        source_spec = self.spec(source_ftm, **common)
-        target_spec = self.spec(target_ftm, **common)
-        package = build_package(
-            source_ftm, target_ftm, source_spec, target_spec, composite
-        )
-
-        problems = self.validate(package, source_spec)
-        if problems:
+        try:
+            if shared:
+                package = catalogue_package(*key)
+            else:
+                package = _validated_package(self.spec, *key)
+        except PackageRejected:
             self.packages_rejected += 1
-            raise PackageRejected(problems)
+            raise
 
         self.packages_built += 1
         self._cache[key] = package
@@ -199,9 +273,4 @@ class Repository:
         self, package: TransitionPackage, source_spec: AssemblySpec
     ) -> List[str]:
         """Off-line validation: statically simulate the script."""
-        architecture = {source_spec.name: spec_architecture(source_spec)}
-        return validate_script(
-            package.script,
-            architecture,
-            [spec.name for spec in package.components],
-        )
+        return validate_package(package, source_spec)

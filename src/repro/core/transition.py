@@ -59,7 +59,23 @@ class TransitionPackage:
 # Networked delivery: payload, checksum and the chunk wire format
 # ---------------------------------------------------------------------------
 
-_blob_cache: Dict[Tuple[str, int], bytes] = {}
+#: (package name, size) -> (payload bytes, crc32 of the payload); both are
+#: cold-side products, computed once per distinct package per process.
+_blob_cache: Dict[Tuple[str, int], Tuple[bytes, int]] = {}
+
+
+def _payload(package: TransitionPackage) -> Tuple[bytes, int]:
+    """The package's ``(blob, crc32(blob))``, derived on first use."""
+    key = (package.name, package.size)
+    entry = _blob_cache.get(key)
+    if entry is None:
+        seed = zlib.crc32(
+            ":".join([package.name] + sorted(s.name for s in package.components)
+                     ).encode("utf-8")
+        )
+        blob = random.Random(seed).randbytes(max(1, package.size))
+        entry = _blob_cache[key] = (blob, zlib.crc32(blob))
+    return entry
 
 
 def package_blob(package: TransitionPackage) -> bytes:
@@ -71,21 +87,12 @@ def package_blob(package: TransitionPackage) -> bytes:
     two builds of the same package produce identical payloads (and hence
     identical checksums) while different packages do not collide.
     """
-    key = (package.name, package.size)
-    blob = _blob_cache.get(key)
-    if blob is None:
-        seed = zlib.crc32(
-            ":".join([package.name] + sorted(s.name for s in package.components)
-                     ).encode("utf-8")
-        )
-        blob = random.Random(seed).randbytes(max(1, package.size))
-        _blob_cache[key] = blob
-    return blob
+    return _payload(package)[0]
 
 
 def package_checksum(package: TransitionPackage) -> int:
     """The end-to-end integrity checksum shipped in the package manifest."""
-    return zlib.crc32(package_blob(package))
+    return _payload(package)[1]
 
 
 @dataclass(frozen=True)

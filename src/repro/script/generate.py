@@ -18,7 +18,7 @@ the Table 3 benchmark measures.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.components.spec import AssemblyDiff
 from repro.script.ast import (
@@ -50,8 +50,15 @@ def script_from_diff(
     dead = {spec.name for spec in diff.dead_components()}
     fresh = {spec.name for spec in diff.new_components()}
 
+    paths: Dict[str, Path] = {}
+
     def path(component: str) -> Path:
-        return Path(composite_name, component)
+        # one Path per component: a validated script lives as long as the
+        # process (core.repository.catalogue_package), so keep it small
+        found = paths.get(component)
+        if found is None:
+            found = paths[component] = Path(composite_name, component)
+        return found
 
     statements: List[Statement] = []
 

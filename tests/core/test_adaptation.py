@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import AdaptationEngine, Repository, TransitionFailed, build_package
-from repro.ftm import FTM_NAMES, Client, deploy_ftm_pair, ftm_assembly
+from repro.core.repository import catalogue_package
+from repro.ftm import FTM_NAMES, Client, UnknownFTM, deploy_ftm_pair, ftm_assembly
 from repro.ftm import variable_feature_distance
 from repro.kernel import Timeout, World
 
@@ -42,6 +43,12 @@ def test_repository_builds_and_caches():
     package2 = repository.transition_package("pbr", "lfr", "master", "beta")
     assert package1 is package2
     assert repository.packages_built == 1
+    # the cold side is process-wide: another repository admits the very
+    # same validated object, and counts it as its own
+    other = Repository()
+    assert other.transition_package("pbr", "lfr", "master", "beta") is package1
+    assert other.packages_built == 1
+    assert repository.packages_built == 1
 
 
 def test_repository_validates_packages():
@@ -70,6 +77,71 @@ def test_repository_register_custom_ftm():
     assert repository.knows("pbr-hardened")
     with pytest.raises(ValueError):
         repository.register_ftm("pbr-hardened", builder)
+
+
+def test_registered_ftm_is_private_to_its_repository():
+    first, second = Repository(), Repository()
+
+    def hardened(role, peer, app="counter", assertion="always-true",
+                 composite="ftm", **kwargs):
+        return ftm_assembly("pbr+tr", role=role, peer=peer, app=app,
+                            assertion=assertion, composite=composite)
+
+    first.register_ftm("pbr-hardened", hardened)
+    first.register_ftm("lfr", hardened)  # shadows a catalogue name, here only
+    catalogue_package.cache_clear()
+
+    novel = first.transition_package("pbr", "pbr-hardened", "master", "beta")
+    shadowed = first.transition_package("pbr", "lfr", "master", "beta")
+    assert [s.name for s in novel.components] == ["proceed"]
+    assert [s.name for s in shadowed.components] == ["proceed"]
+    assert first.packages_built == 2
+    # neither build went through (or into) the shared table
+    assert catalogue_package.cache_info().currsize == 0
+    assert catalogue_package.cache_info().misses == 0
+
+    assert not second.knows("pbr-hardened")
+    with pytest.raises(UnknownFTM):
+        second.transition_package("pbr", "pbr-hardened", "master", "beta")
+    catalogue = second.transition_package("pbr", "lfr", "master", "beta")
+    assert catalogue is not shadowed
+    assert sorted(s.name for s in catalogue.components) == [
+        "syncAfter", "syncBefore",
+    ]
+    # and the first repository keeps answering with what it admitted
+    assert first.transition_package("pbr", "lfr", "master", "beta") is shadowed
+
+
+def test_script_corruption_in_one_world_leaves_the_shared_package_intact():
+    package = Repository().transition_package("pbr", "lfr", "master", "beta")
+    statements = package.script.statements
+
+    world_a = make_world(seed=41)
+    pair_a = deploy(world_a, "pbr")
+    engine_a = AdaptationEngine(world_a, pair_a)
+    world_a.faults.arm_transition_fault("script", "corrupt", node="alpha")
+    world_a.faults.arm_transition_fault("script", "corrupt", node="beta")
+    report_a = world_a.run_process(engine_a.transition("lfr"), name="tampered")
+    assert report_a.degraded
+    rolled_back = world_a.trace.select("script", "rollback")
+    assert {r.detail("script") for r in rolled_back} == {"pbr-to-lfr-tampered"}
+    assert engine_a.repository.transition_package(
+        "pbr", "lfr", "master", "beta"
+    ) is package
+
+    world_b = make_world(seed=42)
+    pair_b = deploy(world_b, "pbr")
+    engine_b = AdaptationEngine(world_b, pair_b)
+    report_b = world_b.run_process(engine_b.transition("lfr"), name="clean")
+    assert report_b.success and pair_b.ftm == "lfr"
+    assert not world_b.trace.select("script", "rollback")
+    assert {r.detail("script") for r in world_b.trace.select("script", "commit")} \
+        == {"pbr-to-lfr"}
+    assert engine_b.repository.transition_package(
+        "pbr", "lfr", "master", "beta"
+    ) is package
+    assert package.script.name == "pbr-to-lfr"
+    assert package.script.statements is statements
 
 
 # -- transitions on a live pair ----------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.core import (
     Repository,
     TransitionFailed,
 )
+from repro.core import repository as repository_module
 from repro.ftm import deploy_ftm_pair, ftm_assembly
 from repro.kernel import World
 
@@ -47,6 +48,36 @@ def test_repository_rejects_malformed_custom_ftm():
     with pytest.raises(PackageRejected):
         repository.transition_package("pbr", "broken", "master", "beta")
     assert repository.packages_rejected == 1
+    # a rejection is a verdict on this call, not an entry: validated again
+    with pytest.raises(PackageRejected):
+        repository.transition_package("pbr", "broken", "master", "beta")
+    assert repository.packages_rejected == 2
+    assert repository.packages_built == 0
+
+
+def test_catalogue_rejection_is_never_cached(monkeypatch):
+    real_validate = repository_module.validate_script
+    verdicts = []
+
+    def failing_validate(script, architecture, shipped):
+        verdicts.append(script.name)
+        return ["forced rejection"]
+
+    repository_module.catalogue_package.cache_clear()
+    repository = Repository()
+    monkeypatch.setattr(repository_module, "validate_script", failing_validate)
+    for expected in (1, 2):
+        with pytest.raises(PackageRejected):
+            repository.transition_package("pbr", "lfr", "master", "beta")
+        assert repository.packages_rejected == expected
+    assert verdicts == ["pbr-to-lfr", "pbr-to-lfr"]
+    assert repository_module.catalogue_package.cache_info().currsize == 0
+
+    # once the package validates, the same repository admits it
+    monkeypatch.setattr(repository_module, "validate_script", real_validate)
+    package = repository.transition_package("pbr", "lfr", "master", "beta")
+    assert package.name == "pbr-to-lfr"
+    assert (repository.packages_built, repository.packages_rejected) == (1, 2)
 
 
 def test_transition_degrades_when_both_replicas_dead():
