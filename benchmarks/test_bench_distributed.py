@@ -1,20 +1,18 @@
-"""Benchmark: executor backends — serial, local pool, remote, sharded.
+"""Benchmark: executor backends — serial, local pool, remote.
 
 Writes ``BENCH_distributed.json`` (uploaded as a CI artifact next to
 ``BENCH_runner.json`` / ``BENCH_kernel.json``) with three sections:
 
 * **grid** — campaign missions/sec across a jobs × workers grid:
-  single-process serial, the persistent local pool, the remote
-  backend fanning digest-mode batches over 2 localhost ``repro worker``
-  subprocesses, and a 2-coordinator sharded campaign merged post hoc.
-  Every configuration's results are asserted byte-identical to the
+  single-process serial, the persistent local pool, and the remote
+  backend fanning cell batches over 2 localhost ``repro worker``
+  subprocesses.  Every configuration's results are asserted byte-identical to the
   serial reference before any number is reported — backends are pure
   execution strategy.  Worker shadow stores are wiped between timed
   runs so every rep measures execution, not a shadow cache hit.
 * **wire** — the digest-protocol accounting: coordinator-received bytes
-  per campaign cell in digest mode (workers return ``(slug, hash12,
-  digest)`` tuples over ``RXD1`` frames) vs full-body ``units`` mode.
-  The digest figure is asserted ≤ ``WIRE_BUDGET_BYTES_PER_CELL`` and
+  per campaign cell (workers return ``(slug, hash12, digest)`` tuples
+  over ``RXD1`` frames), asserted ≤ ``WIRE_BUDGET_BYTES_PER_CELL`` and
   recorded as ``bytes_per_cell_on_wire``.
 * **pool** — dispatch overhead of the persistent pool vs a cold pool
   per ``exp.run`` call, over a burst of small specs.
@@ -132,7 +130,6 @@ def test_bench_distributed_backends(benchmark):
     cpu_count = os.cpu_count() or 1
     workers = [_start_worker() for _ in range(2)]
     addresses = [address for _process, address, _shadow in workers]
-    mc_best = 0.0
     try:
         reference = exp.run(_campaign_spec(), jobs=1, backend="serial")
 
@@ -164,51 +161,21 @@ def test_bench_distributed_backends(benchmark):
                 assert _dump(result) == _dump(reference), scenario
                 best[scenario] = max(best[scenario], mps)
 
-        # -- sharded campaign: 2 coordinators × 2 workers -----------------
-        mc_scenario = "coordinators=2 workers=2 digest"
-        for _ in range(REPS):
-            _wipe_shadows(workers)
-            with tempfile.TemporaryDirectory() as tmp:
-                spec = _campaign_spec()
-                missions = sum(len(t.seeds) for t in spec.trials)
-                started = time.perf_counter()
-                mc_result, _info = exp.run_multi_coordinator(
-                    spec, addresses,
-                    store_root=os.path.join(tmp, "merged"),
-                    coordinators=2, jobs=1,
-                )
-                mc_mps = missions / max(time.perf_counter() - started,
-                                        1e-9)
-            assert _dump(mc_result) == _dump(reference), mc_scenario
-            mc_best = max(mc_best, mc_mps)
-        best[mc_scenario] = mc_best
-
-        # -- wire accounting: digest vs full-body returns -----------------
+        # -- wire accounting: digest acks ---------------------------------
         wire_spec = _campaign_spec(seed=5100, cell_size=WIRE_CELL_SIZE)
         wire_cells = len(wire_spec.trials)
         wire_reference = exp.run(wire_spec, jobs=1, backend="serial")
         _wipe_shadows(workers)
         digest_run = exp.run(wire_spec, workers=addresses)
-        _wipe_shadows(workers)
-        full_run = exp.run(
-            wire_spec,
-            backend=exp.RemoteBackend(addresses, mode="units"),
-        )
         assert _dump(digest_run) == _dump(wire_reference)
-        assert _dump(full_run) == _dump(wire_reference)
         assert digest_run.cells_acked_digest == wire_cells
         assert digest_run.cells_shipped_full == 0
         digest_bpc = digest_run.wire_bytes_in / wire_cells
-        full_bpc = full_run.wire_bytes_in / wire_cells
         # the acceptance budget: digest-mode coordinator wire traffic
         assert digest_bpc <= WIRE_BUDGET_BYTES_PER_CELL, (
-            f"digest mode used {digest_bpc:.0f} bytes/cell on the wire "
+            f"digest acks used {digest_bpc:.0f} bytes/cell on the wire "
             f"(budget {WIRE_BUDGET_BYTES_PER_CELL}) over {wire_cells} "
             "cells"
-        )
-        assert digest_bpc < full_bpc, (
-            f"digest returns ({digest_bpc:.0f} B/cell) must undercut "
-            f"full bodies ({full_bpc:.0f} B/cell)"
         )
     finally:
         for process, _address, shadow in workers:
@@ -264,8 +231,6 @@ def test_bench_distributed_backends(benchmark):
             "cell_size": WIRE_CELL_SIZE,
             "budget_bytes_per_cell": WIRE_BUDGET_BYTES_PER_CELL,
             "bytes_per_cell_on_wire": round(digest_bpc, 1),
-            "full_mode_bytes_per_cell": round(full_bpc, 1),
-            "reduction_vs_full": round(1.0 - digest_bpc / full_bpc, 3),
             "digest_bytes_in": digest_run.wire_bytes_in,
             "digest_bytes_out": digest_run.wire_bytes_out,
             "cells_acked_digest": digest_run.cells_acked_digest,
@@ -288,9 +253,8 @@ def test_bench_distributed_backends(benchmark):
     print(
         "\ndistributed grid (campaign missions/s, byte-identical):\n  "
         + "\n  ".join(lines)
-        + f"\nwire: digest {digest_bpc:.0f} B/cell vs full "
-        f"{full_bpc:.0f} B/cell over {wire_cells} cells "
-        f"(budget {WIRE_BUDGET_BYTES_PER_CELL})"
+        + f"\nwire: digest acks {digest_bpc:.0f} B/cell over {wire_cells} "
+        f"cells (budget {WIRE_BUDGET_BYTES_PER_CELL})"
         + f"\npool burst ({POOL_BURST_SPECS} specs): cold {cold_s:.2f}s vs "
         f"persistent {warm_s:.2f}s "
         f"({100 * (1 - warm_s / cold_s):.0f}% dispatch overhead saved)\n"

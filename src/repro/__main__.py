@@ -34,11 +34,8 @@ Commands
     ``--backend serial|local|remote`` picks where shards execute
     (results stay byte-identical — it is pure execution strategy);
     ``--workers host:port,...`` fans them over ``repro worker``
-    processes (implies the remote backend, digest-only returns by
-    default — ``--wire full`` streams every value back instead).
-    ``--coordinators N`` splits the shards over N coordinator
-    processes, each with its own worker subset and store partition,
-    merged post-hoc byte-identical to a single coordinator.
+    processes (implies the remote backend; workers persist cells into
+    their shadow stores and return digests only).
 ``fleet-campaign [--hosts N] [--apps N] [--missions N] [...]``
     The fleet-scale campaign: generate a multi-host topology, place
     many FTM-protected app pairs under each placement policy, drive
@@ -58,8 +55,8 @@ Commands
     detection latency; same store/backend knobs as ``campaign``.
     Exits non-zero if any gray-failure claim fails.
 ``worker --listen HOST:PORT [--shadow DIR] [...]``
-    Serve trial batches to a remote-backend coordinator: accepts framed
-    TCP batches, runs each, and — in digest mode — persists completed cells into its own
+    Serve cell batches to a remote-backend coordinator: accepts framed
+    TCP batches, runs each cell and persists it into its own
     content-addressed shadow store (``--shadow``, default
     ``.repro-shadow``), acking only ``(slug, hash, digest)`` tuples.
     Start one per host, then point ``campaign --workers`` (or
@@ -248,201 +245,124 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _cmd_transition_matrix(args) -> int:
+def _run_spec_command(args, label, spec, from_results, render, checks,
+                      extras, ok="clean") -> int:
+    """The shared body of the spec subcommands.
+
+    Runs ``spec`` as the common flags say (jobs, store, backend,
+    workers), prints the rendered table and one status line, and with
+    ``--json`` the run summary plus ``extras(data)`` — the subcommand's
+    own keys.  Exits non-zero when ``checks(data)`` finds problems.
+    """
     import json
 
     from repro import exp
-    from repro.eval import transition_matrix
 
-    jobs = exp.default_jobs() if args.jobs is None else max(1, args.jobs)
+    backend = getattr(args, "backend", None)
+    workers = getattr(args, "workers", None)
+    if workers and backend in ("serial", "local"):
+        args.usage_error(f"--workers runs the remote backend; drop it or "
+                         f"drop --backend {backend}")
+    jobs = exp.default_jobs() if args.jobs is None else args.jobs
     store = None if args.no_store else exp.ResultStore(args.store)
+    # with --json, stdout carries only the machine-readable summary
     out = sys.stderr if args.json else sys.stdout
+
+    result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh,
+                     backend=backend, workers=workers)
+    data = from_results(result.results)
+    print(render(data), file=out)
+    problems = checks(data)
+    status = ok if not problems else f"FAILS: {problems}"
+    wire = (f", digest_acked={result.cells_acked_digest}, "
+            f"shipped_full={result.cells_shipped_full}"
+            if result.backend == "remote" else "")
+    print(f"  -> {label}: {status} "
+          f"[{result.cells_cached}/{len(spec.trials)} cells from store, "
+          f"{result.executed} trial(s) simulated, {result.elapsed_s:.2f}s, "
+          f"backend={result.backend}{wire}]", file=out)
+    if args.json:
+        summary = result.summary()
+        summary["problems"] = problems
+        summary.update(extras(data))
+        print(json.dumps(summary, indent=2))
+    return 1 if problems else 0
+
+
+def _cmd_transition_matrix(args) -> int:
+    from repro.eval import transition_matrix
 
     spec = transition_matrix.spec(
         runs=args.runs, base_seed=7000 + args.seed, smoke=args.smoke
     )
-    result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh)
-    data = transition_matrix.from_results(result.results)
-    print(transition_matrix.render(data), file=out)
-    problems = transition_matrix.shape_checks(data)
-    status = "reproduces" if not problems else f"FAILS: {problems}"
-    print(f"  -> Transition matrix: {status} "
-          f"[{result.executed} trial(s), {result.elapsed_s:.2f}s]", file=out)
-    if args.json:
-        summary = result.summary()
-        summary["problems"] = problems
-        summary["grid"] = {
+    return _run_spec_command(
+        args, "Transition matrix", spec, transition_matrix.from_results,
+        transition_matrix.render, transition_matrix.shape_checks,
+        lambda data: {"grid": {
             transition: {
                 fault: [o.status for o in outcomes]
                 for fault, outcomes in row.items()
             }
             for transition, row in data["cells"].items()
-        }
-        print(json.dumps(summary, indent=2))
-    return 1 if problems else 0
+        }},
+        ok="reproduces",
+    )
 
 
 def _cmd_campaign(args) -> int:
-    import json
-
-    from repro import exp
     from repro.eval import campaign
-
-    jobs = exp.default_jobs() if args.jobs is None else max(1, args.jobs)
-    store = None if args.no_store else exp.ResultStore(args.store)
-    out = sys.stderr if args.json else sys.stdout
 
     spec = campaign.sharded_spec(
         missions=args.missions, base_seed=5000 + args.seed,
         requests=args.requests, cell_size=args.cell_size,
     )
-    workers = ([w.strip() for w in args.workers.split(",") if w.strip()]
-               if args.workers else None)
-    wire_mode = "units" if args.wire == "full" else "digest"
-    if args.coordinators > 1:
-        if not workers:
-            print("error: --coordinators needs --workers HOST:PORT,...",
-                  file=sys.stderr)
-            return 2
-        if store is None:
-            print("error: --coordinators needs a result store "
-                  "(drop --no-store)", file=sys.stderr)
-            return 2
-        result, info = exp.run_multi_coordinator(
-            spec, workers, store_root=str(store.root),
-            coordinators=args.coordinators, jobs=jobs, mode=wire_mode,
-            keep_partitions=args.keep_partitions,
-        )
-    else:
-        backend = args.backend
-        if workers:
-            from repro.exp.distributed import RemoteBackend
-
-            backend = RemoteBackend(workers, mode=wire_mode)
-        result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh,
-                         backend=backend, workers=workers)
-        info = None
-    data = campaign.from_shard_results(result.results)
-    print(campaign.render_sharded(data), file=out)
-    problems = campaign.shard_shape_checks(data)
-    status = "clean" if not problems else f"FAILS: {problems}"
-    coordinators = (f", coordinators={info['coordinators']}"
-                    if info is not None else "")
-    print(f"  -> Campaign: {status} "
-          f"[{result.cells_cached}/{len(spec.trials)} shards from store, "
-          f"{result.executed} missions simulated, {result.elapsed_s:.2f}s, "
-          f"backend={result.backend}{coordinators}, "
-          f"digest_acked={result.cells_acked_digest}, "
-          f"shipped_full={result.cells_shipped_full}]",
-          file=out)
-    if args.json:
-        summary = result.summary()
-        summary["problems"] = problems
-        if info is not None:
-            summary["coordinators"] = info["coordinators"]
-            summary["merge"] = info["merge"]
-        summary["campaign"] = {
-            key: data[key]
-            for key in (
-                "missions", "shards", "clean_missions",
-                "exactly_once_missions", "masking_rate", "masking_ci95",
-                "exactly_once_rate", "exactly_once_ci95",
-            )
-        }
-        print(json.dumps(summary, indent=2))
-    return 1 if problems else 0
+    return _run_spec_command(
+        args, "Campaign", spec, campaign.from_shard_results,
+        campaign.render_sharded, campaign.shard_shape_checks,
+        lambda data: {"campaign": {key: data[key] for key in (
+            "missions", "shards", "clean_missions", "exactly_once_missions",
+            "masking_rate", "masking_ci95", "exactly_once_rate",
+            "exactly_once_ci95",
+        )}},
+    )
 
 
 def _cmd_fleet_campaign(args) -> int:
-    import json
-
-    from repro import exp
     from repro.eval import fleet_campaign
 
-    jobs = exp.default_jobs() if args.jobs is None else max(1, args.jobs)
-    store = None if args.no_store else exp.ResultStore(args.store)
-    out = sys.stderr if args.json else sys.stdout
-
-    placements = [p.strip() for p in args.placements.split(",") if p.strip()]
-    churn_rates = [int(c) for c in args.churn.split(",") if c.strip()]
     spec = fleet_campaign.spec(
         missions=args.missions, base_seed=9000 + args.seed,
         hosts=args.hosts, apps=args.apps, kind=args.kind,
-        placements=placements, churn_rates=churn_rates,
+        placements=args.placements, churn_rates=args.churn,
         duration_ms=args.duration_ms, limp_fraction=args.limp,
     )
-    workers = ([w.strip() for w in args.workers.split(",") if w.strip()]
-               if args.workers else None)
-    result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh,
-                     backend=args.backend, workers=workers)
-    data = fleet_campaign.from_results(result.results)
-    print(fleet_campaign.render(data), file=out)
-    problems = fleet_campaign.shape_checks(data)
-    status = "clean" if not problems else f"FAILS: {problems}"
-    print(f"  -> Fleet campaign: {status} "
-          f"[{args.hosts} hosts x {args.apps} apps, "
-          f"{result.cells_cached}/{len(spec.trials)} cells from store, "
-          f"{result.executed} missions simulated, {result.elapsed_s:.2f}s, "
-          f"backend={result.backend}]",
-          file=out)
-    if args.json:
-        summary = result.summary()
-        summary["problems"] = problems
-        summary["fleet"] = {
-            key: data[key]
-            for key in (
-                "missions", "sent", "ok", "errors", "dropped",
-                "transitions", "contention_decisions", "node_downs",
-                "reintegrations",
-            )
-        }
-        print(json.dumps(summary, indent=2))
-    return 1 if problems else 0
+    return _run_spec_command(
+        args, f"Fleet campaign ({args.hosts} hosts x {args.apps} apps)", spec,
+        fleet_campaign.from_results, fleet_campaign.render,
+        fleet_campaign.shape_checks,
+        lambda data: {"fleet": {key: data[key] for key in (
+            "missions", "sent", "ok", "errors", "dropped", "transitions",
+            "contention_decisions", "node_downs", "reintegrations",
+        )}},
+    )
 
 
 def _cmd_gray_matrix(args) -> int:
-    import json
-
-    from repro import exp
     from repro.eval import gray
 
-    jobs = exp.default_jobs() if args.jobs is None else max(1, args.jobs)
-    store = None if args.no_store else exp.ResultStore(args.store)
-    out = sys.stderr if args.json else sys.stdout
-
-    resources = [r.strip() for r in args.resources.split(",") if r.strip()]
-    factors = [float(f) for f in args.factors.split(",") if f.strip()]
-    ftms = [f.strip() for f in args.ftms.split(",") if f.strip()]
     spec = gray.spec(
         missions=args.missions, base_seed=41_000 + args.seed,
-        ftms=ftms, resources=resources, factors=factors,
+        ftms=args.ftms, resources=args.resources, factors=args.factors,
         requests=args.requests, slo_ms=args.slo_ms,
     )
-    workers = ([w.strip() for w in args.workers.split(",") if w.strip()]
-               if args.workers else None)
-    result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh,
-                     backend=args.backend, workers=workers)
-    data = gray.from_results(result.results)
-    print(gray.render(data), file=out)
-    problems = gray.shape_checks(data)
-    status = "clean" if not problems else f"FAILS: {problems}"
-    print(f"  -> Gray matrix: {status} "
-          f"[{result.cells_cached}/{len(spec.trials)} cells from store, "
-          f"{result.executed} missions simulated, {result.elapsed_s:.2f}s, "
-          f"backend={result.backend}]",
-          file=out)
-    if args.json:
-        summary = result.summary()
-        summary["problems"] = problems
-        summary["gray"] = {
-            key: data[key]
-            for key in (
-                "missions", "sent", "ok", "detected", "transitioned",
-                "peer_suspected", "slo_misses",
-            )
-        }
-        print(json.dumps(summary, indent=2))
-    return 1 if problems else 0
+    return _run_spec_command(
+        args, "Gray matrix", spec, gray.from_results, gray.render,
+        gray.shape_checks,
+        lambda data: {"gray": {key: data[key] for key in (
+            "missions", "sent", "ok", "detected", "transitioned",
+            "peer_suspected", "slo_misses",
+        )}},
+    )
 
 
 #: Specs the ``profile`` command can build, name -> builder(args).  Each
@@ -669,6 +589,44 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _list_of(item):
+    """argparse type for ``A,B,...`` flags: a list of ``item``-parsed parts."""
+    def parse(text: str) -> list:
+        return [item(part.strip()) for part in text.split(",") if part.strip()]
+    # argparse names the type in its "invalid ... value" usage error
+    parse.__name__ = f"comma-separated {item.__name__} list"
+    return parse
+
+
+def _add_run_flags(parser) -> None:
+    """The flags every spec-running subcommand takes."""
+    parser.add_argument("--jobs", type=_positive_int, default=None,
+                        help="worker processes (default: all CPUs)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="offset added to the experiment base seed(s)")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable summary on stdout")
+    parser.add_argument("--store", default=None, metavar="DIR",
+                        help="result-store directory (default: .repro-results)")
+    parser.add_argument("--no-store", action="store_true",
+                        help="disable the result store")
+    parser.add_argument("--fresh", action="store_true",
+                        help="recompute even when stored results exist")
+
+
+def _add_backend_flags(parser) -> None:
+    """``--backend``/``--workers``, and the hook that rejects their clash."""
+    parser.add_argument("--backend", choices=("serial", "local", "remote"),
+                        default=None,
+                        help="execution backend (default: local, or remote "
+                             "when --workers is given; byte-identical results)")
+    parser.add_argument("--workers", type=_list_of(str),
+                        default=None, metavar="HOST:PORT,...",
+                        help="comma-separated repro worker addresses for the "
+                             "remote backend")
+    parser.set_defaults(usage_error=parser.error)
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
@@ -678,18 +636,7 @@ def main(argv=None) -> int:
     reproduce = sub.add_parser("reproduce", help="run the full evaluation")
     reproduce.add_argument("--runs", type=_positive_int, default=1,
                            help="seeded repetitions per experiment cell")
-    reproduce.add_argument("--jobs", type=_positive_int, default=None,
-                           help="worker processes (default: all CPUs)")
-    reproduce.add_argument("--seed", type=int, default=0,
-                           help="offset added to every experiment base seed")
-    reproduce.add_argument("--json", action="store_true",
-                           help="machine-readable summary on stdout")
-    reproduce.add_argument("--store", default=None, metavar="DIR",
-                           help="result-store directory (default: .repro-results)")
-    reproduce.add_argument("--no-store", action="store_true",
-                           help="disable the result store")
-    reproduce.add_argument("--fresh", action="store_true",
-                           help="recompute even when stored results exist")
+    _add_run_flags(reproduce)
     reproduce.add_argument("--resume", action="store_true",
                            help="continue an interrupted run from the cells "
                                 "already in the store (also the default; "
@@ -700,18 +647,7 @@ def main(argv=None) -> int:
     )
     matrix.add_argument("--runs", type=_positive_int, default=1,
                         help="seeded repetitions per matrix cell")
-    matrix.add_argument("--jobs", type=_positive_int, default=None,
-                        help="worker processes (default: all CPUs)")
-    matrix.add_argument("--seed", type=int, default=0,
-                        help="offset added to the experiment base seed")
-    matrix.add_argument("--json", action="store_true",
-                        help="machine-readable summary on stdout")
-    matrix.add_argument("--store", default=None, metavar="DIR",
-                        help="result-store directory (default: .repro-results)")
-    matrix.add_argument("--no-store", action="store_true",
-                        help="disable the result store")
-    matrix.add_argument("--fresh", action="store_true",
-                        help="recompute even when stored results exist")
+    _add_run_flags(matrix)
     matrix.add_argument("--smoke", action="store_true",
                         help="CI subset: baseline + one cell per fault kind")
     camp = sub.add_parser(
@@ -724,40 +660,13 @@ def main(argv=None) -> int:
                       help="missions per shard cell (default: 100)")
     camp.add_argument("--requests", type=_positive_int, default=30,
                       help="client requests per mission (default: 30)")
-    camp.add_argument("--jobs", type=_positive_int, default=None,
-                      help="worker processes (default: all CPUs)")
-    camp.add_argument("--seed", type=int, default=0,
-                      help="offset added to the campaign base seed")
-    camp.add_argument("--json", action="store_true",
-                      help="machine-readable summary on stdout")
-    camp.add_argument("--store", default=None, metavar="DIR",
-                      help="result-store directory (default: .repro-results)")
-    camp.add_argument("--no-store", action="store_true",
-                      help="disable the result store")
-    camp.add_argument("--fresh", action="store_true",
-                      help="recompute even when stored shards exist")
-    camp.add_argument("--backend", choices=("serial", "local", "remote"),
-                      default=None,
-                      help="execution backend (default: local, or remote "
-                           "when --workers is given; byte-identical results)")
-    camp.add_argument("--workers", default=None, metavar="HOST:PORT,...",
-                      help="comma-separated repro worker addresses for the "
-                           "remote backend")
-    camp.add_argument("--coordinators", type=_positive_int, default=1,
-                      metavar="N",
-                      help="split the campaign's shards over N coordinator "
-                           "processes, each driving its own worker subset "
-                           "and store partition; partitions are merged "
-                           "post-hoc, byte-identical to a single "
-                           "coordinator (default: 1; needs --workers)")
-    camp.add_argument("--wire", choices=("digest", "full"), default="digest",
-                      help="remote return path: 'digest' shadow-persists "
-                           "cells on the workers and acks ~100 B/cell, "
-                           "'full' streams every value back (default: "
-                           "digest; store bytes identical either way)")
-    camp.add_argument("--keep-partitions", action="store_true",
-                      help="keep the per-coordinator store partitions "
-                           "(<store>.partN) after the merge")
+    _add_run_flags(camp)
+    _add_backend_flags(camp)
+    camp.add_argument("--wire", choices=("digest",), default="digest",
+                      help="remote return path; 'digest' (workers "
+                           "shadow-persist cells and ack ~100 B/cell) is the "
+                           "only wire, the flag is kept for scripts that "
+                           "spell it out")
     fleet = sub.add_parser(
         "fleet-campaign",
         help="fleet-scale placement x churn campaign (shared-R transitions)",
@@ -771,11 +680,13 @@ def main(argv=None) -> int:
     fleet.add_argument("--kind", choices=("line", "star", "tree", "random"),
                        default="random",
                        help="topology generator (default: random)")
-    fleet.add_argument("--placements", default="round-robin,greedy,affinity",
+    fleet.add_argument("--placements", type=_list_of(str),
+                       default="round-robin,greedy,affinity",
                        metavar="P1,P2,...",
                        help="placement policies to grid over "
                             "(default: round-robin,greedy,affinity)")
-    fleet.add_argument("--churn", default="0,2", metavar="N1,N2,...",
+    fleet.add_argument("--churn", type=_list_of(int), default="0,2",
+                       metavar="N1,N2,...",
                        help="churn rates (host outages per mission) to grid "
                             "over (default: 0,2)")
     fleet.add_argument("--duration-ms", type=float, default=8_000.0,
@@ -784,38 +695,23 @@ def main(argv=None) -> int:
     fleet.add_argument("--limp", type=float, default=0.0, metavar="FRACTION",
                        help="fraction of churn events that limp (gray) "
                             "instead of dying (default: 0.0)")
-    fleet.add_argument("--jobs", type=_positive_int, default=None,
-                       help="worker processes (default: all CPUs)")
-    fleet.add_argument("--seed", type=int, default=0,
-                       help="offset added to the fleet base seed")
-    fleet.add_argument("--json", action="store_true",
-                       help="machine-readable summary on stdout")
-    fleet.add_argument("--store", default=None, metavar="DIR",
-                       help="result-store directory (default: .repro-results)")
-    fleet.add_argument("--no-store", action="store_true",
-                       help="disable the result store")
-    fleet.add_argument("--fresh", action="store_true",
-                       help="recompute even when stored cells exist")
-    fleet.add_argument("--backend", choices=("serial", "local", "remote"),
-                       default=None,
-                       help="execution backend (default: local, or remote "
-                            "when --workers is given; byte-identical results)")
-    fleet.add_argument("--workers", default=None, metavar="HOST:PORT,...",
-                       help="comma-separated repro worker addresses for the "
-                            "remote backend")
+    _add_run_flags(fleet)
+    _add_backend_flags(fleet)
     gray = sub.add_parser(
         "gray-matrix",
         help="gray-failure matrix (FTM x slow resource x slowdown factor)",
     )
     gray.add_argument("--missions", type=_positive_int, default=3,
                       help="seeded missions per matrix cell (default: 3)")
-    gray.add_argument("--ftms", default="pbr,lfr", metavar="F1,F2,...",
+    gray.add_argument("--ftms", type=_list_of(str), default="pbr,lfr",
+                      metavar="F1,F2,...",
                       help="FTMs to grid over (default: pbr,lfr)")
-    gray.add_argument("--resources", default="cpu,link,disk",
-                      metavar="R1,R2,...",
+    gray.add_argument("--resources", type=_list_of(str),
+                      default="cpu,link,disk", metavar="R1,R2,...",
                       help="limping resources to grid over "
                            "(default: cpu,link,disk)")
-    gray.add_argument("--factors", default="4,8", metavar="F1,F2,...",
+    gray.add_argument("--factors", type=_list_of(float), default="4,8",
+                      metavar="F1,F2,...",
                       help="slowdown factors to grid over (default: 4,8)")
     gray.add_argument("--requests", type=_positive_int, default=200,
                       help="client requests per mission (default: 200 — "
@@ -823,25 +719,8 @@ def main(argv=None) -> int:
                            "disk slows the PBR→LFR transition to ~5 s)")
     gray.add_argument("--slo-ms", type=float, default=30.0,
                       help="per-request latency SLO in ms (default: 30)")
-    gray.add_argument("--jobs", type=_positive_int, default=None,
-                      help="worker processes (default: all CPUs)")
-    gray.add_argument("--seed", type=int, default=0,
-                      help="offset added to the matrix base seed")
-    gray.add_argument("--json", action="store_true",
-                      help="machine-readable summary on stdout")
-    gray.add_argument("--store", default=None, metavar="DIR",
-                      help="result-store directory (default: .repro-results)")
-    gray.add_argument("--no-store", action="store_true",
-                      help="disable the result store")
-    gray.add_argument("--fresh", action="store_true",
-                      help="recompute even when stored cells exist")
-    gray.add_argument("--backend", choices=("serial", "local", "remote"),
-                      default=None,
-                      help="execution backend (default: local, or remote "
-                           "when --workers is given; byte-identical results)")
-    gray.add_argument("--workers", default=None, metavar="HOST:PORT,...",
-                      help="comma-separated repro worker addresses for the "
-                           "remote backend")
+    _add_run_flags(gray)
+    _add_backend_flags(gray)
     worker = sub.add_parser(
         "worker",
         help="serve trial batches to a remote-backend coordinator",
@@ -853,7 +732,7 @@ def main(argv=None) -> int:
                         metavar="N",
                         help="hard-exit after N batches (crash testing)")
     worker.add_argument("--shadow", default=None, metavar="DIR",
-                        help="shadow-store directory for digest-mode cells "
+                        help="shadow-store directory for completed cells "
                              "(default: .repro-shadow)")
     worker.add_argument("--crash-after-persist", type=_positive_int,
                         default=None, metavar="N",
@@ -916,7 +795,16 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
         "demo": _cmd_demo,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except Exception as exc:
+        # imported late: `info`/`tables`/`demo` never load the exp layer
+        from repro.exp.errors import ExperimentError
+
+        if not isinstance(exc, ExperimentError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

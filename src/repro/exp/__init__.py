@@ -10,9 +10,9 @@ every evaluation into data plus a pure function:
 * :func:`run` executes a spec through a pluggable
   :class:`ExecutorBackend` — inline (``serial``), over a persistent
   in-host process pool (``local``), or fanned over TCP workers on other
-  hosts (``remote``, :mod:`repro.exp.distributed`) — with an
-  order-independent merge and per-worker unit batching, so every
-  backend and ``jobs=N`` is byte-identical to ``jobs=1``
+  hosts (``remote``, :mod:`repro.exp.distributed`) — on one lifecycle
+  with an order-independent merge and one way for a cell to finish, so
+  every backend and ``jobs=N`` is byte-identical to ``jobs=1``
   (:mod:`repro.exp.runner`);
 * :class:`ResultStore` persists results **per cell**, content-addressed
   by :func:`cell_hash`, so editing one cell recomputes one cell, a
@@ -38,13 +38,6 @@ from repro.exp.errors import (
     StoreError,
 )
 from repro.exp.distributed import RemoteBackend
-from repro.exp.merge import (
-    MergeConflict,
-    merge_stores,
-    partition_roots,
-    run_multi_coordinator,
-    split_spec,
-)
 from repro.exp.runner import (
     BACKENDS,
     CompletedCell,
@@ -56,10 +49,8 @@ from repro.exp.runner import (
     SerialBackend,
     default_batch,
     default_jobs,
-    reset_executed_counter,
     run,
     shutdown_local_pool,
-    trials_executed,
 )
 from repro.exp.spec import (
     ExperimentSpec,
@@ -88,7 +79,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "LocalPoolBackend",
-    "MergeConflict",
     "RemoteBackend",
     "SerialBackend",
     "ReduceFn",
@@ -106,13 +96,7 @@ __all__ = [
     "derive_seed",
     "derive_seeds",
     "fingerprint",
-    "merge_stores",
-    "partition_roots",
-    "reset_executed_counter",
     "run",
-    "run_multi_coordinator",
     "shutdown_local_pool",
     "spec_hash",
-    "split_spec",
-    "trials_executed",
 ]

@@ -6,16 +6,17 @@ fan its unit batches over worker processes on other hosts exactly as it
 fans them over a local pool.  This module supplies both halves:
 
 * :class:`RemoteBackend` — the coordinator.  One feeder thread per
-  worker pulls batches from a shared :class:`_BatchScheduler`, ships
-  them over a framed TCP connection and streams results back into the
-  caller's merge loop, so completed cells hit the store the moment their
-  last unit lands (``--resume`` keeps working mid-campaign).
+  worker pulls batches of whole cells from a shared
+  :class:`_BatchScheduler`, ships them over a framed TCP connection and
+  streams the finished cells back into the caller's merge loop, so they
+  hit the store the moment they are reconciled (``--resume`` keeps
+  working mid-campaign).
 * :func:`serve` — the worker.  ``repro worker --listen HOST:PORT``
-  accepts one coordinator at a time and drains each batch through the
-  same :func:`~repro.exp.runner.run_unit_batch` body every other backend
-  uses.
+  accepts one coordinator at a time and drains each cell through the
+  same :func:`~repro.exp.runner.run_unit_batch` and
+  :func:`~repro.exp.runner.finish_cell` bodies every other backend uses.
 
-Wire protocol (version 2)
+Wire protocol (version 3)
 -------------------------
 
 Every message is one *frame*::
@@ -32,21 +33,15 @@ Every message is one *frame*::
 acknowledgement; everything else travels under ``RXP1``.  Payloads
 always carry a ``"type"`` key.  The conversation::
 
-    coordinator -> worker   {"type": "hello", "version": 2, "spec": ...,
+    coordinator -> worker   {"type": "hello", "version": 3, "spec": ...,
                              "spec_version": ..., "trial": "mod:fn",
-                             "reduce": "mod:fn"|null,
-                             "mode": "digest"|"units"}
+                             "reduce": "mod:fn"|null}
     worker -> coordinator   {"type": "ready", "host": ..., "pid": ...,
-                             "shadow": "/abs/path"|null}
+                             "shadow": "/abs/path"}
+                            (or an "error" frame saying why the hello
+                             cannot be honoured, then the socket closes)
 
-    # units mode (protocol-1 semantics: full values return)
-    coordinator -> worker   {"type": "batch", "id": N,
-                             "units": [[index, seed, params], ...]}
-    worker -> coordinator   {"type": "result", "id": N,
-                             "values": [[index, value], ...],
-                             "ev": [count, ...]}
-
-    # digest mode (worker store shadowing: ~100 B/cell return path)
+    # worker store shadowing: ~100 B/cell return path
     coordinator -> worker   {"type": "cells", "id": N, "cells":
                              [{"key":..., "params":..., "seeds":...,
                                "h": hash12}, ...]}
@@ -68,12 +63,13 @@ coordinating process so remote runs report ``events_by_source`` too.
 Worker store shadowing and the reconciliation invariant
 -------------------------------------------------------
 
-In digest mode the worker assembles, reduces and **persists each cell
-into its own content-addressed shadow store** (same
+The worker runs, finishes and **persists each cell into its own
+content-addressed shadow store** (same
 :class:`~repro.exp.store.ResultStore` layout, default
 ``.repro-shadow/``), then acks only ``(key, hash12, file_digest,
 executed)`` — the cell body never crosses the wire unless the
-coordinator cannot recover it any other way.  Reconciliation resolves
+coordinator cannot recover it any other way (``fetch``/``body`` is the
+only full-body route).  Reconciliation resolves
 each acked cell in cost order:
 
 1. **local store hit** — the coordinator's own store already holds the
@@ -139,8 +135,8 @@ from repro.exp.runner import (
     CompletedCell,
     ExecutionPlan,
     ExecutorBackend,
-    _normalise,
     batch_event_counts,
+    finish_cell,
     function_ref,
     resolve_function_ref,
     run_unit_batch,
@@ -156,7 +152,7 @@ except ImportError:  # pragma: no cover - python always ships blake2b
 MAGIC = b"RXP1"
 #: Frame magic of a worker's digest ack (the ~100 B/cell return path).
 DIGEST_MAGIC = b"RXD1"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 CHECKSUM_BYTES = 8
 HEADER_BYTES = len(MAGIC) + 4 + CHECKSUM_BYTES
 #: Refuse absurd frames before allocating for them (64 MiB).
@@ -429,7 +425,7 @@ def _text_digest(text: str) -> str:
 
 
 class RemoteBackend(ExecutorBackend):
-    """Coordinator: fan plan batches over TCP workers, merge by index.
+    """Coordinator: fan the plan's cells over TCP workers.
 
     One feeder thread per worker address; each thread owns its socket
     and loops acquire → send → receive → complete, pushing results onto
@@ -439,12 +435,6 @@ class RemoteBackend(ExecutorBackend):
     backoff, batch timeout, broken frame — abandons that worker's
     outstanding batches for the survivors.  Only when *no* worker
     remains does the run raise :class:`DistributedError`.
-
-    ``mode`` selects the return path: ``"digest"`` (the default)
-    dispatches whole cells, lets workers shadow-persist them and acks
-    only content digests; ``"units"`` keeps the protocol-1 semantics
-    where every value crosses the wire.  Both are pure execution
-    strategy — store bytes are identical.
     """
 
     name = "remote"
@@ -452,26 +442,16 @@ class RemoteBackend(ExecutorBackend):
     def __init__(self, workers: Sequence[str],
                  batch_timeout: float = DEFAULT_BATCH_TIMEOUT,
                  connect_timeout: float = 10.0,
-                 mode: str = "digest",
-                 pipeline: int = PIPELINE_DEPTH,
                  use_shadow: bool = True):
         if not workers:
             raise DistributedError("remote backend needs at least one worker")
-        if mode not in ("digest", "units"):
-            raise DistributedError(
-                f"remote mode {mode!r} is not one of 'digest', 'units'"
-            )
         self.addresses = [parse_address(w) for w in workers]
         self.batch_timeout = batch_timeout
         self.connect_timeout = connect_timeout
-        self.mode = mode
-        self.pipeline = max(1, int(pipeline))
         #: Allow same-host shadow reads during reconciliation.  Disable
         #: to force the wire-fetch fallback (tests and true-remote
         #: traffic measurements).
         self.use_shadow = use_shadow
-        #: Socket byte counters of the most recent ``execute`` call.
-        self.last_wire: Optional[WireStats] = None
 
     # -- feeder thread ------------------------------------------------
 
@@ -484,7 +464,6 @@ class RemoteBackend(ExecutorBackend):
             "spec_version": spec.version,
             "trial": function_ref(spec.trial),
             "reduce": None if spec.reduce is None else function_ref(spec.reduce),
-            "mode": self.mode,
         }
 
     def _cell_batches(self, plan: ExecutionPlan) -> List[List[Dict[str, Any]]]:
@@ -521,63 +500,11 @@ class RemoteBackend(ExecutorBackend):
             raise
         if ready.get("type") != "ready":
             sock.close()
-            raise ProtocolError(
-                f"worker {label} answered hello with {ready.get('type')!r}"
-            )
+            reason = ready.get("message") or f"sent {ready.get('type')!r}"
+            raise ProtocolError(f"worker {label} refused the hello: {reason}")
         return sock, ready
 
-    def _feed_worker_units(
-        self,
-        label: str,
-        sock: socket.socket,
-        plan: ExecutionPlan,
-        scheduler: _BatchScheduler,
-        out: List[Any],
-        out_cond: threading.Condition,
-        wire: WireStats,
-    ) -> None:
-        """Units-mode feeder: pipelined batch dispatch, full-value returns."""
-        inflight: Deque[Tuple[int, List[Any]]] = deque()
-        while True:
-            while len(inflight) < self.pipeline:
-                item = (scheduler.acquire(label) if not inflight
-                        else scheduler.acquire_nowait(label))
-                if item is None:
-                    break
-                bid, units = item
-                send_msg(sock, {"type": "batch", "id": bid,
-                                "units": [list(u) for u in units]}, wire=wire)
-                inflight.append((bid, units))
-            if not inflight:
-                return  # blocking acquire said: plan done (or failed)
-            bid, units = inflight.popleft()
-            reply = recv_msg(sock, wire=wire)
-            kind = reply.get("type")
-            if kind == "error":
-                # the trial itself failed — every worker would fail
-                # identically (pure functions), so abort the plan
-                scheduler.fail(DistributedError(
-                    f"worker {label} batch {bid}: {reply.get('message')}"
-                ))
-                return
-            if kind != "result" or reply.get("id") != bid:
-                raise ProtocolError(
-                    f"worker {label} sent {kind!r} (id {reply.get('id')}) "
-                    f"while batch {bid} was outstanding"
-                )
-            values = [(int(i), v) for i, v in reply["values"]]
-            if len(values) != len(units):
-                raise ProtocolError(
-                    f"worker {label} returned {len(values)} values "
-                    f"for a {len(units)}-unit batch"
-                )
-            scheduler.complete(bid)
-            with out_cond:  # also serialises the feeders' credits
-                credit_event_attribution(reply.get("ev", ()))
-                out.append(values)
-                out_cond.notify()
-
-    # -- digest-mode reconciliation -----------------------------------
+    # -- reconciliation -----------------------------------
 
     def _reconcile_ack(
         self,
@@ -635,7 +562,7 @@ class RemoteBackend(ExecutorBackend):
         out_cond: threading.Condition,
         wire: WireStats,
     ) -> None:
-        """Digest-mode feeder: cells out, digests back, fetch the misses.
+        """The feeder loop: cells out, digests back, fetch the misses.
 
         Replies on the connection are strictly FIFO, so the feeder keeps
         an *expectation queue*: each entry names the frame it is owed
@@ -654,7 +581,7 @@ class RemoteBackend(ExecutorBackend):
         #   ("body", bid, done_cells, by_key)    -> fetch reply owed
         expected: Deque[Tuple[Any, ...]] = deque()
         while True:
-            while len(expected) < self.pipeline:
+            while len(expected) < PIPELINE_DEPTH:
                 item = (scheduler.acquire(label) if not expected
                         else scheduler.acquire_nowait(label))
                 if item is None:
@@ -747,17 +674,12 @@ class RemoteBackend(ExecutorBackend):
         out_cond: threading.Condition,
         dead: Dict[str, str],
         wire: WireStats,
-        digest_mode: bool,
     ) -> None:
         sock: Optional[socket.socket] = None
         try:
             sock, ready = self._handshake(label, address, plan, wire)
-            if digest_mode:
-                self._feed_worker_digest(
-                    label, sock, ready, plan, scheduler, out, out_cond, wire)
-            else:
-                self._feed_worker_units(
-                    label, sock, plan, scheduler, out, out_cond, wire)
+            self._feed_worker_digest(
+                label, sock, ready, plan, scheduler, out, out_cond, wire)
             try:
                 send_msg(sock, {"type": "bye"}, wire=wire)
             except OSError:
@@ -778,27 +700,18 @@ class RemoteBackend(ExecutorBackend):
 
     # -- coordinator --------------------------------------------------
 
-    def execute(self, plan: ExecutionPlan) -> Iterator[Any]:
-        """Fan the plan's batches over the workers, yielding as they land.
+    def execute(self, plan: ExecutionPlan) -> Iterator[CompletedCell]:
+        """Fan the plan's cells over the workers, yielding as they land.
 
-        One feed thread per worker; results are yielded on the caller's
-        thread (so store writes stay on the coordinator), in completion
-        order — the runner's merge is order-independent.  Digest mode
-        yields :class:`~repro.exp.runner.CompletedCell` objects, units
-        mode ``(index, value)`` pairs.  Raises :class:`DistributedError`
-        when every worker is dead with batches still unfinished.
+        One feed thread per worker; the finished cells are yielded on
+        the caller's thread (so store writes stay on the coordinator),
+        in completion order — the runner's merge is order-independent.
+        Raises :class:`DistributedError` when every worker is dead with
+        batches still unfinished.
         """
-        digest_mode = self.mode == "digest" and bool(plan.cells)
-        # units mode streams complete cell bodies over the wire; the
-        # runner counts each assembled cell in cells_shipped_full
-        self.wire_full_cells = not digest_mode
-        if digest_mode:
-            batches: List[List[Any]] = self._cell_batches(plan)
-        else:
-            batches = plan.batches()
+        batches = self._cell_batches(plan)
         plan.stats.record_batches(len(batches))
         wire = WireStats()
-        self.last_wire = wire
         scheduler = _BatchScheduler(batches)
         out: List[List[Any]] = []
         out_cond = threading.Condition()
@@ -809,7 +722,7 @@ class RemoteBackend(ExecutorBackend):
             thread = threading.Thread(
                 target=self._feed_worker,
                 args=(label, address, plan, scheduler, out, out_cond, dead,
-                      wire, digest_mode),
+                      wire),
                 name=f"repro-remote-{label}",
                 daemon=True,
             )
@@ -908,15 +821,9 @@ def _worker_run_cell(spec: "spec_mod.ExperimentSpec", trial: "spec_mod.Trial",
         return shadow.cell_path(spec, trial), 0
     units = [(i, seed, dict(trial.params))
              for i, seed in enumerate(trial.seeds)]
-    raw = run_unit_batch(spec.trial, units)
-    ordered: List[Any] = [None] * len(units)
-    for index, value in raw:
-        ordered[index] = _normalise(value, spec.name)
-    values: Any = ordered
-    if spec.reduce is not None:
-        values = _normalise(spec.reduce(ordered), spec.name)
-    path = shadow.save_cell(spec, trial, values)
-    return path, len(units)
+    raw = run_unit_batch(spec.trial, units)  # in unit order
+    values = finish_cell(spec, [value for _index, value in raw])
+    return shadow.save_cell(spec, trial, values), len(units)
 
 
 def _serve_digest_batch(conn: socket.socket, message: Dict[str, Any],
@@ -980,11 +887,14 @@ def _serve_fetch(conn: socket.socket, message: Dict[str, Any],
     send_msg(conn, {"type": "body", "id": bid, "cells": bodies})
 
 
-def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
-                      shadow: ResultStore,
-                      persist_budget: List[Optional[int]]) -> None:
-    """Drive one coordinator conversation on an accepted connection."""
-    hello = recv_msg(conn)
+def _resolve_hello(hello: Dict[str, Any]) -> Tuple[Any, Any]:
+    """Check a hello and resolve its ``(trial, reduce)`` functions.
+
+    Raises :class:`ProtocolError` saying why this worker cannot honour
+    it — the reason travels back to the coordinator in an ``error``
+    frame, so a version skew or an unimportable trial is reported by
+    name instead of as a closed socket.
+    """
     if hello.get("type") != "hello":
         raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
     if hello.get("version") != PROTOCOL_VERSION:
@@ -992,9 +902,27 @@ def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
             f"protocol version mismatch: coordinator speaks "
             f"{hello.get('version')}, worker speaks {PROTOCOL_VERSION}"
         )
-    trial_fn = resolve_function_ref(hello["trial"])
-    reduce_ref = hello.get("reduce")
-    reduce_fn = resolve_function_ref(reduce_ref) if reduce_ref else None
+    trial_ref, reduce_ref = hello.get("trial"), hello.get("reduce")
+    try:
+        return (resolve_function_ref(trial_ref),
+                resolve_function_ref(reduce_ref) if reduce_ref else None)
+    except Exception as exc:  # noqa: BLE001 - whatever an import raises
+        raise ProtocolError(
+            f"cannot resolve trial {trial_ref!r} / reduce {reduce_ref!r} "
+            f"on this worker: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
+                      shadow: ResultStore,
+                      persist_budget: List[Optional[int]]) -> None:
+    """Drive one coordinator conversation on an accepted connection."""
+    hello = recv_msg(conn)
+    try:
+        trial_fn, reduce_fn = _resolve_hello(hello)
+    except ProtocolError as exc:
+        send_msg(conn, {"type": "error", "message": str(exc)})
+        raise
     send_msg(conn, {"type": "ready",
                     "host": socket.gethostname(), "pid": os.getpid(),
                     "shadow": str(shadow.root.resolve())})
@@ -1006,27 +934,10 @@ def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
         if kind == "fetch":
             _serve_fetch(conn, message, hello, shadow)
             continue
-        if kind == "cells":
-            _serve_digest_batch(conn, message, hello, trial_fn, reduce_fn,
-                                shadow, persist_budget)
-        elif kind == "batch":
-            bid = message["id"]
-            units = [(int(i), int(seed), params)
-                     for i, seed, params in message["units"]]
-            batch_event_counts()  # scope the counters to this batch
-            try:
-                values = run_unit_batch(trial_fn, units)
-            except Exception as exc:  # noqa: BLE001 - shipped to coordinator
-                send_msg(conn, {"type": "error", "id": bid,
-                                "message": f"{type(exc).__name__}: {exc}"})
-                return
-            send_msg(conn, {"type": "result", "id": bid,
-                            "values": [[i, v] for i, v in values],
-                            "ev": batch_event_counts()})
-        else:
-            raise ProtocolError(
-                f"expected cells, batch, fetch or bye, got {kind!r}"
-            )
+        if kind != "cells":
+            raise ProtocolError(f"expected cells, fetch or bye, got {kind!r}")
+        _serve_digest_batch(conn, message, hello, trial_fn, reduce_fn,
+                            shadow, persist_budget)
         if batch_budget[0] is not None:
             batch_budget[0] -= 1
             if batch_budget[0] <= 0:
@@ -1042,11 +953,11 @@ def serve(host: str, port: int, max_batches: Optional[int] = None,
     """Run a ``repro worker``: accept coordinators until interrupted.
 
     One coordinator at a time (the protocol is strictly request/reply
-    per connection); each batch runs through the shared
-    :func:`~repro.exp.runner.run_unit_batch` body.  Digest-mode cells
-    are persisted into the worker's **shadow store** (``shadow``,
-    default ``.repro-shadow/`` under the worker's working directory)
-    and acknowledged by content digest only.
+    per connection); each cell runs through the shared
+    :func:`~repro.exp.runner.run_unit_batch` body, is persisted into
+    the worker's **shadow store** (``shadow``, default
+    ``.repro-shadow/`` under the worker's working directory) and
+    acknowledged by content digest only.
 
     ``max_batches`` hard-exits the process after N completed batches,
     and ``crash_after_persist`` hard-exits after the Nth freshly

@@ -10,9 +10,10 @@ strategy:
   hit, and after a resume;
 * **order-independent merge** — parallel units complete in arbitrary
   order; results are re-assembled by unit index, never by arrival;
-* **store transparency** — results are normalised through a JSON
-  round-trip as they arrive, so a fresh run and a cache hit return
-  exactly the same object shapes;
+* **store transparency** — every cell passes through
+  :func:`finish_cell` (a JSON round-trip around the optional ``reduce``
+  hook), so a fresh run and a cache hit return exactly the same object
+  shapes;
 * **incremental persistence** — with a store, a cell is written the
   moment its last unit lands, so a killed run resumes from its finished
   cells and only the missing cells' units are ever dispatched.
@@ -24,14 +25,17 @@ strategy:
   that outlives individual :func:`run` calls — campaign pipelines that
   execute several specs in one process pay pool startup once, and
   workers resolve the trial function from a compact import reference
-  installed once per spec instead of unpickling a function object per
-  task;
-* ``remote`` (:mod:`repro.exp.distributed`) ships the same batches over
-  TCP to ``repro worker`` processes on other hosts.
+  instead of unpickling a function object per task;
+* ``remote`` (:mod:`repro.exp.distributed`) ships batches of whole
+  cells over TCP to ``repro worker`` processes on other hosts, which
+  finish and persist them at the edge.
 
 A backend is *pure execution strategy*: the merged results — and the
 bytes the store writes — are identical across all three, which the
-backend equivalence tests assert.  Units are grouped into **batches**
+backend equivalence tests assert.  All three run on the one lifecycle
+in :func:`run`; they differ in transport, in dispatch granularity and
+in who calls :func:`finish_cell` and persists first — nothing else.
+Units are grouped into **batches**
 per dispatch, amortising pickling and round-trip overhead for
 campaign-style workloads with thousands of tiny trials; a spec-level
 ``reduce`` hook then collapses each completed cell to a summary so such
@@ -52,7 +56,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -67,24 +70,6 @@ from repro.exp.spec import ExperimentSpec, spec_hash
 from repro.exp.store import ResultStore
 from repro.kernel.sim import credit_event_attribution, take_event_attribution
 
-#: Legacy process-wide mirror of trials executed (cache hits do not
-#: count).  Kept for the CLI/store tests that predate
-#: :class:`ExecutionStats`; new code should thread a stats object through
-#: :func:`run` instead.
-TRIALS_EXECUTED = 0
-
-
-def reset_executed_counter() -> None:
-    """Zero the legacy process-wide :data:`TRIALS_EXECUTED` counter."""
-    global TRIALS_EXECUTED
-    TRIALS_EXECUTED = 0
-
-
-def trials_executed() -> int:
-    """The legacy process-wide execution count (see :data:`TRIALS_EXECUTED`)."""
-    return TRIALS_EXECUTED
-
-
 @dataclass
 class ExecutionStats:
     """Execution counters for one or more :func:`run` calls.
@@ -92,13 +77,11 @@ class ExecutionStats:
     Pass one object through several runs to aggregate (the CLI does this
     per ``reproduce`` invocation); every counter only ever increases.
 
-    ``cells_shipped_full`` counts cells whose complete value list
-    crossed the coordinator wire (units-mode remote runs, or the
-    digest-mode ``fetch`` fallback); ``cells_acked_digest`` counts cells
-    completed by a digest-only acknowledgement — the worker persisted
-    the cell into its shadow store and only ``(slug, hash, digest)``
-    came back.  A remote cell lands in exactly one of the two;
-    in-process backends (serial/local) leave both at zero.
+    ``cells_acked_digest`` counts cells a remote worker persisted into
+    its shadow store and acknowledged by ``(slug, hash, digest)`` only;
+    ``cells_shipped_full`` counts those of them whose body still had to
+    cross the coordinator wire (the ``fetch`` fallback).  In-process
+    backends (serial/local) leave both at zero.
     ``wire_bytes_in`` / ``wire_bytes_out`` accumulate coordinator
     socket traffic (remote backend only; zero elsewhere).
     """
@@ -145,10 +128,6 @@ class ExecutionStats:
         """Count ``count`` batch tasks handed to a worker pool."""
         self.batches += count
 
-    def record_full_cell(self) -> None:
-        """Count one cell whose full values crossed to the coordinator."""
-        self.cells_shipped_full += 1
-
     def record_digest_cell(self, fetched: bool = False) -> None:
         """Count one cell completed via a digest-only ack.
 
@@ -164,6 +143,18 @@ class ExecutionStats:
         """Accumulate coordinator socket traffic (remote backend)."""
         self.wire_bytes_in += bytes_in
         self.wire_bytes_out += bytes_out
+
+    def fold(self, other: "ExecutionStats") -> None:
+        """Add every counter of ``other`` (one run's stats) into this one."""
+        self.executed += other.executed
+        self.cells_executed += other.cells_executed
+        self.cells_cached += other.cells_cached
+        self.batches += other.batches
+        self.cells_shipped_full += other.cells_shipped_full
+        self.cells_acked_digest += other.cells_acked_digest
+        self.record_wire(other.wire_bytes_in, other.wire_bytes_out)
+        self.record_event_sources(other.events_by_source, other.beats_replayed,
+                                  other.beats_materialised)
 
 
 @dataclass
@@ -232,13 +223,13 @@ _Unit = Tuple[int, int, Dict[str, Any]]
 
 
 class CompletedCell(NamedTuple):
-    """A whole cell completed by the backend itself (digest-mode remote).
+    """A whole cell finished by the backend itself (the remote backend).
 
-    Backends that assemble, reduce and persist cells at the edge (worker
-    store shadowing) yield these instead of per-unit ``(index, value)``
-    pairs.  ``values`` is the cell's final value list (or reduced
-    summary) after a JSON round-trip; ``fetched`` records whether the
-    full body had to cross the wire during reconciliation.
+    Backends that finish and persist cells at the edge (worker store
+    shadowing) yield these instead of per-unit ``(index, value)``
+    pairs.  ``values`` is what :func:`finish_cell` returned there;
+    ``fetched`` records whether the full body had to cross the wire
+    during reconciliation.
     """
 
     key: str
@@ -267,20 +258,6 @@ def resolve_function_ref(ref: str) -> Any:
     return obj
 
 
-#: Per-process cache of resolved trial functions by import reference.
-#: Worker processes resolve each spec's trial once, then every batch is
-#: a cache hit.
-_RESOLVED_TRIALS: Dict[str, Any] = {}
-
-
-def _resolve_trial(ref: str) -> Any:
-    """The trial function behind an import reference (cached)."""
-    fn = _RESOLVED_TRIALS.get(ref)
-    if fn is None:
-        fn = _RESOLVED_TRIALS[ref] = resolve_function_ref(ref)
-    return fn
-
-
 def run_unit_batch(trial_fn: Any, units: Sequence[_Unit]) -> List[Tuple[int, Any]]:
     """Run one batch of (cell, seed) units in the current process.
 
@@ -307,14 +284,14 @@ def run_unit_batch(trial_fn: Any, units: Sequence[_Unit]) -> List[Tuple[int, Any
 def _execute_pool_task(
     task: _PoolTask,
 ) -> Tuple[List[Tuple[int, Any]], List[int]]:
-    """Run one batch in a pool worker, resolving the cached trial.
+    """Run one batch in a pool worker, resolving the trial by reference.
 
     Returns the labelled results plus the batch's event-source counts
     (see :func:`batch_event_counts`).
     """
     trial_ref, units = task
     take_event_attribution()  # scope the counters to this batch
-    results = run_unit_batch(_resolve_trial(trial_ref), units)
+    results = run_unit_batch(resolve_function_ref(trial_ref), units)
     return results, batch_event_counts()
 
 
@@ -339,6 +316,20 @@ def _normalise(value: Any, spec_name: str) -> Any:
             f"spec {spec_name!r}: trial result is not JSON-serialisable "
             f"({exc}); trials must return plain dicts/lists/scalars"
         ) from exc
+
+
+def finish_cell(spec: ExperimentSpec, values: List[Any]) -> Any:
+    """A cell's unit results, in seed order, as the value the store keeps.
+
+    Normalise, apply the spec's ``reduce`` hook (if any), normalise
+    again — the one tail every cell passes through, in the runner's
+    assembler and on a remote worker alike, so the stored bytes cannot
+    depend on who finished the cell.
+    """
+    values = _normalise(values, spec.name)
+    if spec.reduce is not None:
+        values = _normalise(spec.reduce(values), spec.name)
+    return values
 
 
 def default_jobs() -> int:
@@ -379,9 +370,9 @@ class ExecutionPlan:
     batch_size: int = 1
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     #: The missing cells behind ``units``: (trial, that cell's units), in
-    #: spec order.  Cell-granular backends (digest-mode remote) dispatch
-    #: these instead of flat unit batches, so a worker can assemble,
-    #: reduce and persist whole cells at the edge.
+    #: spec order.  The cell-granular remote backend dispatches these
+    #: instead of flat unit batches, so a worker can finish and persist
+    #: whole cells at the edge.
     cells: List[Tuple[Any, List[_Unit]]] = field(default_factory=list)
     #: The caller's result store, if any.  Reconciliation-capable
     #: backends consult it to resolve digest acks without wire traffic;
@@ -407,12 +398,6 @@ class ExecutorBackend:
     """
 
     name = "abstract"
-
-    #: True while the backend ships complete cell value lists over a
-    #: coordinator wire (units-mode remote execution) — the runner then
-    #: counts each assembled cell in ``stats.cells_shipped_full``.
-    #: In-process backends leave this False: nothing crosses a wire.
-    wire_full_cells = False
 
     def execute(self, plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
         """Yield ``(unit_index, value)`` for every unit in the plan.
@@ -442,24 +427,9 @@ class SerialBackend(ExecutorBackend):
 
 _LOCAL_POOL: Optional[Any] = None
 _LOCAL_POOL_PROCESSES = 0
-#: Dispatches served by the currently live pool (micro-benchmark probe).
-_LOCAL_POOL_REUSES = 0
 
 
-def _pool_worker_init(trial_ref: str) -> None:
-    """Pool initializer: pre-resolve the spawning run's trial once.
-
-    Later runs reusing the pool with a *different* spec fall back to the
-    lazy cache in :func:`_resolve_trial` — either way a worker resolves
-    each trial exactly once for the pool's lifetime.
-    """
-    try:
-        _resolve_trial(trial_ref)
-    except Exception:  # noqa: BLE001 - resolve again (and report) per task
-        pass
-
-
-def local_pool(processes: int, trial_ref: Optional[str] = None):
+def local_pool(processes: int):
     """The process-wide persistent worker pool, (re)sized to ``processes``.
 
     The pool outlives individual :func:`run` calls: campaign pipelines
@@ -468,18 +438,12 @@ def local_pool(processes: int, trial_ref: Optional[str] = None):
     Asking for a different worker count tears the old pool down first —
     the common case (same count throughout) is a dictionary hit.
     """
-    global _LOCAL_POOL, _LOCAL_POOL_PROCESSES, _LOCAL_POOL_REUSES
+    global _LOCAL_POOL, _LOCAL_POOL_PROCESSES
     if _LOCAL_POOL is not None and _LOCAL_POOL_PROCESSES == processes:
-        _LOCAL_POOL_REUSES += 1
         return _LOCAL_POOL
     shutdown_local_pool()
-    _LOCAL_POOL = multiprocessing.Pool(
-        processes=processes,
-        initializer=None if trial_ref is None else _pool_worker_init,
-        initargs=() if trial_ref is None else (trial_ref,),
-    )
+    _LOCAL_POOL = multiprocessing.Pool(processes=processes)
     _LOCAL_POOL_PROCESSES = processes
-    _LOCAL_POOL_REUSES = 0
     return _LOCAL_POOL
 
 
@@ -506,11 +470,10 @@ class LocalPoolBackend(ExecutorBackend):
     """Fan batches over the persistent in-host ``multiprocessing.Pool``.
 
     Tasks carry the trial's import-reference string instead of a
-    pickled function object; workers resolve it once and serve every
-    later batch of the same spec from a cache hit.  Plans with one
-    worker or one unit run inline — a pool cannot beat a function call.
-    A failure mid-dispatch tears the pool down so stale in-flight tasks
-    never burn CPU into the next run.
+    pickled function object; workers resolve it against their own
+    ``sys.modules``.  Plans with one worker or one unit run inline — a
+    pool cannot beat a function call.  A failure mid-dispatch tears the
+    pool down so stale in-flight tasks never burn CPU into the next run.
     """
 
     name = "local"
@@ -522,7 +485,7 @@ class LocalPoolBackend(ExecutorBackend):
         ref = function_ref(plan.spec.trial)
         tasks: List[_PoolTask] = [(ref, batch) for batch in plan.batches()]
         plan.stats.record_batches(len(tasks))
-        pool = local_pool(plan.worker_count, trial_ref=ref)
+        pool = local_pool(plan.worker_count)
         try:
             for batch_results, sources in pool.imap_unordered(
                 _execute_pool_task, tasks
@@ -571,20 +534,18 @@ def _resolve_backend(
 class _CellAssembler:
     """Streams unit results into per-cell slots; completes cells eagerly.
 
-    Each arriving value is normalised immediately and placed by unit
-    index (never by arrival order).  The moment a cell's last unit lands
-    the cell is reduced (if the spec asks), persisted (if a store is
-    attached) and released — the assembler never holds more raw values
-    than the currently in-flight cells.
+    Each arriving value is placed by unit index (never by arrival
+    order).  The moment a cell's last unit lands the cell is finished
+    (:func:`finish_cell`), persisted (if a store is attached) and
+    released — the assembler never holds more raw values than the
+    currently in-flight cells.
     """
 
     def __init__(self, spec: ExperimentSpec, store: Optional[ResultStore],
-                 stats: ExecutionStats,
-                 executor: Optional[ExecutorBackend] = None):
+                 stats: ExecutionStats):
         self.spec = spec
         self.store = store
         self.stats = stats
-        self.executor = executor
         self.completed: Dict[str, Any] = {}
         self._slots: Dict[str, List[Any]] = {}
         self._pending: Dict[str, int] = {}
@@ -605,48 +566,39 @@ class _CellAssembler:
     def feed(self, index: int, value: Any) -> None:
         """Accept one unit result (any arrival order)."""
         key, offset = self._unit_cell[index]
-        self._slots[key][offset] = _normalise(value, self.spec.name)
+        self._slots[key][offset] = value
         self._pending[key] -= 1
         if self._pending[key] == 0:
-            self._finish(key)
+            self._arrive(key, finish_cell(self.spec, self._slots[key]))
 
     def complete_cell(self, key: str, values: Any,
                       fetched: bool = False) -> None:
-        """Accept one cell the backend assembled (and reduced) itself.
+        """Accept one cell the backend finished itself.
 
-        The digest-mode remote backend completes whole cells: the worker
-        already ran, reduced and shadow-persisted them, and ``values`` is
-        what reconciliation recovered (local store hit, shadow read, or
-        wire fetch).  Persisting here re-serialises through exactly the
-        :meth:`_finish` path, so the coordinator's cell file is
-        byte-identical to a serial run's whatever route the values took.
+        The remote backend completes whole cells: the worker already
+        ran, finished and shadow-persisted them, and ``values`` is what
+        reconciliation recovered (local store hit, shadow read, or wire
+        fetch).
+        """
+        self.stats.record_digest_cell(fetched=fetched)
+        self._arrive(key, _normalise(values, self.spec.name))
+
+    def _arrive(self, key: str, values: Any) -> None:
+        """A finished cell arrives: count it, keep it, persist it.
+
+        The one path into the store whoever finished the cell.  Cell
+        files carry no execution-strategy metadata: their bytes are a
+        pure function of the cell identity and its values, which is
+        what makes serial/local/remote stores byte-identical (the
+        backend equivalence contract).
         """
         self._slots.pop(key, None)
         self._pending.pop(key, None)
-        values = _normalise(values, self.spec.name)
+        trial = self._trial_by_key[key]
         self.completed[key] = values
-        self.stats.record_cell(self._trial_by_key[key].runs)
-        self.stats.record_digest_cell(fetched=fetched)
+        self.stats.record_cell(trial.runs)
         if self.store is not None:
-            self.store.save_cell(self.spec, self._trial_by_key[key], values)
-
-    def _finish(self, key: str) -> None:
-        values = self._slots.pop(key)
-        del self._pending[key]
-        if self.spec.reduce is not None:
-            values = _normalise(self.spec.reduce(values), self.spec.name)
-        self.completed[key] = values
-        self.stats.record_cell(self._trial_by_key[key].runs)
-        # read at completion time: the remote backend decides units vs
-        # digest mode per plan, inside execute()
-        if getattr(self.executor, "wire_full_cells", False):
-            self.stats.record_full_cell()
-        if self.store is not None:
-            # cell files carry no execution-strategy metadata: their
-            # bytes are a pure function of the cell identity and its
-            # values, which is what makes serial/local/remote stores
-            # byte-identical (the backend equivalence contract)
-            self.store.save_cell(self.spec, self._trial_by_key[key], values)
+            self.store.save_cell(self.spec, trial, values)
 
 
 def run(
@@ -669,7 +621,8 @@ def run(
     recomputation (and overwrites the stored cells).  ``batch`` fixes
     the number of units grouped per worker task (default: sized
     automatically); ``stats``, when given, accumulates execution
-    counters across calls.
+    counters across calls (each run counts into a fresh
+    :class:`ExecutionStats` that is folded in once the run succeeds).
 
     ``backend`` picks the execution strategy: ``"serial"``, ``"local"``
     (the default — a persistent in-host process pool), ``"remote"``
@@ -679,19 +632,18 @@ def run(
     ``batch`` — are pure execution strategy: results and store bytes
     are identical across all of them.
     """
-    global TRIALS_EXECUTED
-    stats = stats if stats is not None else ExecutionStats()
+    run_stats = ExecutionStats()
     digest = spec_hash(spec)
     worker_count = default_jobs() if jobs is None else max(1, int(jobs))
 
     cached_cells: Dict[str, Any] = {}
     if store is not None and not fresh:
         cached_cells = store.load_cells(spec)
-    stats.record_cached_cells(len(cached_cells))
+    run_stats.record_cached_cells(len(cached_cells))
 
     executor = _resolve_backend(backend, workers)
     owned = not isinstance(backend, ExecutorBackend)
-    assembler = _CellAssembler(spec, store, stats, executor=executor)
+    assembler = _CellAssembler(spec, store, run_stats)
     assembler.completed.update(cached_cells)
     units: List[_Unit] = []
     plan_cells: List[Tuple[Any, List[_Unit]]] = []
@@ -701,19 +653,14 @@ def run(
             units.extend(cell_units)
             plan_cells.append((trial, cell_units))
 
-    shipped_before = stats.cells_shipped_full
-    digest_before = stats.cells_acked_digest
-    wire_in_before, wire_out_before = stats.wire_bytes_in, stats.wire_bytes_out
     started = time.perf_counter()
-    event_sources: Dict[str, int] = {}
-    beats_replayed = beats_materialised = 0
     if units:
         take_event_attribution()  # scope the kernel counters to this run
         size = (default_batch(len(units), worker_count)
                 if batch is None else max(1, int(batch)))
         plan = ExecutionPlan(
             spec=spec, units=units, worker_count=worker_count,
-            batch_size=size, stats=stats,
+            batch_size=size, stats=run_stats,
             cells=plan_cells, store=store,
         )
         try:
@@ -727,11 +674,11 @@ def run(
         finally:
             if owned:
                 executor.close()
-            event_sources = take_event_attribution()
-            beats_replayed = event_sources.pop("beats_replayed")
-            beats_materialised = event_sources.pop("beats_materialised")
-            stats.record_event_sources(
-                event_sources, beats_replayed, beats_materialised)
+            sources = take_event_attribution()
+            beats_replayed = sources.pop("beats_replayed")
+            beats_materialised = sources.pop("beats_materialised")
+            run_stats.record_event_sources(
+                sources, beats_replayed, beats_materialised)
     elapsed = time.perf_counter() - started if units else 0.0
 
     missing = [trial.key for trial in spec.trials
@@ -743,12 +690,13 @@ def run(
         )
     results = {trial.key: assembler.completed[trial.key]
                for trial in spec.trials}
-    TRIALS_EXECUTED += len(units)
     if store is not None:
         store.write_manifest(
             spec, meta={"jobs": worker_count, "backend": executor.name,
                         "elapsed_s": elapsed}
         )
+    if stats is not None:
+        stats.fold(run_stats)
     if store is None:
         cache_state = "disabled"
     elif not cached_cells:
@@ -769,11 +717,11 @@ def run(
         cells_executed=len(spec.trials) - len(cached_cells),
         backend=executor.name,
         cache_state=cache_state,
-        cells_shipped_full=stats.cells_shipped_full - shipped_before,
-        cells_acked_digest=stats.cells_acked_digest - digest_before,
-        wire_bytes_in=stats.wire_bytes_in - wire_in_before,
-        wire_bytes_out=stats.wire_bytes_out - wire_out_before,
-        events_by_source=event_sources,
-        beats_replayed=beats_replayed,
-        beats_materialised=beats_materialised,
+        cells_shipped_full=run_stats.cells_shipped_full,
+        cells_acked_digest=run_stats.cells_acked_digest,
+        wire_bytes_in=run_stats.wire_bytes_in,
+        wire_bytes_out=run_stats.wire_bytes_out,
+        events_by_source=run_stats.events_by_source,
+        beats_replayed=run_stats.beats_replayed,
+        beats_materialised=run_stats.beats_materialised,
     )

@@ -63,7 +63,7 @@ MANIFEST_NAME = "manifest.json"
 
 #: Bytes of the blake2b digest naming a cell file's exact content (the
 #: ``digest`` leg of the remote backend's ``(slug, hash12, digest)``
-#: tuples and the conflict check of :mod:`repro.exp.merge`).
+#: tuples).
 FILE_DIGEST_BYTES = 16
 
 
@@ -81,7 +81,7 @@ def file_digest(path: Path) -> Optional[str]:
 
     This is the content name a worker advertises for a shadow-persisted
     cell and the identity the coordinator verifies before trusting a
-    shadow read, a wire-fetched body, or a store-merge no-op.
+    shadow read or a wire-fetched body.
     """
     try:
         data = path.read_bytes()

@@ -14,6 +14,7 @@ import pytest
 from repro import exp
 from repro.eval import campaign, table3
 from repro.exp import runner
+from tests.exp.test_distributed import _start_worker, _stop_worker
 
 
 def _dump(result):
@@ -57,20 +58,49 @@ def test_serial_and_local_backends_are_byte_identical():
 
 
 def test_backend_stores_are_byte_identical(tmp_path):
-    spec = campaign.sharded_spec(missions=6, base_seed=77, requests=8,
-                                 cell_size=3)
-    serial_store = exp.ResultStore(tmp_path / "serial")
-    local_store = exp.ResultStore(tmp_path / "local")
-    serial = exp.run(spec, jobs=1, backend="serial", store=serial_store)
-    exp.run(spec, jobs=2, backend="local", batch=1, store=local_store)
-    serial_bytes = _store_bytes(tmp_path / "serial")
-    assert serial_bytes == _store_bytes(tmp_path / "local")
-    assert serial_bytes  # non-empty: the cells really were written
-    # execution strategy is no part of cell identity: the pool backend
-    # is served whole from the store the serial backend wrote
-    warm = exp.run(spec, jobs=2, backend="local", store=serial_store)
-    assert warm.executed == 0
-    assert _dump(warm) == _dump(serial)
+    """Whoever finishes a cell — the runner's assembler from units the
+    pool split across tasks, or a remote worker whose body returns by
+    shadow read or by wire fetch — results and store bytes agree with
+    the serial reference, with and without a ``reduce`` hook."""
+    workers = [_start_worker() for _ in range(2)]
+    addresses = [address for _process, address in workers]
+    specs = {
+        "reduced": campaign.sharded_spec(missions=6, base_seed=77,
+                                         requests=8, cell_size=3),
+        "raw": table3.spec(runs=3, base_seed=11, ftms=("pbr", "lfr")),
+    }
+    try:
+        for name, spec in specs.items():
+            assert (spec.reduce is not None) == (name == "reduced")
+            root = tmp_path / name
+            serial = exp.run(spec, jobs=1, backend="serial",
+                             store=exp.ResultStore(root / "serial"))
+            serial_bytes = _store_bytes(root / "serial")
+            assert serial_bytes  # non-empty: the cells really were written
+            # label -> (run arguments, cells whose body crosses the wire)
+            strategies = {
+                # 3-unit cells in 2-unit tasks: cells straddle pool tasks
+                "local": (dict(jobs=2, backend="local", batch=2), 0),
+                "shadow": (dict(backend=exp.RemoteBackend(addresses),
+                                batch=1), 0),
+                "fetch": (dict(backend=exp.RemoteBackend(
+                    addresses, use_shadow=False), batch=1), len(spec.trials)),
+            }
+            for label, (kwargs, shipped_full) in strategies.items():
+                result = exp.run(spec, store=exp.ResultStore(root / label),
+                                 **kwargs)
+                assert _dump(result) == _dump(serial), (name, label)
+                assert _store_bytes(root / label) == serial_bytes, (name, label)
+                assert result.cells_shipped_full == shipped_full, (name, label)
+            # execution strategy is no part of cell identity: the pool
+            # backend is served whole from the store the serial one wrote
+            warm = exp.run(spec, jobs=2, backend="local",
+                           store=exp.ResultStore(root / "serial"))
+            assert warm.executed == 0
+            assert _dump(warm) == _dump(serial)
+    finally:
+        for process, _address in workers:
+            _stop_worker(process)
 
 
 def test_backend_instance_can_be_passed_directly():
@@ -106,7 +136,6 @@ def test_local_pool_persists_across_runs():
         assert first_pool is not None
         exp.run(spec_b, jobs=2, backend="local", batch=1)
         assert runner._LOCAL_POOL is first_pool
-        assert runner._LOCAL_POOL_REUSES >= 1
     finally:
         exp.shutdown_local_pool()
 

@@ -69,8 +69,9 @@ def _socket_pair():
 def test_frame_roundtrip_preserves_message():
     client, peer = _socket_pair()
     try:
-        message = {"type": "batch", "id": 3,
-                   "units": [[0, 123, {"cell": 0}]]}
+        message = {"type": "cells", "id": 3,
+                   "cells": [{"key": "c0", "params": {"cell": 0},
+                              "seeds": [123], "h": "ab" * 6}]}
         distributed.send_msg(client, message)
         assert distributed.recv_msg(peer) == message
     finally:
@@ -252,26 +253,6 @@ def test_remote_campaign_matches_serial_including_store(tmp_path,
     assert remote.beats_replayed == serial.beats_replayed > 0
 
 
-def test_units_wire_mode_is_byte_identical_too(tmp_path, two_workers):
-    from repro.eval import campaign
-
-    spec = campaign.sharded_spec(missions=8, base_seed=5010, requests=8,
-                                 cell_size=4)
-    serial_store = exp.ResultStore(tmp_path / "serial")
-    remote_store = exp.ResultStore(tmp_path / "remote")
-    serial = exp.run(spec, jobs=1, backend="serial", store=serial_store)
-    backend = distributed.RemoteBackend(two_workers, mode="units")
-    remote = exp.run(spec, batch=1, backend=backend, store=remote_store)
-    assert _dump(serial) == _dump(remote)
-    assert _store_bytes(tmp_path / "serial") == _store_bytes(
-        tmp_path / "remote")
-    # full values crossed the wire: no digest acks in units mode
-    assert remote.cells_shipped_full == len(spec.trials)
-    assert remote.cells_acked_digest == 0
-    assert remote.events_by_source == serial.events_by_source
-    assert remote.events_by_source["timer"] > 0
-
-
 def test_digest_mode_fetch_fallback_without_shadow_reads(tmp_path,
                                                          two_workers):
     """With shadow reads disabled every missing cell's body must be
@@ -405,3 +386,35 @@ def test_trial_error_on_worker_aborts_the_run(two_workers):
 
 def raising_trial(seed, params):
     raise RuntimeError(f"boom at seed {seed}")
+
+
+def test_version_skewed_hello_is_refused_with_an_error_frame(two_workers):
+    host, port = distributed.parse_address(two_workers[0])
+    with socket.create_connection((host, port), timeout=10) as sock:
+        distributed.send_msg(sock, {
+            "type": "hello", "version": 2, "spec": "echo-remote",
+            "spec_version": "2", "trial": f"{__name__}:echo_trial",
+            "reduce": None, "mode": "digest",
+        })
+        reply = distributed.recv_msg(sock)
+    assert reply["type"] == "error"
+    assert "version" in reply["message"]
+    assert str(distributed.PROTOCOL_VERSION) in reply["message"]
+
+
+def ghost_trial(seed, params):
+    return {"seed": seed}
+
+
+# a module-level function whose import reference no worker can resolve
+ghost_trial.__module__ = "repro_tests_no_such_module"
+
+
+def test_unresolvable_trial_ref_is_reported_by_name(two_workers):
+    spec = exp.ExperimentSpec(
+        name="echo-unimportable", trial=ghost_trial,
+        trials=(exp.Trial(key="c0", params={}, seeds=(1,)),),
+    )
+    with pytest.raises(exp.DistributedError,
+                       match="repro_tests_no_such_module:ghost_trial"):
+        exp.run(spec, batch=1, workers=two_workers)

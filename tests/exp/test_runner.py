@@ -55,19 +55,17 @@ def test_merge_order_follows_spec_not_completion():
 
 
 def test_runner_counts_executed_trials():
-    exp.reset_executed_counter()
-    from repro.exp import runner
-
     spec = exp.ExperimentSpec(
         name="echo", trial=echo_trial,
         trials=(exp.Trial("a", {"cell": 0}, (1, 2, 3)),),
     )
-    result = exp.run(spec, jobs=1)
+    stats = exp.ExecutionStats()
+    result = exp.run(spec, jobs=1, stats=stats)
     assert result.executed == 3
     assert not result.cached
     assert result.cells_executed == 1 and result.cells_cached == 0
-    # the legacy module-level mirror still tracks executions
-    assert runner.TRIALS_EXECUTED == 3
+    # the caller's stats object sees the same count
+    assert stats.executed == 3
 
 
 def test_results_are_json_normalised():

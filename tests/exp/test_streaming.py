@@ -230,13 +230,3 @@ def test_stats_thread_through_runs(tmp_path):
     exp.run(spec, jobs=1, store=store, stats=stats)
     assert stats.executed == 108  # warm cache adds nothing
     assert stats.cells_cached == 36
-
-
-def test_legacy_module_counter_still_mirrors_executions():
-    exp.reset_executed_counter()
-    spec = exp.ExperimentSpec(
-        name="legacy-count", trial=echo_trial,
-        trials=(exp.Trial("a", {"cell": "a"}, (1, 2, 3)),),
-    )
-    exp.run(spec, jobs=1)
-    assert exp.trials_executed() == 3

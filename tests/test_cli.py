@@ -215,3 +215,34 @@ def test_cli_bench_report_warns_instead_of_failing(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "warning: unreadable" in out
     assert "BENCH_ok.json" in out
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["campaign", "--backend", "remote", "--wire", "digest"], "workers"),
+    (["gray-matrix", "--workers", "nonsense"], "host:port"),
+    (["fleet-campaign", "--workers", "127.0.0.1:1,127.0.0.1:2"], "died"),
+])
+def test_cli_experiment_errors_exit_2_without_a_traceback(
+        capsys, monkeypatch, argv, reason):
+    from repro.exp import distributed
+
+    monkeypatch.setattr(distributed, "CONNECT_ATTEMPTS", 1)
+    assert main(argv + ["--no-store"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gray-matrix", "--factors", "abc"],
+    ["fleet-campaign", "--churn", "x"],
+    ["campaign", "--wire", "full"],
+    ["campaign", "--backend", "serial", "--workers", "127.0.0.1:1"],
+    ["fleet-campaign", "--backend", "local", "--workers", "127.0.0.1:1"],
+    ["gray-matrix", "--backend", "serial", "--workers", "127.0.0.1:1"],
+])
+def test_cli_malformed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--no-store"])
+    assert exit_info.value.code == 2
+    assert "usage: repro" in capsys.readouterr().err
