@@ -1,4 +1,4 @@
-"""Benchmark: the kernel's two lanes and the world arena.
+"""Benchmark: the kernel's two lanes.
 
 Two cases, both written into ``BENCH_kernel.json`` (uploaded as a CI
 artifact next to ``BENCH_runner.json``):
@@ -11,16 +11,13 @@ artifact next to ``BENCH_runner.json``):
   (``us_per_beat``: the beat clock's replay cost; the tree with two
   kernel events per beat measured ~3.1 on the bench host);
 * **campaign** — seeded missions of the statistical fault-injection
-  campaign, measured along two axes: single-heap reference vs ready
-  deque, and fresh-built worlds vs arena-reused worlds
-  (``REPRO_WORLD_REUSE``), solo and through the experiment runner
-  (``exp.run(spec, jobs=1)``).  Before any number is reported, the
-  reuse results are asserted byte-identical to the fresh serial
-  reference, and one seeded mission is asserted trace-digest-identical
-  with ``fast_path`` on and off — the deque is an optimisation, never a
-  semantics change (the beat clock has no switch to flip:
-  ``tests/kernel/test_beat_clock.py`` pins it to golden fingerprints
-  and a plain-event reference detector instead).
+  campaign: single-heap reference vs ready deque solo, and the shipped
+  kernel through the experiment runner (``exp.run(spec, jobs=1)``).
+  Before any number is reported, one seeded mission is asserted
+  trace-digest-identical with ``fast_path`` on and off — the deque is
+  an optimisation, never a semantics change (the beat clock has no
+  switch to flip: ``tests/kernel/test_beat_clock.py`` pins it to golden
+  fingerprints and a plain-event reference detector instead).
 
 The campaign case carries a **soft regression guard**: if a previous
 ``BENCH_kernel.json`` exists, a >20% drop in serial missions/sec prints
@@ -46,16 +43,7 @@ from conftest import run_once
 from repro import exp
 from repro.eval import campaign
 from repro.ftm import deploy_ftm_pair
-from repro.kernel import (
-    Simulator,
-    World,
-    clear_world_arena,
-    release_world,
-    run_solo,
-    set_world_reuse,
-    world_arena_stats,
-    world_reuse_enabled,
-)
+from repro.kernel import Simulator, World, run_solo
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 
@@ -158,8 +146,8 @@ def _kernel_parity_digests():
     The byte-identity gate for the ready deque: it must replay the
     single-heap reference bit for bit — same event order, same RNG
     draws, same fault drops — so both digests must be one digest.  The
-    digest is taken before the world goes back to the arena (release
-    trims the trace).
+    digest is taken before the world closes (``close()`` empties the
+    trace).
     """
     digests = {}
     shipped_fast = Simulator.DEFAULT_FAST_PATH
@@ -171,7 +159,7 @@ def _kernel_parity_digests():
             task.result()
             digests["fast" if fast else "legacy"] = task.world.trace.digest()
             assert len(task.world.trace.records) > 100
-            release_world(task.world)
+            task.world.close()
     finally:
         Simulator.DEFAULT_FAST_PATH = shipped_fast
     return digests
@@ -209,7 +197,7 @@ def _soft_guard(current):
         return
     try:
         previous = json.loads(BENCH_PATH.read_text())
-        recorded = previous["campaign"]["reuse"]["serial_missions_per_sec"]
+        recorded = previous["campaign"]["serial_missions_per_sec"]
     except (ValueError, KeyError, TypeError):
         return
     if current < SOFT_GUARD_FRACTION * recorded:
@@ -222,7 +210,7 @@ def _soft_guard(current):
         )
 
 
-def test_bench_kernel_fast_path_and_arena(benchmark):
+def test_bench_kernel_fast_path(benchmark):
     # -- micro: the two lanes, fast vs legacy ------------------------------
     micro = {
         "zero_delay_fast_events_per_sec": _best(
@@ -241,13 +229,12 @@ def test_bench_kernel_fast_path_and_arena(benchmark):
         f"trace digests diverge across kernels: {parity_digests}"
     )
 
-    # -- campaign: (legacy|fast) x (fresh|reuse) ----------------------------
+    # -- campaign: legacy vs fast solo, fast through the runner ------------
     # Configurations are interleaved within each round (not phase-by-
     # phase): shared-hardware load drifts on a minutes scale, large
     # enough to invert phase-sequential comparisons, so only back-to-back
     # runs compare like with like.  Best-of-REPS each.
     assert Simulator.DEFAULT_FAST_PATH  # the shipped default
-    assert world_reuse_enabled()  # arena reuse is the shipped default
 
     def _legacy_solo_missions_per_sec():
         Simulator.DEFAULT_FAST_PATH = False
@@ -256,37 +243,20 @@ def test_bench_kernel_fast_path_and_arena(benchmark):
         finally:
             Simulator.DEFAULT_FAST_PATH = True
 
-    # The reference store: fresh-built worlds, serial execution.  The
-    # reuse configuration must reproduce it byte for byte.
-    set_world_reuse(False)
-    clear_world_arena()
-    reference = exp.run(_campaign_spec(), jobs=1)
-    ref_json = json.dumps(reference.results, sort_keys=True)
-    events_by_source = dict(reference.events_by_source)
-    beats = {"beats_replayed": reference.beats_replayed,
-             "beats_materialised": reference.beats_materialised}
-
     legacy_solo = _legacy_solo_missions_per_sec()
-    fresh_solo = _solo_missions_per_sec()
-
-    set_world_reuse(True)
-    clear_world_arena()
-    reuse_solo = _solo_missions_per_sec()
-    serial, reuse_serial = run_once(benchmark, _serial_run)
-    assert json.dumps(serial.results, sort_keys=True) == ref_json, (
-        "reuse serial: store differs from the fresh serial reference"
-    )
+    fast_solo = _solo_missions_per_sec()
+    result, serial = run_once(benchmark, _serial_run)
+    events_by_source = dict(result.events_by_source)
+    beats = {"beats_replayed": result.beats_replayed,
+             "beats_materialised": result.beats_materialised}
 
     for _ in range(REPS):
-        set_world_reuse(False)
         legacy_solo = max(legacy_solo, _legacy_solo_missions_per_sec())
-        fresh_solo = max(fresh_solo, _solo_missions_per_sec())
-        set_world_reuse(True)
-        reuse_solo = max(reuse_solo, _solo_missions_per_sec())
-        reuse_serial = max(reuse_serial, _serial_run()[1])
+        fast_solo = max(fast_solo, _solo_missions_per_sec())
+        serial = max(serial, _serial_run()[1])
 
-    _soft_guard(reuse_serial)
-    speedup = reuse_serial / PR3_BASELINE_MISSIONS_PER_SEC
+    _soft_guard(serial)
+    speedup = serial / PR3_BASELINE_MISSIONS_PER_SEC
     report = {
         "generated_by": "benchmarks/test_bench_kernel.py",
         "note": (
@@ -307,15 +277,9 @@ def test_bench_kernel_fast_path_and_arena(benchmark):
             "requests": REQUESTS,
             "pr3_baseline_missions_per_sec": PR3_BASELINE_MISSIONS_PER_SEC,
             "legacy_solo_missions_per_sec": round(legacy_solo, 2),
-            "fast_solo_missions_per_sec": round(fresh_solo, 2),
+            "fast_solo_missions_per_sec": round(fast_solo, 2),
+            "serial_missions_per_sec": round(serial, 2),
             "speedup_vs_pr3_baseline": round(speedup, 2),
-            "reuse": {
-                "enabled_by_default": True,
-                "byte_identical_to_fresh": True,
-                "solo_missions_per_sec": round(reuse_solo, 2),
-                "serial_missions_per_sec": round(reuse_serial, 2),
-                "arena": world_arena_stats(),
-            },
         },
     }
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -332,8 +296,8 @@ def test_bench_kernel_fast_path_and_arena(benchmark):
         f"{beats['beats_replayed']}, materialised "
         f"{beats['beats_materialised']}\n"
         f"campaign ({MISSIONS} missions): legacy {legacy_solo:.1f}/s, "
-        f"fresh {fresh_solo:.1f}/s, reuse {reuse_solo:.1f}/s solo; "
-        f"reuse serial {reuse_serial:.1f}/s -> {speedup:.2f}x vs PR3 "
-        f"baseline ({PR3_BASELINE_MISSIONS_PER_SEC}/s)\n"
+        f"fast {fast_solo:.1f}/s solo; serial {serial:.1f}/s -> "
+        f"{speedup:.2f}x vs PR3 baseline "
+        f"({PR3_BASELINE_MISSIONS_PER_SEC}/s)\n"
         f"wrote {BENCH_PATH.name}"
     )

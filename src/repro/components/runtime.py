@@ -47,22 +47,7 @@ class ComponentRuntime:
         self.costs: CostModel = context.costs
         self.composites: Dict[str, Composite] = {}
         self.booted = False
-        self._register_crash_hook()
-
-    def _register_crash_hook(self) -> None:
         self.node.on_crash(lambda _n: self._on_node_crash())
-
-    def reset(self) -> None:
-        """Re-initialise the runtime for the next mission (world reuse).
-
-        Drops all deployed composites, un-boots the platform, and
-        re-registers the crash hook that :meth:`~repro.kernel.node.Node.reset`
-        truncated away — after which the cached runtime is
-        indistinguishable from one built fresh at deploy time.
-        """
-        self.composites.clear()
-        self.booted = False
-        self._register_crash_hook()
 
     # -- cost charging helper -------------------------------------------------
 

@@ -98,6 +98,7 @@ def _trial(seed: int, _params: Mapping) -> Dict:
         return report
 
     field_report = agile_world.run_process(field_update(), name="field-update")
+    agile_world.close()
 
     # -- preprogrammed side ----------------------------------------------------
     pre_world = World(seed=seed)
@@ -117,6 +118,7 @@ def _trial(seed: int, _params: Mapping) -> Dict:
         list(adaptation.switch("field-update-ftm"))
     except UnknownFTM:
         field_update_possible = False
+    pre_world.close()
 
     return {
         "agile": {

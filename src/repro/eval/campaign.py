@@ -24,7 +24,7 @@ from repro.eval.stats import format_interval, wilson_interval
 from repro.exp import ExperimentSpec, ResultStore, Trial
 from repro.exp import run as run_experiment
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World, WorldTask, lease_world, run_solo
+from repro.kernel import Timeout, World, WorldTask, run_solo
 
 
 @dataclass
@@ -51,7 +51,7 @@ class MissionOutcome:
 
 
 def _build_world(seed: int) -> World:
-    """The campaign platform: three hosts, default links (pre-snapshot)."""
+    """The campaign platform: three hosts, default links."""
     world = World(seed=seed)
     world.add_nodes(["alpha", "beta", "client"])
     return world
@@ -64,7 +64,7 @@ def mission_task(seed: int, requests: int = 30) -> WorldTask:
     for the result store); :func:`run_mission` is the solo-execution
     wrapper that returns the typed :class:`MissionOutcome`.
     """
-    world = lease_world("eval.campaign", seed, _build_world)
+    world = _build_world(seed)
     rng = world.sim.random.substream("campaign")
     outcome = MissionOutcome(seed=seed, requests=requests, expected_value=requests)
 

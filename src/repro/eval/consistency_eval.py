@@ -84,6 +84,7 @@ def _run_one(seed: int) -> Dict:
         return outcome
 
     world.run_process(scenario(), name="scenario")
+    world.close()
     return outcome
 
 

@@ -48,6 +48,7 @@ def measure(source: str, target: str, seed: int) -> Dict:
         return report
 
     report = world.run_scenario(do(), nodes=("alpha", "beta"), name="measure")
+    world.close()
     replica = next(r for r in report.replicas if r.success)
     return {
         "components": variable_feature_distance(source, target),

@@ -30,7 +30,7 @@ from repro.fleet.placement import AppSpec, policy as placement_policy
 from repro.fleet.population import Population, apply_churn, churn_schedule
 from repro.fleet.topology import make_fleet
 from repro.ftm import deploy_ftm_pair
-from repro.kernel import Timeout, World, WorldTask, lease_world, run_solo
+from repro.kernel import Timeout, World, WorldTask, run_solo
 
 #: FTMs assigned to apps round-robin: half the fleet needs TR coverage,
 #: so resource-driven transitions exercise both families.
@@ -90,7 +90,7 @@ def trace_digest(world) -> str:
 def _build_world(seed: int) -> World:
     """The fleet platform starts *empty*: hosts and links are added by
     ``topology.materialise`` inside the mission (they depend on the
-    seed), so the snapshot captures zero nodes and reset removes them."""
+    seed)."""
     return World(seed=seed)
 
 
@@ -107,7 +107,7 @@ def fleet_task(
 ) -> WorldTask:
     """One fleet mission as an unrun :class:`WorldTask`."""
     topology = make_fleet(kind, hosts, seed=seed)
-    world = lease_world("eval.fleet", seed, _build_world)
+    world = _build_world(seed)
     outcome = FleetOutcome(seed=seed, hosts=hosts, apps=apps,
                            placement=placement, churn_events=churn)
 

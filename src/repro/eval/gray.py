@@ -47,7 +47,7 @@ from repro.eval.stats import format_interval, wilson_interval
 from repro.exp import ExperimentSpec, ResultStore, Trial
 from repro.exp import run as run_experiment
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World, WorldTask, lease_world, run_solo
+from repro.kernel import Timeout, World, WorldTask, run_solo
 from repro.kernel.faults import SLOW_RESOURCES
 
 #: FTMs the matrix sweeps: PBR must *transition away* under a limp
@@ -128,7 +128,7 @@ class GrayOutcome:
 
 
 def _build_world(seed: int) -> World:
-    """The gray-matrix platform: three hosts, default links (pre-snapshot)."""
+    """The gray-matrix platform: three hosts, default links."""
     world = World(seed=seed)
     world.add_nodes(["alpha", "beta", "client"])
     return world
@@ -172,7 +172,7 @@ def gray_task(
         raise ValueError(
             f"unknown slow resource {resource!r}; pick from {SLOW_RESOURCES}"
         )
-    world = lease_world("eval.gray", seed, _build_world)
+    world = _build_world(seed)
     outcome = GrayOutcome(seed=seed, ftm=ftm, resource=resource,
                           factor=factor, proactive=proactive)
 

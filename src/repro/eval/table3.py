@@ -23,7 +23,7 @@ from repro.eval.format import render_table
 from repro.exp import ExperimentSpec, ResultStore, Trial, derive_seeds
 from repro.exp import run as run_experiment
 from repro.ftm import FTM_NAMES, deploy_ftm_pair, variable_feature_distance
-from repro.kernel import World, release_world
+from repro.kernel import World
 
 #: The paper's Table 3 (ms); row ∅ is deployment from scratch.
 PAPER_TABLE3: Dict[Tuple[str, str], float] = {
@@ -52,7 +52,7 @@ def measure_deployment(ftm: str, seed: int) -> float:
         lambda w: deploy_ftm_pair(w, ftm, ["alpha", "beta"]),
         nodes=("alpha", "beta"), name="deploy",
     )
-    release_world(world)  # fresh world, no lease: harvests its event counts
+    world.close()
     return world.now
 
 
@@ -67,7 +67,7 @@ def measure_transition(source: str, target: str, seed: int) -> float:
         return report
 
     report = world.run_scenario(do(), nodes=("alpha", "beta"), name="measure")
-    release_world(world)
+    world.close()
     return report.per_replica_ms
 
 

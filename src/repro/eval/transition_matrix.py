@@ -53,7 +53,7 @@ from repro.eval.format import render_table
 from repro.exp import ExperimentSpec, ResultStore, Trial
 from repro.exp import run as run_experiment
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World, WorldTask, lease_world, run_solo
+from repro.kernel import Timeout, World, WorldTask, run_solo
 from repro.kernel.faults import TRANSITION_FAULT_KINDS, TRANSITION_PHASES
 
 #: The FTM transitions the matrix exercises (differential neighbours).
@@ -132,7 +132,7 @@ def _arm(world: World, phase: str, kind: str) -> None:
 
 
 def _build_world(seed: int) -> World:
-    """The matrix platform: three hosts, default links (pre-snapshot)."""
+    """The matrix platform: three hosts, default links."""
     world = World(seed=seed)
     world.add_nodes(["alpha", "beta", "client"])
     return world
@@ -146,7 +146,7 @@ def cell_task(
     The task's result is the cell outcome as a plain dict;
     :func:`run_cell` is the solo wrapper returning :class:`CellOutcome`.
     """
-    world = lease_world("eval.transition-matrix", seed, _build_world)
+    world = _build_world(seed)
     outcome = CellOutcome(
         seed=seed, transition=f"{source}->{target}", fault=fault
     )

@@ -103,7 +103,7 @@ class ExecutionStats:
                              beats_materialised: int = 0) -> None:
         """Accumulate the kernel's per-subsystem event attribution.
 
-        Counters come from worlds released in this process plus the
+        Counters come from worlds closed in this process plus the
         per-batch deltas pool and remote workers ship back with their
         results.  The beat clock's two counters travel with them but
         are kept apart: ``events_by_source`` stays "kernel events by

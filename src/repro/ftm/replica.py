@@ -25,8 +25,7 @@ class Replica:
         self.world = world
         self.node = node
         self.composite_name = composite_name
-        # the world caches one runtime per node and re-initialises it
-        # across World.reset cycles, so redeploys reuse the middleware
+        # one runtime per node per world: redeploys share the middleware
         self.runtime: ComponentRuntime = world.runtime_for(node)
         self.composite: Optional[Composite] = None
         self.deployed_ftm: Optional[str] = None

@@ -33,17 +33,6 @@ from repro.kernel.faults import (
     FaultKind,
     bit_flip,
 )
-from repro.kernel.arena import (
-    WorldArena,
-    WorldTask,
-    clear_world_arena,
-    lease_world,
-    release_world,
-    run_solo,
-    set_world_reuse,
-    world_arena_stats,
-    world_reuse_enabled,
-)
 from repro.kernel.network import Link, Message, Network
 from repro.kernel.node import Cluster, Node, NodeState
 from repro.kernel.rand import DeterministicRandom
@@ -60,7 +49,19 @@ from repro.kernel.sim import (
 )
 from repro.kernel.storage import LogEntry, StableStorage
 from repro.kernel.trace import Trace, TraceRecord
-from repro.kernel.world import World, WorldSnapshot
+from repro.kernel.world import World, WorldTask, run_solo
+
+
+# ``bench/trace.py`` (frozen) imports these two names on every traced
+# run; there is no arena, so they report and do nothing.
+def world_arena_stats():
+    """Zero lease counters."""
+    return {"hits": 0, "misses": 0, "pooled": 0}
+
+
+def clear_world_arena() -> None:
+    """No-op."""
+
 
 __all__ = [
     "CostModel",
@@ -101,14 +102,8 @@ __all__ = [
     "Trace",
     "TraceRecord",
     "World",
-    "WorldSnapshot",
-    "WorldArena",
     "WorldTask",
-    "clear_world_arena",
-    "lease_world",
-    "release_world",
     "run_solo",
-    "set_world_reuse",
+    "clear_world_arena",
     "world_arena_stats",
-    "world_reuse_enabled",
 ]

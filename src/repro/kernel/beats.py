@@ -176,7 +176,6 @@ class BeatClock:
         self._heap: List[tuple] = []
         self._armed: set = set()  # seqs of the entries that have an alarm
         self._window = 0  # bumped per replay and whenever foreign code ran
-        self._alarm = self._replay  # bound once: one alarm per window
 
     @staticmethod
     def of(sim: Simulator) -> "BeatClock":
@@ -198,7 +197,7 @@ class BeatClock:
             self._armed.add(heap[0][1])
             sim._ev_heartbeat += 1
             heapq.heappush(
-                sim._queue, (heap[0][0], heap[0][1], None, self._alarm, ())
+                sim._queue, (heap[0][0], heap[0][1], None, self._replay, ())
             )
 
     def _tick(self, stream: BeatStream, now: float) -> bool:

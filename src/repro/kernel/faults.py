@@ -178,23 +178,6 @@ class FaultInjector:
         self.transition_faults_injected: Dict[str, int] = {}
         self.churn_events: Dict[str, int] = {"node_down": 0, "node_up": 0}
 
-    def reset(self) -> None:
-        """Forget every armed fault and zero the injection counters.
-
-        Slow-fault side effects (node/link speeds) are reverted by the
-        node and network resets; pending timed injections die with the
-        simulator's event queues.  The fault stream reseeds so a reset
-        world draws the same fault randomness as a fresh one.
-        """
-        self._campaigns.clear()
-        self._transition_faults.clear()
-        for kind in self.injected_counts:
-            self.injected_counts[kind] = 0
-        self.transition_faults_injected.clear()
-        self.churn_events.clear()
-        self.churn_events.update({"node_down": 0, "node_up": 0})
-        self._rand.reseed(self.sim.random.child_seed())
-
     # -- crash faults -------------------------------------------------------------
 
     def _schedule_fault(self, delay: float, fire) -> None:

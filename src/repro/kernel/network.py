@@ -94,10 +94,6 @@ class Network:
         # fresh bound method per send() would dominate its allocations
         self._deliver_cb = self._deliver
         self._rng_random = self._rand._rng.random  # jitter draw, sans frames
-        # channel arena: mailboxes evicted by reset() park here and are
-        # revived by bind() under the same (node, port) key — a revived
-        # empty channel is indistinguishable from a fresh one
-        self._channel_arena: Dict[Tuple[str, str], Channel] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -244,9 +240,7 @@ class Network:
         key = (node, port)
         mailbox = self._mailboxes.get(key)
         if mailbox is None:
-            mailbox = self._channel_arena.pop(key, None)
-            if mailbox is None:
-                mailbox = Channel(self.sim, name=f"{node}:{port}")
+            mailbox = Channel(self.sim, name=f"{node}:{port}")
             self._mailboxes[key] = mailbox
         return mailbox
 
@@ -259,61 +253,6 @@ class Network:
         for (owner, _port), mailbox in self._mailboxes.items():
             if owner == node:
                 mailbox.drain()
-
-    # -- snapshot / reset -------------------------------------------------------
-
-    def snapshot_state(self) -> tuple:
-        """Capture the re-settable topology for :meth:`reset`."""
-        return (
-            tuple(self._nodes),
-            {
-                pair: (link.latency, link.bandwidth, link.loss)
-                for pair, link in self._links.items()
-            },
-            tuple(self._mailboxes),
-            set(self._partitions),
-            self._loss_probability,
-            tuple(self._delivery_filters),
-        )
-
-    def reset(self, state: tuple) -> None:
-        """Restore the fabric to its snapshot topology.
-
-        Nodes, links and mailboxes created after the snapshot are
-        removed (evicted mailboxes park in the channel arena for reuse);
-        surviving links get their snapshot characteristics back —
-        which also reverts ``apply_slow`` link degradations — and
-        surviving mailboxes are emptied.  Counters zero, partitions and
-        loss revert, and the jitter stream reseeds so per-message draws
-        replay exactly as on a fresh network.
-        """
-        node_names, links, mailbox_keys, partitions, loss, filters = state
-        keep = set(node_names)
-        for name in list(self._nodes):
-            if name not in keep:
-                del self._nodes[name]
-        for pair in list(self._links):
-            spec = links.get(pair)
-            if spec is None:
-                del self._links[pair]
-            else:
-                link = self._links[pair]
-                link.latency, link.bandwidth, link.loss = spec
-        keep_mailboxes = set(mailbox_keys)
-        arena = self._channel_arena
-        for key in list(self._mailboxes):
-            mailbox = self._mailboxes[key]
-            mailbox.reset()
-            if key not in keep_mailboxes:
-                del self._mailboxes[key]
-                arena[key] = mailbox
-        self._partitions = set(partitions)
-        self._loss_probability = loss
-        self._delivery_filters[:] = filters
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self._rand.reseed(self.sim.random.child_seed())
 
     # -- sending --------------------------------------------------------------------
 

@@ -232,41 +232,6 @@ class Node:
         for hook in list(self._restart_hooks):
             hook(self)
 
-    # -- snapshot / reset ---------------------------------------------------
-
-    def snapshot_state(self) -> tuple:
-        """Capture the re-settable configuration for :meth:`reset`."""
-        return (
-            self.cpu_speed, self.disk_speed, self.energy_budget, self.is_up,
-            tuple(self._crash_hooks), tuple(self._restart_hooks),
-        )
-
-    def reset(self, state: tuple) -> None:
-        """Restore the node to its snapshot configuration.
-
-        Kills whatever still runs here (idempotent when the simulator
-        already swept all processes), zeroes the accounting counters,
-        reverts slow-fault speed changes, truncates the hook lists back
-        to the snapshot's, and reseeds the node's random sub-stream so
-        jitter draws replay exactly as on a fresh node.
-        """
-        cpu_speed, disk_speed, energy_budget, is_up, crash, restart = state
-        for process in self.processes:
-            process.kill()
-        self.processes.clear()
-        self.cpu_speed = cpu_speed
-        self.disk_speed = disk_speed
-        self.energy_budget = energy_budget
-        self.is_up = is_up
-        self.busy_ms = 0.0
-        self.energy = 0.0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.crash_count = 0
-        self._crash_hooks[:] = crash
-        self._restart_hooks[:] = restart
-        self._rand.reseed(self.sim.random.child_seed())
-
     def schedule_crash(self, delay: float) -> None:
         """Crash this node ``delay`` ms from now."""
         self.sim.schedule(delay, self.crash)

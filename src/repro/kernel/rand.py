@@ -36,27 +36,6 @@ class DeterministicRandom:
         """Return an independent stream derived from this one."""
         return DeterministicRandom(self._derive(self.seed, self.name), name)
 
-    def reseed(self, seed: int) -> None:
-        """Re-seed this stream *in place* to its freshly-built state.
-
-        A stream is a pure function of ``(seed, name)``, so reseeding
-        reproduces exactly the draw sequence of ``DeterministicRandom(seed,
-        name)`` while keeping the object identity — consumers that cached
-        the stream (or a bound method of its underlying RNG) stay valid
-        across a :meth:`World.reset`.
-        """
-        self.seed = seed
-        self._rng.seed(self._derive(seed, self.name))
-
-    def child_seed(self) -> int:
-        """The seed every :meth:`substream` of this stream is built from.
-
-        Lets an existing sub-stream be reseeded in place to match what a
-        fresh ``parent.substream(name)`` would produce:
-        ``child.reseed(parent.child_seed())``.
-        """
-        return self._derive(self.seed, self.name)
-
     # -- draws -------------------------------------------------------------
 
     def uniform(self, low: float, high: float) -> float:

@@ -111,11 +111,6 @@ class Handle:
 #: (compacting a tiny heap costs more than carrying the garbage).
 _COMPACT_MIN_DEAD = 64
 
-#: Upper bound on recycled :class:`Process` shells kept by a simulator.
-#: A mission spawns a few dozen processes; the cap only guards against a
-#: pathological workload flooding the free list.
-_PROCESS_ARENA_MAX = 512
-
 
 class Simulator:
     """The event loop: a ready deque plus a priority queue of timed events."""
@@ -144,7 +139,6 @@ class Simulator:
         #: first use.
         self._beat_clock: Any = None
         self.processes: List["Process"] = []
-        self._process_arena: List["Process"] = []
 
     @property
     def events_by_source(self) -> Dict[str, int]:
@@ -201,18 +195,8 @@ class Simulator:
         self._push(delay, fn, args)
 
     def spawn(self, gen: Generator, name: str = "proc") -> "Process":
-        """Wrap a generator into a Process and start it at the current time.
-
-        Shells recycled by :meth:`reset` are reused instead of allocating:
-        a re-initialised shell is indistinguishable from a fresh Process
-        (same fields, same already-bound resume callback).
-        """
-        arena = self._process_arena
-        if arena:
-            process = arena.pop()
-            process._reinit(gen, name)
-        else:
-            process = Process(self, gen, name)
+        """Wrap a generator into a Process and start it at the current time."""
+        process = Process(self, gen, name)
         self.processes.append(process)
         self.post(process._resume_cb, None, None)
         return process
@@ -220,12 +204,13 @@ class Simulator:
     def drain(self) -> None:
         """Kill every process and drop both event lanes (idempotent).
 
-        Live generators close (``finally`` blocks run), then the
-        terminated shells are parked on the free list for :meth:`spawn`
-        to reuse — the Process arena.  Draining releases every object
-        graph the finished run still pinned (scheduled tickers, channel
-        getters, component closures), so a parked world costs its wiring,
-        not its last mission.
+        The simulator's share of :meth:`World.close`.  Live generators
+        close (``finally`` blocks run); every shell then gives up its
+        generator frame, its failure (whose traceback names the shell)
+        and its self-referencing resume callback, so the finished run's
+        object graph — scheduled tickers, channel getters, component
+        closures — is freed by reference counting instead of waiting for
+        the cyclic collector.  The clock keeps its final reading.
         """
         for process in self.processes:
             process.kill()
@@ -233,25 +218,10 @@ class Simulator:
         self._queue.clear()
         self._dead = 0
         self._beat_clock = None  # its streams died with the processes
-        arena = self._process_arena
         for process in self.processes:
-            process.gen = None  # drop the exhausted generator frame
-            if len(arena) < _PROCESS_ARENA_MAX:
-                arena.append(process)
+            process.gen = process.exception = process._resume_cb = None
+            process.terminated.value = None  # held the failure as well
         self.processes.clear()
-
-    def reset(self, seed: int) -> None:
-        """Return the loop to its freshly-constructed state.
-
-        :meth:`drain` plus rewinding the clock and sequence counter and
-        reseeding the root random stream in place.
-        """
-        self.drain()
-        self._seq = 0
-        self.now = 0.0
-        for _key, counter in _SOURCES:
-            setattr(self, counter, 0)
-        self.random.reseed(seed)
 
     # -- lazy-cancel bookkeeping -------------------------------------------
 
@@ -360,8 +330,9 @@ class Simulator:
             raise SimulationError("simulator is already running")
         self._running = True
         stop = Event(self, "run.until")
-        handle = Handle(self)
+        handle = None
         if until is not None:
+            handle = Handle(self)
             heapq.heappush(
                 self._queue,
                 (max(until, self.now), inf, handle, stop.trigger, ()),
@@ -370,7 +341,8 @@ class Simulator:
             self.advance(stop)
         finally:
             self._running = False
-            handle.cancel()
+            if handle is not None:
+                handle.cancel()
         return self.now
 
     def run_process(self, gen: Generator, name: str = "main") -> Any:
@@ -408,7 +380,7 @@ _SOURCES = (
 
 #: Process-wide accumulator for per-subsystem event attribution, plus the
 #: beat clock's two counters.  Worlds fold their counters in when they
-#: are released (see ``arena.release_world``); the experiment runner
+#: end (see ``World.close``); the experiment runner
 #: takes the total per dispatch.  Counters are a side channel: they never
 #: influence event order, RNG draws or store bytes.
 _ATTRIBUTION: Dict[str, int] = {key: 0 for key, _attr in _SOURCES}
@@ -416,7 +388,7 @@ _ATTRIBUTION: Dict[str, int] = {key: 0 for key, _attr in _SOURCES}
 
 def harvest_event_attribution(sim: Simulator) -> None:
     """Fold one simulator's source counters into the process-wide
-    accumulator and zero them (idempotent on repeated release)."""
+    accumulator and zero them (a second harvest adds nothing)."""
     for key, attr in _SOURCES:
         _ATTRIBUTION[key] += getattr(sim, attr)
         setattr(sim, attr, 0)
@@ -599,16 +571,6 @@ class Channel:
         self._items.clear()
         return items
 
-    def reset(self) -> None:
-        """Empty the channel back to its freshly-constructed state.
-
-        Used by the channel arena: a reset mailbox re-bound under the
-        same name behaves exactly like a brand-new channel.
-        """
-        self._items.clear()
-        self._getters.clear()
-        self._sink = None
-
     def _subscribe_get(self, process: "Process", timeout: Optional[float]) -> Any:
         if self._items:
             item = self._items.popleft()
@@ -673,31 +635,6 @@ class Process:
         # bound once: every wait site passes this into schedule()/post(),
         # so rebinding the method per event would dominate allocations
         self._resume_cb = self._resume
-
-    def _reinit(self, gen: Generator, name: str) -> None:
-        """Reuse this terminated shell for a new process (arena path).
-
-        Restores every field :meth:`__init__` sets, re-arming the
-        existing :attr:`terminated` event in place so the already-bound
-        ``_resume_cb`` and the shell identity carry over.
-        """
-        if not isinstance(gen, Iterator):
-            raise SimulationError(
-                f"spawn() needs a generator, got {type(gen).__name__}: "
-                "did you forget to call the generator function?"
-            )
-        self.gen = gen
-        self.name = name
-        self.result = None
-        self.exception = None
-        terminated = self.terminated
-        terminated.name = f"{name}.terminated"
-        terminated.triggered = False
-        terminated.value = None
-        terminated.exception = None
-        terminated._waiters.clear()
-        self._cancel_wait = None
-        self._killed = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.terminated.triggered else "alive"
@@ -853,14 +790,15 @@ class _Join:
 class _Forwarder:
     """Adapter so a _Join can sit in an Event waiter list."""
 
-    __slots__ = ("deliver", "joiner", "_resume_cb")
+    __slots__ = ("deliver", "joiner")
 
     def __init__(self, deliver: Callable, joiner: Process):
         self.deliver = deliver
         self.joiner = joiner
-        self._resume_cb = self._resume  # waiter-list protocol (see Event)
 
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _resume_cb(self, value: Any, exc: Optional[BaseException]) -> None:
+        # the waiter-list protocol (see Event); a method, not a stored
+        # bound method, so a forwarder is not a reference cycle
         self.deliver(value)
 
 

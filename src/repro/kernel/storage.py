@@ -11,7 +11,6 @@ convenience accessor for the latest entry.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -41,18 +40,6 @@ class StableStorage:
         self._clock = clock or (lambda: 0.0)
         self._data: Dict[Tuple[str, str], Any] = {}
         self._logs: Dict[str, List[LogEntry]] = {}
-        self.write_count = 0
-        self.read_count = 0
-
-    def snapshot_state(self) -> Tuple[Dict, Dict]:
-        """A deep copy of the current contents, for :meth:`reset`."""
-        return copy.deepcopy(self._data), copy.deepcopy(self._logs)
-
-    def reset(self, state: Tuple[Dict, Dict]) -> None:
-        """Restore contents captured by :meth:`snapshot_state`; zero counters."""
-        data, logs = state
-        self._data = copy.deepcopy(data)
-        self._logs = copy.deepcopy(logs)
         self.write_count = 0
         self.read_count = 0
 

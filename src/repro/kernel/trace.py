@@ -68,16 +68,6 @@ class Trace:
         """Register a live observer (used by the Monitoring Engine)."""
         self._subscribers.append(callback)
 
-    def reset(self, subscribers: Optional[List[Callable]] = None) -> None:
-        """Drop all records and restore the subscriber list.
-
-        Subscribers registered after a :meth:`World.snapshot` (monitoring
-        engines live inside a mission) are forgotten, matching a freshly
-        built trace.
-        """
-        self.records.clear()
-        self._subscribers[:] = subscribers or []
-
     # -- queries -----------------------------------------------------------
 
     def select(

@@ -3,18 +3,26 @@
 Bundles the simulator, trace, cluster, network, fault injector and stable
 storage, which otherwise must be threaded through every constructor.  All
 examples, tests and benchmarks start from ``World(seed=...)``.
+
+A world has one lifecycle: *build* it (``World(seed)`` plus
+``add_nodes``), *run* it (:meth:`World.run_scenario`, or a
+:class:`WorldTask` under :func:`run_solo`), *close* it
+(:meth:`World.close`).  Every mission gets its own world; nothing is
+rewound or reused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Union,
+)
 
 from repro.kernel.costs import CostModel, DEFAULT_COSTS
+from repro.kernel.errors import SimulationError
 from repro.kernel.faults import FaultInjector
 from repro.kernel.network import Network
 from repro.kernel.node import Cluster, Node
-from repro.kernel.sim import Simulator
+from repro.kernel.sim import Simulator, harvest_event_attribution
 from repro.kernel.storage import StableStorage
 from repro.kernel.trace import Trace
 
@@ -38,126 +46,64 @@ def _per_node(value, names: Sequence[str], default, parameter: str) -> List:
     return [value] * len(names)
 
 
-@dataclass(frozen=True)
-class WorldSnapshot:
-    """What :meth:`World.snapshot` captured — the platform as wired.
-
-    Holds the post-construction (typically post-``add_nodes``, pre-run)
-    state every subsystem needs to rewind to: node configurations, the
-    network topology, trace subscribers and storage contents.  Simulated
-    dynamic state (event queues, processes, RNG positions, counters) is
-    deliberately *not* captured: reset rebuilds it empty/reseeded, which
-    is exactly what fresh construction produces.
-    """
-
-    node_states: Tuple[Tuple[str, tuple], ...]
-    network_state: tuple
-    storage_state: tuple
-    trace_subscribers: tuple
-    #: Records already traced when the snapshot was taken (wiring-time
-    #: events like ``link_change``) — a fresh build would re-emit them,
-    #: so reset restores them verbatim.  TraceRecords are immutable, so
-    #: sharing the instances is safe.
-    trace_records: tuple = ()
-
-
 class World:
     """A simulated distributed platform."""
 
     def __init__(self, seed: int = 0, costs: CostModel = DEFAULT_COSTS):
-        self.sim = Simulator(seed=seed)
-        self.trace = Trace(clock=lambda: self.sim.now)
+        self.sim = sim = Simulator(seed=seed)
+        # the clocks close over the simulator, not the world: the world
+        # must not sit on a reference cycle of its own making
+        self.trace = Trace(clock=lambda: sim.now)
         self.costs = costs
-        self.cluster = Cluster(self.sim, self.trace, costs)
-        self.network = Network(self.sim, self.trace, costs)
-        self.faults = FaultInjector(self.sim, self.trace)
+        self.cluster = Cluster(sim, self.trace, costs)
+        self.network = Network(sim, self.trace, costs)
+        self.faults = FaultInjector(sim, self.trace)
         self.faults.network = self.network  # link slowdowns need the links
-        self.storage = StableStorage(self.trace, clock=lambda: self.sim.now)
+        self.storage = StableStorage(self.trace, clock=lambda: sim.now)
         self.seed = seed
-        #: Per-node component runtimes, reused across missions (see
-        #: :meth:`runtime_for`).  Keyed by node name.
+        #: Per-node component runtimes (see :meth:`runtime_for`), by name.
         self._runtimes: Dict[str, object] = {}
 
     @property
     def now(self) -> float:
         return self.sim.now
 
-    # -- snapshot / reset ---------------------------------------------------
+    def close(self) -> None:
+        """End this world's life — the one teardown every mission ends with.
 
-    def snapshot(self) -> WorldSnapshot:
-        """Capture the wired platform so :meth:`reset` can rewind to it.
-
-        Take the snapshot right after construction and ``add_nodes`` —
-        before any scenario runs — and :meth:`reset` becomes equivalent
-        to building the same world from scratch, in O(state) instead of
-        O(construction).
+        Folds the simulator's event counters into the process-wide
+        accumulator, kills what still runs, and drops every reference
+        the kernel layer holds into the finished mission or back onto
+        itself: trace records and subscribers, storage contents, node
+        hooks and process lists, mailboxes, delivery filters, the
+        network's bound delivery callback.  What the kernel layer keeps
+        is acyclic and empty, so the world and its mission — processes,
+        frames, events, trace — are freed by reference counting as the
+        caller lets go; the cyclic collector is left the component
+        layer's own cycles and the emptied shells (simulator, nodes,
+        network) those still name.  Idempotent; :attr:`now` keeps the
+        time the world ended at.
         """
-        return WorldSnapshot(
-            node_states=tuple(
-                (name, node.snapshot_state())
-                for name, node in self.cluster.nodes.items()
-            ),
-            network_state=self.network.snapshot_state(),
-            storage_state=self.storage.snapshot_state(),
-            trace_subscribers=tuple(self.trace._subscribers),
-            trace_records=tuple(self.trace.records),
-        )
-
-    def reset(self, snapshot: WorldSnapshot, seed: Optional[int] = None) -> None:
-        """Rewind to ``snapshot``, optionally under a new ``seed``.
-
-        The invariant the whole reuse layer rests on: after
-        ``world.reset(snapshot, seed)`` the world is *behaviourally
-        byte-identical* to a freshly built ``World(seed=seed)`` with the
-        same nodes added — same RNG draws, same event ordering, same
-        traces — so stores produced by reused worlds match fresh-build
-        stores bit for bit.  Nodes created after the snapshot (fleet
-        topologies materialise inside the mission) are removed.
-        """
-        if seed is None:
-            seed = self.seed
-        self.seed = seed
-        self.sim.reset(seed)
-        keep = {name for name, _state in snapshot.node_states}
-        for name in list(self.cluster.nodes):
-            if name not in keep:
-                del self.cluster.nodes[name]
-        for name, state in snapshot.node_states:
-            self.cluster.nodes[name].reset(state)
-        self.network.reset(snapshot.network_state)
-        self.faults.reset()
-        self.storage.reset(snapshot.storage_state)
-        self.trace.reset(list(snapshot.trace_subscribers))
-        self.trace.records.extend(snapshot.trace_records)
-        for name in list(self._runtimes):
-            if name not in keep:
-                del self._runtimes[name]
-        for runtime in self._runtimes.values():
-            runtime.reset()
-
-    def trim(self) -> None:
-        """Drop the finished mission's dynamic state without re-wiring.
-
-        Called when a world is parked in an arena: :meth:`reset` would
-        rebuild this state on the next lease anyway, but trimming at
-        release time means a parked world pins only its wiring — not the
-        trace records, storage contents and scheduled-event object
-        graphs of whatever mission it last ran.  Stale mission state is
-        exactly the kind of long-lived garbage that inflates every
-        cyclic-GC pass.
-        """
+        harvest_event_attribution(self.sim)
         self.sim.drain()
         self.trace.records.clear()
+        self.trace._subscribers.clear()
         self.storage._data.clear()
         self.storage._logs.clear()
+        for node in self.cluster.nodes.values():
+            node.processes.clear()
+            node._crash_hooks.clear()
+            node._restart_hooks.clear()
+        self.network._mailboxes.clear()
+        self.network._delivery_filters.clear()
+        self.network._deliver_cb = None
 
     def runtime_for(self, node):
-        """The (cached) component runtime hosting assemblies on ``node``.
+        """The component runtime hosting assemblies on ``node``.
 
         One :class:`~repro.components.runtime.ComponentRuntime` per node
-        per world, surviving :meth:`reset` — the runtime re-initialises
-        instead of being reconstructed, which is what makes re-deploying
-        the same assembly cheap across missions.
+        per world, built on first use: every deployment on a node shares
+        it, and with it the node's one crash hook.
         """
         runtime = self._runtimes.get(node.name)
         if runtime is None:
@@ -229,3 +175,63 @@ class World:
             self.add_nodes(list(nodes))
         gen = scenario(self) if callable(scenario) else scenario
         return self.run_process(gen, name=name)
+
+
+#: A scenario is either a ready generator or a callable ``world -> gen``
+#: (the same convention as :meth:`World.run_scenario`).
+Scenario = Union[Generator, Callable[[World], Generator]]
+
+
+class WorldTask:
+    """One world plus the process that drives it to completion.
+
+    The task's *result* is the driving process's return value.  Creating
+    a task spawns the process but runs none of its code — execution
+    happens under :func:`run_solo`.
+    """
+
+    __slots__ = ("world", "process", "name")
+
+    def __init__(
+        self,
+        world: World,
+        scenario: Scenario,
+        nodes: Sequence[str] = (),
+        name: str = "scenario",
+    ):
+        if nodes:
+            world.add_nodes(list(nodes))
+        gen = scenario(world) if callable(scenario) else scenario
+        self.world = world
+        self.name = name
+        self.process = world.sim.spawn(gen, name=name)
+
+    @property
+    def done(self) -> bool:
+        """Has the driving process terminated (successfully or not)?"""
+        return self.process.terminated.triggered
+
+    def result(self) -> Any:
+        """The driving process's return value; re-raises its failure."""
+        if not self.done:
+            raise SimulationError(f"task {self.name!r} has not finished")
+        if self.process.exception is not None:
+            raise self.process.exception
+        return self.process.result
+
+
+def run_solo(task: WorldTask) -> Any:
+    """Drive one task to completion, close its world, return its result.
+
+    Drives exactly as :meth:`Simulator.run_process` would — until the
+    task process terminates; a failing task raises, a world going idle
+    before its task finished raises :class:`SimulationError` (deadlock).
+    """
+    task.world.sim.advance(task.process.terminated)
+    if not task.done:
+        raise SimulationError(
+            f"task {task.name!r} never terminated (deadlock?)"
+        )
+    result = task.result()
+    task.world.close()
+    return result

@@ -18,7 +18,7 @@ from repro.core import AdaptationEngine
 from repro.core import repository as repository_module
 from repro.core.repository import catalogue_package
 from repro.eval import campaign, table3, transition_matrix
-from repro.kernel import release_world
+from repro.kernel import World
 
 
 def test_table3_builds_and_validates_each_package_once(monkeypatch):
@@ -75,17 +75,27 @@ def engines(monkeypatch):
             super().__init__(*args, **kwargs)
             made.append(self)
 
+    class DigestingWorld(World):
+        """``close()`` empties the trace: keep its digest from just before."""
+
+        def close(self):
+            assert self.trace.records, "nothing was traced before close()"
+            self.closing_digest = self.trace.digest()
+            super().close()
+
     for module in (table3, campaign, transition_matrix):
         monkeypatch.setattr(module, "AdaptationEngine", RecordingEngine)
+    monkeypatch.setattr(table3, "World", DigestingWorld)
     return made
 
 
 def _drive(task):
-    """``run_solo`` with the trace read before the world is trimmed."""
+    """``run_solo`` with the trace read before the world is closed."""
     task.world.sim.advance(task.process.terminated)
+    assert task.world.trace.records
     digest = task.world.trace.digest()
     result = task.result()
-    release_world(task.world)
+    task.world.close()
     return digest, result
 
 
@@ -94,7 +104,7 @@ def _table3_transition(engines):
         1234, {"kind": "transition", "source": "pbr", "target": "a+lfr"}
     )
     engine = engines.pop()
-    return engine.world.trace.digest(), engine.history, result
+    return engine.world.closing_digest, engine.history, result
 
 
 def _campaign_mission(engines):

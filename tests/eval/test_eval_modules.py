@@ -1,7 +1,12 @@
 """Unit tests for the evaluation harness itself."""
 
+import pytest
 
-from repro.eval import figure2, figure4, figure5, figure8, table1, table2
+from repro import exp
+from repro.eval import (
+    agility, consistency_eval, figure2, figure4, figure5, figure8, figure9,
+    table1, table2,
+)
 from repro.eval.format import check, render_table
 from repro.eval.sloc import class_sloc, count_sloc
 
@@ -99,3 +104,17 @@ def test_figure8_edge_fields():
         assert edge["kind"] in ("mandatory", "possible", "intra")
         assert edge["detection"] in ("probe", "manager")
         assert edge["nature"] in ("reactive", "proactive")
+
+
+# -- simulating artifacts report their events ---------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    agility.spec(), consistency_eval.spec(runs=2), figure9.spec(runs=1),
+], ids=lambda spec: spec.name)
+def test_simulating_specs_close_their_worlds(spec):
+    """A world's event counts reach the runner when it is closed: an
+    artifact that simulates must not report zero kernel events."""
+    result = exp.run(spec, backend="serial")
+    assert result.executed > 0
+    assert result.events_by_source["timer"] > 0, result.events_by_source

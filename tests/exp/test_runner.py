@@ -81,7 +81,7 @@ def test_results_are_json_normalised():
 def test_events_by_source_attribution_flows_to_result():
     # a campaign mission is heartbeat-dominated, but the beat clock
     # replays beats without kernel events: the per-subsystem attribution
-    # harvested from released worlds (kernel events by producer) and the
+    # harvested from closed worlds (kernel events by producer) and the
     # clock's own counters must reach both the ExperimentResult summary
     # and an aggregating ExecutionStats
     spec = campaign.spec(missions=2, base_seed=42, requests=8)
@@ -102,8 +102,8 @@ def test_events_by_source_attribution_flows_to_result():
 
 
 def test_table3_trials_report_their_events_too():
-    # Table 3 builds throwaway worlds outside the arena; they are
-    # released all the same, so their attribution is harvested
+    # Table 3 builds and closes its worlds by hand, outside run_solo:
+    # their attribution is harvested all the same
     from repro.eval import table3
 
     result = exp.run(table3.spec(runs=1, ftms=["pbr", "lfr"]), jobs=1,

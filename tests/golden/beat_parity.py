@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterator, List
 
 from repro.eval import campaign, fleet_campaign, gray, transition_matrix
 from repro.ftm.failure_detector import HeartbeatFailureDetector
-from repro.kernel import WorldTask, release_world
+from repro.kernel import WorldTask
 
 GOLDEN_PATH = Path(__file__).with_name("beat_parity.json")
 
@@ -112,7 +112,7 @@ def fingerprint(scenario: str, seed: int) -> Dict:
             task.result()  # re-raise a failed mission
             return world_fingerprint(world, detectors)
         finally:
-            release_world(world)
+            world.close()
 
 
 def record() -> Dict:

@@ -1,7 +1,7 @@
 """WorldTask / run_solo: the drive-to-completion contract.
 
 A :class:`WorldTask` is driven exactly as ``Simulator.run_process``
-drives a process (see :mod:`repro.kernel.arena`): until it terminates,
+drives a process (see :mod:`repro.kernel.world`): until it terminates,
 with failures and deadlocks raised to the caller.
 """
 

@@ -14,9 +14,7 @@ import json
 import pytest
 
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import (
-    BeatMonitor, BeatStream, Simulator, Timeout, World, clear_world_arena,
-)
+from repro.kernel import BeatMonitor, BeatStream, Simulator, Timeout, World
 from repro.kernel.errors import NodeDown
 
 from tests.golden import beat_parity
@@ -27,13 +25,11 @@ from tests.kernel.beat_reference import run_bare, run_both_ways
 
 @pytest.fixture(params=[True, False], ids=["fast", "legacy"])
 def kernel(request):
-    """Run under both ``fast_path`` settings, on freshly built worlds."""
+    """Run under both ``fast_path`` settings."""
     shipped = Simulator.DEFAULT_FAST_PATH
     Simulator.DEFAULT_FAST_PATH = request.param
-    clear_world_arena()
     yield
     Simulator.DEFAULT_FAST_PATH = shipped
-    clear_world_arena()
 
 
 @pytest.mark.parametrize("scenario", sorted(beat_parity.SCENARIOS))
@@ -307,10 +303,9 @@ def test_unknown_peer_raises_from_the_beat_and_stops_the_stream():
     assert world.network.messages_sent == 0
 
 
-def test_streams_die_with_their_node_and_with_a_world_reset():
+def test_streams_die_with_their_node_and_with_a_world_close():
     world = World(seed=1)
     world.add_nodes(["alpha", "beta"])
-    snapshot = world.snapshot()
     world.network.bind("beta", "fd").set_sink(BeatMonitor(world.sim, 60.0))
     stream = BeatStream(
         world.network, "alpha", lambda: "beta", "fd", "hb", 32, 20.0)
@@ -321,10 +316,15 @@ def test_streams_die_with_their_node_and_with_a_world_reset():
     assert not stream.alive
     world.run(until=200.0)
     assert world.network.messages_sent == 6
-    world.reset(snapshot)
+    # a stream on a node that stays up ends with the world instead
+    BeatStream(world.network, "beta", lambda: "alpha", "fd", "hb", 32, 20.0)
+    world.run(until=300.0)
+    assert world.network.messages_sent == 12
+    assert world.sim.pending() > 0
+    world.close()
     assert world.sim.peek_time() is None and world.sim.pending() == 0
-    world.run(until=100.0)
-    assert world.network.messages_sent == 0
+    world.run(until=400.0)
+    assert world.network.messages_sent == 12
 
 
 def test_counters_split_replayed_beats_from_kernel_events():

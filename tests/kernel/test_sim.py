@@ -426,3 +426,17 @@ def test_determinism_same_seed_same_trace():
 
     assert build_and_run(7) == build_and_run(7)
     assert build_and_run(7) != build_and_run(8)
+
+
+def test_run_counts_no_dead_entry_it_never_pushed():
+    """The horizon handle exists only for ``run(until=)``: an idle
+    ``run()`` pushed nothing, so it has nothing to cancel."""
+    sim = Simulator()
+    for _ in range(5):
+        sim.run()
+    assert sim._dead == 0 and not sim._queue
+
+    sim.schedule(1.0, lambda: None)
+    sim.run(until=10.0)  # the horizon fired: popped, not cancelled
+    assert sim.now == 10.0
+    assert sim._dead == 0 and not sim._queue
