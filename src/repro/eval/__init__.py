@@ -30,25 +30,36 @@ module             paper artifact
 =================  =============================================
 """
 
-from repro.eval import (
-    agility,
-    campaign,
-    consistency_eval,
-    figure2,
-    figure4,
-    figure5,
-    figure8,
-    figure9,
-    fleet_campaign,
-    gray,
-    table1,
-    table2,
-    table3,
-    transition_matrix,
-)
-from repro.eval.format import render_table
-from repro.eval.sloc import class_sloc, count_sloc, module_sloc
-from repro.eval.stats import format_interval, wilson_interval
+import importlib
+
+#: Re-exported helpers -> the submodule that defines them.
+_HELPERS = {
+    "render_table": "format",
+    "class_sloc": "sloc", "count_sloc": "sloc", "module_sloc": "sloc",
+    "format_interval": "stats", "wilson_interval": "stats",
+}
+
+
+def __getattr__(name: str):
+    """Import an artifact module or helper on first use (PEP 562).
+
+    A command imports what it runs: ``repro campaign`` replaying a full
+    store must not pay for Figure 9's simulator imports.
+    """
+    if name in _HELPERS:
+        module = importlib.import_module(f"{__name__}.{_HELPERS[name]}")
+        value = getattr(module, name)
+    elif name in __all__:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "agility",

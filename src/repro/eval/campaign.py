@@ -15,16 +15,16 @@ aggregates outcomes over ``missions`` seeds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from repro.app.workloads import constant
-from repro.core.adaptation_engine import AdaptationEngine
 from repro.eval.format import render_table
+from repro.eval.mission import run_solo
 from repro.eval.stats import format_interval, wilson_interval
 from repro.exp import ExperimentSpec, ResultStore, Trial
 from repro.exp import run as run_experiment
-from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World, WorldTask, run_solo
+
+if TYPE_CHECKING:
+    from repro.kernel import WorldTask
 
 
 @dataclass
@@ -50,21 +50,21 @@ class MissionOutcome:
         return self.all_ok and self.exactly_once
 
 
-def _build_world(seed: int) -> World:
-    """The campaign platform: three hosts, default links."""
-    world = World(seed=seed)
-    world.add_nodes(["alpha", "beta", "client"])
-    return world
-
-
 def mission_task(seed: int, requests: int = 30) -> WorldTask:
     """One randomised mission as an unrun :class:`WorldTask`.
 
     The task's result is the mission outcome as a plain dict (JSON-safe
     for the result store); :func:`run_mission` is the solo-execution
-    wrapper that returns the typed :class:`MissionOutcome`.
+    wrapper that returns the typed :class:`MissionOutcome`.  The
+    platform is three hosts on default links.
     """
-    world = _build_world(seed)
+    from repro.app.workloads import constant
+    from repro.core.adaptation_engine import AdaptationEngine
+    from repro.ftm import Client, deploy_ftm_pair
+    from repro.kernel import Timeout, World, WorldTask
+
+    world = World(seed=seed)
+    world.add_nodes(["alpha", "beta", "client"])
     rng = world.sim.random.substream("campaign")
     outcome = MissionOutcome(seed=seed, requests=requests, expected_value=requests)
 

@@ -20,17 +20,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.eval.format import render_table
+from repro.eval.mission import run_solo
 from repro.exp import ExperimentSpec, ResultStore, Trial
 from repro.exp import run as run_experiment
-from repro.fleet.manager import FleetResilienceManager
-from repro.fleet.placement import AppSpec, policy as placement_policy
-from repro.fleet.population import Population, apply_churn, churn_schedule
-from repro.fleet.topology import make_fleet
-from repro.ftm import deploy_ftm_pair
-from repro.kernel import Timeout, World, WorldTask, run_solo
+
+if TYPE_CHECKING:
+    from repro.kernel import WorldTask
 
 #: FTMs assigned to apps round-robin: half the fleet needs TR coverage,
 #: so resource-driven transitions exercise both families.
@@ -87,13 +85,6 @@ def trace_digest(world) -> str:
     return digest.hexdigest()
 
 
-def _build_world(seed: int) -> World:
-    """The fleet platform starts *empty*: hosts and links are added by
-    ``topology.materialise`` inside the mission (they depend on the
-    seed)."""
-    return World(seed=seed)
-
-
 def fleet_task(
     seed: int,
     hosts: int = 10,
@@ -105,9 +96,21 @@ def fleet_task(
     duration_ms: float = 8_000.0,
     limp_fraction: float = 0.0,
 ) -> WorldTask:
-    """One fleet mission as an unrun :class:`WorldTask`."""
+    """One fleet mission as an unrun :class:`WorldTask`.
+
+    The world starts *empty*: hosts and links are added by
+    ``topology.materialise`` inside the mission (they depend on the
+    seed).
+    """
+    from repro.fleet.manager import FleetResilienceManager
+    from repro.fleet.placement import AppSpec, policy as placement_policy
+    from repro.fleet.population import Population, apply_churn, churn_schedule
+    from repro.fleet.topology import make_fleet
+    from repro.ftm import deploy_ftm_pair
+    from repro.kernel import Timeout, World, WorldTask
+
     topology = make_fleet(kind, hosts, seed=seed)
-    world = _build_world(seed)
+    world = World(seed=seed)
     outcome = FleetOutcome(seed=seed, hosts=hosts, apps=apps,
                            placement=placement, churn_events=churn)
 

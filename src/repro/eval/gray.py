@@ -30,25 +30,20 @@ certifies event-order identity.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from repro.app.workloads import WorkloadResult, constant
-from repro.core import (
-    AdaptationEngine,
-    MonitoringEngine,
-    ResilienceManager,
-    SystemManager,
-)
-from repro.core.monitoring import Thresholds
-from repro.core.parameters import SystemContext
 from repro.eval.fleet_campaign import trace_digest
 from repro.eval.format import render_table
+from repro.eval.mission import run_solo
 from repro.eval.stats import format_interval, wilson_interval
 from repro.exp import ExperimentSpec, ResultStore, Trial
 from repro.exp import run as run_experiment
-from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World, WorldTask, run_solo
-from repro.kernel.faults import SLOW_RESOURCES
+from repro.vocabulary import SLOW_RESOURCES
+
+if TYPE_CHECKING:
+    from repro.core.monitoring import Thresholds
+    from repro.core.parameters import SystemContext
+    from repro.kernel import WorldTask
 
 #: FTMs the matrix sweeps: PBR must *transition away* under a limp
 #: (checkpoint-heavy, not limp-tolerant); LFR rides it out in place.
@@ -73,6 +68,8 @@ def gray_thresholds(
     probes are disabled (thresholds that can never trip) so the latency
     percentile probe is the only detector in play.
     """
+    from repro.core.monitoring import Thresholds
+
     return Thresholds(
         bandwidth_low=0.0,       # bandwidth probe: never scarce
         bandwidth_high=1.0,
@@ -90,6 +87,8 @@ def _context_for(ftm: str) -> SystemContext:
     lands on LFR), so the auto-approving manager does not immediately
     swap back to the cheaper PBR on the first unrelated trigger.
     """
+    from repro.core.parameters import SystemContext
+
     context = SystemContext()
     if ftm != "pbr":
         context = context.with_r(context.r.with_update(bandwidth_ok=False))
@@ -127,13 +126,6 @@ class GrayOutcome:
         return self.slo_misses / self.post_requests
 
 
-def _build_world(seed: int) -> World:
-    """The gray-matrix platform: three hosts, default links."""
-    world = World(seed=seed)
-    world.add_nodes(["alpha", "beta", "client"])
-    return world
-
-
 def gray_task(
     seed: int,
     ftm: str = "pbr",
@@ -167,12 +159,24 @@ def gray_task(
     the manager — otherwise the pair oscillates PBR→LFR→PBR→… for as
     long as the gray fault persists (the paper's man-in-the-loop
     argument, reproduced here by a limplock instead of a flapping link).
+    The platform is three hosts on default links.
     """
+    from repro.app.workloads import WorkloadResult, constant
+    from repro.core import (
+        AdaptationEngine,
+        MonitoringEngine,
+        ResilienceManager,
+        SystemManager,
+    )
+    from repro.ftm import Client, deploy_ftm_pair
+    from repro.kernel import Timeout, World, WorldTask
+
     if resource not in SLOW_RESOURCES:
         raise ValueError(
             f"unknown slow resource {resource!r}; pick from {SLOW_RESOURCES}"
         )
-    world = _build_world(seed)
+    world = World(seed=seed)
+    world.add_nodes(["alpha", "beta", "client"])
     outcome = GrayOutcome(seed=seed, ftm=ftm, resource=resource,
                           factor=factor, proactive=proactive)
 

@@ -44,17 +44,16 @@ package payloads are always caught by the checksum before installation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from repro.app.workloads import constant
-from repro.core.adaptation_engine import AdaptationEngine
-from repro.core.repository import Repository
 from repro.eval.format import render_table
+from repro.eval.mission import run_solo
 from repro.exp import ExperimentSpec, ResultStore, Trial
 from repro.exp import run as run_experiment
-from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World, WorldTask, run_solo
-from repro.kernel.faults import TRANSITION_FAULT_KINDS, TRANSITION_PHASES
+from repro.vocabulary import TRANSITION_FAULT_KINDS, TRANSITION_PHASES
+
+if TYPE_CHECKING:
+    from repro.kernel import World, WorldTask
 
 #: The FTM transitions the matrix exercises (differential neighbours).
 TRANSITIONS = (("pbr", "lfr"), ("pbr", "lfr+tr"), ("lfr", "lfr+tr"))
@@ -131,13 +130,6 @@ def _arm(world: World, phase: str, kind: str) -> None:
         world.faults.arm_transition_fault(phase, kind, node=FAULTED_NODE)
 
 
-def _build_world(seed: int) -> World:
-    """The matrix platform: three hosts, default links."""
-    world = World(seed=seed)
-    world.add_nodes(["alpha", "beta", "client"])
-    return world
-
-
 def cell_task(
     seed: int, source: str, target: str, fault: str, requests: int = 20
 ) -> WorldTask:
@@ -145,8 +137,16 @@ def cell_task(
 
     The task's result is the cell outcome as a plain dict;
     :func:`run_cell` is the solo wrapper returning :class:`CellOutcome`.
+    The platform is three hosts on default links.
     """
-    world = _build_world(seed)
+    from repro.app.workloads import constant
+    from repro.core.adaptation_engine import AdaptationEngine
+    from repro.core.repository import Repository
+    from repro.ftm import Client, deploy_ftm_pair
+    from repro.kernel import Timeout, World, WorldTask
+
+    world = World(seed=seed)
+    world.add_nodes(["alpha", "beta", "client"])
     outcome = CellOutcome(
         seed=seed, transition=f"{source}->{target}", fault=fault
     )

@@ -37,7 +37,6 @@ from repro.exp.errors import (
     SpecError,
     StoreError,
 )
-from repro.exp.distributed import RemoteBackend
 from repro.exp.runner import (
     BACKENDS,
     CompletedCell,
@@ -66,6 +65,21 @@ from repro.exp.spec import (
     spec_hash,
 )
 from repro.exp.store import DEFAULT_ROOT, ResultStore
+
+
+def __getattr__(name: str):
+    """``RemoteBackend`` on first use (PEP 562): the TCP backend — and
+    ``socket``/``threading`` with it — loads for remote runs only."""
+    if name != "RemoteBackend":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.exp.distributed import RemoteBackend
+
+    return RemoteBackend
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "BACKENDS",

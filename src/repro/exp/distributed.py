@@ -57,8 +57,9 @@ always carry a ``"type"`` key.  The conversation::
     coordinator -> worker   {"type": "bye"}
 
 ``"ev"`` is the batch's kernel event attribution (one short list of
-counts per batch-complete frame, never per cell), credited to the
-coordinating process so remote runs report ``events_by_source`` too.
+counts per batch-complete frame, never per cell, in
+:data:`~repro.exp.runner.EVENT_KEYS` order), credited to the run's
+stats so remote runs report ``events_by_source`` too.
 
 Worker store shadowing and the reconciliation invariant
 -------------------------------------------------------
@@ -142,7 +143,6 @@ from repro.exp.runner import (
     run_unit_batch,
 )
 from repro.exp.store import FILE_DIGEST_BYTES, ResultStore, file_digest
-from repro.kernel.sim import credit_event_attribution
 
 try:  # blake2b is in hashlib everywhere we run, but keep the import local
     from hashlib import blake2b
@@ -609,7 +609,7 @@ class RemoteBackend(ExecutorBackend):
                         f"while digest ack {bid} was outstanding"
                     )
                 with out_cond:  # serialises the feeders' credits
-                    credit_event_attribution(reply.get("ev", ()))
+                    plan.stats.record_event_counts(reply.get("ev", ()))
                 done: List[CompletedCell] = []
                 needed: List[Tuple[str, str, str]] = []
                 for ack in reply["cells"]:

@@ -48,7 +48,6 @@ import atexit
 import gc
 import importlib
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -68,7 +67,12 @@ from typing import (
 from repro.exp.errors import ExperimentError, ResultTypeError
 from repro.exp.spec import ExperimentSpec, spec_hash
 from repro.exp.store import ResultStore
-from repro.kernel.sim import credit_event_attribution, take_event_attribution
+
+#: What a batch's event-attribution count list holds, in order: the
+#: kernel's four event producers, then the beat clock's two counters.
+EVENT_KEYS = ("heartbeat", "timer", "request", "fault",
+              "beats_replayed", "beats_materialised")
+
 
 @dataclass
 class ExecutionStats:
@@ -114,6 +118,13 @@ class ExecutionStats:
         acc = self.events_by_source
         for key, value in sources.items():
             acc[key] = acc.get(key, 0) + value
+
+    def record_event_counts(self, counts: Sequence[int]) -> None:
+        """Accumulate one batch's count list (:data:`EVENT_KEYS` order)."""
+        sources = dict(zip(EVENT_KEYS, counts))
+        replayed = sources.pop("beats_replayed", 0)
+        materialised = sources.pop("beats_materialised", 0)
+        self.record_event_sources(sources, replayed, materialised)
 
     def record_cached_cells(self, count: int) -> None:
         """Count ``count`` cells served verbatim from the result store."""
@@ -290,7 +301,7 @@ def _execute_pool_task(
     (see :func:`batch_event_counts`).
     """
     trial_ref, units = task
-    take_event_attribution()  # scope the counters to this batch
+    batch_event_counts()  # scope the counters to this batch
     results = run_unit_batch(resolve_function_ref(trial_ref), units)
     return results, batch_event_counts()
 
@@ -300,11 +311,16 @@ def batch_event_counts() -> List[int]:
 
     Attribution accumulates per process, so pool and remote workers ship
     the delta of every batch back for the coordinating process to fold
-    in with ``credit_event_attribution`` — otherwise ``jobs>1`` and
-    remote runs would report zero events by source.  One short list per
-    *batch*, not per cell: it rides in the batch-complete frame.
+    in with :meth:`ExecutionStats.record_event_counts` — otherwise
+    ``jobs>1`` and remote runs would report zero events by source.  One
+    short list per *batch*, not per cell: it rides in the batch-complete
+    frame.  The counters live in :mod:`repro.kernel.sim`; a process that
+    never loaded it (a replay, a remote coordinator) closed no world and
+    reads zeros without loading it now.
     """
-    return list(take_event_attribution().values())
+    sim = sys.modules.get("repro.kernel.sim")
+    taken = sim.take_event_attribution() if sim is not None else {}
+    return [taken.get(key, 0) for key in EVENT_KEYS]
 
 
 def _normalise(value: Any, spec_name: str) -> Any:
@@ -379,12 +395,12 @@ class ExecutionPlan:
     #: they never write to it (persistence stays on the caller's thread).
     store: Optional[ResultStore] = None
 
-    def batches(self) -> List[List[_Unit]]:
-        """The units grouped into dispatch batches, in unit order."""
+    def batches(self, start: int = 0) -> List[List[_Unit]]:
+        """The units from ``start`` on, in dispatch batches, in unit order."""
         size = max(1, self.batch_size)
         return [
-            list(self.units[start:start + size])
-            for start in range(0, len(self.units), size)
+            list(self.units[at:at + size])
+            for at in range(start, len(self.units), size)
         ]
 
 
@@ -442,6 +458,8 @@ def local_pool(processes: int):
     if _LOCAL_POOL is not None and _LOCAL_POOL_PROCESSES == processes:
         return _LOCAL_POOL
     shutdown_local_pool()
+    import multiprocessing  # only a process that forks pays for it
+
     _LOCAL_POOL = multiprocessing.Pool(processes=processes)
     _LOCAL_POOL_PROCESSES = processes
     return _LOCAL_POOL
@@ -471,26 +489,33 @@ class LocalPoolBackend(ExecutorBackend):
 
     Tasks carry the trial's import-reference string instead of a
     pickled function object; workers resolve it against their own
-    ``sys.modules``.  Plans with one worker or one unit run inline — a
-    pool cannot beat a function call.  A failure mid-dispatch tears the
-    pool down so stale in-flight tasks never burn CPU into the next run.
+    ``sys.modules``.  The plan's first unit runs here, before the pool
+    exists: eval modules import the simulator at their first mission,
+    so this is what makes a new pool fork from a parent that already
+    holds every module the plan executes — and the process-wide
+    package catalogue and assembly caches that unit filled — instead of
+    each worker importing and rebuilding them.  Plans with one worker
+    or at most one unit left for a pool run inline — a pool cannot beat
+    a function call.  A failure mid-dispatch tears the pool down so
+    stale in-flight tasks never burn CPU into the next run.
     """
 
     name = "local"
 
     def execute(self, plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
-        if plan.worker_count <= 1 or len(plan.units) <= 1:
+        if plan.worker_count <= 1 or len(plan.units) <= 2:
             yield from SerialBackend().execute(plan)
             return
+        yield from run_unit_batch(plan.spec.trial, plan.units[:1])
         ref = function_ref(plan.spec.trial)
-        tasks: List[_PoolTask] = [(ref, batch) for batch in plan.batches()]
+        tasks: List[_PoolTask] = [(ref, batch) for batch in plan.batches(1)]
         plan.stats.record_batches(len(tasks))
         pool = local_pool(plan.worker_count)
         try:
-            for batch_results, sources in pool.imap_unordered(
+            for batch_results, counts in pool.imap_unordered(
                 _execute_pool_task, tasks
             ):
-                credit_event_attribution(sources)
+                plan.stats.record_event_counts(counts)
                 yield from batch_results
         except BaseException:
             # in-flight tasks of the abandoned iterator would keep
@@ -655,7 +680,7 @@ def run(
 
     started = time.perf_counter()
     if units:
-        take_event_attribution()  # scope the kernel counters to this run
+        batch_event_counts()  # scope the kernel counters to this run
         size = (default_batch(len(units), worker_count)
                 if batch is None else max(1, int(batch)))
         plan = ExecutionPlan(
@@ -674,11 +699,7 @@ def run(
         finally:
             if owned:
                 executor.close()
-            sources = take_event_attribution()
-            beats_replayed = sources.pop("beats_replayed")
-            beats_materialised = sources.pop("beats_materialised")
-            run_stats.record_event_sources(
-                sources, beats_replayed, beats_materialised)
+            run_stats.record_event_counts(batch_event_counts())
     elapsed = time.perf_counter() - started if units else 0.0
 
     missing = [trial.key for trial in spec.trials
@@ -690,7 +711,9 @@ def run(
         )
     results = {trial.key: assembler.completed[trial.key]
                for trial in spec.trials}
-    if store is not None:
+    # a replay that persisted nothing leaves the computing run's record
+    # (its jobs, backend and elapsed time) alone
+    if store is not None and (units or not store.manifest_covers(spec, digest)):
         store.write_manifest(
             spec, meta={"jobs": worker_count, "backend": executor.name,
                         "elapsed_s": elapsed}

@@ -227,6 +227,17 @@ class ResultStore:
         }
         return self._write_atomic(self.manifest_path(spec), payload)
 
+    def manifest_covers(self, spec: "spec_mod.ExperimentSpec",
+                        digest: str) -> bool:
+        """True when the manifest on disk records spec hash ``digest`` and
+        every cell — false when it is missing, torn, stale or partial."""
+        payload = _read_json(self.manifest_path(spec))
+        if payload is None or payload.get("hash") != digest:
+            return False
+        cells = payload.get("cells")
+        return (isinstance(cells, dict)
+                and cells.keys() == {trial.key for trial in spec.trials})
+
     # -- whole-spec API ----------------------------------------------------
 
     def load(self, spec: "spec_mod.ExperimentSpec") -> Optional[Dict[str, Any]]:

@@ -33,6 +33,11 @@ from typing import Any, Dict, List, Optional
 
 from repro.kernel.sim import Simulator
 from repro.kernel.trace import Trace
+from repro.vocabulary import (
+    SLOW_RESOURCES,
+    TRANSITION_FAULT_KINDS,
+    TRANSITION_PHASES,
+)
 
 
 class FaultKind(enum.Enum):
@@ -43,10 +48,6 @@ class FaultKind(enum.Enum):
     PERMANENT_VALUE = "permanent_value"
     OMISSION = "omission"
     SLOW = "slow"
-
-
-#: The resources :meth:`FaultInjector.arm_slow` can degrade.
-SLOW_RESOURCES = ("cpu", "link", "disk")
 
 
 @dataclass
@@ -122,12 +123,6 @@ class Corrupted:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Corrupted {self.original!r}>"
-
-
-#: The four phases of the resilient transition path that accept faults.
-TRANSITION_PHASES = ("fetch", "deploy", "script", "remove")
-#: The fault kinds a transition phase can be hit with.
-TRANSITION_FAULT_KINDS = ("crash", "corrupt", "omission", "slow")
 
 
 @dataclass

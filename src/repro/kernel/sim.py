@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from math import inf
-from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional
 
 from repro.kernel.errors import (
     ProcessInterrupted,
@@ -400,14 +400,6 @@ def take_event_attribution() -> Dict[str, int]:
     for key in _ATTRIBUTION:
         _ATTRIBUTION[key] = 0
     return out
-
-
-def credit_event_attribution(counts: Sequence[int]) -> None:
-    """Fold counters harvested in *another* process into this one's
-    accumulator — worker backends ship ``take_event_attribution()``'s
-    values (in its key order) back with every batch through this."""
-    for key, count in zip(_ATTRIBUTION, counts):
-        _ATTRIBUTION[key] += count
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from repro import exp
 from repro.core import AdaptationEngine
+from repro.core import adaptation_engine as engine_module
 from repro.core import repository as repository_module
 from repro.core.repository import catalogue_package
 from repro.eval import campaign, table3, transition_matrix
@@ -83,7 +84,9 @@ def engines(monkeypatch):
             self.closing_digest = self.trace.digest()
             super().close()
 
-    for module in (table3, campaign, transition_matrix):
+    # table3 binds the engine at import; campaign and transition_matrix
+    # import it from its defining module when a mission is built
+    for module in (table3, engine_module):
         monkeypatch.setattr(module, "AdaptationEngine", RecordingEngine)
     monkeypatch.setattr(table3, "World", DigestingWorld)
     return made

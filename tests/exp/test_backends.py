@@ -153,6 +153,14 @@ def test_local_pool_resizes_on_different_worker_count():
         exp.shutdown_local_pool()
 
 
+def test_plan_with_one_unit_left_for_a_pool_runs_inline():
+    # the parent runs the first unit itself; one more is no work for a pool
+    exp.shutdown_local_pool()
+    result = exp.run(_echo_spec(cells=2, runs=1), jobs=2, backend="local")
+    assert result.executed == 2 and result.backend == "local"
+    assert runner._LOCAL_POOL is None
+
+
 def test_function_ref_roundtrip():
     ref = runner.function_ref(echo_trial)
     assert ref == f"{__name__}:echo_trial"

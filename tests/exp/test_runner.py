@@ -101,6 +101,15 @@ def test_events_by_source_attribution_flows_to_result():
     assert summary["beats_materialised"] == result.beats_materialised
 
 
+def test_shipped_count_lists_name_every_kernel_counter():
+    # the runner owns the order of a batch's count list and reads the
+    # kernel's accumulator by key: a counter added there must be listed
+    from repro.exp.runner import EVENT_KEYS
+    from repro.kernel import take_event_attribution
+
+    assert tuple(take_event_attribution()) == EVENT_KEYS
+
+
 def test_table3_trials_report_their_events_too():
     # Table 3 builds and closes its worlds by hand, outside run_solo:
     # their attribution is harvested all the same

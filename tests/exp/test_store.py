@@ -241,12 +241,43 @@ def test_identity_call_budget_cold_run_then_replay(tmp_path, monkeypatch):
     assert set(hashes) == {t.key for t in spec.trials}
     assert max(hashes.values()) <= 2, hashes
 
-    # read path: one address per load_cell, one per write_manifest
+    # read path: one address per load_cell; a full hit leaves the
+    # manifest alone, so nothing else asks for an address
     hashes.clear()
     replay = exp.run(spec, jobs=1, backend="serial", store=store)
     assert replay.cache_state == "full" and replay.executed == 0
-    assert max(hashes.values()) <= 2, hashes
+    assert max(hashes.values()) <= 1, hashes
 
     # the source of each function was tokenised at most once, process-wide
     assert set(sources) <= {budget_trial, budget_reduce}
     assert all(count <= 1 for count in sources.values()), sources
+
+
+def test_replay_leaves_the_computing_runs_manifest_alone(tmp_path):
+    store = exp.ResultStore(tmp_path)
+    spec = _spec()
+    exp.run(spec, jobs=1, backend="serial", store=store)
+    manifest = store.manifest_path(spec)
+    cold_bytes = manifest.read_bytes()
+    assert json.loads(cold_bytes)["meta"]["backend"] == "serial"
+
+    # a replay records nothing new: other jobs/backend, same bytes
+    replay = exp.run(spec, jobs=3, backend="local", store=store)
+    assert replay.cache_state == "full"
+    assert manifest.read_bytes() == cold_bytes
+
+    # missing, torn, stale (another spec's hash) or partial: rewritten
+    whole = json.loads(cold_bytes)
+    stale = dict(whole, hash="0" * 64)
+    partial = dict(whole, cells={"a": whole["cells"]["a"]})
+    for damage in (None, cold_bytes[: len(cold_bytes) // 2],
+                   json.dumps(stale).encode(), json.dumps(partial).encode()):
+        if damage is None:
+            manifest.unlink()
+        else:
+            manifest.write_bytes(damage)
+        assert exp.run(spec, jobs=3, backend="local", store=store).cached
+        repaired = json.loads(manifest.read_text(encoding="utf-8"))
+        assert repaired["hash"] == exp.spec_hash(spec)
+        assert set(repaired["cells"]) == {"a", "b"}
+        assert repaired["meta"]["backend"] == "local"
