@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
@@ -53,9 +54,8 @@ from repro.core.transition import (
 from repro.ftm.factory import FTMPair
 from repro.ftm.replica import Replica
 from repro.kernel.errors import NodeDown
-from repro.kernel.faults import bit_flip
 from repro.kernel.sim import TIMEOUT, Timeout, all_of
-from repro.script.ast import Remove, TransitionScript
+from repro.script.ast import Path, Remove, TransitionScript
 from repro.script.errors import RollbackFailed, ScriptException
 from repro.script.interpreter import ScriptInterpreter
 
@@ -122,6 +122,16 @@ class TransitionReport:
         return sum(done) / len(done) if done else 0.0
 
 
+#: How long a replica the fail-silent wrapper killed stays down before the
+#: degraded path restarts and reintegrates it (ms).
+QUARANTINE_DELAY = 300.0
+
+#: The report timing each phase counts towards.  Fetch and deploy are one
+#: step of Sec. 5.3 ("deploy package"), booked when deploy completes.
+_TIMING = {"fetch": "deploy_ms", "deploy": "deploy_ms",
+           "script": "script_ms", "remove": "remove_ms"}
+
+
 class AdaptationEngine:
     """Runs transitions on an :class:`FTMPair` using a :class:`Repository`."""
 
@@ -131,14 +141,12 @@ class AdaptationEngine:
         pair: FTMPair,
         repository: Optional[Repository] = None,
         context=None,
-        quarantine_delay: float = 300.0,
     ):
         self.world = world
         self.pair = pair
         self.repository = repository or Repository()
         #: optional :class:`SystemContext` consulted for degraded fallback
         self.context = context
-        self.quarantine_delay = quarantine_delay
         self.history: List[TransitionReport] = []
         self.degraded_transitions = 0
         self.quarantine_recoveries = 0
@@ -146,29 +154,15 @@ class AdaptationEngine:
 
     # -- public API --------------------------------------------------------------
 
-    def transition(
-        self,
-        target_ftm: str,
-        inject_script_failure_on: Optional[str] = None,
-        fallback: bool = True,
-        context=None,
-    ) -> Generator:
+    def transition(self, target_ftm: str, context=None) -> Generator:
         """Execute source→target on both replicas in parallel (generator).
 
         Returns a :class:`TransitionReport`.  When the transition fails on
-        every replica and ``fallback`` is true (the default), the engine
-        *degrades* instead of raising: the pair keeps serving on the
-        source FTM, killed replicas are quarantined and reintegrated, and
-        the report names the next-best reachable FTM for the current
-        ``context`` (falling back to the source FTM when no context is
-        known).  ``fallback=False`` restores the legacy raise-on-failure
-        contract.
-
-        ``inject_script_failure_on`` names a node whose script is tampered
-        with — sugar for ``faults.arm_transition_fault("script",
-        "corrupt", node=...)``, the single injection API behind the
-        Sec. 5.3 consistency experiments and the transition-survival
-        matrix.
+        every replica the engine *degrades* instead of raising: the pair
+        keeps serving on the source FTM, killed replicas are quarantined
+        and reintegrated, and the report names the next-best reachable
+        FTM for the current ``context`` (falling back to the source FTM
+        when no context is known).
         """
         source_ftm = self.pair.ftm
         report = TransitionReport(
@@ -179,11 +173,6 @@ class AdaptationEngine:
         if source_ftm == target_ftm:
             self.history.append(report)
             return report
-
-        if inject_script_failure_on is not None:
-            self.world.faults.arm_transition_fault(
-                "script", "corrupt", node=inject_script_failure_on
-            )
 
         # Build every replica-side package up front (and exactly once): the
         # component count must not be re-derived later from a replica that
@@ -202,52 +191,44 @@ class AdaptationEngine:
                 self.pair.replicas[0], source_ftm, target_ftm
             ).component_count
 
-        processes = []
-        for replica in self.pair.replicas:
-            if not replica.alive:
-                report.replicas.append(
-                    ReplicaTransitionReport(
-                        node=replica.node.name, error="replica down"
-                    )
-                )
-                continue
-            processes.append(
-                self.world.sim.spawn(
-                    self._transition_replica(
-                        replica, packages[replica.node.name], target_ftm
-                    ),
-                    name=f"transition-{replica.node.name}",
-                )
-            )
-
-        replica_reports = yield from all_of(self.world.sim, processes)
-        report.replicas.extend(r for r in replica_reports if r is not None)
-
+        yield from self._on_live_replicas(
+            report, "transition",
+            lambda _index, replica: self._transition_replica(
+                replica, packages[replica.node.name], target_ftm
+            ),
+        )
         if report.success:
             self._reconcile_diverged(report)
-            self.world.trace.record(
-                "adaptation",
-                "transition_complete",
-                source=source_ftm,
-                target=target_ftm,
-            )
-        else:
-            self.world.trace.record(
-                "adaptation",
-                "transition_failed",
-                source=source_ftm,
-                target=target_ftm,
-            )
-
+        self.world.trace.record(
+            "adaptation",
+            "transition_complete" if report.success else "transition_failed",
+            source=source_ftm,
+            target=target_ftm,
+        )
         self.history.append(report)
         if not report.success:
-            if not fallback:
-                raise TransitionFailed(
-                    f"{source_ftm} -> {target_ftm} failed on every replica"
-                )
             self._enter_degraded_mode(report, context or self.context)
             self._quarantine_killed(report)
         return report
+
+    def _on_live_replicas(self, report: TransitionReport, label: str,
+                          reconfigure) -> Generator:
+        """Run ``reconfigure(index, replica)`` on every live replica in
+        parallel; a replica that is down is reported as such.  The
+        per-replica reports join ``report`` once all have finished."""
+        processes = []
+        for index, replica in enumerate(self.pair.replicas):
+            name = replica.node.name
+            if replica.alive:
+                processes.append(self.world.sim.spawn(
+                    reconfigure(index, replica), name=f"{label}-{name}"
+                ))
+            else:
+                report.replicas.append(
+                    ReplicaTransitionReport(node=name, error="replica down")
+                )
+        replica_reports = yield from all_of(self.world.sim, processes)
+        report.replicas.extend(r for r in replica_reports if r is not None)
 
     def update_application(
         self, new_app: str, transfer_state: bool = True
@@ -273,26 +254,17 @@ class AdaptationEngine:
 
         from repro.core.transition import build_package
 
-        processes = []
-        for index, replica in enumerate(self.pair.replicas):
-            if not replica.alive:
-                report.replicas.append(
-                    ReplicaTransitionReport(node=replica.node.name, error="replica down")
-                )
-                continue
-            source_spec = self.pair.spec_for(index, app=old_app)
-            target_spec = self.pair.spec_for(index, app=new_app)
+        def update(index: int, replica: Replica) -> Generator:
             package = build_package(
                 report.source_ftm,
                 report.target_ftm,
-                source_spec,
-                target_spec,
+                self.pair.spec_for(index, app=old_app),
+                self.pair.spec_for(index, app=new_app),
                 self.pair.composite_name,
             )
-
             carried = {}
 
-            def capture(rep, carried=carried):
+            def capture(rep):
                 if transfer_state:
                     try:
                         carried["state"] = yield from rep.control_internal("get_state")
@@ -301,7 +273,7 @@ class AdaptationEngine:
                 return None
                 yield  # pragma: no cover - generator marker
 
-            def restore(rep, carried=carried):
+            def restore(rep):
                 if "state" in carried:
                     try:
                         yield from rep.control_internal("put_state", carried["state"])
@@ -315,21 +287,15 @@ class AdaptationEngine:
                     self.pair.app = new_app
                     self.pair._log_configuration(self.pair.ftm)
 
-            processes.append(
-                self.world.sim.spawn(
-                    self._run_package(
-                        replica,
-                        package,
-                        pre_script=capture,
-                        post_script=restore,
-                        on_success=on_success,
-                    ),
-                    name=f"app-update-{replica.node.name}",
-                )
+            return self._run_package(
+                replica,
+                package,
+                pre_script=capture,
+                post_script=restore,
+                on_success=on_success,
             )
 
-        replica_reports = yield from all_of(self.world.sim, processes)
-        report.replicas.extend(r for r in replica_reports if r is not None)
+        yield from self._on_live_replicas(report, "app-update", update)
         self.history.append(report)
         if not report.success:
             raise TransitionFailed(
@@ -421,7 +387,7 @@ class AdaptationEngine:
             )
 
     def _requarantine(self, replica: Replica) -> Generator:
-        yield Timeout(self.quarantine_delay)
+        yield Timeout(QUARANTINE_DELAY)
         if replica.node.is_up or replica.alive:
             return
         self.world.trace.record(
@@ -436,21 +402,18 @@ class AdaptationEngine:
     def _package_for(
         self, replica: Replica, source_ftm: str, target_ftm: str
     ) -> TransitionPackage:
-        peer = next(
-            r.node.name for r in self.pair.replicas if r is not replica
-        )
         return self.repository.transition_package(
-            *self._package_key(replica, source_ftm, target_ftm, peer)
+            *self._package_key(replica, source_ftm, target_ftm)
         )
 
-    def _package_key(self, replica: Replica, source_ftm: str, target_ftm: str,
-                     peer: str) -> tuple:
+    def _package_key(self, replica: Replica, source_ftm: str,
+                     target_ftm: str) -> tuple:
         """The positional repository key (also the networked wire key)."""
         return (
             source_ftm,
             target_ftm,
             replica.role() if replica.role() not in ("?", "gone") else "master",
-            peer,
+            next(r.node.name for r in self.pair.replicas if r is not replica),
             self.pair.app,
             self.pair.assertion,
             self.pair.composite_name,
@@ -473,73 +436,40 @@ class AdaptationEngine:
             replica.deployed_ftm = target_ftm
         return report
 
-    # -- fault hooks at phase boundaries ----------------------------------------------
+    # -- phase boundaries ------------------------------------------------------------------
 
-    def _enter_phase(self, phase: str, node, crash: bool = True):
-        """Apply armed crash/omission faults as the phase starts.
+    def _phases(self, node, report: ReplicaTransitionReport):
+        """The ``with phase(name):`` blocks of one replica's transition.
 
-        Returns a restore callback to invoke at phase end when an omission
-        window opened, else ``None``.  An armed crash fail-stops the node
-        here; the next charged computation (or network send) raises
-        :class:`NodeDown`, which the transition wrapper turns into a
-        per-replica failure.  The script phase passes ``crash=False``: its
-        crashes land at a statement boundary inside the interpreter
-        (rollback first, then the fail-silent kill).
-
-        The omission window targets the *transition path*: with a hosted
-        repository the loss lands on the node↔repository link (package
-        traffic — the FTM's own replication traffic keeps its configured
-        loss, which its fault model covers); without one it falls back to
-        a global loss window.
+        A block announces its phase's ``enter`` and ``leave`` on the
+        world's boundary stream (:meth:`Trace.announce`) — ``leave``
+        always, marked ``failed`` when the phase did not complete: what a
+        listener opened on ``enter`` it closes on ``leave``.  The
+        announcements' instants are the only stopwatch: a completed
+        deploy, script or remove books the time since the first ``enter``
+        counted towards the same report timing, so ``deploy_ms`` is one
+        subtraction (last deploy ``leave`` minus first fetch ``enter``),
+        never a sum of spans.
         """
-        faults = self.world.faults
-        if crash and faults.take_transition_fault(
-            phase, node.name, kind="crash"
-        ) is not None:
-            node.crash()
-            return None
-        restores = []
-        slow = faults.take_transition_fault(phase, node.name, kind="slow")
-        if slow is not None:
-            # gray failure scoped to the phase: the node's resource limps
-            # while the phase runs, then recovers at _leave_phase
-            restores.append(faults.apply_slow(node, slow.resource, slow.factor))
-        omission = faults.take_transition_fault(phase, node.name, kind="omission")
-        if omission is not None:
-            network = self.world.network
-            if self._networked():
-                link = network.link(node.name, self.repository.host)
-                previous = link.loss
-                network.set_link_loss(
-                    node.name, self.repository.host,
-                    max(previous, omission.probability),
-                )
-                restores.append(lambda: network.set_link_loss(
-                    node.name, self.repository.host, previous
-                ))
-            else:
-                previous = network.loss_probability
-                network.set_loss_probability(
-                    max(previous, omission.probability)
-                )
-                restores.append(
-                    lambda: network.set_loss_probability(previous)
-                )
-        if not restores:
-            return None
-        if len(restores) == 1:
-            return restores[0]
+        announce = self.world.trace.announce
+        remote = self.repository.host if self._networked() else None
+        started: Dict[str, float] = {}
 
-        def restore_all() -> None:
-            for restore in restores:
-                restore()
+        @contextmanager
+        def phase(name: str):
+            timing = _TIMING[name]
+            entered = announce(name, "enter", node, remote=remote)
+            start = started.setdefault(timing, entered.time)
+            try:
+                yield
+            except BaseException as failure:
+                announce(name, "leave", node, failed=type(failure).__name__)
+                raise
+            left = announce(name, "leave", node)
+            if name != "fetch":
+                setattr(report, timing, left.time - start)
 
-        return restore_all
-
-    @staticmethod
-    def _leave_phase(restore) -> None:
-        if restore is not None:
-            restore()
+        return phase
 
     # -- networked package fetch --------------------------------------------------------
 
@@ -569,11 +499,9 @@ class AdaptationEngine:
 
         network = self.world.network
         faults = self.world.faults
+        announce = self.world.trace.announce
         rand = self.world.sim.random.substream(f"fetch.{node.name}")
-        peer = next(
-            r.node.name for r in self.pair.replicas if r is not replica
-        )
-        key = self._package_key(replica, package.source_ftm, package.target_ftm, peer)
+        key = self._package_key(replica, package.source_ftm, package.target_ftm)
         expected_checksum = package_checksum(package)
         blob_size = max(1, package.size)
         total_chunks = max(1, math.ceil(blob_size / costs.package_chunk_bytes))
@@ -589,11 +517,9 @@ class AdaptationEngine:
                         node, key, index, port, mailbox, rand, report
                     )
                     payload = faults.filter_value(node.name, chunk.data)
-                    if faults.take_transition_fault(
-                        "fetch", node.name, kind="corrupt"
-                    ) is not None:
-                        payload = bit_flip(payload, rand.randint(0, 30))
-                    data.extend(payload)
+                    data.extend(announce(
+                        "fetch", "chunk", node, payload=payload, rand=rand
+                    ).payload)
                 if (len(data) == blob_size
                         and zlib.crc32(bytes(data)) == expected_checksum):
                     self.world.trace.record(
@@ -666,7 +592,7 @@ class AdaptationEngine:
             f"chunk {index} unanswered after {costs.fetch_chunk_attempts} attempts"
         )
 
-    # -- the three instrumented phases --------------------------------------------------
+    # -- the replica-side sequence ---------------------------------------------------------
 
     def _run_package(
         self,
@@ -676,46 +602,36 @@ class AdaptationEngine:
         post_script=None,
         on_success=None,
     ) -> Generator:
-        """The three instrumented phases of one replica-side reconfiguration."""
+        """One replica-side reconfiguration: fetch, deploy, script, remove."""
         node = replica.node
         costs = self.world.costs
-        faults = self.world.faults
+        trace = self.world.trace
         report = ReplicaTransitionReport(node=node.name)
-        script = package.script
+        phase = self._phases(node, report)
 
         try:
-            # -- phase 1: deploy the transition package --------------------------
-            phase_start = self.world.now
+            # -- step 1: deploy the transition package ---------------------------
             while True:
-                restore = self._enter_phase("fetch", node)
-                try:
+                with phase("fetch"):
                     yield from self._fetch_package(replica, package, report)
-                finally:
-                    self._leave_phase(restore)
-                restore = self._enter_phase("deploy", node)
-                try:
+                with phase("deploy"):
                     yield from node.compute(
                         (costs.package_unpack_base
                          + costs.package_unpack_component
                          * package.component_count) / node.disk_speed
                     )
-                    if faults.take_transition_fault(
-                        "deploy", node.name, kind="corrupt"
-                    ) is None:
+                    if not trace.announce("deploy", "payload", node).failed:
                         break
                     # the unpacked payload fails its checksum: discard and
                     # re-fetch — a corrupted package is never installed
                     report.corrupt_fetches += 1
-                    self.world.trace.record(
+                    trace.record(
                         "adaptation",
                         "unpack_corrupt_detected",
                         node=node.name,
                         package=package.name,
                     )
-                finally:
-                    self._leave_phase(restore)
-            report.deploy_ms = self.world.now - phase_start
-            self.world.trace.record(
+            trace.record(
                 "adaptation",
                 "package_deployed",
                 node=node.name,
@@ -723,17 +639,14 @@ class AdaptationEngine:
                 components=package.component_count,
             )
 
-            # -- phase 2: execute the reconfiguration script ----------------------
-            phase_start = self.world.now
-            if faults.take_transition_fault(
-                "script", node.name, kind="corrupt"
-            ) is not None:
-                script = _tampered(script)
-            composite = replica.composite
-            if composite is None:
-                raise NodeDown(node.name, "transition")
-            restore = self._enter_phase("script", node, crash=False)
-            try:
+            # -- step 2: execute the reconfiguration script ------------------------
+            with phase("script"):
+                script = package.script
+                if trace.announce("script", "script", node).failed:
+                    script = _tampered(script)
+                composite = replica.composite
+                if composite is None:
+                    raise NodeDown(node.name, "transition")
                 yield from composite.drain()  # Sec. 5.3 request consistency
                 try:
                     if pre_script is not None:
@@ -744,39 +657,29 @@ class AdaptationEngine:
                         yield from post_script(replica)
                 finally:
                     composite.open_gate()
-            finally:
-                self._leave_phase(restore)
-            report.script_ms = self.world.now - phase_start
 
-            # -- phase 3: remove the residual package ------------------------------
-            phase_start = self.world.now
-            restore = self._enter_phase("remove", node)
-            try:
+            # -- step 3: remove the residual package -------------------------------
+            with phase("remove"):
                 yield from node.compute(
                     (costs.package_remove_base
                      + costs.package_remove_component
                      * package.component_count) / node.disk_speed
                 )
-                if faults.take_transition_fault(
-                    "remove", node.name, kind="corrupt"
-                ) is not None:
+                if trace.announce("remove", "residue", node).failed:
                     # residual cleanup is best-effort: the transition already
                     # committed, leftover staging files cost disk, not safety
                     report.error = "residual cleanup failed (leftovers kept)"
-                    self.world.trace.record(
+                    trace.record(
                         "adaptation",
                         "residual_cleanup_failed",
                         node=node.name,
                         package=package.name,
                     )
-            finally:
-                self._leave_phase(restore)
-            report.remove_ms = self.world.now - phase_start
 
             report.success = True
             if on_success is not None:
                 on_success()
-            self.world.trace.record(
+            trace.record(
                 "adaptation",
                 "replica_transitioned",
                 node=node.name,
@@ -790,7 +693,7 @@ class AdaptationEngine:
             # inconsistent distributed configuration.
             report.error = str(failure)
             report.killed = True
-            self.world.trace.record(
+            trace.record(
                 "adaptation",
                 "replica_killed",
                 node=node.name,
@@ -804,7 +707,7 @@ class AdaptationEngine:
             # The package never arrived; nothing was mutated — the replica
             # keeps serving in its source configuration.
             report.error = str(failure)
-            self.world.trace.record(
+            trace.record(
                 "adaptation",
                 "fetch_exhausted",
                 node=node.name,
@@ -819,7 +722,7 @@ class AdaptationEngine:
             # in whatever configuration ends up logged.
             report.error = str(failure)
             report.crashed = True
-            self.world.trace.record(
+            trace.record(
                 "adaptation",
                 "replica_crashed_mid_transition",
                 node=node.name,
@@ -831,8 +734,6 @@ class AdaptationEngine:
 
 def _tampered(script: TransitionScript) -> TransitionScript:
     """Append a statement that must fail (removing a ghost component)."""
-    from repro.script.ast import Path
-
     return TransitionScript(
         name=script.name + "-tampered",
         statements=script.statements

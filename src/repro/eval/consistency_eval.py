@@ -10,10 +10,9 @@ in the new configuration.
 This harness turns each claim into a counted experiment over ``runs``
 seeded repetitions.
 
-Fault injection goes through the first-class transition-fault hooks:
-``inject_script_failure_on`` is sugar for
+Fault injection goes through the one injection API,
 ``FaultInjector.arm_transition_fault("script", "corrupt", node=...)`` —
-the same API the transition-survival matrix
+the same call the transition-survival matrix
 (:mod:`repro.eval.transition_matrix`) drives across every phase × kind
 combination.
 """
@@ -65,9 +64,8 @@ def _run_one(seed: int) -> Dict:
         world.sim.spawn(during())
 
         # transition with a script failure injected on the slave
-        report = yield from engine.transition(
-            "lfr", inject_script_failure_on="beta"
-        )
+        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        report = yield from engine.transition("lfr")
         outcome["killed_replica"] = any(r.killed for r in report.replicas)
 
         yield Timeout(8_000.0)  # reintegration window

@@ -48,7 +48,7 @@ from repro.kernel.sim import (
     take_event_attribution,
 )
 from repro.kernel.storage import LogEntry, StableStorage
-from repro.kernel.trace import Trace, TraceRecord
+from repro.kernel.trace import Boundary, Trace, TraceRecord
 from repro.kernel.world import World, WorldTask, run_solo
 
 
@@ -99,6 +99,7 @@ __all__ = [
     "take_event_attribution",
     "LogEntry",
     "StableStorage",
+    "Boundary",
     "Trace",
     "TraceRecord",
     "World",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.kernel.sim import Simulator
-from repro.kernel.trace import Trace
+from repro.kernel.trace import Boundary, Trace
 from repro.vocabulary import (
     SLOW_RESOURCES,
     TRANSITION_FAULT_KINDS,
@@ -144,15 +144,13 @@ class _TransitionFault:
     resource: str = "cpu"  # slow faults only: which resource limps
     factor: float = 8.0  # slow faults only: the slowdown multiplier
 
-    def matches(self, phase: str, node: str, kind: Optional[str],
+    def matches(self, phase: str, node: str, kind: str,
                 statement: Optional[int]) -> bool:
         if self.fired >= self.budget:
             return False
-        if self.phase != phase:
+        if self.phase != phase or self.kind != kind:
             return False
         if self.node is not None and self.node != node:
-            return False
-        if kind is not None and self.kind != kind:
             return False
         if self.at_statement is not None and statement != self.at_statement:
             return False
@@ -168,6 +166,10 @@ class FaultInjector:
         self.network = None  # wired by World; needed for link slowdowns
         self._campaigns: List[_ValueCampaign] = []
         self._transition_faults: List[_TransitionFault] = []
+        #: what each running phase opened and must close: (phase, node) -> closers
+        self._windows: Dict[tuple, list] = {}
+        #: open omission windows per scope: [base loss, *window probabilities]
+        self._loss_windows: Dict[Optional[tuple], List[float]] = {}
         self._rand = sim.random.substream("faults")
         self.injected_counts: Dict[FaultKind, int] = {kind: 0 for kind in FaultKind}
         self.transition_faults_injected: Dict[str, int] = {}
@@ -491,10 +493,12 @@ class FaultInjector:
         """Arm a fault against one phase of the transition path.
 
         ``phase`` is one of :data:`TRANSITION_PHASES`, ``kind`` one of
-        :data:`TRANSITION_FAULT_KINDS`.  The Adaptation Engine, the package
-        fetcher and the script interpreter consult these hooks at their
-        phase boundaries — this is the single injection API behind the
-        Sec. 5.3 consistency experiments and the transition-survival
+        :data:`TRANSITION_FAULT_KINDS`.  Nothing on the transition path
+        consults the injector: the Adaptation Engine and the script
+        interpreter announce their phase boundaries and crossings
+        (:meth:`Trace.announce`) and the injector *listens*
+        (:meth:`_on_boundary`) — this is the single injection API behind
+        the Sec. 5.3 consistency experiments and the transition-survival
         matrix.  Semantics by kind:
 
         * ``crash`` — fail-stop the transitioning node when the phase
@@ -518,6 +522,8 @@ class FaultInjector:
             raise ValueError(
                 f"unknown slow resource {resource!r} (one of {SLOW_RESOURCES})"
             )
+        if not self._transition_faults:  # until now nobody had to listen
+            self.trace.listen(self._on_boundary)
         self._transition_faults.append(
             _TransitionFault(
                 phase=phase,
@@ -534,45 +540,92 @@ class FaultInjector:
             "fault", "arm_transition_fault", phase=phase, kind=kind, node=node
         )
 
-    def take_transition_fault(
-        self,
-        phase: str,
-        node: str,
-        kind: Optional[str] = None,
-        statement: Optional[int] = None,
-    ) -> Optional[_TransitionFault]:
-        """Consume one armed transition fault matching the query, if any.
-
-        Returns the fault (its ``kind``/``probability`` drive the caller's
-        behaviour) and spends one unit of its budget; ``None`` when nothing
-        matching is armed.
-        """
+    def _take(self, boundary: Boundary, kind: str) -> Optional[_TransitionFault]:
+        """Spend one unit of the first armed fault of ``kind`` the
+        announced boundary matches; ``None`` when nothing matches."""
+        node = boundary.node.name
         for fault in self._transition_faults:
-            if fault.matches(phase, node, kind, statement):
+            if fault.matches(boundary.phase, node, kind, boundary.index):
                 fault.fired += 1
-                key = f"{fault.phase}/{fault.kind}"
+                key = f"{fault.phase}/{kind}"
                 self.transition_faults_injected[key] = (
                     self.transition_faults_injected.get(key, 0) + 1
                 )
                 self.trace.record(
-                    "fault",
-                    "transition_fault_injected",
-                    phase=fault.phase,
-                    kind=fault.kind,
-                    node=node,
+                    "fault", "transition_fault_injected",
+                    phase=fault.phase, kind=kind, node=node,
                 )
                 return fault
         return None
 
-    def has_transition_fault(self, phase: str, node: str,
-                             kind: Optional[str] = None) -> bool:
-        """Is a matching transition fault still armed (budget left)?"""
-        return any(
-            f.matches(phase, node, kind, statement=f.at_statement)
-            for f in self._transition_faults
-        )
+    def _on_boundary(self, boundary: Boundary) -> None:
+        """The injector's one listener on the transition path, registered
+        with the first fault armed.
 
-    def disarm_transition_faults(self) -> None:
-        """Cancel every armed transition fault."""
-        self._transition_faults = []
-        self.trace.record("fault", "disarm_transition_faults")
+        Crash on ``enter`` (script phase: fail the ``statement`` boundary
+        instead, so the transaction rolls back before the fail-silent
+        wrapper kills), slow and omission windows from ``enter`` to
+        ``leave``, corruption on a crossing — in that order, one trace
+        record per fault taken.
+        """
+        point, node = boundary.point, boundary.node
+        if point == "enter":
+            if boundary.phase != "script" and self._take(boundary, "crash"):
+                node.crash()
+                return
+            closers = self._windows.setdefault((boundary.phase, node.name), [])
+            slow = self._take(boundary, "slow")
+            if slow is not None:
+                closers.append(self.apply_slow(node, slow.resource, slow.factor))
+            omission = self._take(boundary, "omission")
+            if omission is not None:
+                closers.append(self._open_loss_window(
+                    node.name, boundary.remote, omission.probability
+                ))
+        elif point == "leave":
+            for close in self._windows.pop((boundary.phase, node.name), ()):
+                close()
+        elif point == "statement":
+            if self._take(boundary, "crash"):
+                boundary.failed = f"crash at statement {boundary.index}"
+        elif point == "chunk":
+            if self._take(boundary, "corrupt"):
+                boundary.payload = bit_flip(
+                    boundary.payload, boundary.rand.randint(0, 30)
+                )
+        elif self._take(boundary, "corrupt"):  # payload, script, residue
+            boundary.failed = "corrupt"
+
+    def _open_loss_window(self, node: str, remote: Optional[str],
+                          probability: float):
+        """Raise the transition path's loss to at least ``probability``.
+
+        The window's scope is the node-to-``remote`` link (package
+        traffic; the FTM's own replication traffic keeps its configured
+        loss) or, with no remote end, the whole network.  A scope's loss
+        is the maximum over its base value and every open window,
+        recomputed on each open and close, so windows may overlap and
+        close in any order: the last one out restores the base.  Returns
+        the window's close callback.
+        """
+        network = self.network
+        if remote is None:
+            key, base = None, network.loss_probability
+            write = network.set_loss_probability
+        else:
+            key, base = (node, remote), network.link(node, remote).loss
+
+            def write(loss: float) -> None:
+                network.set_link_loss(node, remote, loss)
+
+        scope = self._loss_windows.setdefault(key, [base])
+        scope.append(probability)
+        write(max(scope))
+
+        def close() -> None:
+            scope.remove(probability)
+            write(max(scope))
+            if len(scope) == 1:
+                del self._loss_windows[key]
+
+        return close

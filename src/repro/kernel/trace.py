@@ -41,6 +41,32 @@ class TraceRecord(NamedTuple):
         return f"[{self.time:10.3f}] {self.category}.{self.event} {kv}"
 
 
+class Boundary:
+    """One announcement on the transition path (:meth:`Trace.announce`).
+
+    ``point`` is ``enter`` or ``leave`` for a phase boundary, otherwise
+    the crossing where an artefact can break: ``chunk``, ``payload``,
+    ``script``, ``statement``, ``residue``.  A listener may replace
+    ``payload`` or set ``failed`` to a reason; what a failed artefact
+    does is the announcer's business.
+    """
+
+    __slots__ = ("time", "phase", "point", "node", "remote", "payload",
+                 "rand", "index", "failed")
+
+    def __init__(self, time, phase, point, node, remote, payload, rand,
+                 index, failed):
+        self.time = time
+        self.phase = phase
+        self.point = point
+        self.node = node        #: the transitioning :class:`Node`
+        self.remote = remote    #: enter: the package's far end, if networked
+        self.payload = payload  #: chunk: the bytes that arrived
+        self.rand = rand        #: chunk: the fetcher's random substream
+        self.index = index      #: statement: its position in the script
+        self.failed = failed    #: why it broke (leave: why the phase ended)
+
+
 @dataclass
 class Trace:
     """An append-only log of :class:`TraceRecord` with simple querying."""
@@ -49,6 +75,7 @@ class Trace:
     records: List[TraceRecord] = field(default_factory=list)
     enabled: bool = True
     _subscribers: List[Callable[[TraceRecord], None]] = field(default_factory=list)
+    _listeners: List[Callable[[Boundary], None]] = field(default_factory=list)
 
     def record(self, category: str, event: str, **details: Any) -> None:
         """Append one record at the current simulation time."""
@@ -67,6 +94,23 @@ class Trace:
     def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
         """Register a live observer (used by the Monitoring Engine)."""
         self._subscribers.append(callback)
+
+    def listen(self, callback: Callable[[Boundary], None]) -> None:
+        """Register a listener on the transition path's boundary stream."""
+        self._listeners.append(callback)
+
+    def announce(self, phase: str, point: str, node, remote=None, payload=None,
+                 rand=None, index=None, failed=None) -> Boundary:
+        """Tell every listener, synchronously and in registration order,
+        that ``node``'s transition is at ``point`` of ``phase``; returns
+        the :class:`Boundary` they saw.  Delivered, never recorded (so
+        outside :meth:`digest`); the one clock read behind phase timings.
+        """
+        boundary = Boundary(self.clock(), phase, point, node, remote, payload,
+                            rand, index, failed)
+        for listener in self._listeners:
+            listener(boundary)
+        return boundary
 
     # -- queries -----------------------------------------------------------
 

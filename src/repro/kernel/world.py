@@ -74,9 +74,9 @@ class World:
         Folds the simulator's event counters into the process-wide
         accumulator, kills what still runs, and drops every reference
         the kernel layer holds into the finished mission or back onto
-        itself: trace records and subscribers, storage contents, node
-        hooks and process lists, mailboxes, delivery filters, the
-        network's bound delivery callback.  What the kernel layer keeps
+        itself: trace records, subscribers and listeners, storage
+        contents, node hooks and process lists, mailboxes, delivery
+        filters, the network's bound delivery callback.  What the kernel layer keeps
         is acyclic and empty, so the world and its mission — processes,
         frames, events, trace — are freed by reference counting as the
         caller lets go; the cyclic collector is left the component
@@ -88,6 +88,7 @@ class World:
         self.sim.drain()
         self.trace.records.clear()
         self.trace._subscribers.clear()
+        self.trace._listeners.clear()
         self.storage._data.clear()
         self.storage._logs.clear()
         for node in self.cluster.nodes.values():

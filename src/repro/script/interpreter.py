@@ -64,19 +64,19 @@ class ScriptInterpreter:
 
         undo_stack: List[Callable[[], Generator]] = []
         touched: Set[str] = set()
-        faults = getattr(self.runtime.context, "faults", None)
+        announce = self.runtime.context.trace.announce
         try:
             for index, statement in enumerate(script.statements):
-                if faults is not None and faults.take_transition_fault(
-                    "script", self.runtime.node.name, kind="crash", statement=index
-                ) is not None:
-                    # A crash caught at a statement boundary: the local
+                failed = announce(
+                    "script", "statement", self.runtime.node, index=index
+                ).failed
+                if failed:
+                    # A statement boundary that did not hold (a listener
+                    # on the boundary stream says why): the local
                     # transaction aborts and rolls back (undo stack fully
                     # unwound, gate reopened by the caller) before the
                     # fail-silent wrapper takes the replica down.
-                    raise _Abort(
-                        index, ComponentError(f"crash at statement {index}")
-                    )
+                    raise _Abort(index, ComponentError(failed))
                 yield from self.runtime.node.compute(costs.script_step)
                 try:
                     yield from self._apply(statement, package, undo_stack, touched)

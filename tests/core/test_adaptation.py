@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AdaptationEngine, Repository, TransitionFailed, build_package
+from repro.core import AdaptationEngine, Repository, build_package
 from repro.core.repository import catalogue_package
 from repro.ftm import FTM_NAMES, Client, UnknownFTM, deploy_ftm_pair, ftm_assembly
 from repro.ftm import variable_feature_distance
@@ -303,9 +303,8 @@ def test_script_failure_kills_replica_and_survivor_continues():
     client = Client(world, world.cluster.node("client"), "c1", pair.node_names())
 
     def scenario():
-        report = yield from engine.transition(
-            "lfr", inject_script_failure_on="beta"
-        )
+        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        report = yield from engine.transition("lfr")
         yield Timeout(300.0)  # let the FD notice the kill
         reply = yield from client.request(("add", 3))
         return report, reply
@@ -330,9 +329,8 @@ def test_script_failure_on_both_replicas_degrades_transition():
     world.cluster.node("alpha").crash()
 
     def scenario():
-        report = yield from engine.transition(
-            "lfr", inject_script_failure_on="beta"
-        )
+        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        report = yield from engine.transition("lfr")
         return report
 
     report = world.run_process(scenario(), name="scenario")
@@ -345,22 +343,6 @@ def test_script_failure_on_both_replicas_degrades_transition():
     assert engine.degraded_transitions == 1
 
 
-def test_script_failure_on_both_replicas_raises_without_fallback():
-    world = make_world()
-    pair = deploy(world, "pbr")
-    engine = AdaptationEngine(world, pair)
-    world.cluster.node("alpha").crash()
-
-    def scenario():
-        yield from engine.transition(
-            "lfr", inject_script_failure_on="beta", fallback=False
-        )
-
-    with pytest.raises(TransitionFailed):
-        world.run_process(scenario(), name="scenario")
-    assert pair.ftm == "pbr"  # configuration unchanged
-
-
 def test_crashed_mid_transition_replica_recovers_in_target_config():
     world = make_world()
     pair = deploy(world, "pbr")
@@ -368,9 +350,8 @@ def test_crashed_mid_transition_replica_recovers_in_target_config():
     engine = AdaptationEngine(world, pair)
 
     def scenario():
-        report = yield from engine.transition(
-            "lfr", inject_script_failure_on="beta"
-        )
+        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        report = yield from engine.transition("lfr")
         yield Timeout(8_000.0)  # restart + redeploy + reintegration
         return report
 

@@ -6,7 +6,6 @@ from repro.core import (
     AdaptationEngine,
     PackageRejected,
     Repository,
-    TransitionFailed,
 )
 from repro.core import repository as repository_module
 from repro.ftm import deploy_ftm_pair, ftm_assembly
@@ -97,20 +96,6 @@ def test_transition_degrades_when_both_replicas_dead():
     # the component count is still computed (from the repository manifest,
     # not from a dead replica)
     assert report.component_count > 0
-    assert pair.ftm == "pbr"
-
-
-def test_transition_raises_when_both_replicas_dead_without_fallback():
-    world, pair = make_pair()
-    engine = AdaptationEngine(world, pair)
-    world.cluster.node("alpha").crash()
-    world.cluster.node("beta").crash()
-
-    def do():
-        yield from engine.transition("lfr", fallback=False)
-
-    with pytest.raises(TransitionFailed):
-        world.run_process(do(), name="doomed")
     assert pair.ftm == "pbr"
 
 

@@ -320,7 +320,7 @@ def test_degraded_service_continues_under_load():
 def test_quarantine_reintegrates_replicas_without_pair_recovery():
     world = make_world(seed=67)
     pair = deploy(world)
-    engine = AdaptationEngine(world, pair, quarantine_delay=300.0)
+    engine = AdaptationEngine(world, pair)
     assert pair.recovery_enabled is False
     # tamper the script on BOTH replicas: the transition fails everywhere,
     # the fail-silent wrapper kills both

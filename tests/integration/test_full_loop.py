@@ -73,7 +73,8 @@ def test_crash_during_transition_under_load():
         yield Timeout(200.0)
         # the slave's reconfiguration script is tampered: it will be killed
         # mid-transition, the survivor completes, recovery reintegrates
-        yield from engine.transition("lfr", inject_script_failure_on="beta")
+        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        yield from engine.transition("lfr")
         yield loader
         yield Timeout(8_000.0)  # reintegration window
 
