@@ -155,16 +155,7 @@ def is_consistent(ftm: str, context: SystemContext) -> bool:
 
 
 def transition_necessity(ftm: str, context: SystemContext) -> str:
-    """Classify what the context demands of the deployed FTM.
+    """``"mandatory"``, ``"possible"`` or ``"none"``: the kind of the rule's verdict."""
+    from repro.core.transition_graph import decide  # it imports this module
 
-    Returns ``"mandatory"`` (FTM invalid or degraded — the paper's
-    automatic transitions), ``"possible"`` (a strictly better FTM exists,
-    manager's call), or ``"none"``.
-    """
-    current = evaluate_ftm(ftm, context)
-    if not current.valid or current.degraded:
-        return "mandatory"
-    best = rank_ftms(context)[0]
-    if best.ftm != ftm and best.valid and best.preferred and best.cost < current.cost:
-        return "possible"
-    return "none"
+    return decide(ftm, context).kind

@@ -1,12 +1,11 @@
 """The Resilience Management Service and the System Manager (Figure 1/7).
 
 The Resilience Management Service is the decision loop: it consumes
-adaptation triggers, maintains the current (FT, A, R) context, asks the
-selection logic which FTM should run, and
-
-* executes **mandatory** transitions automatically,
-* submits **possible** transitions to the System Manager — the
-  man-in-the-loop the paper credits with preventing oscillations.
+adaptation triggers, maintains the current (FT, A, R) context, asks
+:func:`~repro.core.transition_graph.decide` for the verdict (DESIGN.md,
+"Decisions: one rule") and acts on it through :func:`runs_now` — the
+System Manager is the man-in-the-loop the paper credits with preventing
+oscillations.
 
 It is also the entry point for off-line actors: application updates
 (A changes, reactive) and fault-model updates (FT changes, proactive)
@@ -19,11 +18,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.adaptation_engine import AdaptationEngine
-from repro.core.consistency import evaluate_ftm
 from repro.core.monitoring import MonitoringEngine, Trigger
 from repro.core.parameters import SystemContext
+from repro.core.transition_graph import Decision, decide
 from repro.core.transition_graph import event as lookup_event
-from repro.core.transition_graph import select_target
 
 
 @dataclass
@@ -33,8 +31,9 @@ class Proposal:
     time: float
     source_ftm: str
     target_ftm: str
-    trigger: Trigger
+    trigger: Optional[Trigger]  #: ``None`` from the fleet's shared-R sweep
     approved: Optional[bool] = None
+    stale: bool = False  #: approved, but the rule no longer named its target
 
 
 class SystemManager:
@@ -67,6 +66,26 @@ class SystemManager:
         proposal.approved = approve
         self.decided.append(proposal)
         return proposal
+
+
+def runs_now(
+    verdict: Decision,
+    system_manager: SystemManager,
+    time: float,
+    trigger: Optional[Trigger] = None,
+) -> bool:
+    """The act after a moving verdict: may its transition run right away?
+
+    A mandatory move runs by itself; a possible one becomes a
+    :class:`Proposal` and runs only if the System Manager approves on
+    submission (otherwise it waits in ``pending``).
+    """
+    if verdict.kind == "mandatory":
+        return True
+    return system_manager.submit(Proposal(
+        time=time, source_ftm=verdict.current.ftm,
+        target_ftm=verdict.target, trigger=trigger,
+    ))
 
 
 class ResilienceManager:
@@ -116,90 +135,64 @@ class ResilienceManager:
 
     def handle_trigger(self, trigger: Trigger):
         """Update the context, decide, and possibly execute (generator)."""
-        parameter_event = lookup_event(trigger.event)
-        self.context = parameter_event.apply(self.context)
-
-        current_ftm = self.engine.pair.ftm
-        current = evaluate_ftm(current_ftm, self.context)
-        if not current.valid or current.degraded:
-            # mandatory move: pick the differential-friendly target
-            target = select_target(current_ftm, self.context)
-        else:
-            # merely-possible move: consider the globally best FTM without
-            # stickiness — the System Manager weighs the transition cost
-            best = select_target(None, self.context)
-            target = current_ftm
-            if (
-                best is not None
-                and best != current_ftm
-                and evaluate_ftm(best, self.context).cost < current.cost
-            ):
-                target = best
-
+        self.context = lookup_event(trigger.event).apply(self.context)
+        verdict = decide(self.engine.pair.ftm, self.context)
         decision = {
             "time": self.world.now,
             "trigger": trigger.event,
-            "current": current_ftm,
-            "target": target,
+            "current": verdict.current.ftm,
+            "target": verdict.target,
             "kind": "none",
             "executed": False,
         }
-
-        if target is None:
+        if verdict.target is None:
             decision["kind"] = "no-generic-solution"
             self.world.trace.record(
                 "resilience", "no_generic_solution", trigger=trigger.event
             )
-            self.decisions.append(decision)
-            return decision
-
-        if target == current_ftm:
-            self.decisions.append(decision)
-            return decision
-
-        if not current.valid or current.degraded:
-            decision["kind"] = "mandatory"
-            report = yield from self.engine.transition(target, context=self.context)
-            decision["executed"] = report.success
-            decision["outcome"] = report.outcome
-            if report.success:
-                self.monitoring.reset_window()
-        else:
-            decision["kind"] = "possible"
-            proposal = Proposal(
-                time=self.world.now,
-                source_ftm=current_ftm,
-                target_ftm=target,
-                trigger=trigger,
-            )
-            if self.system_manager.submit(proposal):
-                report = yield from self.engine.transition(target, context=self.context)
+        elif verdict.moves:
+            decision["kind"] = verdict.kind
+            if runs_now(verdict, self.system_manager, self.world.now, trigger):
+                report = yield from self.engine.transition(
+                    verdict.target, context=self.context
+                )
                 decision["executed"] = report.success
                 decision["outcome"] = report.outcome
                 if report.success:
                     self.monitoring.reset_window()
-
-        self.world.trace.record(
-            "resilience",
-            "decision",
-            trigger=trigger.event,
-            kind=decision["kind"],
-            target=target,
-            executed=decision["executed"],
-        )
+            self.world.trace.record(
+                "resilience",
+                "decision",
+                trigger=trigger.event,
+                kind=verdict.kind,
+                target=verdict.target,
+                executed=decision["executed"],
+            )
         self.decisions.append(decision)
         return decision
 
     # -- manager-approved execution of queued proposals --------------------------------------
 
     def execute_pending(self, approve: bool = True):
-        """Decide the oldest queued proposal and run it if approved (generator)."""
+        """Decide the oldest queued proposal and run it if approved (generator).
+
+        Approval re-enters the rule: the context may have moved since the
+        proposal was queued, so it runs only if :func:`decide` still
+        names its target; otherwise it is dropped as stale.
+        """
         proposal = self.system_manager.decide(approve)
         if proposal is None or not proposal.approved:
             return None
-        if proposal.target_ftm != self.engine.pair.ftm:
-            report = yield from self.engine.transition(
-                proposal.target_ftm, context=self.context
+        verdict = decide(self.engine.pair.ftm, self.context)
+        if not verdict.moves or verdict.target != proposal.target_ftm:
+            proposal.stale = True
+            self.world.trace.record(
+                "resilience", "proposal_stale", source=proposal.source_ftm,
+                target=proposal.target_ftm, current=verdict.current.ftm,
+                decided=verdict.target,
             )
-            return report
-        return None
+            return None
+        report = yield from self.engine.transition(
+            proposal.target_ftm, context=self.context
+        )
+        return report

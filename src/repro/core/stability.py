@@ -5,7 +5,9 @@ reconfiguration threshold can make the system reconfigure over and over,
 destroying availability.  The paper's defence is structural: **the
 reverse of a mandatory transition is always a possible one**, so once a
 mandatory transition fires, the system cannot bounce back without a
-System Manager decision.
+System Manager decision.  (What makes a transition mandatory or possible
+is :func:`~repro.core.transition_graph.decide` — DESIGN.md, "Decisions:
+one rule".)
 
 This module provides (a) a static verifier of that property on the
 derived scenario graph and (b) a closed-loop oscillation experiment used
@@ -19,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.consistency import evaluate_ftm
 from repro.core.parameters import SystemContext
 from repro.core.transition_graph import (
     ScenarioEdge,
     build_scenario_graph,
+    decide,
     event,
     select_target,
 )
@@ -102,31 +104,26 @@ def replay_oscillation(
 ) -> OscillationOutcome:
     """Replay a parameter-event sequence through the decision policy.
 
-    With ``man_in_the_loop=True`` (the paper's rule) possible transitions
-    are *not* auto-executed and targets are chosen with differential
-    stickiness; with ``False`` the system greedily chases the globally
-    optimal FTM after every parameter change — the naive closed-loop
-    policy that oscillates around a flapping threshold.
+    With ``man_in_the_loop=True`` (the paper's rule) only the mandatory
+    verdicts of :func:`~repro.core.transition_graph.decide` execute; with
+    ``False`` the system greedily chases the globally optimal FTM after
+    every parameter change — the naive closed-loop policy that oscillates
+    around a flapping threshold.
     """
     ftm = initial_ftm
     context = initial_context
     outcome = OscillationOutcome(transitions=0, trajectory=[ftm])
 
     for event_name in events:
-        parameter_event = event(event_name)
-        context = parameter_event.apply(context)
-        current = evaluate_ftm(ftm, context)
+        context = event(event_name).apply(context)
         if man_in_the_loop:
-            target = select_target(ftm, context)
-            mandatory = not current.valid or current.degraded
-            if target is not None and target != ftm and mandatory:
-                ftm = target
-                outcome.transitions += 1
+            verdict = decide(ftm, context)
+            target = verdict.target if verdict.kind == "mandatory" else None
         else:
             target = select_target(None, context)
-            if target is not None and target != ftm:
-                ftm = target
-                outcome.transitions += 1
+        if target is not None and target != ftm:
+            ftm = target
+            outcome.transitions += 1
         outcome.trajectory.append(ftm)
 
     return outcome

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.consistency import evaluate_ftm, rank_ftms
+from repro.core.consistency import ValidityReport, evaluate_ftm, rank_ftms
 from repro.core.parameters import (
     ApplicationCharacteristics,
     FaultClass,
@@ -178,18 +178,21 @@ def event(name: str) -> ParameterEvent:
 
 
 # ---------------------------------------------------------------------------
-# Target selection with differential stickiness
+# Target selection with differential stickiness, and the one rule over it
 # ---------------------------------------------------------------------------
+
+#: Score weight of one variable feature a transition would replace.
+STICKINESS = 0.8
+#: Score weight of one fault class an FTM tolerates that nobody asked for.
+OVER_COVERAGE_WEIGHT = 0.3
 
 
 def select_target(
-    current_ftm: Optional[str],
-    context: SystemContext,
-    stickiness: float = 0.8,
+    current_ftm: Optional[str], context: SystemContext
 ) -> Optional[str]:
     """The FTM the system should run under ``context``.
 
-    Among valid candidates, minimise ``cost + stickiness × distance +
+    Among valid candidates, minimise ``cost + STICKINESS × distance +
     over-coverage penalty``: distance counts the variable features a
     transition from ``current_ftm`` would replace (the differential
     philosophy applied to selection — so PBR under a fault-model extension
@@ -218,11 +221,45 @@ def select_target(
         )
         return (
             not report.preferred,
-            report.cost + stickiness * distance + 0.3 * over_coverage(report),
+            report.cost
+            + STICKINESS * distance
+            + OVER_COVERAGE_WEIGHT * over_coverage(report),
             report.ftm,
         )
 
     return min(valid, key=score).ftm
+
+
+@dataclass(frozen=True)
+class Decision:
+    """The rule's verdict on one running FTM under one context."""
+
+    kind: str                #: "none" | "mandatory" | "possible"
+    target: Optional[str]    #: ``None``: no FTM is valid; the running FTM: stay
+    current: ValidityReport  #: the running FTM's report — the reasons travel along
+
+    @property
+    def moves(self) -> bool:
+        """Does the verdict name an FTM other than the running one?"""
+        return self.target not in (None, self.current.ftm)
+
+
+def decide(current_ftm: str, context: SystemContext) -> Decision:
+    """The mandatory/possible rule (paper Sec. 3 and 5.4), stated once.
+
+    **Mandatory** — the running FTM is invalid or degraded: it moves by
+    itself to the differential-friendly target (``None`` when nothing is
+    valid, itself when nothing valid differs from it).  **Possible** — it
+    still fits, but the best FTM chosen *without* stickiness is strictly
+    cheaper: the System Manager weighs the transition cost.  Else **none**.
+    """
+    current = evaluate_ftm(current_ftm, context)
+    if not current.valid or current.degraded:
+        return Decision("mandatory", select_target(current_ftm, context), current)
+    best = select_target(None, context)
+    if best != current_ftm and evaluate_ftm(best, context).cost < current.cost:
+        return Decision("possible", best, current)
+    return Decision("none", current_ftm, current)
 
 
 # ---------------------------------------------------------------------------

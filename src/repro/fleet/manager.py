@@ -8,17 +8,12 @@ energy serve whichever replica lives there.  The
 :class:`FleetResilienceManager` therefore recomputes, on a fixed period,
 the demand each placed pair puts on hosts and edges (from the demand
 calibration in :mod:`repro.fleet.demand`), derives each pair's own
-:class:`~repro.core.parameters.ResourceState`, and walks the paper's
-decision split per pair:
-
-* **mandatory** — the pair's FTM became invalid or degraded under its new
-  context: select a target with differential stickiness and execute the
-  transition automatically;
-* **possible** — a strictly better FTM exists: submit a
-  :class:`~repro.core.resilience.Proposal` to the shared
-  :class:`~repro.core.resilience.SystemManager` (which by default queues
-  it — the man-in-the-loop that prevents oscillation when a transition
-  frees the very resource whose scarcity forced it).
+:class:`~repro.core.parameters.ResourceState`, and asks
+:func:`~repro.core.transition_graph.decide` for each pair's verdict
+(DESIGN.md, "Decisions: one rule").  Possible moves go to the shared
+:class:`~repro.core.resilience.SystemManager`, which by default queues
+them — the man-in-the-loop that prevents oscillation when a transition
+frees the very resource whose scarcity forced it.
 
 Because demand follows the *currently deployed* FTM of every pair, one
 pair's transition (or a new pair's placement) can invalidate a
@@ -29,10 +24,9 @@ at fleet scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.adaptation_engine import AdaptationEngine
-from repro.core.consistency import evaluate_ftm
 from repro.core.parameters import (
     ApplicationCharacteristics,
     FaultClass,
@@ -40,12 +34,19 @@ from repro.core.parameters import (
     ResourceState,
     SystemContext,
 )
-from repro.core.resilience import Proposal, SystemManager
-from repro.core.transition_graph import select_target
+from repro.core.resilience import SystemManager, runs_now
+from repro.core.transition_graph import decide
 from repro.fleet.demand import ftm_demand
 from repro.fleet.placement import Assignment
 from repro.fleet.topology import Topology
 from repro.kernel.sim import Timeout
+
+#: Virtual ms between two shared-R sweeps.
+PERIOD_MS = 250.0
+#: Fraction of a host's CPU capacity above which it counts as saturated.
+CPU_SATURATION = 0.85
+#: Fraction of a node's energy budget below which energy counts as scarce.
+ENERGY_FLOOR = 0.1
 
 
 @dataclass
@@ -71,21 +72,10 @@ class PlacedPair:
 class FleetResilienceManager:
     """Periodic shared-utilisation recompute driving per-pair decisions."""
 
-    def __init__(
-        self,
-        world,
-        topology: Topology,
-        system_manager: Optional[SystemManager] = None,
-        period_ms: float = 250.0,
-        cpu_saturation: float = 0.85,
-        energy_floor: float = 0.1,
-    ):
+    def __init__(self, world, topology: Topology):
         self.world = world
         self.topology = topology
-        self.system_manager = system_manager or SystemManager()
-        self.period_ms = period_ms
-        self.cpu_saturation = cpu_saturation
-        self.energy_floor = energy_floor
+        self.system_manager = SystemManager()
         self.placed: List[PlacedPair] = []
         self.decisions: List[dict] = []
         #: hosts currently limping (gray churn / armed slowdowns); fed by
@@ -149,7 +139,7 @@ class FleetResilienceManager:
 
     def _loop(self):
         while True:
-            yield Timeout(self.period_ms)
+            yield Timeout(PERIOD_MS)
             self.evaluate_once()
 
     # -- shared utilisation --------------------------------------------------
@@ -186,13 +176,13 @@ class FleetResilienceManager:
             host = self.topology.host(host_name)
             demand = host_cpu.get(host_name, 0.0)
             capacity = host.cpu_speed
-            if demand > self.cpu_saturation * capacity:
+            if demand > CPU_SATURATION * capacity:
                 cpu_ok = False
             headroom = min(headroom, max(0.0, 1.0 - demand / capacity))
             node = self.world.cluster.node(host_name)
             remaining = node.energy_remaining
             if remaining is not None and node.energy_budget:
-                if remaining < self.energy_floor * node.energy_budget:
+                if remaining < ENERGY_FLOOR * node.energy_budget:
                     energy_ok = False
 
         bandwidth_ok = True
@@ -290,72 +280,40 @@ class FleetResilienceManager:
         )
 
     def _decide(self, placed: PlacedPair, edge_bw, limp: bool = False) -> None:
-        context = placed.context
-        current_ftm = placed.pair.ftm
-        current = evaluate_ftm(current_ftm, context)
+        verdict = decide(placed.pair.ftm, placed.context)
         decision = {
             "time": self.world.now,
             "app": placed.app,
-            "current": current_ftm,
-            "target": current_ftm,
+            "current": verdict.current.ftm,
+            "target": verdict.current.ftm,
             "kind": "none",
             "cause": "limp" if limp else "resources",
             "culprits": [],
             "executed": False,
         }
-
-        if not current.valid or current.degraded:
-            target = select_target(current_ftm, context)
-            if target is None:
-                decision["kind"] = "no-generic-solution"
-                self.world.trace.record(
-                    "fleet", "no_generic_solution", app=placed.app
-                )
-                self.decisions.append(decision)
-                return
-            if target == current_ftm:
-                self.decisions.append(decision)
-                return
-            culprits = self._culprits(placed, edge_bw)
-            decision.update(
-                kind="mandatory", target=target, culprits=culprits,
-                cause=(
-                    "contention" if culprits
-                    else ("limp" if limp else "resources")
-                ),
-            )
-            if culprits:
-                self.world.trace.record(
-                    "fleet", "contention", app=placed.app,
-                    culprits=tuple(culprits), target=target,
-                )
-            self.decisions.append(decision)
-            self.world.sim.spawn(
-                self._execute(placed, target, decision),
-                name=f"fleet-transition-{placed.app}",
+        self.decisions.append(decision)
+        if verdict.target is None:
+            decision["kind"] = "no-generic-solution"
+            self.world.trace.record(
+                "fleet", "no_generic_solution", app=placed.app
             )
             return
-
-        # valid and preferred: a strictly better FTM is the manager's call
-        best = select_target(None, context)
-        if (
-            best is not None
-            and best != current_ftm
-            and evaluate_ftm(best, context).cost < current.cost
-        ):
-            decision.update(kind="possible", target=best)
-            proposal = Proposal(
-                time=self.world.now, source_ftm=current_ftm,
-                target_ftm=best, trigger=None,
-            )
-            if self.system_manager.submit(proposal):
-                self.decisions.append(decision)
-                self.world.sim.spawn(
-                    self._execute(placed, best, decision),
-                    name=f"fleet-transition-{placed.app}",
+        if not verdict.moves:
+            return
+        decision.update(kind=verdict.kind, target=verdict.target)
+        if verdict.kind == "mandatory":
+            culprits = self._culprits(placed, edge_bw)
+            if culprits:
+                decision.update(culprits=culprits, cause="contention")
+                self.world.trace.record(
+                    "fleet", "contention", app=placed.app,
+                    culprits=tuple(culprits), target=verdict.target,
                 )
-                return
-        self.decisions.append(decision)
+        if runs_now(verdict, self.system_manager, self.world.now):
+            self.world.sim.spawn(
+                self._execute(placed, verdict.target, decision),
+                name=f"fleet-transition-{placed.app}",
+            )
 
     def _execute(self, placed: PlacedPair, target: str, decision: dict):
         placed.in_transition = True

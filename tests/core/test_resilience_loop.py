@@ -11,6 +11,7 @@ from repro.core import (
     replay_oscillation,
     verify_no_oscillation,
 )
+from repro.core.consistency import evaluate_ftm
 from repro.core.preprogrammed import preprogrammed_assembly
 from repro.core.transition_graph import _ctx
 from repro.ftm import Client, FTMPair, deploy_ftm_pair, ftm_assembly
@@ -254,3 +255,86 @@ def test_oscillating_bandwidth_with_man_in_the_loop():
     assert naive.transitions == len(events)
     assert with_manager.transitions == 1
     assert with_manager.trajectory[-1] == "lfr"
+
+
+# -- decisions pinned from the tree before `decide` was extracted -------------------------------
+
+
+def _flap(world, resilience, bandwidths, verdicts=()):
+    """Set the link to each bandwidth in turn, then answer queued proposals."""
+    for bandwidth in bandwidths:
+        world.network.set_link("alpha", "beta", bandwidth=bandwidth)
+        world.run(until=world.now + 4_000.0)
+
+    def answer():
+        reports = []
+        for approve in verdicts:
+            reports.append((yield from resilience.execute_pending(approve=approve)))
+        return reports
+
+    return world.run_process(answer(), name="answer")
+
+
+_DROP = {"time": 3990.535565042731, "trigger": "bandwidth-drop",
+         "current": "pbr", "target": "lfr", "kind": "mandatory",
+         "executed": True, "outcome": "success"}
+_BACK = {"time": 7990.535565042731, "trigger": "bandwidth-increase",
+         "current": "lfr", "target": "pbr", "kind": "possible",
+         "executed": False}
+
+
+@pytest.mark.parametrize("bandwidths, verdicts, final_ftm, decisions, digest", [
+    ((500.0,), (), "lfr", [_DROP], "400420f6af57fb63ad08b83cfc8859ee"),
+    ((500.0, 12_500.0), (True,), "pbr", [_DROP, _BACK],
+     "8a2118a1850c6a61db5d2e3a892325fc"),
+    ((500.0, 12_500.0), (False,), "lfr", [_DROP, _BACK],
+     "664841bc0029c94fe0fbc12366408f61"),
+], ids=["mandatory", "possible-approved", "possible-rejected"])
+def test_decisions_equal_the_recorded_ones(
+    bandwidths, verdicts, final_ftm, decisions, digest
+):
+    world = make_world()
+    pair = deploy(world, "pbr")
+    _engine, _monitoring, _manager, resilience = stack(world, pair)
+    _flap(world, resilience, bandwidths, verdicts)
+    assert pair.ftm == final_ftm
+    assert resilience.decisions == decisions
+    assert world.trace.digest() == digest
+
+
+def test_no_generic_solution_decisions_equal_the_recorded_ones():
+    world = make_world()
+    pair = deploy(world, "pbr")
+    _engine, _monitoring, _manager, resilience = stack(world, pair)
+    for event_name in ("state-access-loss", "application-non-determinism"):
+        resilience.notify_event(event_name)
+        world.run(until=world.now + 4_000.0)
+    assert pair.ftm == "lfr"
+    assert resilience.decisions == [
+        {"time": 3740.535565042731, "trigger": "state-access-loss",
+         "current": "pbr", "target": "lfr", "kind": "mandatory",
+         "executed": True, "outcome": "success"},
+        {"time": 7740.535565042731, "trigger": "application-non-determinism",
+         "current": "lfr", "target": None, "kind": "no-generic-solution",
+         "executed": False},
+    ]
+    assert world.trace.digest() == "ced009da55160fff3a1eda52b0aaef5f"
+
+
+def test_stale_proposal_is_dropped_not_executed():
+    # LFR->PBR is queued while bandwidth is back; it drops again before the
+    # manager answers.  Executing the approval would park the pair on a
+    # degraded PBR for good: the probe is already latched scarce, so no
+    # trigger would ever move it out.
+    world = make_world()
+    pair = deploy(world, "pbr")
+    _engine, _monitoring, manager, resilience = stack(world, pair)
+    reports = _flap(world, resilience, (500.0, 12_500.0, 500.0), (True,))
+    assert reports == [None]
+    assert pair.ftm == "lfr"
+    assert not evaluate_ftm(pair.ftm, resilience.context).degraded
+    assert manager.pending == []
+    (proposal,) = manager.decided
+    assert proposal.approved and proposal.stale
+    assert world.trace.count("resilience", "proposal_stale") == 1
+    assert world.trace.count("adaptation", "transition_complete") == 1

@@ -10,6 +10,9 @@ co-scheduled, or over the persistent local pool.
 
 import hashlib
 import json
+from dataclasses import asdict
+
+import pytest
 
 from repro import exp
 from repro.eval import fleet_campaign
@@ -101,3 +104,42 @@ def test_campaign_contains_a_contention_transition():
     data = fleet_campaign.from_results(result.results)
     assert data["contention_decisions"] >= 1
     assert data["transitions"] >= 1
+
+
+# Recorded on the tree before the fleet manager's rule moved into
+# `core.transition_graph.decide`: what the manager summarised and the
+# full event trace of missions that between them take a contention-
+# mandatory, a limp-mandatory and a queued-possible decision.
+_RECORDED = {
+    "contention": (
+        dict(seed=9000, placement="greedy", churn=0, limp_fraction=0.0),
+        dict(transitions=2, contention_decisions=2, limp_decisions=0,
+             pending_proposals=1, trace_digest="ad53933686d0b720f8f459c9dad34878"),
+    ),
+    "limp": (
+        dict(seed=9000, placement="round-robin", churn=4, limp_fraction=1.0),
+        dict(transitions=2, contention_decisions=0, limp_decisions=2,
+             pending_proposals=1, trace_digest="6b3d59e9d7bb64b3ce6f18031daa3e55"),
+    ),
+    "contention-and-limp": (
+        dict(seed=9000, placement="greedy", churn=4, limp_fraction=1.0),
+        dict(transitions=2, contention_decisions=2, limp_decisions=2,
+             pending_proposals=2, trace_digest="fd4f97f1d996d3dd2e8580234c86ef49"),
+    ),
+    "contention-under-churn": (
+        dict(seed=9202, placement="round-robin", churn=2, limp_fraction=0.0),
+        dict(transitions=2, contention_decisions=2, limp_decisions=0,
+             pending_proposals=1, trace_digest="8df1778888f94344c759c5a908aa244c"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDED)
+def test_fleet_decisions_equal_the_recorded_ones(name):
+    mission, recorded = _RECORDED[name]
+    outcome = asdict(fleet_campaign.run_fleet_mission(
+        hosts=8, apps=2, duration_ms=4_000.0, **mission
+    ))
+    assert {key: outcome[key] for key in recorded} == recorded
+    assert outcome["failed_transitions"] == 0
+    assert outcome["final_ftms"] == {"app00": "lfr", "app01": "lfr+tr"}
