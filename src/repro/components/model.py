@@ -254,6 +254,22 @@ class Component:
         for event in pending:
             event.trigger()
 
+    def dismantle(self) -> None:
+        """End of life: drop every back-pointer that ties a reference cycle.
+
+        Called for each installed component when its world closes (never
+        earlier: script rollback re-inserts removed components).  Keeps
+        :attr:`implementation` and its context for post-mortem readers.
+        """
+        for reference in self.references.values():
+            reference.wires = []
+            reference.component = None
+        self.services = {}
+        self.references = {}
+        self._dispatch = {}
+        self.composite = None
+        self.implementation.component = None
+
     # -- invocation ------------------------------------------------------------------
 
     def call(self, service: str, operation: str, *args: Any, **kwargs: Any) -> Generator:

@@ -13,7 +13,7 @@ classes directly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Dict, Generator, List
 
 from repro.components.composite import Composite
 from repro.components.errors import ComponentError, LifecycleError
@@ -47,17 +47,25 @@ class ComponentRuntime:
         self.costs: CostModel = context.costs
         self.composites: Dict[str, Composite] = {}
         self.booted = False
+        #: Every component this runtime ever installed, dismantled at close.
+        self._installed: List[Component] = []
         self.node.on_crash(lambda _n: self._on_node_crash())
-
-    # -- cost charging helper -------------------------------------------------
-
-    def _charge(self, cost: float) -> Generator:
-        yield self.node.compute_charge(cost)
 
     def _on_node_crash(self) -> None:
         """Volatile middleware state is lost with the node."""
         self.composites.clear()
         self.booted = False
+
+    def dismantle(self) -> None:
+        """Break the component layer's cycles (:meth:`World.close` calls this).
+
+        Every component installed here, live, removed or lost with a
+        crashed node, drops its ports and back-pointers, so the finished
+        mission is freed by reference counting.
+        """
+        for component in self._installed:
+            component.dismantle()
+        self._installed.clear()
 
     # -- boot ----------------------------------------------------------------------
 
@@ -65,7 +73,7 @@ class ComponentRuntime:
         """Start the middleware platform on this node."""
         if self.booted:
             return
-        yield from self._charge(self.costs.runtime_boot)
+        yield self.node.compute_charge(self.costs.runtime_boot)
         self.booted = True
         self.context.trace.record("runtime", "boot", node=self.node.name)
 
@@ -83,7 +91,7 @@ class ComponentRuntime:
             raise ComponentError(
                 f"composite {name!r} already exists on {self.node.name!r}"
             )
-        yield from self._charge(self.costs.composite_create)
+        yield self.node.compute_charge(self.costs.composite_create)
         composite = Composite(name, self.context.sim)
         self.composites[name] = composite
         self.context.trace.record(
@@ -139,7 +147,7 @@ class ComponentRuntime:
         self.require_booted()
         composite = self.composite(composite_name)
         cost = self.costs.component_attach if preloaded else self.costs.component_install
-        yield from self._charge(cost)
+        yield self.node.compute_charge(cost)
         implementation = spec.impl_class()
         if not isinstance(implementation, ComponentImpl):
             raise ComponentError(
@@ -151,6 +159,7 @@ class ComponentRuntime:
             sim=self.context.sim,
             properties=spec.properties_dict(),
         )
+        self._installed.append(component)
         component.services = implementation.build_services()
         component.references = implementation.build_references(component)
         implementation.attach(component, self.context)
@@ -169,7 +178,7 @@ class ComponentRuntime:
         """Lifecycle start (releases buffered invocations)."""
         composite = self.composite(composite_name)
         component = composite.component(component_name)
-        yield from self._charge(self.costs.component_start)
+        yield self.node.compute_charge(self.costs.component_start)
         component.start()
         component.implementation.on_start()
         self.context.trace.record(
@@ -184,7 +193,7 @@ class ComponentRuntime:
         """Stop with quiescence (may block until in-flight work drains)."""
         composite = self.composite(composite_name)
         component = composite.component(component_name)
-        yield from self._charge(self.costs.component_stop)
+        yield self.node.compute_charge(self.costs.component_stop)
         yield from component.stop()
         component.implementation.on_stop()
         self.context.trace.record(
@@ -198,7 +207,7 @@ class ComponentRuntime:
     def remove_component(self, composite_name: str, component_name: str) -> Generator:
         """Detach a stopped, unwired component from its composite."""
         composite = self.composite(composite_name)
-        yield from self._charge(self.costs.component_remove)
+        yield self.node.compute_charge(self.costs.component_remove)
         composite.remove(component_name)
         self.context.trace.record(
             "runtime",
@@ -214,7 +223,7 @@ class ComponentRuntime:
         """Set a component property (charges one script step)."""
         composite = self.composite(composite_name)
         component = composite.component(component_name)
-        yield from self._charge(self.costs.script_step)
+        yield self.node.compute_charge(self.costs.script_step)
         component.set_property(key, value)
         self.context.trace.record(
             "runtime",
@@ -236,7 +245,7 @@ class ComponentRuntime:
     ) -> Generator:
         """Create a reference→service wire between two members."""
         composite = self.composite(composite_name)
-        yield from self._charge(self.costs.wire_connect)
+        yield self.node.compute_charge(self.costs.wire_connect)
         connect(
             composite.component(source),
             reference,
@@ -263,7 +272,7 @@ class ComponentRuntime:
     ) -> Generator:
         """Remove a reference→service wire."""
         composite = self.composite(composite_name)
-        yield from self._charge(self.costs.wire_disconnect)
+        yield self.node.compute_charge(self.costs.wire_disconnect)
         disconnect(
             composite.component(source),
             reference,

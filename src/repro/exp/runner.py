@@ -275,10 +275,11 @@ def run_unit_batch(trial_fn: Any, units: Sequence[_Unit]) -> List[Tuple[int, Any
     The shared execution body of every backend's worker side: a batch is
     a plain list so a single dispatch (one pickle or one network frame)
     covers many tiny trials.  Automatic garbage collection is suspended
-    for the duration of the batch: simulation worlds allocate heavily
-    and die together, so deferring cycle collection to the inter-batch
-    gap saves measurable time without letting memory grow past one
-    batch's worth of worlds.
+    while the batch runs and restored after it, even when a unit
+    raises: a closed world leaves no reference cycle (DESIGN.md
+    "Mission lifecycle"), so each finished mission is freed by
+    reference counting and the paused collector has nothing to fall
+    behind on.  The serial backend runs every unit as a batch of one.
     """
     was_enabled = gc.isenabled()
     if was_enabled:
@@ -435,8 +436,8 @@ class SerialBackend(ExecutorBackend):
 
     def execute(self, plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
         trial = plan.spec.trial
-        for index, seed, params in plan.units:
-            yield index, trial(seed, params)
+        for unit in plan.units:
+            yield from run_unit_batch(trial, (unit,))
 
 
 # -- persistent local pool --------------------------------------------------

@@ -81,12 +81,12 @@ class Trace:
         """Append one record at the current simulation time."""
         if not self.enabled:
             return
-        rec = TraceRecord(
-            time=self.clock(),
-            category=category,
-            event=event,
-            details=tuple(sorted(details.items())),
-        )
+        # positional tuple.__new__ skips the NamedTuple keyword wrapper
+        items = details.items()
+        rec = tuple.__new__(TraceRecord, (
+            self.clock(), category, event,
+            tuple(sorted(items)) if len(details) > 1 else tuple(items),
+        ))
         self.records.append(rec)
         for subscriber in self._subscribers:
             subscriber(rec)

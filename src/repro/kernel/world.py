@@ -76,13 +76,13 @@ class World:
         the kernel layer holds into the finished mission or back onto
         itself: trace records, subscribers and listeners, storage
         contents, node hooks and process lists, mailboxes, delivery
-        filters, the network's bound delivery callback.  What the kernel layer keeps
-        is acyclic and empty, so the world and its mission — processes,
-        frames, events, trace — are freed by reference counting as the
-        caller lets go; the cyclic collector is left the component
-        layer's own cycles and the emptied shells (simulator, nodes,
-        network) those still name.  Idempotent; :attr:`now` keeps the
-        time the world ended at.
+        filters, the network's bound delivery callback.  Then each
+        component runtime dismantles the components it installed.  What
+        is kept is acyclic, so the world and its mission — processes,
+        frames, events, trace, components — are freed by reference
+        counting as the caller lets go, and the cyclic collector finds
+        nothing.  Idempotent; :attr:`now` keeps the time the world ended
+        at.
         """
         harvest_event_attribution(self.sim)
         self.sim.drain()
@@ -98,6 +98,8 @@ class World:
         self.network._mailboxes.clear()
         self.network._delivery_filters.clear()
         self.network._deliver_cb = None
+        for runtime in self._runtimes.values():
+            runtime.dismantle()
 
     def runtime_for(self, node):
         """The component runtime hosting assemblies on ``node``.

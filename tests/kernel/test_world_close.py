@@ -3,35 +3,31 @@
 ``World.close()`` is the single end-of-life call.  It harvests the event
 counters and drops every reference the kernel layer holds into the
 finished mission or back onto itself, so a closed world is freed by
-reference counting — the cyclic collector is left with the component
-layer's own cycles and whatever empty kernel shells those still name,
-never with a mission's processes, frames and trace.
+reference counting.  Its component runtimes dismantle every component
+they installed, so the component layer's cycles go too: a finished
+mission leaves the cyclic collector nothing.
 """
 
 import collections
 import gc
-import types
 import weakref
 
 import pytest
 
-from repro.eval import campaign
+from repro.eval import (
+    agility, campaign, fleet_campaign, gray, table3, transition_matrix,
+)
+from repro.ftm import deploy_ftm_pair
 from repro.kernel import (
     BeatMonitor,
     BeatStream,
     Channel,
-    Cluster,
     Event,
-    Message,
     Process,
-    Simulator,
     Timeout,
-    Trace,
-    TraceRecord,
     World,
     take_event_attribution,
 )
-from repro.kernel.sim import Handle
 
 
 @pytest.fixture
@@ -140,36 +136,72 @@ def test_a_campaign_world_dies_with_its_last_name(collector_off):
     assert ref() is None
 
 
-#: What a mission is made of: none of it may wait for the collector.
-_MISSION_STATE = (
-    World, Cluster, TraceRecord, Handle, Message, types.GeneratorType,
-    types.FrameType, types.TracebackType,
-)
-
-
-def test_the_collector_finds_only_empty_kernel_shells(collector_off):
-    """The component layer's cycles (Component <-> Reference <-> Wire)
-    are still the collector's, and they name their simulator, nodes and
-    network (``Component.sim``, ``NodeContext``) — by then emptied."""
-    campaign._trial(5001, {"requests": 30})
+def _left_for_the_collector(mission):
+    """How many objects ``mission()`` leaves that only the cyclic
+    collector could free, and their types (call with the collector off)."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
-    campaign._trial(5002, {"requests": 30})
-    assert gc.collect() > 0  # the component layer's cycles
-    garbage = list(gc.garbage)
+    try:
+        mission()
+        return gc.collect(), collections.Counter(
+            type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
-    assert not [o for o in garbage if isinstance(o, _MISSION_STATE)]
-    for shell in garbage:
-        if isinstance(shell, Simulator):
-            assert not shell._queue and not shell._ready
-            assert not shell.processes and shell._beat_clock is None
-        elif isinstance(shell, Trace):
-            assert not shell.records and not shell._subscribers
-        elif isinstance(shell, Process):
-            assert shell.gen is None and shell._resume_cb is None
-            assert shell.exception is None
-        elif isinstance(shell, Channel):
-            assert not shell._items and not shell._getters
+
+def test_a_finished_mission_leaves_the_collector_nothing(collector_off):
+    """The component layer's cycles (Component <-> Reference <-> Wire <->
+    Service, implementation <-> component) are broken by ``close()``:
+    a finished mission of every kind is freed by reference counting."""
+    gray_cell = gray.spec(missions=1).trials[0]
+    missions = {
+        "campaign": lambda: campaign._trial(5002, {"requests": 30}),
+        "gray": lambda: gray._trial(gray_cell.seeds[0], gray_cell.params),
+        "table3": lambda: table3._trial(
+            1000, {"kind": "transition", "source": "pbr", "target": "lfr"}),
+    }
+    for cell in fleet_campaign.spec(missions=1).trials[:4]:
+        missions[f"fleet {cell.key}"] = (
+            lambda cell=cell: fleet_campaign._trial(cell.seeds[0], cell.params))
+    left = {name: _left_for_the_collector(mission)
+            for name, mission in missions.items()}
+    assert {name: found for name, (found, _types) in left.items()} == dict.fromkeys(
+        missions, 0), left
+
+
+def test_every_transition_matrix_cell_leaves_the_collector_nothing(collector_off):
+    """Rollback re-inserts removed components (``script/corrupt``) and a
+    crashed node loses its composites (``*/crash``); every component a
+    runtime installed is still dismantled at close."""
+    cells = transition_matrix.spec(runs=1).trials
+    assert len(cells) == 51
+    left = {
+        cell.key: _left_for_the_collector(
+            lambda: transition_matrix._trial(cell.seeds[0], cell.params))
+        for cell in cells
+    }
+    assert {key: found for key, (found, _types) in left.items()} == dict.fromkeys(
+        left, 0), {key: types for key, (found, types) in left.items() if found}
+
+
+def test_post_mortem_reads_still_answer():
+    """Close keeps what readers use after it: composite membership,
+    ``Component.implementation`` and the implementation's context."""
+    result = agility._trial(3000, {})
+    assert result["preprogrammed"]["resident_variants"] == 8  # read after close
+
+    world = World(seed=5)
+    pair = world.run_scenario(
+        lambda w: deploy_ftm_pair(w, "pbr", ["alpha", "beta"]),
+        nodes=("alpha", "beta"))
+    composite = pair.replicas[1].composite
+    members = sorted(composite.components)
+    world.close()
+    assert sorted(composite.components) == members
+    for component in composite.components.values():
+        assert component.implementation.context.node.name == "beta"
+        assert component.composite is None and not component.references
 
 
 def test_close_twice_harvests_once_and_keeps_the_clock():
