@@ -15,6 +15,7 @@ replica is a composite (Figure 6).  It offers
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.components.errors import (
@@ -147,16 +148,37 @@ class Composite:
             event.trigger()
 
     def call(self, external: str, operation: str, *args: Any, **kwargs: Any) -> Generator:
-        """Invoke a promoted service from outside the composite (generator)."""
+        """Invoke a promoted service from outside the composite (generator).
+
+        Past the gate, a started component's operation runs in this
+        frame, as in :meth:`Reference.invoke`.
+        """
         while not self._gate_open:
             gate = Event(self.sim, name=f"{self.name}.gate")
             self._gate_waiters.append(gate)
             self.buffered_while_closed += 1
             yield gate
         component, service = self.resolve(external)
+        try:
+            operate = component.services[service].operations[operation]
+        except KeyError:
+            operate = None  # the slow path raises the precise error
         self._external_in_flight += 1
         try:
-            result = yield from component.call(service, operation, *args, **kwargs)
+            if operate is None or component.state is not LifecycleState.STARTED:
+                result = yield from component.call(service, operation, *args, **kwargs)
+            else:
+                # the one-frame hop of Reference.invoke, behind the gate
+                component._in_flight += 1
+                component.invocation_count += 1
+                try:
+                    result = operate(*args, **kwargs)
+                    if type(result) is GeneratorType:
+                        result = yield from result
+                finally:
+                    component._in_flight -= 1
+                    if component._in_flight == 0 and component._quiescent is not None:
+                        component._quiescent.trigger()
         finally:
             self._external_in_flight -= 1
             if self._external_in_flight == 0 and self._drained is not None:

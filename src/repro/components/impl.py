@@ -82,6 +82,10 @@ class ComponentImpl:
     SERVICES: Mapping[str, Tuple[str, ...]] = {}
     REFERENCES: Union[Mapping[str, Multiplicity], Tuple[str, ...]] = {}
 
+    #: The node context, set by :meth:`attach` (alias of ``context``; a
+    #: plain attribute because every request hop reads it).
+    ctx: NodeContext
+
     def __init__(self) -> None:
         self.component: Optional[Component] = None
         self.context: Optional[NodeContext] = None
@@ -91,7 +95,7 @@ class ComponentImpl:
     def attach(self, component: Component, context: NodeContext) -> None:
         """Called by the runtime when the component is installed."""
         self.component = component
-        self.context = context
+        self.context = self.ctx = context
         self.on_attach()
 
     def on_attach(self) -> None:
@@ -108,17 +112,15 @@ class ComponentImpl:
     def ref(self, name: str) -> Reference:
         """This component's reference by name."""
         assert self.component is not None, "implementation not attached"
-        return self.component.reference(name)
+        try:
+            return self.component.references[name]
+        except KeyError:
+            return self.component.reference(name)  # precise error
 
     def prop(self, name: str, default: Any = None) -> Any:
         """This component's configuration property by name."""
         assert self.component is not None, "implementation not attached"
-        return self.component.get_property(name, default)
-
-    @property
-    def ctx(self) -> NodeContext:
-        assert self.context is not None, "implementation not attached"
-        return self.context
+        return self.component.properties.get(name, default)
 
     # -- port construction (used by the runtime) ----------------------------------------
 

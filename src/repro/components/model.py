@@ -78,13 +78,16 @@ class Service:
 class Wire:
     """A connection from a component reference to a component service."""
 
-    __slots__ = ("source", "reference", "target", "service")
+    __slots__ = ("source", "reference", "target", "service", "operations")
 
     def __init__(self, source: "Component", reference: str, target: "Component", service: str):
         self.source = source
         self.reference = reference
         self.target = target
         self.service = service
+        # the target service's operation table, read by every hop: services
+        # are materialised once per Component, so it never goes stale
+        self.operations = target.services[service].operations
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -113,13 +116,34 @@ class Reference:
         return True
 
     def invoke(self, operation: str, *args: Any, **kwargs: Any) -> Generator:
-        """Invoke through the single wire (generator; use ``yield from``)."""
+        """Invoke through the single wire (generator; use ``yield from``).
+
+        One frame per hop: a started target's operation runs right here,
+        under the same in-flight and invocation bookkeeping as
+        :meth:`Component.call`, which stays the only slow path (a target
+        not started or removed, or an unknown operation).
+        """
         if not self.wires:
             raise WiringError(
                 f"reference {self.component.name}.{self.name} is not wired"
             )
         wire = self.wires[0]
-        result = yield from wire.target.call(wire.service, operation, *args, **kwargs)
+        target = wire.target
+        operate = wire.operations.get(operation)
+        if operate is None or target.state is not LifecycleState.STARTED:
+            result = yield from target.call(wire.service, operation, *args, **kwargs)
+            return result
+        target._in_flight += 1
+        target.invocation_count += 1
+        try:
+            result = operate(*args, **kwargs)
+            # generators cannot be subclassed: `type is` == isinstance here
+            if type(result) is GeneratorType:
+                result = yield from result
+        finally:
+            target._in_flight -= 1
+            if target._in_flight == 0 and target._quiescent is not None:
+                target._quiescent.trigger()
         return result
 
     def invoke_all(self, operation: str, *args: Any, **kwargs: Any) -> Generator:
@@ -157,10 +181,6 @@ class Component:
         self._quiescent: Optional[Event] = None
         self._pending_start: List[Event] = []
         self.invocation_count = 0
-        # (service, operation) -> resolved operation callable.  Services
-        # are materialised once at deployment and a redeployment builds a
-        # fresh Component, so resolved targets never go stale.
-        self._dispatch: Dict[Any, Any] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Component {self.name} {self.state.value}>"
@@ -266,7 +286,6 @@ class Component:
             reference.component = None
         self.services = {}
         self.references = {}
-        self._dispatch = {}
         self.composite = None
         self.implementation.component = None
 
@@ -276,7 +295,11 @@ class Component:
         """Invoke ``service.operation`` (generator; use ``yield from``).
 
         Invocations on a non-started component wait until it is started —
-        this is the "block and buffer inputs" half of quiescence.
+        this is the "block and buffer inputs" half of quiescence.  The
+        slow path of every hop: :meth:`Reference.invoke` and
+        :meth:`Composite.call` run a started component's operation
+        themselves and come here only for the gate, the removed-component
+        error and the unknown-operation error.
         """
         while self.state is not LifecycleState.STARTED:
             if self.state is LifecycleState.REMOVED:
@@ -287,17 +310,7 @@ class Component:
             self._pending_start.append(gate)
             yield gate
 
-        key = (service, operation)
-        try:
-            target = self._dispatch[key]
-        except KeyError:
-            try:
-                # inlined self.service(service).operation(operation): the
-                # invocation path runs once per service call in every mission
-                target = self.services[service].operations[operation]
-            except KeyError:
-                target = self.service(service).operation(operation)  # precise error
-            self._dispatch[key] = target
+        target = self.service(service).operation(operation)
         self._in_flight += 1
         self.invocation_count += 1
         try:

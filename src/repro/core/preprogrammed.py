@@ -53,9 +53,7 @@ class _BranchingSlot(ComponentImpl):
                 variant = impl_class()
                 # variants share this slot's component handle: same ports,
                 # same properties, same node context
-                variant.component = self.component
-                variant.context = self.context
-                variant.on_attach()
+                variant.attach(self.component, self.context)
                 self._variants[impl_class.__name__] = variant
 
     def _active(self) -> ComponentImpl:

@@ -76,13 +76,13 @@ def trace_digest(world) -> str:
     determinism tests compare this across repeated runs and across
     executor backends.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    for record in world.trace.records:
-        digest.update(
-            f"{record.time!r}|{record.category}|{record.event}|"
-            f"{record.details!r}\n".encode()
-        )
-    return digest.hexdigest()
+    # one update of the joined text: blake2b streams, so the bytes (and
+    # the digest) are those of one update per record
+    text = "".join([
+        f"{record.time!r}|{record.category}|{record.event}|{record.details!r}\n"
+        for record in world.trace.records
+    ])
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def fleet_task(

@@ -1,13 +1,18 @@
-"""Wire-level message types of the component-based FTMs."""
+"""Wire-level message types of the component-based FTMs.
+
+Named tuples rather than frozen dataclasses, for the reason
+:class:`~repro.kernel.trace.TraceRecord` is one: a request builds
+several of them, and tuple construction is several times cheaper than
+``object.__setattr__``-guarded init.  Keyword construction, defaults,
+the ``repr`` format and immutability are unchanged.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class ClientRequest:
+class ClientRequest(NamedTuple):
     """A request as it travels from a client to the master replica."""
 
     request_id: int
@@ -17,8 +22,7 @@ class ClientRequest:
     reply_port: str  #: mailbox port on that node
 
 
-@dataclass(frozen=True)
-class ClientReply:
+class ClientReply(NamedTuple):
     """The reply sent back to the client's mailbox."""
 
     request_id: int
@@ -32,8 +36,7 @@ class ClientReply:
         return self.error is None
 
 
-@dataclass(frozen=True)
-class PeerEnvelope:
+class PeerEnvelope(NamedTuple):
     """Inter-replica protocol message.
 
     Kinds used by the illustrative set: ``checkpoint`` (PBR), ``request``

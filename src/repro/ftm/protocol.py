@@ -15,6 +15,7 @@ from repro.components.impl import ComponentImpl
 from repro.components.model import Multiplicity
 from repro.ftm.errors import UnmaskedFault
 from repro.ftm.messages import ClientReply, ClientRequest, PeerEnvelope, estimate_size
+from repro.kernel.network import Message
 
 
 class FTProtocol(ComponentImpl):
@@ -57,7 +58,9 @@ class FTProtocol(ComponentImpl):
 
     def handle(self, message) -> Any:
         """Process one client request message (from the request pump)."""
-        request: ClientRequest = message.payload if hasattr(message, "payload") else message
+        request: ClientRequest = (
+            message.payload if isinstance(message, Message) else message
+        )
         info = self._info()
 
         if info["role"] != "master":
@@ -142,7 +145,7 @@ class FTProtocol(ComponentImpl):
     def deliver(self, message) -> Any:
         """Route one inter-replica message (from the peer pump)."""
         envelope: PeerEnvelope = (
-            message.payload if hasattr(message, "payload") else message
+            message.payload if isinstance(message, Message) else message
         )
         info = self._info()
         if envelope.kind == "request":
