@@ -24,7 +24,6 @@ class FaultClass(enum.Enum):
     CRASH = "crash"
     TRANSIENT_VALUE = "transient_value"
     PERMANENT_VALUE = "permanent_value"
-    SOFTWARE = "software"  # used by the RB/NVP extensions
     LIMP = "limp"  # gray failure: a resource degrades without dying
 
 

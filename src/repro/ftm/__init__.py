@@ -9,7 +9,6 @@ Public surface::
     reply = yield from client.request(("add", 5))
 """
 
-from repro.ftm.broadcast import AtomicBroadcast, Delivery, ReplicatedStateMachine
 from repro.ftm.catalog import (
     FTM_NAMES,
     PATTERN_CLASSES,
@@ -26,21 +25,7 @@ from repro.ftm.errors import (
     UnknownFTM,
     UnmaskedFault,
 )
-from repro.ftm.extensions import (
-    AMORTIZED_PBR,
-    AmortizedPbrSyncAfter,
-    amortized_pbr_assembly,
-    register_amortized_pbr,
-)
 from repro.ftm.factory import FTMPair, deploy_ftm_pair
-from repro.ftm.group import (
-    FTMGroup,
-    GroupFailureDetector,
-    GroupLfrSyncAfter,
-    GroupLfrSyncBefore,
-    GroupProtocol,
-    group_assembly,
-)
 from repro.ftm.failure_detector import HeartbeatFailureDetector
 from repro.ftm.messages import ClientReply, ClientRequest, PeerEnvelope, estimate_size
 from repro.ftm.proceed import PlainProceed, RedundantProceed
@@ -57,9 +42,6 @@ from repro.ftm.sync_after import (
 from repro.ftm.sync_before import LfrSyncBefore, PbrSyncBefore
 
 __all__ = [
-    "AtomicBroadcast",
-    "Delivery",
-    "ReplicatedStateMachine",
     "FTM_NAMES",
     "PATTERN_CLASSES",
     "VARIABLE_FEATURES",
@@ -72,18 +54,8 @@ __all__ = [
     "PeerUnavailable",
     "UnknownFTM",
     "UnmaskedFault",
-    "AMORTIZED_PBR",
-    "AmortizedPbrSyncAfter",
-    "amortized_pbr_assembly",
-    "register_amortized_pbr",
     "FTMPair",
     "deploy_ftm_pair",
-    "FTMGroup",
-    "GroupFailureDetector",
-    "GroupLfrSyncAfter",
-    "GroupLfrSyncBefore",
-    "GroupProtocol",
-    "group_assembly",
     "HeartbeatFailureDetector",
     "ClientReply",
     "ClientRequest",

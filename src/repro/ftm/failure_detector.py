@@ -47,10 +47,6 @@ class HeartbeatFailureDetector(ComponentImpl):
         """Heartbeats received so far."""
         return self._beats.seen
 
-    @heartbeats_seen.setter
-    def heartbeats_seen(self, value: int) -> None:
-        self._beats.seen = value
-
     # -- lifecycle hooks -----------------------------------------------------------
 
     def on_start(self) -> None:
@@ -60,12 +56,9 @@ class HeartbeatFailureDetector(ComponentImpl):
         monitor = self._beats
         monitor.timeout = self.prop("timeout", 60.0)
         monitor.deadline = self._started_at + monitor.timeout
-        self._processes = self._spawn_processes(self.ctx.node)
-
-    def _spawn_processes(self, node) -> List[Process]:
-        """The background processes this detector runs (subclass hook)."""
+        node = self.ctx.node
         self._install_monitor_sink()
-        return [
+        self._processes = [
             self._spawn_sender(node),
             node.spawn(self._watchdog(), name="fd-watchdog"),
         ]

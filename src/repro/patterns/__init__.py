@@ -10,7 +10,6 @@ Two design loops produce the hierarchy::
       └── Assertion                 (safety assertion + re-execution)
 
     compositions (⊕):  PBR_TR, LFR_TR, PBR_A, LFR_A
-    extensions:        RecoveryBlocks, TMR, NVersionProgramming
 
 Each class carries its Table 1 characteristics and Table 2 execution
 scheme as metadata, read by the evaluation harness.
@@ -21,7 +20,6 @@ from repro.patterns.base import FaultToleranceProtocol
 from repro.patterns.composed import LFR_A, LFR_TR, PBR_A, PBR_TR
 from repro.patterns.duplex import DuplexProtocol, LocalLink, Role
 from repro.patterns.errors import (
-    AcceptanceTestFailed,
     AssertionFailedError,
     NoPeerError,
     NotMasterError,
@@ -30,16 +28,7 @@ from repro.patterns.errors import (
 )
 from repro.patterns.lfr import LFR
 from repro.patterns.messages import PeerMessage, Reply, Request
-from repro.patterns.nonfunctional import (
-    EncryptedChannel,
-    TamperedMessageError,
-    seal,
-    unseal,
-)
-from repro.patterns.multireplica import GroupLFR, GroupLink, GroupPBR, make_group
-from repro.patterns.nvp import NVersionProgramming
 from repro.patterns.pbr import PBR
-from repro.patterns.recovery_blocks import RecoveryBlocks
 from repro.patterns.server import (
     CounterServer,
     FlakyServer,
@@ -52,7 +41,6 @@ from repro.patterns.server import (
     StateManager,
 )
 from repro.patterns.time_redundancy import TimeRedundancy
-from repro.patterns.tmr import TMR, majority_voter, median_voter
 
 #: Every deployable FTM of the illustrative set (Figure 2 / Table 3).
 ILLUSTRATIVE_SET = (PBR, LFR, PBR_TR, LFR_TR, PBR_A, LFR_A)
@@ -71,7 +59,6 @@ __all__ = [
     "DuplexProtocol",
     "LocalLink",
     "Role",
-    "AcceptanceTestFailed",
     "AssertionFailedError",
     "NoPeerError",
     "NotMasterError",
@@ -81,17 +68,7 @@ __all__ = [
     "PeerMessage",
     "Reply",
     "Request",
-    "EncryptedChannel",
-    "TamperedMessageError",
-    "seal",
-    "unseal",
-    "GroupLFR",
-    "GroupLink",
-    "GroupPBR",
-    "make_group",
-    "NVersionProgramming",
     "PBR",
-    "RecoveryBlocks",
     "CounterServer",
     "FlakyServer",
     "KeyValueServer",
@@ -102,9 +79,6 @@ __all__ = [
     "Server",
     "StateManager",
     "TimeRedundancy",
-    "TMR",
-    "majority_voter",
-    "median_voter",
     "ILLUSTRATIVE_SET",
     "BASE_PATTERNS",
 ]

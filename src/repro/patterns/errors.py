@@ -10,8 +10,7 @@ class PatternError(Exception):
 class UnmaskedFaultError(PatternError):
     """A fault occurred that the mechanism could not mask.
 
-    E.g. Time Redundancy saw three pairwise-different results, or TMR's
-    voter found no majority.
+    E.g. Time Redundancy saw three pairwise-different results.
     """
 
 
@@ -25,7 +24,3 @@ class NoPeerError(PatternError):
 
 class NotMasterError(PatternError):
     """A client request reached a replica that is not the master."""
-
-
-class AcceptanceTestFailed(PatternError):
-    """All alternates of a Recovery Block failed the acceptance test."""

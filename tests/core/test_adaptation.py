@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.components.spec import AssemblySpec
 from repro.core import AdaptationEngine, Repository, build_package
 from repro.core.repository import catalogue_package
 from repro.ftm import FTM_NAMES, Client, UnknownFTM, deploy_ftm_pair, ftm_assembly
-from repro.ftm import variable_feature_distance
+from repro.ftm import PbrSyncAfter, variable_feature_distance
 from repro.kernel import Timeout, World
 
 
@@ -166,6 +167,45 @@ def test_pbr_to_lfr_transition_live():
     assert pair.logged_configuration()["ftm"] == "lfr"
     # both replicas transitioned
     assert len([r for r in report.replicas if r.success]) == 2
+
+
+def test_transition_to_a_field_ftm_with_a_new_brick():
+    """An FTM built after deployment, around a brick no catalogue FTM has."""
+
+    class FieldSyncAfter(PbrSyncAfter):
+        """The field-developed agreement step."""
+
+    def builder(role, peer, app="counter", assertion="always-true", composite="ftm",
+                **kwargs):
+        base = ftm_assembly("pbr", role=role, peer=peer, app=app,
+                            assertion=assertion, composite=composite)
+        components = tuple(
+            type(spec).make("syncAfter", FieldSyncAfter, size=5120)
+            if spec.name == "syncAfter" else spec
+            for spec in base.components
+        )
+        return AssemblySpec(name=base.name, components=components,
+                            wires=base.wires, promotions=base.promotions)
+
+    world = make_world()
+    pair = deploy(world, "pbr")
+    engine = AdaptationEngine(world, pair)
+    engine.repository.register_ftm("pbr-field", builder)
+    client = Client(world, world.cluster.node("client"), "c1", pair.node_names())
+
+    def scenario():
+        yield from client.request(("add", 1))
+        report = yield from engine.transition("pbr-field")
+        after = yield from client.request(("add", 1))
+        return report, after
+
+    report, after = world.run_process(scenario(), name="scenario")
+    assert report.success
+    assert report.component_count == 1  # only the new brick shipped
+    assert pair.ftm == "pbr-field" and after.value == 2
+    for replica in pair.replicas:
+        sync_after = replica.composite.component("syncAfter").implementation
+        assert type(sync_after) is FieldSyncAfter
 
 
 def test_transition_preserves_application_state():

@@ -15,7 +15,6 @@ from repro.core.repository import spec_architecture
 from repro.core.transition_graph import select_target
 from repro.ftm import FTM_NAMES, ftm_assembly, variable_feature_distance
 from repro.patterns import CounterServer, Request
-from repro.patterns.tmr import majority_voter
 from repro.script import parse, render, script_from_diff, validate_script
 from repro.script.errors import ScriptSyntaxError
 
@@ -164,18 +163,30 @@ def test_at_most_once_under_arbitrary_duplication(request_ids):
     assert master.server.total == len(set(request_ids))
 
 
-@given(st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3))
-def test_majority_voter_agrees_with_any_two_equal(results):
-    from repro.patterns import UnmaskedFaultError
+class _ScriptedServer(CounterServer):
+    """Returns the scripted results in order, one per execution."""
 
-    counts = {value: results.count(value) for value in results}
-    best = max(counts.values())
-    if best >= 2:
-        decision = majority_voter(results)
-        assert results.count(decision) >= 2
+    def __init__(self, results):
+        super().__init__()
+        self.results = list(results)
+
+    def process(self, payload):
+        return self.results.pop(0)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3))
+def test_time_redundancy_vote_agrees_with_any_two_equal(results):
+    """TR's 2-out-of-3 arbitration: a value seen twice wins, else unmasked."""
+    from repro.patterns import TimeRedundancy, UnmaskedFaultError
+
+    tr = TimeRedundancy(_ScriptedServer(results))
+    first, second, third = results
+    if first == second or third in (first, second):
+        reply = tr.handle_request(Request(1, "client", ("add", 1)))
+        assert results.count(reply.value) >= 2
     else:
         try:
-            majority_voter(results)
+            tr.handle_request(Request(1, "client", ("add", 1)))
             assert False, "expected UnmaskedFaultError"
         except UnmaskedFaultError:
             pass
