@@ -36,15 +36,6 @@ Commands
     ``--workers host:port,...`` fans them over ``repro worker``
     processes (implies the remote backend; workers persist cells into
     their shadow stores and return digests only).
-``fleet-campaign [--hosts N] [--apps N] [--missions N] [...]``
-    The fleet-scale campaign: generate a multi-host topology, place
-    many FTM-protected app pairs under each placement policy, drive
-    them with seeded open-loop workloads while hosts churn down and up,
-    and let the fleet Resilience Manager recompute every pair's R from
-    the *shared* host/link utilisation — executing the mandatory
-    transitions contention forces.  One cell per (placement policy ×
-    churn rate); same store/backend knobs as ``campaign``, with the
-    same byte-identical guarantee.
 ``gray-matrix [--missions N] [--factors F1,F2] [--json] [...]``
     The gray-failure matrix: every (FTM × slow resource × slowdown
     factor) cell runs missions whose primary starts *limping* mid-run
@@ -84,6 +75,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+from repro.vocabulary import FTM_NAMES, SLOW_RESOURCES
 
 
 def _cmd_info(_args) -> int:
@@ -327,26 +320,6 @@ def _cmd_campaign(args) -> int:
     )
 
 
-def _cmd_fleet_campaign(args) -> int:
-    from repro.eval import fleet_campaign
-
-    spec = fleet_campaign.spec(
-        missions=args.missions, base_seed=9000 + args.seed,
-        hosts=args.hosts, apps=args.apps, kind=args.kind,
-        placements=args.placements, churn_rates=args.churn,
-        duration_ms=args.duration_ms, limp_fraction=args.limp,
-    )
-    return _run_spec_command(
-        args, f"Fleet campaign ({args.hosts} hosts x {args.apps} apps)", spec,
-        fleet_campaign.from_results, fleet_campaign.render,
-        fleet_campaign.shape_checks,
-        lambda data: {"fleet": {key: data[key] for key in (
-            "missions", "sent", "ok", "errors", "dropped", "transitions",
-            "contention_decisions", "node_downs", "reintegrations",
-        )}},
-    )
-
-
 def _cmd_gray_matrix(args) -> int:
     from repro.eval import gray
 
@@ -379,9 +352,6 @@ _PROFILE_SPECS = {
     ),
     "transition-matrix": lambda args: _eval_module("transition_matrix").spec(
         runs=args.runs, base_seed=7000 + args.seed, smoke=True,
-    ),
-    "fleet-campaign": lambda args: _eval_module("fleet_campaign").spec(
-        missions=args.missions, base_seed=9000 + args.seed,
     ),
     "gray-matrix": lambda args: _eval_module("gray").spec(
         missions=args.missions, base_seed=41_000 + args.seed,
@@ -589,12 +559,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _list_of(item):
-    """argparse type for ``A,B,...`` flags: a list of ``item``-parsed parts."""
+def _slowdown(text: str) -> float:
+    """argparse type for a slowdown factor: a float >= 1."""
+    value = float(text)
+    if not value >= 1.0:
+        raise argparse.ArgumentTypeError(f"slowdown factor must be >= 1, got {text}")
+    return value
+
+
+def _list_of(item, choices=None):
+    """argparse type for ``A,B,...`` flags: a non-empty list of
+    ``item``-parsed parts, each one of ``choices`` when given."""
     def parse(text: str) -> list:
-        return [item(part.strip()) for part in text.split(",") if part.strip()]
+        parts = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if not parts:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        unknown = [part for part in parts
+                   if choices is not None and part not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {unknown} (choose from {', '.join(choices)})")
+        return parts
     # argparse names the type in its "invalid ... value" usage error
-    parse.__name__ = f"comma-separated {item.__name__} list"
+    parse.__name__ = f"comma-separated {item.__name__.strip('_')} list"
     return parse
 
 
@@ -667,50 +654,20 @@ def main(argv=None) -> int:
                            "shadow-persist cells and ack ~100 B/cell) is the "
                            "only wire, the flag is kept for scripts that "
                            "spell it out")
-    fleet = sub.add_parser(
-        "fleet-campaign",
-        help="fleet-scale placement x churn campaign (shared-R transitions)",
-    )
-    fleet.add_argument("--hosts", type=_positive_int, default=10,
-                       help="hosts per fleet topology (default: 10)")
-    fleet.add_argument("--apps", type=_positive_int, default=3,
-                       help="FTM-protected app pairs per fleet (default: 3)")
-    fleet.add_argument("--missions", type=_positive_int, default=2,
-                       help="seeded fleet missions per cell (default: 2)")
-    fleet.add_argument("--kind", choices=("line", "star", "tree", "random"),
-                       default="random",
-                       help="topology generator (default: random)")
-    fleet.add_argument("--placements", type=_list_of(str),
-                       default="round-robin,greedy,affinity",
-                       metavar="P1,P2,...",
-                       help="placement policies to grid over "
-                            "(default: round-robin,greedy,affinity)")
-    fleet.add_argument("--churn", type=_list_of(int), default="0,2",
-                       metavar="N1,N2,...",
-                       help="churn rates (host outages per mission) to grid "
-                            "over (default: 0,2)")
-    fleet.add_argument("--duration-ms", type=float, default=8_000.0,
-                       help="open-loop workload window per mission "
-                            "(default: 8000)")
-    fleet.add_argument("--limp", type=float, default=0.0, metavar="FRACTION",
-                       help="fraction of churn events that limp (gray) "
-                            "instead of dying (default: 0.0)")
-    _add_run_flags(fleet)
-    _add_backend_flags(fleet)
     gray = sub.add_parser(
         "gray-matrix",
         help="gray-failure matrix (FTM x slow resource x slowdown factor)",
     )
     gray.add_argument("--missions", type=_positive_int, default=3,
                       help="seeded missions per matrix cell (default: 3)")
-    gray.add_argument("--ftms", type=_list_of(str), default="pbr,lfr",
+    gray.add_argument("--ftms", type=_list_of(str, FTM_NAMES), default="pbr,lfr",
                       metavar="F1,F2,...",
                       help="FTMs to grid over (default: pbr,lfr)")
-    gray.add_argument("--resources", type=_list_of(str),
+    gray.add_argument("--resources", type=_list_of(str, SLOW_RESOURCES),
                       default="cpu,link,disk", metavar="R1,R2,...",
                       help="limping resources to grid over "
                            "(default: cpu,link,disk)")
-    gray.add_argument("--factors", type=_list_of(float), default="4,8",
+    gray.add_argument("--factors", type=_list_of(_slowdown), default="4,8",
                       metavar="F1,F2,...",
                       help="slowdown factors to grid over (default: 4,8)")
     gray.add_argument("--requests", type=_positive_int, default=200,
@@ -787,7 +744,6 @@ def main(argv=None) -> int:
         "reproduce": _cmd_reproduce,
         "transition-matrix": _cmd_transition_matrix,
         "campaign": _cmd_campaign,
-        "fleet-campaign": _cmd_fleet_campaign,
         "gray-matrix": _cmd_gray_matrix,
         "profile": _cmd_profile,
         "store": _cmd_store,

@@ -3,9 +3,9 @@
 The Resilience Management Service is the decision loop: it consumes
 adaptation triggers, maintains the current (FT, A, R) context, asks
 :func:`~repro.core.transition_graph.decide` for the verdict (DESIGN.md,
-"Decisions: one rule") and acts on it through :func:`runs_now` — the
-System Manager is the man-in-the-loop the paper credits with preventing
-oscillations.
+"Decisions: one rule") and acts on it: a mandatory move runs by itself,
+a possible one waits for the System Manager — the man-in-the-loop the
+paper credits with preventing oscillations.
 
 It is also the entry point for off-line actors: application updates
 (A changes, reactive) and fault-model updates (FT changes, proactive)
@@ -20,7 +20,7 @@ from typing import List, Optional
 from repro.core.adaptation_engine import AdaptationEngine
 from repro.core.monitoring import MonitoringEngine, Trigger
 from repro.core.parameters import SystemContext
-from repro.core.transition_graph import Decision, decide
+from repro.core.transition_graph import decide
 from repro.core.transition_graph import event as lookup_event
 
 
@@ -31,7 +31,7 @@ class Proposal:
     time: float
     source_ftm: str
     target_ftm: str
-    trigger: Optional[Trigger]  #: ``None`` from the fleet's shared-R sweep
+    trigger: Trigger
     approved: Optional[bool] = None
     stale: bool = False  #: approved, but the rule no longer named its target
 
@@ -66,26 +66,6 @@ class SystemManager:
         proposal.approved = approve
         self.decided.append(proposal)
         return proposal
-
-
-def runs_now(
-    verdict: Decision,
-    system_manager: SystemManager,
-    time: float,
-    trigger: Optional[Trigger] = None,
-) -> bool:
-    """The act after a moving verdict: may its transition run right away?
-
-    A mandatory move runs by itself; a possible one becomes a
-    :class:`Proposal` and runs only if the System Manager approves on
-    submission (otherwise it waits in ``pending``).
-    """
-    if verdict.kind == "mandatory":
-        return True
-    return system_manager.submit(Proposal(
-        time=time, source_ftm=verdict.current.ftm,
-        target_ftm=verdict.target, trigger=trigger,
-    ))
 
 
 class ResilienceManager:
@@ -152,7 +132,12 @@ class ResilienceManager:
             )
         elif verdict.moves:
             decision["kind"] = verdict.kind
-            if runs_now(verdict, self.system_manager, self.world.now, trigger):
+            # a mandatory move runs by itself; a possible one runs only if
+            # the System Manager approves on submission (else it waits)
+            if verdict.kind == "mandatory" or self.system_manager.submit(
+                Proposal(time=self.world.now, source_ftm=verdict.current.ftm,
+                         target_ftm=verdict.target, trigger=trigger)
+            ):
                 report = yield from self.engine.transition(
                     verdict.target, context=self.context
                 )

@@ -25,7 +25,6 @@ module             paper artifact
 ``agility``        Sec. 6.2 — agile vs preprogrammed
 ``consistency_eval``  Sec. 5.3 — distributed consistency claims
 ``transition_matrix``  transition-survival matrix (fault × phase)
-``fleet_campaign``  fleet-scale placement × churn campaigns
 ``gray``           gray-failure matrix (limplock × FTM sweeps)
 =================  =============================================
 """
@@ -70,7 +69,6 @@ __all__ = [
     "figure5",
     "figure8",
     "figure9",
-    "fleet_campaign",
     "gray",
     "table1",
     "table2",

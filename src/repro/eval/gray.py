@@ -22,17 +22,17 @@ The classic resource probes (bandwidth, CPU saturation) are disabled in
 gray missions so every detection is attributable to the latency
 percentile probe — the instrument under study.
 
-Every mission outcome carries a ``trace_digest`` (same scheme as the
-fleet campaign), so store byte-identity across executor backends also
-certifies event-order identity.
+Every mission outcome carries a ``trace_digest`` — a stable hash of the
+world's full event trace — so store byte-identity across executor
+backends also certifies event-order identity.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from repro.eval.fleet_campaign import trace_digest
 from repro.eval.format import render_table
 from repro.eval.mission import run_solo
 from repro.eval.stats import format_interval, wilson_interval
@@ -51,6 +51,22 @@ GRAY_FTMS = ("pbr", "lfr")
 
 #: Slowdown factors: ×4 is a mild limp, ×8 a textbook limplock.
 GRAY_FACTORS = (4.0, 8.0)
+
+
+def trace_digest(world) -> str:
+    """A stable digest of the world's full event trace.
+
+    Byte-identical digests mean identical event sequences — the
+    determinism tests compare this across repeated runs and across
+    executor backends.
+    """
+    # one update of the joined text: blake2b streams, so the bytes (and
+    # the digest) are those of one update per record
+    text = "".join([
+        f"{record.time!r}|{record.category}|{record.event}|{record.details!r}\n"
+        for record in world.trace.records
+    ])
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def gray_thresholds(

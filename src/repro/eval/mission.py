@@ -1,10 +1,10 @@
 """Where the spec modules meet the simulator: at the first mission.
 
-``campaign``, ``gray``, ``transition_matrix`` and ``fleet_campaign``
-import the simulator inside their ``*_task`` builders, so replaying a
-stored result loads none of it.  Their digested ``_trial`` functions
-call a module-level ``run_solo``, which has to exist before that first
-mission: this one, which fetches the kernel's when called.
+``campaign``, ``gray`` and ``transition_matrix`` import the simulator
+inside their ``*_task`` builders, so replaying a stored result loads
+none of it.  Their digested ``_trial`` functions call a module-level
+``run_solo``, which has to exist before that first mission: this one,
+which fetches the kernel's when called.
 """
 
 

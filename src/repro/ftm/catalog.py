@@ -46,9 +46,8 @@ from repro.ftm.sync_after import (
 )
 from repro.ftm.sync_before import LfrSyncBefore, PbrSyncBefore
 from repro.patterns import LFR, LFR_A, LFR_TR, PBR, PBR_A, PBR_TR
+from repro.vocabulary import FTM_NAMES
 
-#: Canonical FTM names, in the order the paper's Table 3 lists them.
-FTM_NAMES: Tuple[str, ...] = ("pbr", "lfr", "pbr+tr", "lfr+tr", "a+pbr", "a+lfr")
 
 #: The three variable features of each FTM.
 VARIABLE_FEATURES: Dict[str, Dict[str, Type[ComponentImpl]]] = {

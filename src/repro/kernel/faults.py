@@ -173,7 +173,6 @@ class FaultInjector:
         self._rand = sim.random.substream("faults")
         self.injected_counts: Dict[FaultKind, int] = {kind: 0 for kind in FaultKind}
         self.transition_faults_injected: Dict[str, int] = {}
-        self.churn_events: Dict[str, int] = {"node_down": 0, "node_up": 0}
 
     # -- crash faults -------------------------------------------------------------
 
@@ -195,38 +194,6 @@ class FaultInjector:
 
         delay = max(0.0, at - self.sim.now)
         self._schedule_fault(delay, fire)
-
-    # -- node churn ----------------------------------------------------------------
-    #
-    # Deterministic up/down events for fleet-scale scenarios (the YAFS-style
-    # EVENT_UP_ENTITY / EVENT_DOWN_ENTITY vocabulary).  Churn is the same
-    # fail-stop mechanism as a crash fault, but traced separately: a churned
-    # host leaving is *expected* platform dynamics, not an injected fault,
-    # and the eval layer counts the two populations apart.
-
-    def schedule_node_down(self, node, at: float) -> None:
-        """Take ``node`` down (fail-stop) at absolute time ``at``."""
-
-        def fire() -> None:
-            if not node.is_up:
-                return  # already down (e.g. a crash fault beat us to it)
-            self.churn_events["node_down"] += 1
-            self.trace.record("fault", "node_down", node=node.name)
-            node.crash()
-
-        self._schedule_fault(max(0.0, at - self.sim.now), fire)
-
-    def schedule_node_up(self, node, at: float) -> None:
-        """Bring ``node`` back up at absolute time ``at`` (idempotent)."""
-
-        def fire() -> None:
-            if node.is_up:
-                return
-            self.churn_events["node_up"] += 1
-            self.trace.record("fault", "node_up", node=node.name)
-            node.restart()
-
-        self._schedule_fault(max(0.0, at - self.sim.now), fire)
 
     # -- slow (gray) faults ---------------------------------------------------------
     #
@@ -338,34 +305,6 @@ class FaultInjector:
             "fault", "arm_slow",
             node=node.name, resource=resource, factor=factor,
         )
-
-    def schedule_node_limp(
-        self,
-        node,
-        resource: str,
-        factor: float,
-        at: float,
-        duration: Optional[float] = None,
-    ) -> None:
-        """Churn-vocabulary gray failure: the host limps, then recovers.
-
-        The fleet analogue of :meth:`schedule_node_down` /
-        :meth:`schedule_node_up` — counted under ``churn_events`` (the
-        ``node_limp`` key appears lazily on first use) because a limping
-        host is *expected* platform dynamics, not an injected fault.
-        """
-
-        def fire() -> None:
-            self.churn_events["node_limp"] = (
-                self.churn_events.get("node_limp", 0) + 1
-            )
-            self.trace.record(
-                "fault", "node_limp",
-                node=node.name, resource=resource, factor=factor,
-            )
-
-        self._schedule_fault(max(0.0, at - self.sim.now), fire)
-        self.arm_slow(node, resource, factor, start=at, duration=duration)
 
     # -- value faults -----------------------------------------------------------------
 

@@ -154,29 +154,6 @@ class Network:
             bandwidth=bandwidth,
         )
 
-    def configure_links(self, links: Dict[Tuple[str, str], Link]) -> None:
-        """Re-characterise many directed links in one call.
-
-        ``links`` maps ``(source, destination)`` to the :class:`Link`
-        characteristics to install (the Link objects are copied into the
-        existing entries, not aliased).  Unlike per-pair :meth:`set_link`
-        calls, the whole bulk update produces a single trace record — a
-        50-host topology sets 2450 directed links, which would otherwise
-        swamp the trace with boilerplate.
-        """
-        for (source, destination), spec in links.items():
-            link = self.link(source, destination)
-            link.latency = spec.latency
-            link.bandwidth = spec.bandwidth
-            link.loss = spec.loss
-        self.trace.record("network", "links_configured", count=len(links))
-
-    def set_all_bandwidth(self, bandwidth: float) -> None:
-        """Re-characterise every link at once (fleet-wide degradation)."""
-        for link in self._links.values():
-            link.bandwidth = bandwidth
-        self.trace.record("network", "bandwidth_change", bandwidth=bandwidth)
-
     # -- partitions & loss ---------------------------------------------------------
 
     def partition(self, group_a: List[str], group_b: List[str]) -> None:

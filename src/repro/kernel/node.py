@@ -9,7 +9,7 @@ volatile state is lost; only :mod:`repro.kernel.storage` survives).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, List
 
 from repro.kernel.costs import CostModel, DEFAULT_COSTS
 from repro.kernel.errors import NodeDown
@@ -73,14 +73,9 @@ class Node:
         trace: Trace,
         costs: CostModel = DEFAULT_COSTS,
         cpu_speed: float = 1.0,
-        energy_budget: Optional[float] = None,
     ):
         if cpu_speed <= 0:
             raise ValueError(f"cpu_speed must be positive, got {cpu_speed}")
-        if energy_budget is not None and energy_budget <= 0:
-            raise ValueError(
-                f"energy_budget must be positive, got {energy_budget}"
-            )
         self.sim = sim
         self.name = name
         self.trace = trace
@@ -91,12 +86,6 @@ class Node:
         #: limping disk (gray failure) drops it below 1.0 via
         #: :meth:`FaultInjector.apply_slow`; the node itself stays up.
         self.disk_speed = 1.0
-        #: Total energy this host may spend over its mission (None =
-        #: unconstrained, e.g. a mains-powered machine).  Accounting only:
-        #: an exhausted budget flips the fleet layer's R dimension rather
-        #: than stopping the node — the paper treats energy as a resource
-        #: parameter, not a failure mode.
-        self.energy_budget = energy_budget
         #: Plain attribute, not a property: the message path reads it on
         #: every send/deliver, so crash/restart maintain it directly.
         self.is_up = True
@@ -119,18 +108,6 @@ class Node:
     def state(self) -> NodeState:
         """The fail-stop state, derived from :attr:`is_up`."""
         return NodeState.UP if self.is_up else NodeState.CRASHED
-
-    @property
-    def energy_remaining(self) -> Optional[float]:
-        """Budget minus energy spent (None when unconstrained, floor 0)."""
-        if self.energy_budget is None:
-            return None
-        return max(0.0, self.energy_budget - self.energy)
-
-    @property
-    def energy_exhausted(self) -> bool:
-        """Has a constrained host spent its whole energy budget?"""
-        return self.energy_budget is not None and self.energy >= self.energy_budget
 
     def check_up(self, operation: str = "operation") -> None:
         """Raise :class:`NodeDown` when the node is crashed."""
@@ -253,13 +230,11 @@ class Cluster:
         self.costs = costs
         self.nodes: dict = {}
 
-    def add_node(self, name: str, cpu_speed: float = 1.0,
-                 energy_budget: Optional[float] = None) -> Node:
+    def add_node(self, name: str, cpu_speed: float = 1.0) -> Node:
         """Create a node in this cluster (names must be unique)."""
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name!r}")
-        node = Node(self.sim, name, self.trace, self.costs, cpu_speed,
-                    energy_budget)
+        node = Node(self.sim, name, self.trace, self.costs, cpu_speed)
         self.nodes[name] = node
         return node
 

@@ -13,9 +13,7 @@ rewound or reused.
 
 from __future__ import annotations
 
-from typing import (
-    Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Union,
-)
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Union
 
 from repro.kernel.costs import CostModel, DEFAULT_COSTS
 from repro.kernel.errors import SimulationError
@@ -25,25 +23,6 @@ from repro.kernel.node import Cluster, Node
 from repro.kernel.sim import Simulator, harvest_event_attribution
 from repro.kernel.storage import StableStorage
 from repro.kernel.trace import Trace
-
-
-def _per_node(value, names: Sequence[str], default, parameter: str) -> List:
-    """Expand a scalar / sequence / mapping override to one value per node."""
-    if isinstance(value, Mapping):
-        unknown = sorted(set(value) - set(names))
-        if unknown:
-            raise ValueError(
-                f"{parameter} override names unknown nodes: {unknown}"
-            )
-        return [value.get(name, default) for name in names]
-    if isinstance(value, (list, tuple)):
-        if len(value) != len(names):
-            raise ValueError(
-                f"{parameter} sequence has {len(value)} entries "
-                f"for {len(names)} nodes"
-            )
-        return list(value)
-    return [value] * len(names)
 
 
 class World:
@@ -116,38 +95,15 @@ class World:
             self._runtimes[node.name] = runtime
         return runtime
 
-    def add_node(self, name: str, cpu_speed: float = 1.0,
-                 energy_budget: Optional[float] = None) -> Node:
+    def add_node(self, name: str, cpu_speed: float = 1.0) -> Node:
         """Create a node and attach it to the network."""
-        node = self.cluster.add_node(name, cpu_speed, energy_budget)
+        node = self.cluster.add_node(name, cpu_speed)
         self.network.join(node)
         return node
 
-    def add_nodes(
-        self,
-        names: List[str],
-        cpu_speed: Union[float, Sequence[float], Mapping[str, float]] = 1.0,
-        energy_budget: Union[
-            None, float, Sequence[Optional[float]], Mapping[str, float]
-        ] = None,
-    ) -> List[Node]:
-        """Create several nodes at once, with optional per-node overrides.
-
-        ``cpu_speed`` and ``energy_budget`` accept the historical scalar
-        (applied to every node), a sequence parallel to ``names``, or a
-        mapping ``name -> value`` (missing names fall back to the
-        default).  Heterogeneous fleets are built this way::
-
-            world.add_nodes(["a", "b", "c"], cpu_speed={"b": 0.5})
-        """
-        speeds = _per_node(cpu_speed, names, default=1.0,
-                           parameter="cpu_speed")
-        budgets = _per_node(energy_budget, names, default=None,
-                            parameter="energy_budget")
-        return [
-            self.add_node(name, speeds[i], budgets[i])
-            for i, name in enumerate(names)
-        ]
+    def add_nodes(self, names: List[str]) -> List[Node]:
+        """Create several nodes at once, in the given order."""
+        return [self.add_node(name) for name in names]
 
     def run(self, until: Optional[float] = None) -> float:
         """Advance the simulation (optionally stopping at ``until``)."""

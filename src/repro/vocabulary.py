@@ -1,11 +1,14 @@
-"""Fault vocabulary as plain data.
+"""Fault and FTM vocabulary as plain data.
 
-The names experiment specs grid over and the fault injector validates
-against.  They live outside :mod:`repro.kernel` so that building a spec
-or replaying a stored result — which needs the words, not the simulator
-— does not execute the kernel package; :mod:`repro.kernel.faults`
-re-exports them.
+The names the CLI and experiment specs grid over, and the fault injector
+and FTM catalogue validate against.  They live outside the simulator so
+that parsing a command, building a spec or replaying a stored result
+loads none of it; :mod:`repro.kernel.faults` and :mod:`repro.ftm.catalog`
+re-export them.
 """
+
+#: Canonical FTM names, in the order the paper's Table 3 lists them.
+FTM_NAMES = ("pbr", "lfr", "pbr+tr", "lfr+tr", "a+pbr", "a+lfr")
 
 #: The resources :meth:`FaultInjector.arm_slow` can degrade.
 SLOW_RESOURCES = ("cpu", "link", "disk")

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List
 
-from repro.eval import campaign, fleet_campaign, gray, transition_matrix
+from repro.eval import campaign, gray, transition_matrix
 from repro.ftm.failure_detector import HeartbeatFailureDetector
 from repro.kernel import WorldTask
 
@@ -59,9 +59,6 @@ SCENARIOS: Dict[str, Callable[[int], WorldTask]] = {
     "campaign": lambda seed: campaign.mission_task(5000 + 101 * seed),
     "gray": _gray_task,
     "transition-matrix": _matrix_task,
-    "fleet-churn": lambda seed: fleet_campaign.fleet_task(
-        9000 + seed, churn=4, limp_fraction=0.5,
-    ),
 }
 
 

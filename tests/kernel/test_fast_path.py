@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.kernel import Channel, Link, SimulationError, Simulator, Timeout, World
+from repro.kernel import Channel, SimulationError, Simulator, Timeout, World
 
 
 def _nop():
@@ -53,7 +53,7 @@ def _mixed_workload(fast_path):
 
     alpha, _beta = world.add_nodes(["alpha", "beta"])
     network = world.network
-    network.configure_links({("beta", "alpha"): Link(latency=0.0, bandwidth=1.0)})
+    network.set_link("beta", "alpha", latency=0.0, bandwidth=1.0, symmetric=False)
     handoff = Channel(sim, "handoff")
 
     def receiver(mailbox, tag, reply=None):

@@ -141,27 +141,6 @@ def test_arm_slow_is_deterministic_across_runs():
     assert trace_of() == trace_of()
 
 
-def test_schedule_node_limp_counts_churn_and_keeps_node_up():
-    world = make_world()
-    node = world.cluster.node("alpha")
-    world.faults.schedule_node_limp(node, "disk", 4.0, at=100.0,
-                                    duration=200.0)
-
-    def wait():
-        yield Timeout(500.0)
-
-    world.run_process(wait(), name="wait")
-    assert world.faults.churn_events.get("node_limp") == 1
-    assert world.trace.count("fault", "node_limp") == 1
-    assert node.is_up
-    assert node.disk_speed == 1.0  # window closed, reverted
-
-
-def test_churn_events_has_no_limp_key_until_first_limp():
-    world = make_world()
-    assert "node_limp" not in world.faults.churn_events
-
-
 # -- validation (satellite: argument validation across the injector) ---------------
 
 

@@ -14,9 +14,7 @@ import weakref
 
 import pytest
 
-from repro.eval import (
-    agility, campaign, fleet_campaign, gray, table3, transition_matrix,
-)
+from repro.eval import agility, campaign, gray, table3, transition_matrix
 from repro.ftm import deploy_ftm_pair
 from repro.kernel import (
     BeatMonitor,
@@ -161,9 +159,6 @@ def test_a_finished_mission_leaves_the_collector_nothing(collector_off):
         "table3": lambda: table3._trial(
             1000, {"kind": "transition", "source": "pbr", "target": "lfr"}),
     }
-    for cell in fleet_campaign.spec(missions=1).trials[:4]:
-        missions[f"fleet {cell.key}"] = (
-            lambda cell=cell: fleet_campaign._trial(cell.seeds[0], cell.params))
     left = {name: _left_for_the_collector(mission)
             for name, mission in missions.items()}
     assert {name: found for name, (found, _types) in left.items()} == dict.fromkeys(

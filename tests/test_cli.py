@@ -167,38 +167,6 @@ def test_cli_reproduce_seed_changes_results(capsys, tmp_path):
     ]
 
 
-def test_cli_fleet_campaign_smoke(capsys, tmp_path):
-    argv = [
-        "fleet-campaign", "--hosts", "8", "--apps", "2", "--missions", "1",
-        "--duration-ms", "4000", "--jobs", "1",
-        "--store", str(tmp_path), "--json",
-    ]
-    assert main(argv) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["problems"] == []
-    assert report["fleet"]["missions"] == 6  # 3 placements x 2 churn rates
-    assert report["fleet"]["sent"] > 0
-    assert report["fleet"]["ok"] > 0
-    # a second invocation streams every cell from the store
-    assert main(argv) == 0
-    cached = json.loads(capsys.readouterr().out)
-    assert cached["trials_executed"] == 0
-    assert cached["fleet"] == report["fleet"]
-
-
-def test_cli_fleet_campaign_two_jobs_matches_sequential(capsys):
-    base = [
-        "fleet-campaign", "--hosts", "8", "--apps", "2", "--missions", "2",
-        "--placements", "round-robin", "--churn", "2",
-        "--duration-ms", "4000", "--no-store", "--json",
-    ]
-    assert main(base + ["--jobs", "1"]) == 0
-    sequential = json.loads(capsys.readouterr().out)
-    assert main(base + ["--jobs", "2"]) == 0
-    parallel = json.loads(capsys.readouterr().out)
-    assert parallel["fleet"] == sequential["fleet"]
-
-
 def test_cli_bench_report_warns_instead_of_failing(capsys, tmp_path):
     # missing directory: warn and exit clean
     assert main(["bench", "--report", "--dir", str(tmp_path / "gone")]) == 0
@@ -220,7 +188,7 @@ def test_cli_bench_report_warns_instead_of_failing(capsys, tmp_path):
 @pytest.mark.parametrize("argv, reason", [
     (["campaign", "--backend", "remote", "--wire", "digest"], "workers"),
     (["gray-matrix", "--workers", "nonsense"], "host:port"),
-    (["fleet-campaign", "--workers", "127.0.0.1:1,127.0.0.1:2"], "died"),
+    (["gray-matrix", "--workers", "127.0.0.1:1,127.0.0.1:2"], "died"),
 ])
 def test_cli_experiment_errors_exit_2_without_a_traceback(
         capsys, monkeypatch, argv, reason):
@@ -235,11 +203,14 @@ def test_cli_experiment_errors_exit_2_without_a_traceback(
 
 @pytest.mark.parametrize("argv", [
     ["gray-matrix", "--factors", "abc"],
-    ["fleet-campaign", "--churn", "x"],
+    ["gray-matrix", "--ftms", "bogus"],
     ["campaign", "--wire", "full"],
     ["campaign", "--backend", "serial", "--workers", "127.0.0.1:1"],
-    ["fleet-campaign", "--backend", "local", "--workers", "127.0.0.1:1"],
+    ["campaign", "--backend", "local", "--workers", "127.0.0.1:1"],
     ["gray-matrix", "--backend", "serial", "--workers", "127.0.0.1:1"],
+    ["gray-matrix", "--resources", "bogus"],
+    ["gray-matrix", "--factors", "0.5"],
+    ["gray-matrix", "--ftms", ","],
 ])
 def test_cli_malformed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:

@@ -46,7 +46,7 @@ print(json.dumps({"exit": code, "summary": json.loads(out.getvalue()),
 #: What a run that executes no trial has no use for.
 REPLAY_NEVER_LOADS = (
     "repro.kernel", "repro.components", "repro.script", "repro.ftm",
-    "repro.core", "repro.app", "repro.patterns", "repro.fleet",
+    "repro.core", "repro.app", "repro.patterns",
     "repro.exp.distributed", "multiprocessing", "socket",
 )
 
@@ -55,9 +55,6 @@ SMOKE_COMMANDS = {
     "gray-matrix": ["--missions", "1", "--ftms", "lfr", "--resources", "cpu",
                     "--factors", "8", "--requests", "40"],
     "transition-matrix": ["--smoke"],
-    "fleet-campaign": ["--hosts", "6", "--apps", "2", "--missions", "1",
-                       "--churn", "0", "--placements", "greedy",
-                       "--duration-ms", "2000"],
 }
 
 
@@ -102,8 +99,8 @@ print(json.dumps({
 
 EVAL_ALL = [
     "agility", "campaign", "consistency_eval", "figure2", "figure4",
-    "figure5", "figure8", "figure9", "fleet_campaign", "gray", "table1",
-    "table2", "table3", "transition_matrix", "render_table", "class_sloc",
+    "figure5", "figure8", "figure9", "gray", "table1", "table2",
+    "table3", "transition_matrix", "render_table", "class_sloc",
     "count_sloc", "module_sloc", "format_interval", "wilson_interval",
 ]
 
