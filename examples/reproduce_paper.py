@@ -15,8 +15,8 @@ Prints, paper-style:
 * Sec. 5.3 — distributed-consistency fault-injection summary
 
 Runs the Table 3 / Figure 9 simulations with ``--runs N`` repetitions
-per cell (default 1 for a quick look; the benchmarks use 3; the paper
-averaged 100).
+per cell (default 1 for a quick look; the tier-1 paper-claim tests use 3;
+the paper averaged 100).
 """
 
 import argparse

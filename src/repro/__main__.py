@@ -54,10 +54,6 @@ Commands
     ``exp.run(..., workers=[...])``) at them.  ``--max-batches N`` and
     ``--crash-after-persist N`` are deterministic crash hooks for the
     failover tests.
-``bench --report [--dir DIR]``
-    Read every recorded ``BENCH_*.json`` benchmark report and print one
-    throughput-trajectory table (PR 3 baseline → PR 4 kernel → the
-    distributed grid).
 ``profile <spec> [--top N] [--sort cumulative|tottime] [...]``
     Run one experiment spec single-threaded under ``cProfile`` and print
     the hottest functions, so perf work starts from data instead of
@@ -432,91 +428,6 @@ def _cmd_worker(args) -> int:
     return 0
 
 
-def _bench_rows(data) -> list:
-    """Extract (scenario, value, unit) rows from one BENCH_*.json blob.
-
-    Understands three shapes: the structured ``rows`` list written by
-    ``benchmarks/test_bench_distributed.py`` (throughput rows keyed by
-    ``missions_per_sec``, or generic rows carrying explicit ``value`` +
-    ``unit`` keys as ``BENCH_gray.json`` does), the nested rate dicts of
-    ``BENCH_kernel.json`` (any numeric leaf named ``*_per_sec`` or
-    ``speedup*``), and raw pytest-benchmark exports (``benchmarks``
-    list; the mean is inverted to a rate).
-    """
-    rows = []
-    if isinstance(data.get("rows"), list):
-        for row in data["rows"]:
-            if "value" in row:
-                rows.append((str(row.get("scenario", "-")),
-                             row.get("value"), str(row.get("unit", "-"))))
-                continue
-            unit = "missions/s"
-            if row.get("speedup") is not None:
-                unit = f"missions/s ({row['speedup']:.2f}x)"
-            rows.append((str(row.get("scenario", "-")),
-                         row.get("missions_per_sec"), unit))
-        return rows
-    if isinstance(data.get("benchmarks"), list):  # pytest-benchmark export
-        for bench in data["benchmarks"]:
-            mean = (bench.get("stats") or {}).get("mean")
-            rows.append((str(bench.get("name", "-")),
-                         None if not mean else 1.0 / mean, "calls/s"))
-        return rows
-
-    def walk(prefix, node):
-        if isinstance(node, dict):
-            for key, value in node.items():
-                walk(f"{prefix}.{key}" if prefix else str(key), value)
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            leaf = prefix.rsplit(".", 1)[-1]
-            if leaf.endswith("_per_sec"):
-                unit = "missions/s" if "missions" in leaf else "events/s"
-                rows.append((prefix, float(node), unit))
-            elif leaf.startswith("speedup"):
-                rows.append((prefix, float(node), "x"))
-
-    walk("", data)
-    return rows
-
-
-def _cmd_bench(args) -> int:
-    import json
-    from pathlib import Path
-
-    if not args.report:
-        print("nothing to do: pass --report to print the throughput "
-              "trajectory across BENCH_*.json files", file=sys.stderr)
-        return 2
-    root = Path(args.dir)
-    if not root.is_dir():
-        print(f"warning: {root}/ does not exist — nothing to report",
-              file=sys.stderr)
-        return 0
-    reports = sorted(root.glob("BENCH_*.json"))
-    if not reports:
-        print(f"warning: no BENCH_*.json files under {root}/ — run the "
-              f"benchmarks first (pytest benchmarks/)", file=sys.stderr)
-        return 0
-    print("throughput trajectory across recorded benchmark reports\n")
-    print(f"{'report':<24s} {'scenario':<46s} {'value':>12s}  unit")
-    print("-" * 96)
-    for path in reports:
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"{path.name:<24s} warning: unreadable ({exc})")
-            continue
-        try:
-            rows = _bench_rows(data)
-        except (TypeError, ValueError, KeyError, AttributeError) as exc:
-            print(f"{path.name:<24s} warning: unrecognised shape ({exc})")
-            continue
-        for scenario, value, unit in rows:
-            value_text = "-" if value is None else f"{value:,.2f}"
-            print(f"{path.name:<24s} {scenario:<46s} {value_text:>12s}  {unit}")
-    return 0
-
-
 def _cmd_demo(_args) -> int:
     from repro.core import AdaptationEngine
     from repro.ftm import Client, deploy_ftm_pair
@@ -696,14 +607,6 @@ def main(argv=None) -> int:
                         help="hard-exit after the Nth freshly executed cell "
                              "is shadow-persisted but before its digest ack "
                              "(crash-window testing)")
-    bench = sub.add_parser(
-        "bench",
-        help="report recorded benchmark results (BENCH_*.json)",
-    )
-    bench.add_argument("--report", action="store_true",
-                       help="print the throughput trajectory table")
-    bench.add_argument("--dir", default=".", metavar="DIR",
-                       help="directory holding BENCH_*.json (default: .)")
     profile = sub.add_parser(
         "profile",
         help="run one spec under cProfile and print the hot spots",
@@ -748,7 +651,6 @@ def main(argv=None) -> int:
         "profile": _cmd_profile,
         "store": _cmd_store,
         "worker": _cmd_worker,
-        "bench": _cmd_bench,
         "demo": _cmd_demo,
     }
     try:

@@ -1,4 +1,4 @@
-"""Workload generators for examples, tests and benchmarks.
+"""Workload generators for examples, tests and the eval modules.
 
 A workload is a generator process driving a :class:`repro.ftm.Client`
 with a payload stream and a pacing model.  Three shapes cover what the

@@ -10,7 +10,7 @@ def render_table(
     rows: Sequence[Sequence[Any]],
     title: Optional[str] = None,
 ) -> str:
-    """Render an ASCII table (the benchmarks print these, paper-style)."""
+    """Render an ASCII table (the eval modules print these, paper-style)."""
     cells = [[_text(h) for h in headers]] + [[_text(c) for c in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
 

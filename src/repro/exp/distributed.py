@@ -283,15 +283,11 @@ def parse_address(text: str) -> Tuple[str, int]:
     """``"host:port"`` -> ``(host, port)``; raises on malformed input."""
     host, sep, port_text = text.rpartition(":")
     if not sep or not host:
-        raise DistributedError(
-            f"worker address {text!r} is not of the form host:port"
-        )
+        raise DistributedError(f"worker address {text!r} is not of the form host:port")
     try:
         port = int(port_text)
     except ValueError as exc:
-        raise DistributedError(
-            f"worker address {text!r} has a non-numeric port"
-        ) from exc
+        raise DistributedError(f"worker address {text!r} has a non-numeric port") from exc
     if not 0 <= port < 65536:
         raise DistributedError(f"worker address {text!r} port out of range")
     return host, port  # port 0 = OS-assigned (listen side only)
@@ -446,6 +442,9 @@ class RemoteBackend(ExecutorBackend):
         if not workers:
             raise DistributedError("remote backend needs at least one worker")
         self.addresses = [parse_address(w) for w in workers]
+        for text, (_host, port) in zip(workers, self.addresses):
+            if port == 0:  # OS-assigned: a worker can listen there, nobody can dial it
+                raise DistributedError(f"worker address {text!r}: port 0 is only valid for --listen")
         self.batch_timeout = batch_timeout
         self.connect_timeout = connect_timeout
         #: Allow same-host shadow reads during reconciliation.  Disable

@@ -471,7 +471,7 @@ def shutdown_local_pool() -> None:
 
     Called automatically at interpreter exit and whenever a run needs a
     different worker count; call it explicitly to reclaim the worker
-    processes early or to force a cold pool in benchmarks.
+    processes early or to force a cold pool in a measurement.
     """
     global _LOCAL_POOL, _LOCAL_POOL_PROCESSES
     pool = _LOCAL_POOL

@@ -167,7 +167,7 @@ class BeatClock:
     stream, None, 0.0)``, a delivery ``(…, stream, route, sent_at)`` and
     a watchdog wake ``(…, monitor, _WAKE, wait)``.  The earliest entry
     always has an alarm in the kernel's heap under its own ``(time,
-    seq)``, so the kernel's merge orders the clock against everything
+    seq)``, so the kernel's heap orders the clock against everything
     else and ``peek_time`` / ``pending`` see live streams.
     """
 
@@ -234,13 +234,8 @@ class BeatClock:
         if not heap:
             return
         self._armed.discard(heap[0][1])  # ours: alarms fire in heap order
-        ready = sim._ready
-        bound = sim._peek_timed()
-        if ready and not (
-            bound is not None and bound[0] <= sim.now and bound[1] < ready[0][0]
-        ):
-            time, seq = sim.now, ready[0][0]
-        elif bound is None:
+        bound = sim._head()
+        if bound is None:
             time, seq = inf, 0
         else:
             time, seq = bound[0], bound[1]

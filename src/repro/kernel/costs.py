@@ -92,8 +92,8 @@ class CostModel:
     def scaled(self, factor: float) -> "CostModel":
         """Return a copy with every *time* cost multiplied by ``factor``.
 
-        Used by ablation benchmarks to study sensitivity of the Table 3
-        ratios to the platform speed.
+        Used to study how sensitive the Table 3 ratios are to the
+        platform speed.
         """
         time_fields = {
             name: getattr(self, name) * factor
@@ -123,5 +123,5 @@ class CostModel:
         return replace(self, **time_fields)
 
 
-#: The default calibration used by tests, examples and benchmarks.
+#: The default calibration used by tests, examples and the eval modules.
 DEFAULT_COSTS = CostModel()

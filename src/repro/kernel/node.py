@@ -127,7 +127,7 @@ class Node:
         """Run ``fn()`` now and then every ``period`` ms until killed.
 
         Equivalent to spawning ``while True: fn(); yield Timeout(period)``
-        — first call at the current instant via the zero-delay lane, one
+        — first call at the current instant as a zero-delay event, one
         timed event per tick thereafter — minus the per-tick generator
         resume.  Killed when the node crashes, like any spawned process.
         """
@@ -221,7 +221,7 @@ class Node:
 class Cluster:
     """A named collection of nodes sharing a simulator, trace and costs.
 
-    Convenience factory used throughout tests, examples and benchmarks.
+    Convenience factory used throughout tests and examples.
     """
 
     def __init__(self, sim: Simulator, trace: Trace, costs: CostModel = DEFAULT_COSTS):

@@ -25,19 +25,12 @@ Time is virtual: the simulator jumps from event to event, so a simulated
 second costs microseconds of wall time, and two runs with the same seed
 produce byte-identical traces.
 
-The event loop has **two lanes** fed by **one schedule routine**
-(:meth:`Simulator._push`).  Zero-delay events — process resumes, channel
-handoffs, join delivery, i.e. the overwhelming majority of traffic in
-protocol-heavy workloads — bypass the heap and go through a FIFO *ready
-deque*, which costs an append/popleft instead of a ``log n`` sift plus
-tuple comparisons.  Timed events live in a binary heap ordered by
-``(time, seq)``.  Every entry in either lane carries the global sequence
-number, and the dispatch loop lets a heap entry that landed on exactly
-``now`` with a smaller ``seq`` go before the ready head, so the two
-lanes replay exactly the single-heap ``(time, seq)`` order.
-``Simulator(fast_path=False)`` sends zero-delay entries to the heap as
-well: with an empty ready deque the same loop *is* the single-heap
-kernel, the reference the parity tests compare against.
+The event loop is **one binary heap** ordered by ``(time, seq)`` and
+fed by **one schedule routine** (:meth:`Simulator._push`), which stamps
+every entry with the next global sequence number.  Zero-delay events —
+process resumes, channel handoffs, join delivery — ride the same heap at
+``now``, so events at one instant run FIFO in the order they were
+scheduled.
 """
 
 from __future__ import annotations
@@ -79,16 +72,13 @@ _RESUME_ARGS = (None, None)
 class Handle:
     """A cancellable reference to a scheduled callback.
 
-    Heap-resident handles keep a back-reference to their simulator so a
-    cancellation can bump the dead-entry counter that drives lazy-cancel
-    compaction; ready-lane handles pass ``sim=None`` (the deque drains
-    before time moves on, so cancelled entries there are bounded by
-    construction).
+    Keeps a back-reference to its simulator so a cancellation can bump
+    the dead-entry counter that drives lazy-cancel compaction.
     """
 
     __slots__ = ("_cancelled", "_fired", "_sim")
 
-    def __init__(self, sim: Optional["Simulator"] = None) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self._cancelled = False
         self._fired = False
         self._sim = sim
@@ -98,9 +88,7 @@ class Handle:
         if self._cancelled or self._fired:
             return
         self._cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._note_dead()
+        self._sim._note_dead()
 
     @property
     def active(self) -> bool:
@@ -113,23 +101,15 @@ _COMPACT_MIN_DEAD = 64
 
 
 class Simulator:
-    """The event loop: a ready deque plus a priority queue of timed events."""
+    """The event loop: one priority queue of ``(time, seq)`` events."""
 
-    #: Class-wide default for the ready deque.  Benchmarks and parity
-    #: tests flip this to run the single-heap reference on identical code.
-    DEFAULT_FAST_PATH = True
-
-    def __init__(self, seed: int = 0, fast_path: Optional[bool] = None):
+    def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.random = DeterministicRandom(seed)
         self._queue: List = []
-        self._ready: deque = deque()
         self._seq = 0
         self._dead = 0
         self._running = False
-        self.fast_path = (
-            self.DEFAULT_FAST_PATH if fast_path is None else fast_path
-        )
         # per-run event attribution (see ``events_by_source``) and the
         # beat clock's counters: beat events replayed without a kernel
         # event / beats sent as ordinary messages after all
@@ -152,21 +132,15 @@ class Simulator:
     ) -> Optional[Handle]:
         """The one schedule routine: queue ``fn(*args)`` at ``now + delay``.
 
-        Takes the next global sequence number and picks the lane: the
-        ready deque for zero delays, the ``(time, seq)`` heap otherwise
-        (and for everything when ``fast_path`` is off).  Mints the
-        :class:`Handle` when the caller wants one, so no caller needs to
-        know which lane its entry rides.  ``delay`` is already validated.
+        Takes the next global sequence number, pushes the ``(time, seq)``
+        heap entry and mints the :class:`Handle` when the caller wants
+        one.  ``delay`` is already validated.
         """
         self._seq += 1
-        if delay == 0.0 and self.fast_path:
-            handle = Handle() if cancellable else None
-            self._ready.append((self._seq, handle, fn, args))
-        else:
-            handle = Handle(self) if cancellable else None
-            heapq.heappush(
-                self._queue, (self.now + delay, self._seq, handle, fn, args)
-            )
+        handle = Handle(self) if cancellable else None
+        heapq.heappush(
+            self._queue, (self.now + delay, self._seq, handle, fn, args)
+        )
         return handle
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Handle:
@@ -202,7 +176,7 @@ class Simulator:
         return process
 
     def drain(self) -> None:
-        """Kill every process and drop both event lanes (idempotent).
+        """Kill every process and drop the event queue (idempotent).
 
         The simulator's share of :meth:`World.close`.  Live generators
         close (``finally`` blocks run); every shell then gives up its
@@ -214,7 +188,6 @@ class Simulator:
         """
         for process in self.processes:
             process.kill()
-        self._ready.clear()
         self._queue.clear()
         self._dead = 0
         self._beat_clock = None  # its streams died with the processes
@@ -226,7 +199,7 @@ class Simulator:
     # -- lazy-cancel bookkeeping -------------------------------------------
 
     def _note_dead(self) -> None:
-        """One more cancelled timed entry is pending; maybe compact."""
+        """One more cancelled entry is pending; maybe compact."""
         self._dead += 1
         if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 >= len(self._queue):
             self._compact()
@@ -242,14 +215,10 @@ class Simulator:
         self._dead = 0
 
     def pending(self) -> int:
-        """Live (non-cancelled) scheduled events across both lanes."""
-        live_heap = sum(
+        """Live (non-cancelled) scheduled events."""
+        return sum(
             1 for e in self._queue if e[2] is None or not e[2]._cancelled
         )
-        live_ready = sum(
-            1 for e in self._ready if e[1] is None or not e[1]._cancelled
-        )
-        return live_heap + live_ready
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or None when idle.
@@ -257,14 +226,12 @@ class Simulator:
         Cancelled heap heads are pruned as a side effect, so the answer
         is exact.
         """
-        if self._ready:
-            return self.now
-        entry = self._peek_timed()
+        entry = self._head()
         return None if entry is None else entry[0]
 
-    def _peek_timed(self) -> Optional[tuple]:
-        """The earliest live heap entry (ready lane aside), pruning
-        cancelled heads; None when the heap is empty."""
+    def _head(self) -> Optional[tuple]:
+        """The earliest live heap entry, pruning cancelled heads; None
+        when the heap is empty."""
         queue = self._queue
         while queue:
             head = queue[0]
@@ -283,39 +250,21 @@ class Simulator:
 
         This is the one dispatch loop: process runners and :meth:`run`
         execute one Python call per *drain* instead of one per event,
-        which is measurable at campaign scale.
-
-        Ready-lane entries run at the current time, but a timed entry
-        that landed on exactly ``now`` with a smaller sequence number
-        still goes first — the two lanes together replay the strict
-        ``(time, seq)`` order of a single heap.
+        which is measurable at campaign scale.  It pops the heap in
+        strict ``(time, seq)`` order and skips cancelled entries.
         """
-        ready = self._ready
         queue = self._queue
         heappop = heapq.heappop
-        while not stop.triggered:
-            if ready and not (
-                queue
-                and queue[0][0] <= self.now
-                and queue[0][1] < ready[0][0]
-            ):
-                _seq, handle, fn, args = ready.popleft()
-                if handle is not None:
-                    if handle._cancelled:
-                        continue
-                    handle._fired = True
-            elif queue:
-                time, _seq, handle, fn, args = heappop(queue)
-                if handle is not None:
-                    if handle._cancelled:
-                        self._dead -= 1
-                        continue
-                    handle._fired = True
-                if time < self.now:
-                    raise SimulationError("time went backwards")
-                self.now = time
-            else:
-                return
+        while queue and not stop.triggered:
+            time, _seq, handle, fn, args = heappop(queue)
+            if handle is not None:
+                if handle._cancelled:
+                    self._dead -= 1
+                    continue
+                handle._fired = True
+            if time < self.now:
+                raise SimulationError("time went backwards")
+            self.now = time
             fn(*args)
 
     def run(self, until: Optional[float] = None) -> float:
@@ -503,7 +452,7 @@ class Channel:
     A channel whose consumer never blocks on anything but the channel
     itself can instead attach a **sink** (:meth:`set_sink`): items are
     then handed to the sink synchronously inside ``put``, skipping the
-    park-a-getter / schedule-a-resume round trip entirely — no ready-lane
+    park-a-getter / schedule-a-resume round trip entirely — no kernel
     event, no generator frame switch per item.  This is the receive-side
     fast path for high-frequency streams like failure-detector
     heartbeats.

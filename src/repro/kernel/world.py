@@ -2,7 +2,7 @@
 
 Bundles the simulator, trace, cluster, network, fault injector and stable
 storage, which otherwise must be threaded through every constructor.  All
-examples, tests and benchmarks start from ``World(seed=...)``.
+examples, tests and ``bench/`` workloads start from ``World(seed=...)``.
 
 A world has one lifecycle: *build* it (``World(seed)`` plus
 ``add_nodes``), *run* it (:meth:`World.run_scenario`, or a

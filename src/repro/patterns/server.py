@@ -62,7 +62,7 @@ class RecoverableRemoteServer(RemoteServer, StateManager):
 
 
 # ---------------------------------------------------------------------------
-# Concrete servers used by tests, examples and benchmarks
+# Concrete servers used by tests, examples and the eval modules
 # ---------------------------------------------------------------------------
 
 

@@ -247,14 +247,16 @@ def test_scenario_graph_has_no_oscillation_violations():
 
 
 def test_oscillating_bandwidth_with_man_in_the_loop():
-    events = ["bandwidth-drop", "bandwidth-increase"] * 10
-    with_manager = replay_oscillation("pbr", _ctx(), events, man_in_the_loop=True)
-    naive = replay_oscillation("pbr", _ctx(), events, man_in_the_loop=False)
-    # the naive policy reconfigures on every swing; the paper's rule
-    # executes only the first (mandatory) transition and then holds
-    assert naive.transitions == len(events)
-    assert with_manager.transitions == 1
-    assert with_manager.trajectory[-1] == "lfr"
+    for swings in (10, 25):
+        events = ["bandwidth-drop", "bandwidth-increase"] * swings
+        with_manager = replay_oscillation("pbr", _ctx(), events,
+                                          man_in_the_loop=True)
+        naive = replay_oscillation("pbr", _ctx(), events, man_in_the_loop=False)
+        # the naive policy reconfigures on every swing; the paper's rule
+        # executes only the first (mandatory) transition and then holds
+        assert naive.transitions == len(events)
+        assert with_manager.transitions == 1
+        assert with_manager.trajectory[-1] == "lfr"
 
 
 # -- decisions pinned from the tree before `decide` was extracted -------------------------------

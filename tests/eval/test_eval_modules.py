@@ -73,6 +73,9 @@ def test_table1_fidelity_structure():
     result = table1.fidelity(table1.generate())
     assert result["total"] == 32
     assert result["matches"] + len(result["mismatches"]) == result["total"]
+    # the two divergences are documented in EXPERIMENTS.md (A&Duplex
+    # variant choice; LFR CPU follows the paper's text, not its table)
+    assert result["matches"] >= 30
 
 
 def test_table2_scheme_covers_all_roles():
@@ -84,18 +87,23 @@ def test_table2_scheme_covers_all_roles():
 def test_figure2_realises_every_edge():
     data = figure2.generate()
     assert figure2.coverage(data) == []
+    assert set(data["graph"]) == {"pbr", "lfr", "pbr+tr", "lfr+tr", "a+duplex"}
 
 
 def test_figure4_proxy_is_positive_everywhere():
     data = figure4.generate()
     assert all(v > 0 for v in data["proxy_sloc"].values())
     assert set(data["paper_days"]) == set(data["proxy_sloc"])
+    assert figure4.shape_checks(data) == []
 
 
 def test_figure5_render_contains_bars():
     data = figure5.generate()
     out = figure5.render(data)
     assert "#" in out
+    assert figure5.shape_checks(data) == []
+    # the paper's plot tops out around 250 SLOC per element
+    assert all(sloc <= 250 for sloc in data.values())
 
 
 def test_figure8_edge_fields():
@@ -104,6 +112,8 @@ def test_figure8_edge_fields():
         assert edge["kind"] in ("mandatory", "possible", "intra")
         assert edge["detection"] in ("probe", "manager")
         assert edge["nature"] in ("reactive", "proactive")
+    # every edge the paper's figure shows is derived by the model
+    assert figure8.fidelity(data) == []
 
 
 # -- simulating artifacts report their events ---------------------------------------

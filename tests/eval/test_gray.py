@@ -58,11 +58,15 @@ def test_lfr_rides_out_a_disk_limp_invisibly():
 
 def test_proactive_beats_reactive_on_the_limping_primary():
     scenario = dict(ftm="pbr", resource="disk", factor=8.0, slo_ms=10.0)
-    reactive = gray.run_gray_mission(41_000, proactive=False, **scenario)
-    proactive = gray.run_gray_mission(41_000, proactive=True, **scenario)
-    assert not reactive.detected  # no probe, no detection — only crashes
-    assert proactive.detected and proactive.transitioned
-    assert proactive.unavailability < reactive.unavailability
+    for seed in (41_000, 41_211, 41_422):
+        reactive = gray.run_gray_mission(seed, proactive=False, **scenario)
+        proactive = gray.run_gray_mission(seed, proactive=True, **scenario)
+        assert not reactive.detected  # no probe, no detection — only crashes
+        assert proactive.detected and proactive.transitioned
+        assert proactive.unavailability < reactive.unavailability, seed
+        for outcome in (reactive, proactive):
+            assert outcome.peer_suspected == 0, seed  # slow, not dead
+            assert outcome.ok == outcome.sent, seed  # no request lost
 
 
 def test_small_matrix_is_byte_identical_serial_vs_local_pool():

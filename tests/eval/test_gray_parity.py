@@ -28,3 +28,16 @@ def test_golden_covers_every_cell_and_seed():
 def test_gray_mission_matches_golden(name):
     key, seed = name.rsplit("|", 1)
     assert gray_parity.mission(int(seed), CELLS[key]) == GOLDEN[name]
+
+
+def test_golden_missions_uphold_the_gray_claims():
+    # the parity tests above prove this tree replays every golden
+    # mission; reduced per cell, those missions must satisfy every
+    # gray-matrix claim across the whole grid
+    spec = gray.spec(missions=1)
+    results = {
+        key: spec.reduce([GOLDEN[f"{key}|{seed}"]["outcome"]
+                          for seed in gray_parity.SEEDS])
+        for key in CELLS
+    }
+    assert gray.shape_checks(gray.from_results(results)) == []

@@ -125,6 +125,10 @@ def test_parse_address():
         distributed.parse_address("host:notaport")
     with pytest.raises(exp.DistributedError):
         distributed.parse_address("host:99999")
+    # port 0 means OS-assigned: a worker may listen there, nobody can dial it
+    assert distributed.parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+    with pytest.raises(exp.DistributedError, match="port 0"):
+        distributed.RemoteBackend(["127.0.0.1:7401", "127.0.0.1:0"])
 
 
 # -- batch scheduler --------------------------------------------------------
@@ -251,6 +255,22 @@ def test_remote_campaign_matches_serial_including_store(tmp_path,
     # event attribution crosses the wire in the batch-complete frames
     assert remote.events_by_source == serial.events_by_source
     assert remote.beats_replayed == serial.beats_replayed > 0
+
+
+def test_digest_acks_stay_within_the_wire_budget(two_workers):
+    """Coordinator-received bytes per cell at the worst framing ratio
+    (cell size 2): digest acks keep them at or under 150, and no body
+    crosses the wire when the workers' shadows are readable.  (Byte
+    identity with a serial run is the test above.)"""
+    from repro.eval import campaign
+
+    spec = campaign.sharded_spec(missions=48, base_seed=5100, requests=8,
+                                 cell_size=2)
+    cells = len(spec.trials)
+    remote = exp.run(spec, workers=two_workers)
+    assert remote.cells_acked_digest == cells
+    assert remote.cells_shipped_full == 0
+    assert remote.wire_bytes_in / cells <= 150, remote.wire_bytes_in / cells
 
 
 def test_digest_mode_fetch_fallback_without_shadow_reads(tmp_path,

@@ -1,7 +1,7 @@
 """The virtual beat clock replays beats bit for bit.
 
-Two oracles.  The golden file pins the parent tree's bytes (it had two
-kernel events per beat) for whole missions, under both kernels.  The
+Two oracles.  The golden file pins the bytes of the tree before the
+clock (it had two kernel events per beat) for whole missions.  The
 reference detector (``beat_reference``) spells the beat path in plain
 kernel events on *this* tree, so any scenario can be run both ways:
 crash, restart and redeploy, omission loss, partition and heal, limp,
@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import BeatMonitor, BeatStream, Simulator, Timeout, World
+from repro.kernel import BeatMonitor, BeatStream, Timeout, World
 from repro.kernel.errors import NodeDown
 
 from tests.golden import beat_parity
@@ -23,17 +23,8 @@ from tests.kernel.beat_reference import run_bare, run_both_ways
 # -- the parent tree's bytes -------------------------------------------------------
 
 
-@pytest.fixture(params=[True, False], ids=["fast", "legacy"])
-def kernel(request):
-    """Run under both ``fast_path`` settings."""
-    shipped = Simulator.DEFAULT_FAST_PATH
-    Simulator.DEFAULT_FAST_PATH = request.param
-    yield
-    Simulator.DEFAULT_FAST_PATH = shipped
-
-
 @pytest.mark.parametrize("scenario", sorted(beat_parity.SCENARIOS))
-def test_missions_reproduce_the_golden_fingerprints(kernel, scenario):
+def test_missions_reproduce_the_golden_fingerprints(scenario):
     golden = json.loads(beat_parity.GOLDEN_PATH.read_text())[scenario]
     assert len(golden) >= 8
     for seed, expected in enumerate(golden):
@@ -218,7 +209,7 @@ def test_peer_property_is_read_on_every_beat():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_parity_under_load_across_seeds(kernel, seed):
+def test_parity_under_load_across_seeds(seed):
     def scenario(world):
         pair = _deploy(world, "lfr")
         pair.enable_recovery(restart_delay=300.0)
@@ -256,7 +247,7 @@ def test_exact_ties_with_a_timer_that_sends_keep_the_draw_order():
         world.sim.schedule(45.0, lambda: world.sim.schedule(
             15.0, ping, "younger-than-the-tick"))
         # a zero-delay chain started on a tick instant
-        world.sim.schedule(80.0, lambda: world.sim.post(ping, "ready-lane"))
+        world.sim.schedule(80.0, lambda: world.sim.post(ping, "zero-delay"))
         world.network.bind("beta", "app")
 
     clock = run_bare(True, script)

@@ -1,15 +1,9 @@
-"""The two-lane event loop: fast/legacy parity and lazy-cancel bounds.
+"""The one-heap event loop: ``(time, seq)`` order and lazy-cancel bounds.
 
-The ready deque for zero-delay events is an optimisation, never a
-semantics change.  These tests pin that claim: identical workloads
-replay in identical order — down to the final sequence number — under
-``fast_path=True`` and ``fast_path=False`` (everything through the
-heap), a full seeded mission is byte-identical across the two, and mass
-timer cancellation cannot grow the heap without bound.
+Events at one instant run FIFO by sequence number whichever insert site
+scheduled them, cancelled entries never fire, ``peek_time`` is exact,
+and mass timer cancellation cannot grow the heap without bound.
 """
-
-import json
-from dataclasses import asdict
 
 import pytest
 
@@ -24,7 +18,7 @@ def _record(log, sim, tag):
     log.append((sim.now, tag))
 
 
-def _mixed_workload(fast_path):
+def _mixed_workload():
     """Every insert site at once, on one simulator: ``schedule``,
     ``post``, ``call_later``, nested scheduling from callbacks, a
     cancellation, and a two-node world driving a ``Node.every`` ticker,
@@ -33,7 +27,6 @@ def _mixed_workload(fast_path):
     ``Channel.put`` hand-off to a parked getter."""
     world = World(seed=3)
     sim = world.sim
-    sim.fast_path = fast_path
     log = []
     sim.schedule(5.0, _record, log, sim, "timed-5")
     sim.schedule(0.0, _record, log, sim, "zero-a")
@@ -92,10 +85,10 @@ def _mixed_workload(fast_path):
     return log, sim._seq
 
 
-def _period_regimes(fast_path):
+def _period_regimes():
     """Self-rescheduling timers from sub-unit to multi-thousand-unit
     periods, all interleaving into one global order."""
-    sim = Simulator(seed=3, fast_path=fast_path)
+    sim = Simulator(seed=3)
     log = []
     horizon = 600.0
 
@@ -114,9 +107,9 @@ def _period_regimes(fast_path):
     return log, sim._seq
 
 
-def _timeout_waiters(fast_path):
+def _timeout_waiters():
     """Processes sleeping on ``Timeout`` waits of very different lengths."""
-    sim = Simulator(seed=11, fast_path=fast_path)
+    sim = Simulator(seed=11)
     log = []
 
     def proc(tag, period):
@@ -130,13 +123,15 @@ def _timeout_waiters(fast_path):
     return log, sim._seq
 
 
-def test_fast_and_legacy_replay_identical_order():
+def test_every_insert_site_replays_deterministically_in_time_order():
     logs = {}
     for workload in (_mixed_workload, _period_regimes, _timeout_waiters):
-        fast = workload(True)
-        assert fast == workload(False), workload.__name__
-        logs[workload], _final_seq = fast
+        first = workload()
+        assert first == workload(), workload.__name__
+        logs[workload], _final_seq = first
         assert len(logs[workload]) > 30
+        times = [time for time, _tag in logs[workload]]
+        assert times == sorted(times), workload.__name__
     log = logs[_mixed_workload]
     assert log[0][1] == "zero-a"  # zero-delay fires before timers
     times = {tag: time for time, tag in log}
@@ -145,10 +140,10 @@ def test_fast_and_legacy_replay_identical_order():
     assert times["echo-6"] == times["data-6"]  # the send with delay == 0.0
 
 
-def test_heap_entry_at_now_with_smaller_seq_beats_ready_entry():
-    # two timers land on t=5; the first one's callback posts a ready
+def test_same_instant_entries_run_in_seq_order():
+    # two timers land on t=5; the first one's callback posts a zero-delay
     # entry, which must still fire *after* the second timer (smaller seq)
-    sim = Simulator(fast_path=True)
+    sim = Simulator()
     order = []
 
     def first():
@@ -178,7 +173,7 @@ def test_call_later_rejects_negative_delay():
         sim.call_later(-0.5, _nop)
 
 
-def test_cancelled_ready_entry_does_not_fire():
+def test_cancelled_zero_delay_entry_does_not_fire():
     sim = Simulator()
     fired = []
     handle = sim.schedule(0.0, fired.append, "x")
@@ -219,36 +214,8 @@ def test_peek_time_skips_cancelled_heads():
     assert sim.peek_time() == 2.0
 
 
-def test_peek_time_sees_ready_lane():
+def test_peek_time_sees_zero_delay_entries():
     sim = Simulator()
     assert sim.peek_time() is None
     sim.post(_nop)
     assert sim.peek_time() == 0.0
-
-
-def test_processes_run_identically_on_both_kernels():
-    def scenario(sim, log):
-        def proc(tag, period):
-            for _ in range(3):
-                yield Timeout(period)
-                log.append((sim.now, tag, sim.random.randint(0, 99)))
-
-        sim.spawn(proc("a", 1.5))
-        sim.spawn(proc("b", 1.0))
-        sim.run()
-
-    fast_log, legacy_log = [], []
-    scenario(Simulator(seed=9, fast_path=True), fast_log)
-    scenario(Simulator(seed=9, fast_path=False), legacy_log)
-    assert fast_log == legacy_log
-
-
-def test_mission_is_byte_identical_fast_vs_legacy(monkeypatch):
-    # the satellite acceptance check: one full seeded campaign mission
-    # through the real protocol stack, fast path vs legacy single heap
-    from repro.eval import campaign
-
-    fast = asdict(campaign.run_mission(seed=77, requests=8))
-    monkeypatch.setattr(Simulator, "DEFAULT_FAST_PATH", False)
-    legacy = asdict(campaign.run_mission(seed=77, requests=8))
-    assert json.dumps(fast, sort_keys=True) == json.dumps(legacy, sort_keys=True)

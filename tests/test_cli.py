@@ -167,28 +167,11 @@ def test_cli_reproduce_seed_changes_results(capsys, tmp_path):
     ]
 
 
-def test_cli_bench_report_warns_instead_of_failing(capsys, tmp_path):
-    # missing directory: warn and exit clean
-    assert main(["bench", "--report", "--dir", str(tmp_path / "gone")]) == 0
-    assert "does not exist" in capsys.readouterr().err
-    # empty directory: warn and exit clean
-    assert main(["bench", "--report", "--dir", str(tmp_path)]) == 0
-    assert "no BENCH_*.json" in capsys.readouterr().err
-    # unreadable file: warn on that row, keep going
-    (tmp_path / "BENCH_bad.json").write_text("{not json")
-    (tmp_path / "BENCH_ok.json").write_text(json.dumps(
-        {"rows": [{"scenario": "s", "missions_per_sec": 2.0}]}
-    ))
-    assert main(["bench", "--report", "--dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "warning: unreadable" in out
-    assert "BENCH_ok.json" in out
-
-
 @pytest.mark.parametrize("argv, reason", [
     (["campaign", "--backend", "remote", "--wire", "digest"], "workers"),
     (["gray-matrix", "--workers", "nonsense"], "host:port"),
     (["gray-matrix", "--workers", "127.0.0.1:1,127.0.0.1:2"], "died"),
+    (["campaign", "--missions", "2", "--workers", "127.0.0.1:0"], "port 0"),
 ])
 def test_cli_experiment_errors_exit_2_without_a_traceback(
         capsys, monkeypatch, argv, reason):
@@ -211,6 +194,7 @@ def test_cli_experiment_errors_exit_2_without_a_traceback(
     ["gray-matrix", "--resources", "bogus"],
     ["gray-matrix", "--factors", "0.5"],
     ["gray-matrix", "--ftms", ","],
+    ["bench", "--report"],
 ])
 def test_cli_malformed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
