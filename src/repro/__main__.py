@@ -34,8 +34,8 @@ Commands
     ``--backend serial|local|remote`` picks where shards execute
     (results stay byte-identical — it is pure execution strategy);
     ``--workers host:port,...`` fans them over ``repro worker``
-    processes (implies the remote backend; workers persist cells into
-    their shadow stores and return digests only).
+    processes (implies the remote backend; workers send back the unit
+    values they ran, and cells are finished and stored here).
 ``gray-matrix [--missions N] [--factors F1,F2] [--json] [...]``
     The gray-failure matrix: every (FTM × slow resource × slowdown
     factor) cell runs missions whose primary starts *limping* mid-run
@@ -45,14 +45,12 @@ Commands
     Reports detection/masking rates with Wilson CIs and the mean
     detection latency; same store/backend knobs as ``campaign``.
     Exits non-zero if any gray-failure claim fails.
-``worker --listen HOST:PORT [--shadow DIR] [...]``
-    Serve cell batches to a remote-backend coordinator: accepts framed
-    TCP batches, runs each cell and persists it into its own
-    content-addressed shadow store (``--shadow``, default
-    ``.repro-shadow``), acking only ``(slug, hash, digest)`` tuples.
-    Start one per host, then point ``campaign --workers`` (or
-    ``exp.run(..., workers=[...])``) at them.  ``--max-batches N`` and
-    ``--crash-after-persist N`` are deterministic crash hooks for the
+``worker --listen HOST:PORT [--max-batches N]``
+    Serve unit batches to a remote-backend coordinator: accepts framed
+    TCP batches, runs their units and answers each batch with one frame
+    of ``[index, value]`` pairs.  Start one per host, then point
+    ``campaign --workers`` (or ``exp.run(..., workers=[...])``) at
+    them.  ``--max-batches N`` is a deterministic crash hook for the
     failover tests.
 ``profile <spec> [--top N] [--sort cumulative|tottime] [...]``
     Run one experiment spec single-threaded under ``cProfile`` and print
@@ -263,13 +261,10 @@ def _run_spec_command(args, label, spec, from_results, render, checks,
     print(render(data), file=out)
     problems = checks(data)
     status = ok if not problems else f"FAILS: {problems}"
-    wire = (f", digest_acked={result.cells_acked_digest}, "
-            f"shipped_full={result.cells_shipped_full}"
-            if result.backend == "remote" else "")
     print(f"  -> {label}: {status} "
           f"[{result.cells_cached}/{len(spec.trials)} cells from store, "
           f"{result.executed} trial(s) simulated, {result.elapsed_s:.2f}s, "
-          f"backend={result.backend}{wire}]", file=out)
+          f"backend={result.backend}]", file=out)
     if args.json:
         summary = result.summary()
         summary["problems"] = problems
@@ -422,9 +417,7 @@ def _cmd_worker(args) -> int:
     from repro.exp import distributed
 
     host, port = distributed.parse_address(args.listen)
-    distributed.serve(host, port, max_batches=args.max_batches,
-                      shadow=args.shadow,
-                      crash_after_persist=args.crash_after_persist)
+    distributed.serve(host, port, max_batches=args.max_batches)
     return 0
 
 
@@ -561,10 +554,9 @@ def main(argv=None) -> int:
     _add_run_flags(camp)
     _add_backend_flags(camp)
     camp.add_argument("--wire", choices=("digest",), default="digest",
-                      help="remote return path; 'digest' (workers "
-                           "shadow-persist cells and ack ~100 B/cell) is the "
-                           "only wire, the flag is kept for scripts that "
-                           "spell it out")
+                      help="accepted and ignored: workers always send back "
+                           "the unit values they ran; kept for scripts "
+                           "that spell it out")
     gray = sub.add_parser(
         "gray-matrix",
         help="gray-failure matrix (FTM x slow resource x slowdown factor)",
@@ -600,13 +592,8 @@ def main(argv=None) -> int:
                         metavar="N",
                         help="hard-exit after N batches (crash testing)")
     worker.add_argument("--shadow", default=None, metavar="DIR",
-                        help="shadow-store directory for completed cells "
-                             "(default: .repro-shadow)")
-    worker.add_argument("--crash-after-persist", type=_positive_int,
-                        default=None, metavar="N",
-                        help="hard-exit after the Nth freshly executed cell "
-                             "is shadow-persisted but before its digest ack "
-                             "(crash-window testing)")
+                        help="accepted and ignored: a worker keeps no store; "
+                             "kept for scripts that pass it")
     profile = sub.add_parser(
         "profile",
         help="run one spec under cProfile and print the hot spots",

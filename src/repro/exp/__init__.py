@@ -39,7 +39,6 @@ from repro.exp.errors import (
 )
 from repro.exp.runner import (
     BACKENDS,
-    CompletedCell,
     ExecutionPlan,
     ExecutionStats,
     ExecutorBackend,
@@ -83,7 +82,6 @@ def __dir__():
 
 __all__ = [
     "BACKENDS",
-    "CompletedCell",
     "DEFAULT_ROOT",
     "DistributedError",
     "ExecutionPlan",

@@ -1,27 +1,30 @@
 """Remote execution backend: TCP fan-out to ``repro worker`` processes.
 
 The ``exp.run`` contract — pure trials, blake2b-derived seeds,
-order-independent cell merge — is machine-agnostic, so a campaign can
-fan its unit batches over worker processes on other hosts exactly as it
-fans them over a local pool.  This module supplies both halves:
+order-independent merge by unit index — is machine-agnostic, so the
+remote backend is the local pool over sockets.  It ships the same
+:meth:`~repro.exp.runner.ExecutionPlan.batches` of ``(index, seed,
+params)`` units, a worker runs each batch through the same
+:func:`~repro.exp.runner.run_unit_batch` body, and the ``(index,
+value)`` pairs it sends back go through the runner's assembler, which
+finishes and persists every cell exactly as it does for ``serial`` and
+``local``.  This module supplies both halves:
 
 * :class:`RemoteBackend` — the coordinator.  One feeder thread per
-  worker pulls batches of whole cells from a shared
-  :class:`_BatchScheduler`, ships them over a framed TCP connection and
-  streams the finished cells back into the caller's merge loop, so they
-  hit the store the moment they are reconciled (``--resume`` keeps
-  working mid-campaign).
+  worker pulls batches from a shared :class:`_BatchScheduler`, ships
+  them over a framed TCP connection and streams the replies into the
+  caller's merge loop, so a cell hits the store the moment its last
+  unit lands (``--resume`` keeps working mid-campaign).
 * :func:`serve` — the worker.  ``repro worker --listen HOST:PORT``
-  accepts one coordinator at a time and drains each cell through the
-  same :func:`~repro.exp.runner.run_unit_batch` and
-  :func:`~repro.exp.runner.finish_cell` bodies every other backend uses.
+  accepts one coordinator at a time and answers each batch with one
+  frame.
 
-Wire protocol (version 3)
+Wire protocol (version 4)
 -------------------------
 
 Every message is one *frame*::
 
-    magic   b"RXP1" | b"RXD1"            (4 bytes)
+    magic   b"RXP1"                      (4 bytes; b"RXD1" is read too)
     length  big-endian uint32            (payload byte count)
     digest  blake2b(payload, 8 bytes)    (integrity checksum)
     payload UTF-8 JSON object            (insertion-ordered keys: trial
@@ -29,93 +32,54 @@ Every message is one *frame*::
                                           their key order intact, or
                                           remote store bytes diverge)
 
-``RXD1`` marks a *digest* frame — a worker's compact per-cell
-acknowledgement; everything else travels under ``RXP1``.  Payloads
-always carry a ``"type"`` key.  The conversation::
+Payloads always carry a ``"type"`` key.  The conversation::
 
-    coordinator -> worker   {"type": "hello", "version": 3, "spec": ...,
-                             "spec_version": ..., "trial": "mod:fn",
-                             "reduce": "mod:fn"|null}
-    worker -> coordinator   {"type": "ready", "host": ..., "pid": ...,
-                             "shadow": "/abs/path"}
+    coordinator -> worker   {"type": "hello", "version": 4,
+                             "trial": "mod:fn", "trial_source": sha256}
+    worker -> coordinator   {"type": "ready"}
                             (or an "error" frame saying why the hello
                              cannot be honoured, then the socket closes)
 
-    # worker store shadowing: ~100 B/cell return path
-    coordinator -> worker   {"type": "cells", "id": N, "cells":
-                             [{"key":..., "params":..., "seeds":...,
-                               "h": hash12}, ...]}
-    worker -> coordinator   RXD1 {"type": "digest", "id": N, "cells":
-                             [[key, hash12, file_digest, executed], ...],
+    coordinator -> worker   {"type": "units", "id": N,
+                             "units": [[index, seed, params], ...]}
+    worker -> coordinator   {"type": "results", "id": N,
+                             "results": [[index, value], ...],
                              "ev": [count, ...]}
-    coordinator -> worker   {"type": "fetch", "id": N,
-                             "cells": [[key, hash12], ...]}      # misses
-    worker -> coordinator   {"type": "body", "id": N,
-                             "cells": [[key, hash12, text], ...]}
-
-    worker -> coordinator   {"type": "error", "id": N, "message": ...}
+                            (or {"type": "error", "id": N, "message": ...})
     coordinator -> worker   {"type": "bye"}
 
-``"ev"`` is the batch's kernel event attribution (one short list of
-counts per batch-complete frame, never per cell, in
+``"trial_source"`` is the SHA-256 of the trial function's source, the
+digest every cell address covers: a worker whose trial code differs
+refuses the hello with "trial source skew", so a value computed by
+other code never reaches the store.  ``"ev"`` is the batch's kernel
+event attribution (one short list of counts per reply, in
 :data:`~repro.exp.runner.EVENT_KEYS` order), credited to the run's
 stats so remote runs report ``events_by_source`` too.
-
-Worker store shadowing and the reconciliation invariant
--------------------------------------------------------
-
-The worker runs, finishes and **persists each cell into its own
-content-addressed shadow store** (same
-:class:`~repro.exp.store.ResultStore` layout, default
-``.repro-shadow/``), then acks only ``(key, hash12, file_digest,
-executed)`` — the cell body never crosses the wire unless the
-coordinator cannot recover it any other way (``fetch``/``body`` is the
-only full-body route).  Reconciliation resolves
-each acked cell in cost order:
-
-1. **local store hit** — the coordinator's own store already holds the
-   exact bytes (content digest matches): zero wire traffic;
-2. **shadow read** — worker and coordinator share a filesystem (same
-   hostname): the cell file is read straight out of the worker's shadow
-   store, digest-verified;
-3. **wire fetch** — the full body is fetched over the socket
-   (``cells_shipped_full`` counts these).
-
-The invariant: *whatever route the values take, the coordinator's store
-bytes are identical to a serial run's.*  Cell files carry no
-execution-strategy metadata and the coordinator re-persists through the
-same assembler path as every other backend, so the bytes are a pure
-function of cell identity + values.  The per-cell ``hash12`` echoed in
-every ack lets both sides detect spec skew (mismatched trial source on
-the worker) before any wrong bytes land.
 
 Failure model and the rebatching invariant
 ------------------------------------------
 
-Batches are *atomic*: a worker replies with the complete result (or
-digest) of a batch or — as far as the coordinator is concerned — with
-nothing.  A recv timeout, a broken connection, a checksum mismatch or a
-protocol violation marks the worker dead; every batch that was
-outstanding on it (including batches mid-reconciliation, whose cells
-have NOT yet been yielded) is returned to the scheduler's pending heap
-**by batch id**, so surviving workers pick orphans up in the original
-dispatch order — deterministic rebatching.  A worker that crashed
-*after* persisting a cell to its shadow store but *before* its digest
-ack is harmless: the re-dispatched cell re-runs from the same pure
-inputs and re-persists the same bytes under the same content-addressed
-name — no duplication is possible.  The run fails with
-:class:`DistributedError` only when every worker is dead while batches
-remain.  Connection attempts retry with capped exponential backoff.
+A batch is one reply or nothing: nothing of a batch is yielded before
+its reply has arrived whole and checked.  A recv timeout, a broken
+connection, a checksum mismatch or a protocol violation marks the
+worker dead; every batch that was outstanding on it is returned to the
+scheduler's pending heap **by batch id**, so surviving workers pick
+orphans up in the original dispatch order.  A re-dispatched batch
+re-runs pure units, so its values are the ones the dead worker would
+have sent.  The run fails with :class:`DistributedError` when a worker
+reports an error (a trial raised, or returned a value JSON cannot
+carry — pure trials fail identically everywhere) or when every worker
+is dead while batches remain.  Connection attempts retry with capped
+exponential backoff, sleeping only between attempts.
 
 Dispatch pipelining
 -------------------
 
-Each feeder keeps up to :data:`PIPELINE_DEPTH` dispatches in flight:
-the next batch is sent while the previous digest frame is still being
-computed, so the worker never idles between batches waiting on a
-coordinator round-trip.  Replies are strictly FIFO per connection, so
-the feeder tracks an expectation queue — a fetch issued for batch A
-queues behind the digest frames of the batches already in flight.
+Each feeder keeps up to :data:`PIPELINE_DEPTH` batches in flight: the
+next batch is sent while the previous one is still computing, so the
+worker never idles between batches waiting on a coordinator
+round-trip.  Replies are strictly FIFO per connection, so the feeder
+keeps a FIFO of the batch ids it is owed.
 """
 
 from __future__ import annotations
@@ -127,32 +91,26 @@ import socket
 import threading
 import time
 from collections import deque
-from pathlib import Path
+from hashlib import blake2b
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exp import spec as spec_mod
 from repro.exp.errors import DistributedError
 from repro.exp.runner import (
-    CompletedCell,
     ExecutionPlan,
     ExecutorBackend,
+    ExecutionStats,
     batch_event_counts,
-    finish_cell,
     function_ref,
     resolve_function_ref,
     run_unit_batch,
 )
-from repro.exp.store import FILE_DIGEST_BYTES, ResultStore, file_digest
-
-try:  # blake2b is in hashlib everywhere we run, but keep the import local
-    from hashlib import blake2b
-except ImportError:  # pragma: no cover - python always ships blake2b
-    blake2b = None  # type: ignore[assignment]
 
 MAGIC = b"RXP1"
-#: Frame magic of a worker's digest ack (the ~100 B/cell return path).
+#: The retired digest-ack magic: still read, so a peer that frames a
+#: message under it is understood, but nothing here sends it.
 DIGEST_MAGIC = b"RXD1"
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 CHECKSUM_BYTES = 8
 HEADER_BYTES = len(MAGIC) + 4 + CHECKSUM_BYTES
 #: Refuse absurd frames before allocating for them (64 MiB).
@@ -172,10 +130,6 @@ CONNECT_BACKOFF_CAP = 2.0
 #: dead worker) without adding overlap.
 PIPELINE_DEPTH = 2
 
-#: Default shadow-store root a worker persists completed cells into,
-#: relative to the worker process's working directory.
-DEFAULT_SHADOW_ROOT = ".repro-shadow"
-
 
 class ProtocolError(DistributedError):
     """A frame or message violated the wire protocol."""
@@ -186,7 +140,7 @@ class WireStats:
 
     ``bytes_out`` is everything the coordinator sent (dispatch path),
     ``bytes_in`` everything it received (return path) — header bytes
-    included, because the 150 B/cell budget is a *wire* budget.
+    included, because what they measure is the wire.
     """
 
     def __init__(self) -> None:
@@ -209,9 +163,8 @@ def _checksum(payload: bytes) -> bytes:
     return blake2b(payload, digest_size=CHECKSUM_BYTES).digest()
 
 
-def send_msg(sock: socket.socket, message: Dict[str, Any],
-             magic: bytes = MAGIC, wire: Optional[WireStats] = None) -> None:
-    """Serialise and send one framed message.
+def _frame(message: Dict[str, Any], magic: bytes = MAGIC) -> bytes:
+    """One message as frame bytes; raises if JSON cannot carry it.
 
     Keys are deliberately NOT sorted: trial results round-trip through
     this frame, and the store persists them with insertion order intact
@@ -219,9 +172,15 @@ def send_msg(sock: socket.socket, message: Dict[str, Any],
     byte-for-byte.
     """
     payload = json.dumps(message).encode("utf-8")
-    frame = b"".join(
+    return b"".join(
         (magic, len(payload).to_bytes(4, "big"), _checksum(payload), payload)
     )
+
+
+def send_msg(sock: socket.socket, message: Dict[str, Any],
+             magic: bytes = MAGIC, wire: Optional[WireStats] = None) -> None:
+    """Serialise and send one framed message."""
+    frame = _frame(message, magic)
     sock.sendall(frame)
     if wire is not None:
         wire.sent(len(frame))
@@ -241,10 +200,9 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket,
-               wire: Optional[WireStats] = None
-               ) -> Tuple[bytes, Dict[str, Any]]:
-    """Receive one framed message; returns ``(magic, message)``.
+def recv_msg(sock: socket.socket,
+             wire: Optional[WireStats] = None) -> Dict[str, Any]:
+    """Receive and validate one framed message.
 
     Raises :class:`ProtocolError` on bad magic, oversize frames or a
     checksum mismatch, and :class:`ConnectionError` on a half-closed
@@ -269,13 +227,6 @@ def recv_frame(sock: socket.socket,
         raise ProtocolError(f"frame payload is not JSON: {exc}") from exc
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError("frame payload is not a typed message object")
-    return magic, message
-
-
-def recv_msg(sock: socket.socket,
-             wire: Optional[WireStats] = None) -> Dict[str, Any]:
-    """Receive and validate one framed message (magic-agnostic view)."""
-    _magic, message = recv_frame(sock, wire=wire)
     return message
 
 
@@ -297,15 +248,15 @@ def _connect(address: Tuple[str, int], timeout: float) -> socket.socket:
     """Connect with capped exponential backoff; raise after the budget."""
     last: Optional[Exception] = None
     for attempt in range(CONNECT_ATTEMPTS):
+        if attempt:  # back off between attempts, never after the last
+            time.sleep(min(CONNECT_BACKOFF_CAP,
+                           CONNECT_BACKOFF_BASE * 2 ** (attempt - 1)))
         try:
             sock = socket.create_connection(address, timeout=timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return sock
         except OSError as exc:
             last = exc
-            delay = min(CONNECT_BACKOFF_CAP,
-                        CONNECT_BACKOFF_BASE * (2 ** attempt))
-            time.sleep(delay)
     raise DistributedError(
         f"cannot connect to worker {address[0]}:{address[1]} "
         f"after {CONNECT_ATTEMPTS} attempts: {last}"
@@ -403,25 +354,8 @@ class _BatchScheduler:
             return len(self._batches) - len(self._done)
 
 
-def _cell_wire_form(spec: "spec_mod.ExperimentSpec", trial: Any
-                    ) -> Dict[str, Any]:
-    """The dispatch form of one cell, including its identity hash12."""
-    return {
-        "key": trial.key,
-        "params": dict(trial.params),
-        "seeds": list(trial.seeds),
-        "h": spec_mod.cell_hash(spec, trial)[:12],
-    }
-
-
-def _text_digest(text: str) -> str:
-    """The content digest of a cell file's exact text."""
-    return blake2b(text.encode("utf-8"),
-                   digest_size=FILE_DIGEST_BYTES).hexdigest()
-
-
 class RemoteBackend(ExecutorBackend):
-    """Coordinator: fan the plan's cells over TCP workers.
+    """Coordinator: fan the plan's unit batches over TCP workers.
 
     One feeder thread per worker address; each thread owns its socket
     and loops acquire → send → receive → complete, pushing results onto
@@ -437,8 +371,7 @@ class RemoteBackend(ExecutorBackend):
 
     def __init__(self, workers: Sequence[str],
                  batch_timeout: float = DEFAULT_BATCH_TIMEOUT,
-                 connect_timeout: float = 10.0,
-                 use_shadow: bool = True):
+                 connect_timeout: float = 10.0):
         if not workers:
             raise DistributedError("remote backend needs at least one worker")
         self.addresses = [parse_address(w) for w in workers]
@@ -447,238 +380,74 @@ class RemoteBackend(ExecutorBackend):
                 raise DistributedError(f"worker address {text!r}: port 0 is only valid for --listen")
         self.batch_timeout = batch_timeout
         self.connect_timeout = connect_timeout
-        #: Allow same-host shadow reads during reconciliation.  Disable
-        #: to force the wire-fetch fallback (tests and true-remote
-        #: traffic measurements).
-        self.use_shadow = use_shadow
 
     # -- feeder thread ------------------------------------------------
 
-    def _hello(self, plan: ExecutionPlan) -> Dict[str, Any]:
-        spec = plan.spec
-        return {
-            "type": "hello",
-            "version": PROTOCOL_VERSION,
-            "spec": spec.name,
-            "spec_version": spec.version,
-            "trial": function_ref(spec.trial),
-            "reduce": None if spec.reduce is None else function_ref(spec.reduce),
-        }
+    def _feed(self, label: str, sock: socket.socket,
+              scheduler: _BatchScheduler, stats: ExecutionStats,
+              out: List[Any], out_cond: threading.Condition,
+              wire: WireStats) -> None:
+        """The feeder loop: unit batches out, one results frame back each.
 
-    def _cell_batches(self, plan: ExecutionPlan) -> List[List[Dict[str, Any]]]:
-        """Group the plan's missing cells into dispatch batches.
-
-        Cells are packed in spec order until a batch holds at least
-        ``batch_size`` units — cell boundaries are never split, so a
-        worker always assembles whole cells.
+        A batch's pairs are handed over — and the batch completed — only
+        once its whole reply has arrived and names exactly the units
+        sent, so a worker that dies or misbehaves mid-batch leaves the
+        batch to be re-dispatched whole.
         """
-        size = max(1, plan.batch_size)
-        batches: List[List[Dict[str, Any]]] = []
-        current: List[Dict[str, Any]] = []
-        current_units = 0
-        for trial, cell_units in plan.cells:
-            current.append(_cell_wire_form(plan.spec, trial))
-            current_units += len(cell_units)
-            if current_units >= size:
-                batches.append(current)
-                current, current_units = [], 0
-        if current:
-            batches.append(current)
-        return batches
-
-    def _handshake(self, label: str, address: Tuple[str, int],
-                   plan: ExecutionPlan, wire: WireStats
-                   ) -> Tuple[socket.socket, Dict[str, Any]]:
-        sock = _connect(address, self.connect_timeout)
-        sock.settimeout(self.batch_timeout)
-        try:
-            send_msg(sock, self._hello(plan), wire=wire)
-            ready = recv_msg(sock, wire=wire)
-        except BaseException:
-            sock.close()
-            raise
-        if ready.get("type") != "ready":
-            sock.close()
-            reason = ready.get("message") or f"sent {ready.get('type')!r}"
-            raise ProtocolError(f"worker {label} refused the hello: {reason}")
-        return sock, ready
-
-    # -- reconciliation -----------------------------------
-
-    def _reconcile_ack(
-        self,
-        plan: ExecutionPlan,
-        trial_by_key: Dict[str, Any],
-        ack: List[Any],
-        shadow_dir: Optional[Path],
-    ) -> Tuple[Optional[CompletedCell], Optional[Tuple[str, str, str]]]:
-        """Resolve one digest ack without the wire, if possible.
-
-        Returns ``(cell, None)`` when the values were recovered locally
-        (coordinator store hit or shadow read) and ``(None, (key, h12,
-        digest))`` when a wire fetch is needed.
-        """
-        key, h12, digest = str(ack[0]), str(ack[1]), str(ack[2])
-        trial = trial_by_key.get(key)
-        if trial is None:
-            raise ProtocolError(f"digest ack for unknown cell {key!r}")
-        expected_h12 = spec_mod.cell_hash(plan.spec, trial)[:12]
-        if h12 != expected_h12:
-            raise ProtocolError(
-                f"cell {key!r}: worker acked hash {h12}, coordinator "
-                f"expects {expected_h12} — trial source skew between hosts"
-            )
-        file_name = f"{spec_mod.cell_slug(key)}-{h12}.json"
-        # 1. coordinator's own store already holds these exact bytes
-        if plan.store is not None:
-            local = plan.store.spec_dir(plan.spec) / file_name
-            if local.is_file() and file_digest(local) == digest:
-                values = _cell_values_from_text(
-                    local.read_text(encoding="utf-8"), digest, key)
-                return CompletedCell(key, values, fetched=False), None
-        # 2. shared-filesystem shadow read (same host as the worker)
-        if shadow_dir is not None:
-            shadow = shadow_dir / file_name
-            if shadow.is_file():
-                try:
-                    text = shadow.read_text(encoding="utf-8")
-                except OSError:
-                    text = None
-                if text is not None and _text_digest(text) == digest:
-                    values = _cell_values_from_text(text, digest, key)
-                    return CompletedCell(key, values, fetched=False), None
-        # 3. full body must cross the wire
-        return None, (key, h12, digest)
-
-    def _feed_worker_digest(
-        self,
-        label: str,
-        sock: socket.socket,
-        ready: Dict[str, Any],
-        plan: ExecutionPlan,
-        scheduler: _BatchScheduler,
-        out: List[Any],
-        out_cond: threading.Condition,
-        wire: WireStats,
-    ) -> None:
-        """The feeder loop: cells out, digests back, fetch the misses.
-
-        Replies on the connection are strictly FIFO, so the feeder keeps
-        an *expectation queue*: each entry names the frame it is owed
-        (a digest ack for a dispatched batch, or a body reply for a
-        fetch).  A batch's cells are emitted — and the batch completed —
-        only once every cell is reconciled, so a death mid-fetch
-        abandons the whole batch, never half of one.
-        """
-        trial_by_key = {trial.key: trial for trial, _units in plan.cells}
-        shadow_dir: Optional[Path] = None
-        if (self.use_shadow and ready.get("shadow")
-                and ready.get("host") == socket.gethostname()):
-            shadow_dir = Path(ready["shadow"]) / plan.spec.name
-        # expectation queue entries:
-        #   ("digest", bid)                      -> RXD1 ack owed
-        #   ("body", bid, done_cells, by_key)    -> fetch reply owed
-        expected: Deque[Tuple[Any, ...]] = deque()
+        in_flight: Deque[Tuple[int, List[Any]]] = deque()
         while True:
-            while len(expected) < PIPELINE_DEPTH:
-                item = (scheduler.acquire(label) if not expected
+            while len(in_flight) < PIPELINE_DEPTH:
+                item = (scheduler.acquire(label) if not in_flight
                         else scheduler.acquire_nowait(label))
                 if item is None:
                     break
-                bid, cells = item
-                send_msg(sock, {"type": "cells", "id": bid, "cells": cells},
+                bid, units = item
+                send_msg(sock, {"type": "units", "id": bid, "units": units},
                          wire=wire)
-                expected.append(("digest", bid))
-            if not expected:
+                in_flight.append(item)
+            if not in_flight:
                 return  # blocking acquire said: plan done (or failed)
-            entry = expected.popleft()
-            magic, reply = recv_frame(sock, wire=wire)
-            kind = reply.get("type")
-            if kind == "error":
+            bid, units = in_flight.popleft()
+            reply = recv_msg(sock, wire=wire)
+            if reply.get("type") == "error":
                 scheduler.fail(DistributedError(
-                    f"worker {label} batch {entry[1]}: {reply.get('message')}"
+                    f"worker {label} batch {bid}: {reply.get('message')}"
                 ))
                 return
-            if entry[0] == "digest":
-                bid = entry[1]
-                if magic != DIGEST_MAGIC or kind != "digest" \
-                        or reply.get("id") != bid:
-                    raise ProtocolError(
-                        f"worker {label} sent {kind!r} (id {reply.get('id')}) "
-                        f"while digest ack {bid} was outstanding"
-                    )
-                with out_cond:  # serialises the feeders' credits
-                    plan.stats.record_event_counts(reply.get("ev", ()))
-                done: List[CompletedCell] = []
-                needed: List[Tuple[str, str, str]] = []
-                for ack in reply["cells"]:
-                    cell, fetch = self._reconcile_ack(
-                        plan, trial_by_key, ack, shadow_dir)
-                    if cell is not None:
-                        done.append(cell)
-                    else:
-                        needed.append(fetch)
-                if needed:
-                    send_msg(sock, {
-                        "type": "fetch", "id": bid,
-                        "cells": [[key, h12] for key, h12, _d in needed],
-                    }, wire=wire)
-                    expected.append(
-                        ("body", bid, done,
-                         {key: (h12, digest) for key, h12, digest in needed}))
-                    continue
-                self._emit_batch(scheduler, bid, done, out, out_cond)
-            else:  # body reply owed
-                _tag, bid, done, by_key = entry
-                if magic != MAGIC or kind != "body" or reply.get("id") != bid:
-                    raise ProtocolError(
-                        f"worker {label} sent {kind!r} (id {reply.get('id')}) "
-                        f"while fetch {bid} was outstanding"
-                    )
-                bodies = {str(key): str(text)
-                          for key, _h12, text in reply["cells"]}
-                if set(bodies) != set(by_key):
-                    raise ProtocolError(
-                        f"worker {label} fetch {bid} returned cells "
-                        f"{sorted(bodies)} instead of {sorted(by_key)}"
-                    )
-                for key, (_h12, digest) in by_key.items():
-                    text = bodies[key]
-                    if _text_digest(text) != digest:
-                        raise ProtocolError(
-                            f"cell {key!r}: fetched body does not match "
-                            f"the acked content digest"
-                        )
-                    values = _cell_values_from_text(text, digest, key)
-                    done.append(CompletedCell(key, values, fetched=True))
-                self._emit_batch(scheduler, bid, done, out, out_cond)
+            try:
+                pairs = [(index, value) for index, value in reply["results"]]
+                valid = (reply["type"] == "results" and reply["id"] == bid
+                         and [pair[0] for pair in pairs]
+                         == [unit[0] for unit in units])
+            except (KeyError, TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise ProtocolError(
+                    f"worker {label} sent {reply.get('type')!r} (id "
+                    f"{reply.get('id')}) that is not the results of "
+                    f"batch {bid}"
+                )
+            scheduler.complete(bid)
+            with out_cond:  # also serialises the feeders' credits
+                stats.record_event_counts(reply.get("ev", ()))
+                out.append(pairs)
+                out_cond.notify()
 
-    @staticmethod
-    def _emit_batch(scheduler: _BatchScheduler, bid: int,
-                    cells: List[CompletedCell], out: List[Any],
-                    out_cond: threading.Condition) -> None:
-        """Complete a fully reconciled batch and hand its cells over."""
-        scheduler.complete(bid)
-        with out_cond:
-            out.append(cells)
-            out_cond.notify()
-
-    def _feed_worker(
-        self,
-        label: str,
-        address: Tuple[str, int],
-        plan: ExecutionPlan,
-        scheduler: _BatchScheduler,
-        out: List[Any],
-        out_cond: threading.Condition,
-        dead: Dict[str, str],
-        wire: WireStats,
-    ) -> None:
+    def _feed_worker(self, label: str, address: Tuple[str, int],
+                     hello: Dict[str, Any], scheduler: _BatchScheduler,
+                     stats: ExecutionStats, out: List[Any],
+                     out_cond: threading.Condition, dead: Dict[str, str],
+                     wire: WireStats) -> None:
         sock: Optional[socket.socket] = None
         try:
-            sock, ready = self._handshake(label, address, plan, wire)
-            self._feed_worker_digest(
-                label, sock, ready, plan, scheduler, out, out_cond, wire)
+            sock = _connect(address, self.connect_timeout)
+            sock.settimeout(self.batch_timeout)
+            send_msg(sock, hello, wire=wire)
+            ready = recv_msg(sock, wire=wire)
+            if ready.get("type") != "ready":
+                reason = ready.get("message") or f"sent {ready.get('type')!r}"
+                raise ProtocolError(f"worker {label} refused the hello: {reason}")
+            self._feed(label, sock, scheduler, stats, out, out_cond, wire)
             try:
                 send_msg(sock, {"type": "bye"}, wire=wire)
             except OSError:
@@ -686,8 +455,6 @@ class RemoteBackend(ExecutorBackend):
         except (DistributedError, ConnectionError, OSError) as exc:
             dead[label] = str(exc)
             scheduler.abandon(label)
-            with out_cond:
-                out_cond.notify()
         finally:
             if sock is not None:
                 try:
@@ -699,20 +466,28 @@ class RemoteBackend(ExecutorBackend):
 
     # -- coordinator --------------------------------------------------
 
-    def execute(self, plan: ExecutionPlan) -> Iterator[CompletedCell]:
-        """Fan the plan's cells over the workers, yielding as they land.
+    def execute(self, plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
+        """Fan the plan's batches over the workers, yielding as they land.
 
-        One feed thread per worker; the finished cells are yielded on
-        the caller's thread (so store writes stay on the coordinator),
-        in completion order — the runner's merge is order-independent.
-        Raises :class:`DistributedError` when every worker is dead with
-        batches still unfinished.
+        One feed thread per worker; the ``(index, value)`` pairs are
+        yielded on the caller's thread (so store writes stay on the
+        coordinator), in completion order — the runner's merge is
+        order-independent.  Raises :class:`DistributedError` when a
+        worker reports an error or every worker is dead with batches
+        still unfinished.
         """
-        batches = self._cell_batches(plan)
+        batches = plan.batches()
         plan.stats.record_batches(len(batches))
+        spec = plan.spec
+        hello = {
+            "type": "hello",
+            "version": PROTOCOL_VERSION,
+            "trial": function_ref(spec.trial),
+            "trial_source": spec_mod._trial_source_digest(spec.trial),
+        }
         wire = WireStats()
         scheduler = _BatchScheduler(batches)
-        out: List[List[Any]] = []
+        out: List[List[Tuple[int, Any]]] = []
         out_cond = threading.Condition()
         dead: Dict[str, str] = {}
         threads: List[threading.Thread] = []
@@ -720,8 +495,8 @@ class RemoteBackend(ExecutorBackend):
             label = f"{address[0]}:{address[1]}#{idx}"
             thread = threading.Thread(
                 target=self._feed_worker,
-                args=(label, address, plan, scheduler, out, out_cond, dead,
-                      wire),
+                args=(label, address, hello, scheduler, plan.stats, out,
+                      out_cond, dead, wire),
                 name=f"repro-remote-{label}",
                 daemon=True,
             )
@@ -733,9 +508,9 @@ class RemoteBackend(ExecutorBackend):
                     while (not out and any(t.is_alive() for t in threads)
                            and scheduler.failure is None):
                         out_cond.wait(timeout=0.5)
-                    feeds, out[:] = list(out), []
-                for values in feeds:
-                    yield from values
+                    landed, out[:] = list(out), []
+                for pairs in landed:
+                    yield from pairs
                 failure = scheduler.failure
                 if failure is not None:
                     raise failure
@@ -750,11 +525,11 @@ class RemoteBackend(ExecutorBackend):
                     f"{scheduler.unfinished()} batch(es) unfinished "
                     f"({details})"
                 )
-            # drain feeds that landed between the last wait and thread exit
+            # drain replies that landed between the last wait and thread exit
             with out_cond:
-                feeds, out[:] = list(out), []
-            for values in feeds:
-                yield from values
+                landed, out[:] = list(out), []
+            for pairs in landed:
+                yield from pairs
         finally:
             scheduler.fail(DistributedError("coordinator shut down"))
             for thread in threads:
@@ -762,137 +537,19 @@ class RemoteBackend(ExecutorBackend):
             plan.stats.record_wire(wire.bytes_in, wire.bytes_out)
 
 
-def _cell_values_from_text(text: str, digest: str, key: str) -> Any:
-    """Parse a digest-verified cell file's text into its values."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ProtocolError(
-            f"cell {key!r}: digest-verified body is not JSON: {exc}"
-        ) from exc
-    if not isinstance(payload, dict) or "values" not in payload:
-        raise ProtocolError(f"cell {key!r}: body has no 'values' field")
-    return payload["values"]
-
-
 # ---------------------------------------------------------------------------
 # Worker server
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_cell(hello: Dict[str, Any], trial_fn: Any, reduce_fn: Any,
-                  cell: Dict[str, Any]
-                  ) -> Tuple["spec_mod.ExperimentSpec", "spec_mod.Trial"]:
-    """Reconstruct a one-cell spec from the hello + a dispatched cell.
-
-    ``cell_hash`` covers the spec identity plus *that cell's* key,
-    params and seeds — never its siblings — so a single-cell spec built
-    from the same trial/reduce source yields the same hash, fingerprint
-    and therefore the same cell-file bytes as the coordinator's full
-    spec.  That equality is what the echoed ``h`` verifies.
-    """
-    trial = spec_mod.Trial(
-        key=str(cell["key"]),
-        params=dict(cell["params"]),
-        seeds=tuple(int(s) for s in cell["seeds"]),
-    )
-    spec = spec_mod.ExperimentSpec(
-        name=str(hello["spec"]),
-        trial=trial_fn,
-        trials=(trial,),
-        version=str(hello.get("spec_version", "2")),
-        reduce=reduce_fn,
-    )
-    return spec, trial
-
-
-def _worker_run_cell(spec: "spec_mod.ExperimentSpec", trial: "spec_mod.Trial",
-                     shadow: ResultStore) -> Tuple[Any, int]:
-    """Run (or recall) one cell and persist it into the shadow store.
-
-    Returns ``(cell_path, units_executed)`` — zero units when the shadow
-    store already held the cell (a re-dispatch after a crash, or a
-    repeated campaign): content addressing makes re-execution and recall
-    indistinguishable byte-wise.
-    """
-    cached = shadow.load_cell(spec, trial)
-    if cached is not None:
-        return shadow.cell_path(spec, trial), 0
-    units = [(i, seed, dict(trial.params))
-             for i, seed in enumerate(trial.seeds)]
-    raw = run_unit_batch(spec.trial, units)  # in unit order
-    values = finish_cell(spec, [value for _index, value in raw])
-    return shadow.save_cell(spec, trial, values), len(units)
-
-
-def _serve_digest_batch(conn: socket.socket, message: Dict[str, Any],
-                        hello: Dict[str, Any], trial_fn: Any, reduce_fn: Any,
-                        shadow: ResultStore,
-                        persist_budget: List[Optional[int]]) -> None:
-    """Execute one cells batch and reply with an RXD1 digest frame."""
-    bid = message["id"]
-    acks: List[List[Any]] = []
-    batch_event_counts()  # scope the counters to this batch
-    for cell in message["cells"]:
-        spec, trial = _rebuild_cell(hello, trial_fn, reduce_fn, cell)
-        expected = str(cell.get("h", ""))
-        actual = spec_mod.cell_hash(spec, trial)[:12]
-        if expected and expected != actual:
-            send_msg(conn, {
-                "type": "error", "id": bid,
-                "message": (
-                    f"cell {trial.key!r}: coordinator expects hash "
-                    f"{expected}, worker computes {actual} — trial source "
-                    f"skew between hosts"
-                ),
-            })
-            return
-        try:
-            path, executed = _worker_run_cell(spec, trial, shadow)
-        except Exception as exc:  # noqa: BLE001 - shipped to coordinator
-            send_msg(conn, {"type": "error", "id": bid,
-                            "message": f"{type(exc).__name__}: {exc}"})
-            return
-        if executed and persist_budget[0] is not None:
-            persist_budget[0] -= 1
-            if persist_budget[0] <= 0:
-                # crash-test hook: the cell IS persisted in the shadow
-                # store, but the digest ack never leaves — the exact
-                # window the redispatch-no-duplication test exercises
-                conn.close()
-                os._exit(0)
-        acks.append([trial.key, actual, file_digest(path), executed])
-    send_msg(conn, {"type": "digest", "id": bid, "cells": acks,
-                    "ev": batch_event_counts()}, magic=DIGEST_MAGIC)
-
-
-def _serve_fetch(conn: socket.socket, message: Dict[str, Any],
-                 hello: Dict[str, Any], shadow: ResultStore) -> None:
-    """Reply to a fetch with the exact shadow-store file texts."""
-    bid = message["id"]
-    spec_dir = shadow.root / str(hello["spec"])
-    bodies: List[List[str]] = []
-    for key, h12 in message["cells"]:
-        path = spec_dir / f"{spec_mod.cell_slug(str(key))}-{h12}.json"
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            send_msg(conn, {
-                "type": "error", "id": bid,
-                "message": f"cell {key!r} missing from shadow store: {exc}",
-            })
-            return
-        bodies.append([key, h12, text])
-    send_msg(conn, {"type": "body", "id": bid, "cells": bodies})
-
-
-def _resolve_hello(hello: Dict[str, Any]) -> Tuple[Any, Any]:
-    """Check a hello and resolve its ``(trial, reduce)`` functions.
+def _resolve_hello(hello: Dict[str, Any]) -> Any:
+    """Check a hello and resolve its trial function.
 
     Raises :class:`ProtocolError` saying why this worker cannot honour
     it — the reason travels back to the coordinator in an ``error``
-    frame, so a version skew or an unimportable trial is reported by
-    name instead of as a closed socket.
+    frame, so a version skew, an unimportable trial or a trial whose
+    source differs from the coordinator's is reported by name instead
+    of as a closed socket.
     """
     if hello.get("type") != "hello":
         raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
@@ -901,42 +558,60 @@ def _resolve_hello(hello: Dict[str, Any]) -> Tuple[Any, Any]:
             f"protocol version mismatch: coordinator speaks "
             f"{hello.get('version')}, worker speaks {PROTOCOL_VERSION}"
         )
-    trial_ref, reduce_ref = hello.get("trial"), hello.get("reduce")
+    trial_ref = hello.get("trial")
     try:
-        return (resolve_function_ref(trial_ref),
-                resolve_function_ref(reduce_ref) if reduce_ref else None)
+        trial_fn = resolve_function_ref(trial_ref)
     except Exception as exc:  # noqa: BLE001 - whatever an import raises
         raise ProtocolError(
-            f"cannot resolve trial {trial_ref!r} / reduce {reduce_ref!r} "
-            f"on this worker: {type(exc).__name__}: {exc}"
+            f"cannot resolve trial {trial_ref!r} on this worker: "
+            f"{type(exc).__name__}: {exc}"
         ) from exc
+    source = spec_mod._trial_source_digest(trial_fn)
+    if hello.get("trial_source") != source:
+        raise ProtocolError(
+            f"trial source skew between hosts: {trial_ref!r} hashes to "
+            f"{source[:12] or '(no source)'} on this worker, "
+            f"{str(hello.get('trial_source'))[:12]} on the coordinator"
+        )
+    return trial_fn
 
 
-def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
-                      shadow: ResultStore,
-                      persist_budget: List[Optional[int]]) -> None:
+def _batch_reply(message: Dict[str, Any], trial_fn: Any) -> bytes:
+    """Run one units batch; its framed results reply, or an error frame."""
+    bid = message.get("id")
+    batch_event_counts()  # scope the counters to this batch
+    try:
+        results = run_unit_batch(trial_fn, message["units"])
+    except Exception as exc:  # noqa: BLE001 - shipped to coordinator
+        return _frame({"type": "error", "id": bid,
+                       "message": f"{type(exc).__name__}: {exc}"})
+    try:
+        return _frame({"type": "results", "id": bid, "results": results,
+                       "ev": batch_event_counts()})
+    except (TypeError, ValueError) as exc:
+        return _frame({"type": "error", "id": bid,
+                       "message": f"trial result is not JSON-serialisable "
+                                  f"({exc})"})
+
+
+def _serve_connection(conn: socket.socket,
+                      batch_budget: List[Optional[int]]) -> None:
     """Drive one coordinator conversation on an accepted connection."""
     hello = recv_msg(conn)
     try:
-        trial_fn, reduce_fn = _resolve_hello(hello)
+        trial_fn = _resolve_hello(hello)
     except ProtocolError as exc:
         send_msg(conn, {"type": "error", "message": str(exc)})
         raise
-    send_msg(conn, {"type": "ready",
-                    "host": socket.gethostname(), "pid": os.getpid(),
-                    "shadow": str(shadow.root.resolve())})
+    send_msg(conn, {"type": "ready"})
     while True:
         message = recv_msg(conn)
         kind = message.get("type")
         if kind == "bye":
             return
-        if kind == "fetch":
-            _serve_fetch(conn, message, hello, shadow)
-            continue
-        if kind != "cells":
-            raise ProtocolError(f"expected cells, fetch or bye, got {kind!r}")
-        _serve_digest_batch(conn, message, hello, trial_fn, reduce_fn,
-                            shadow, persist_budget)
+        if kind != "units":
+            raise ProtocolError(f"expected units or bye, got {kind!r}")
+        conn.sendall(_batch_reply(message, trial_fn))
         if batch_budget[0] is not None:
             batch_budget[0] -= 1
             if batch_budget[0] <= 0:
@@ -946,22 +621,16 @@ def _serve_connection(conn: socket.socket, batch_budget: List[Optional[int]],
                 os._exit(0)
 
 
-def serve(host: str, port: int, max_batches: Optional[int] = None,
-          shadow: Optional[str] = None,
-          crash_after_persist: Optional[int] = None) -> None:
+def serve(host: str, port: int, max_batches: Optional[int] = None) -> None:
     """Run a ``repro worker``: accept coordinators until interrupted.
 
     One coordinator at a time (the protocol is strictly request/reply
-    per connection); each cell runs through the shared
-    :func:`~repro.exp.runner.run_unit_batch` body, is persisted into
-    the worker's **shadow store** (``shadow``, default
-    ``.repro-shadow/`` under the worker's working directory) and
-    acknowledged by content digest only.
+    per connection); each batch runs through the shared
+    :func:`~repro.exp.runner.run_unit_batch` body and is answered with
+    one results frame.  The worker keeps nothing between batches.
 
-    ``max_batches`` hard-exits the process after N completed batches,
-    and ``crash_after_persist`` hard-exits after the Nth freshly
-    executed cell is shadow-persisted but *before* its digest ack — the
-    two deterministic worker-crash hooks the failover tests use.
+    ``max_batches`` hard-exits the process after N answered batches —
+    the deterministic worker-crash hook the failover tests use.
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -970,15 +639,13 @@ def serve(host: str, port: int, max_batches: Optional[int] = None,
     bound = server.getsockname()
     # the readiness line scripts wait for before launching the campaign
     print(f"repro worker listening on {bound[0]}:{bound[1]}", flush=True)
-    shadow_store = ResultStore(shadow if shadow else DEFAULT_SHADOW_ROOT)
     budget: List[Optional[int]] = [max_batches]
-    persist_budget: List[Optional[int]] = [crash_after_persist]
     try:
         while True:
             conn, _addr = server.accept()
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
-                _serve_connection(conn, budget, shadow_store, persist_budget)
+                _serve_connection(conn, budget)
             except Exception as exc:  # noqa: BLE001 - a bad coordinator
                 # (broken frame, unresolvable trial ref) must not take
                 # the worker down; it just costs that one connection

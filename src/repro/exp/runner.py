@@ -26,16 +26,16 @@ strategy:
   execute several specs in one process pay pool startup once, and
   workers resolve the trial function from a compact import reference
   instead of unpickling a function object per task;
-* ``remote`` (:mod:`repro.exp.distributed`) ships batches of whole
-  cells over TCP to ``repro worker`` processes on other hosts, which
-  finish and persist them at the edge.
+* ``remote`` (:mod:`repro.exp.distributed`) ships the same unit
+  batches over TCP to ``repro worker`` processes on other hosts, which
+  send back what they ran.
 
 A backend is *pure execution strategy*: the merged results — and the
 bytes the store writes — are identical across all three, which the
 backend equivalence tests assert.  All three run on the one lifecycle
-in :func:`run`; they differ in transport, in dispatch granularity and
-in who calls :func:`finish_cell` and persists first — nothing else.
-Units are grouped into **batches**
+in :func:`run` and yield ``(unit index, value)`` pairs into the one
+assembler that finishes and persists cells; they differ in transport
+and nothing else.  Units are grouped into **batches**
 per dispatch, amortising pickling and round-trip overhead for
 campaign-style workloads with thousands of tiny trials; a spec-level
 ``reduce`` hook then collapses each completed cell to a summary so such
@@ -57,7 +57,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -80,12 +79,6 @@ class ExecutionStats:
 
     Pass one object through several runs to aggregate (the CLI does this
     per ``reproduce`` invocation); every counter only ever increases.
-
-    ``cells_acked_digest`` counts cells a remote worker persisted into
-    its shadow store and acknowledged by ``(slug, hash, digest)`` only;
-    ``cells_shipped_full`` counts those of them whose body still had to
-    cross the coordinator wire (the ``fetch`` fallback).  In-process
-    backends (serial/local) leave both at zero.
     ``wire_bytes_in`` / ``wire_bytes_out`` accumulate coordinator
     socket traffic (remote backend only; zero elsewhere).
     """
@@ -94,8 +87,6 @@ class ExecutionStats:
     cells_executed: int = 0
     cells_cached: int = 0
     batches: int = 0
-    cells_shipped_full: int = 0
-    cells_acked_digest: int = 0
     wire_bytes_in: int = 0
     wire_bytes_out: int = 0
     events_by_source: Dict[str, int] = field(default_factory=dict)
@@ -139,17 +130,6 @@ class ExecutionStats:
         """Count ``count`` batch tasks handed to a worker pool."""
         self.batches += count
 
-    def record_digest_cell(self, fetched: bool = False) -> None:
-        """Count one cell completed via a digest-only ack.
-
-        ``fetched`` marks the reconciliation fallback where the full
-        body still had to cross the wire (the coordinator's store was
-        missing the cell and the worker's shadow store was unreachable).
-        """
-        self.cells_acked_digest += 1
-        if fetched:
-            self.cells_shipped_full += 1
-
     def record_wire(self, bytes_in: int, bytes_out: int) -> None:
         """Accumulate coordinator socket traffic (remote backend)."""
         self.wire_bytes_in += bytes_in
@@ -161,8 +141,6 @@ class ExecutionStats:
         self.cells_executed += other.cells_executed
         self.cells_cached += other.cells_cached
         self.batches += other.batches
-        self.cells_shipped_full += other.cells_shipped_full
-        self.cells_acked_digest += other.cells_acked_digest
         self.record_wire(other.wire_bytes_in, other.wire_bytes_out)
         self.record_event_sources(other.events_by_source, other.beats_replayed,
                                   other.beats_materialised)
@@ -193,8 +171,6 @@ class ExperimentResult:
     cells_executed: int = 0
     backend: str = "serial"
     cache_state: str = "disabled"
-    cells_shipped_full: int = 0
-    cells_acked_digest: int = 0
     wire_bytes_in: int = 0
     wire_bytes_out: int = 0
     events_by_source: Dict[str, int] = field(default_factory=dict)
@@ -213,8 +189,6 @@ class ExperimentResult:
             "cells": len(self.results),
             "cells_cached": self.cells_cached,
             "cells_executed": self.cells_executed,
-            "cells_shipped_full": self.cells_shipped_full,
-            "cells_acked_digest": self.cells_acked_digest,
             "trials_executed": self.executed,
             "cached": self.cached,
             "cache_state": self.cache_state,
@@ -231,21 +205,6 @@ class ExperimentResult:
 
 #: One executable unit: (global unit index, seed, params).
 _Unit = Tuple[int, int, Dict[str, Any]]
-
-
-class CompletedCell(NamedTuple):
-    """A whole cell finished by the backend itself (the remote backend).
-
-    Backends that finish and persist cells at the edge (worker store
-    shadowing) yield these instead of per-unit ``(index, value)``
-    pairs.  ``values`` is what :func:`finish_cell` returned there;
-    ``fetched`` records whether the full body had to cross the wire
-    during reconciliation.
-    """
-
-    key: str
-    values: Any
-    fetched: bool = False
 
 
 #: One local-pool task: (trial function's import reference, units).
@@ -340,8 +299,8 @@ def finish_cell(spec: ExperimentSpec, values: List[Any]) -> Any:
 
     Normalise, apply the spec's ``reduce`` hook (if any), normalise
     again — the one tail every cell passes through, in the runner's
-    assembler and on a remote worker alike, so the stored bytes cannot
-    depend on who finished the cell.
+    assembler whatever backend ran its units, so the stored bytes
+    cannot depend on where they ran.
     """
     values = _normalise(values, spec.name)
     if spec.reduce is not None:
@@ -386,15 +345,6 @@ class ExecutionPlan:
     worker_count: int
     batch_size: int = 1
     stats: ExecutionStats = field(default_factory=ExecutionStats)
-    #: The missing cells behind ``units``: (trial, that cell's units), in
-    #: spec order.  The cell-granular remote backend dispatches these
-    #: instead of flat unit batches, so a worker can finish and persist
-    #: whole cells at the edge.
-    cells: List[Tuple[Any, List[_Unit]]] = field(default_factory=list)
-    #: The caller's result store, if any.  Reconciliation-capable
-    #: backends consult it to resolve digest acks without wire traffic;
-    #: they never write to it (persistence stays on the caller's thread).
-    store: Optional[ResultStore] = None
 
     def batches(self, start: int = 0) -> List[List[_Unit]]:
         """The units from ``start`` on, in dispatch batches, in unit order."""
@@ -564,7 +514,10 @@ class _CellAssembler:
     order).  The moment a cell's last unit lands the cell is finished
     (:func:`finish_cell`), persisted (if a store is attached) and
     released — the assembler never holds more raw values than the
-    currently in-flight cells.
+    currently in-flight cells.  This is the one path into the store
+    whatever the backend: cell files carry no execution-strategy
+    metadata, so their bytes are a pure function of the cell identity
+    and its values (the backend equivalence contract).
     """
 
     def __init__(self, spec: ExperimentSpec, store: Optional[ResultStore],
@@ -595,36 +548,13 @@ class _CellAssembler:
         self._slots[key][offset] = value
         self._pending[key] -= 1
         if self._pending[key] == 0:
-            self._arrive(key, finish_cell(self.spec, self._slots[key]))
-
-    def complete_cell(self, key: str, values: Any,
-                      fetched: bool = False) -> None:
-        """Accept one cell the backend finished itself.
-
-        The remote backend completes whole cells: the worker already
-        ran, finished and shadow-persisted them, and ``values`` is what
-        reconciliation recovered (local store hit, shadow read, or wire
-        fetch).
-        """
-        self.stats.record_digest_cell(fetched=fetched)
-        self._arrive(key, _normalise(values, self.spec.name))
-
-    def _arrive(self, key: str, values: Any) -> None:
-        """A finished cell arrives: count it, keep it, persist it.
-
-        The one path into the store whoever finished the cell.  Cell
-        files carry no execution-strategy metadata: their bytes are a
-        pure function of the cell identity and its values, which is
-        what makes serial/local/remote stores byte-identical (the
-        backend equivalence contract).
-        """
-        self._slots.pop(key, None)
-        self._pending.pop(key, None)
-        trial = self._trial_by_key[key]
-        self.completed[key] = values
-        self.stats.record_cell(trial.runs)
-        if self.store is not None:
-            self.store.save_cell(self.spec, trial, values)
+            values = finish_cell(self.spec, self._slots.pop(key))
+            del self._pending[key]
+            trial = self._trial_by_key[key]
+            self.completed[key] = values
+            self.stats.record_cell(trial.runs)
+            if self.store is not None:
+                self.store.save_cell(self.spec, trial, values)
 
 
 def run(
@@ -672,12 +602,9 @@ def run(
     assembler = _CellAssembler(spec, store, run_stats)
     assembler.completed.update(cached_cells)
     units: List[_Unit] = []
-    plan_cells: List[Tuple[Any, List[_Unit]]] = []
     for trial in spec.trials:
         if trial.key not in cached_cells:
-            cell_units = assembler.add_cell(trial)
-            units.extend(cell_units)
-            plan_cells.append((trial, cell_units))
+            units.extend(assembler.add_cell(trial))
 
     started = time.perf_counter()
     if units:
@@ -687,16 +614,10 @@ def run(
         plan = ExecutionPlan(
             spec=spec, units=units, worker_count=worker_count,
             batch_size=size, stats=run_stats,
-            cells=plan_cells, store=store,
         )
         try:
-            for item in executor.execute(plan):
-                if isinstance(item, CompletedCell):
-                    assembler.complete_cell(item.key, item.values,
-                                            fetched=item.fetched)
-                else:
-                    index, value = item
-                    assembler.feed(index, value)
+            for index, value in executor.execute(plan):
+                assembler.feed(index, value)
         finally:
             if owned:
                 executor.close()
@@ -741,8 +662,6 @@ def run(
         cells_executed=len(spec.trials) - len(cached_cells),
         backend=executor.name,
         cache_state=cache_state,
-        cells_shipped_full=run_stats.cells_shipped_full,
-        cells_acked_digest=run_stats.cells_acked_digest,
         wire_bytes_in=run_stats.wire_bytes_in,
         wire_bytes_out=run_stats.wire_bytes_out,
         events_by_source=run_stats.events_by_source,

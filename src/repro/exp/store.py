@@ -45,7 +45,6 @@ working.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -61,12 +60,6 @@ DEFAULT_ROOT = ".repro-results"
 MANIFEST_NAME = "manifest.json"
 
 
-#: Bytes of the blake2b digest naming a cell file's exact content (the
-#: ``digest`` leg of the remote backend's ``(slug, hash12, digest)``
-#: tuples).
-FILE_DIGEST_BYTES = 16
-
-
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
     """Parse a JSON payload, or ``None`` on any I/O or syntax problem."""
     try:
@@ -74,33 +67,6 @@ def _read_json(path: Path) -> Optional[Dict[str, Any]]:
     except (OSError, ValueError):
         return None
     return payload if isinstance(payload, dict) else None
-
-
-def file_digest(path: Path) -> Optional[str]:
-    """blake2b hex digest of a file's exact bytes (``None`` if unreadable).
-
-    This is the content name a worker advertises for a shadow-persisted
-    cell and the identity the coordinator verifies before trusting a
-    shadow read or a wire-fetched body.
-    """
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return None
-    return hashlib.blake2b(data, digest_size=FILE_DIGEST_BYTES).hexdigest()
-
-
-def read_cell_values(path: Path) -> Optional[Any]:
-    """The ``values`` of a cell file, or ``None`` on any problem.
-
-    Unlike :meth:`ResultStore.load_cell` this does not re-derive the
-    expected cell hash — callers use it after verifying the file's
-    content digest (reconciliation and merge trust bytes, not paths).
-    """
-    payload = _read_json(path)
-    if payload is None or "values" not in payload:
-        return None
-    return payload["values"]
 
 
 class ResultStore:

@@ -59,10 +59,9 @@ def test_serial_and_local_backends_are_byte_identical():
 
 
 def test_backend_stores_are_byte_identical(tmp_path):
-    """Whoever finishes a cell — the runner's assembler from units the
-    pool split across tasks, or a remote worker whose body returns by
-    shadow read or by wire fetch — results and store bytes agree with
-    the serial reference, with and without a ``reduce`` hook."""
+    """Wherever the units run — split across pool tasks, or shipped in
+    batches to remote workers — results and store bytes agree with the
+    serial reference, with and without a ``reduce`` hook."""
     workers = [_start_worker() for _ in range(2)]
     addresses = [address for _process, address in workers]
     specs = {
@@ -78,21 +77,17 @@ def test_backend_stores_are_byte_identical(tmp_path):
                              store=exp.ResultStore(root / "serial"))
             serial_bytes = _store_bytes(root / "serial")
             assert serial_bytes  # non-empty: the cells really were written
-            # label -> (run arguments, cells whose body crosses the wire)
+            # 3-unit cells in 2-unit batches: cells straddle pool tasks
+            # and remote batches alike
             strategies = {
-                # 3-unit cells in 2-unit tasks: cells straddle pool tasks
-                "local": (dict(jobs=2, backend="local", batch=2), 0),
-                "shadow": (dict(backend=exp.RemoteBackend(addresses),
-                                batch=1), 0),
-                "fetch": (dict(backend=exp.RemoteBackend(
-                    addresses, use_shadow=False), batch=1), len(spec.trials)),
+                "local": dict(jobs=2, backend="local", batch=2),
+                "remote": dict(backend=exp.RemoteBackend(addresses), batch=2),
             }
-            for label, (kwargs, shipped_full) in strategies.items():
+            for label, kwargs in strategies.items():
                 result = exp.run(spec, store=exp.ResultStore(root / label),
                                  **kwargs)
                 assert _dump(result) == _dump(serial), (name, label)
                 assert _store_bytes(root / label) == serial_bytes, (name, label)
-                assert result.cells_shipped_full == shipped_full, (name, label)
             # execution strategy is no part of cell identity: the pool
             # backend is served whole from the store the serial one wrote
             warm = exp.run(spec, jobs=2, backend="local",

@@ -10,14 +10,11 @@ import hashlib
 import json
 import os
 import re
-import shutil
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -69,10 +66,12 @@ def _socket_pair():
 def test_frame_roundtrip_preserves_message():
     client, peer = _socket_pair()
     try:
-        message = {"type": "cells", "id": 3,
-                   "cells": [{"key": "c0", "params": {"cell": 0},
-                              "seeds": [123], "h": "ab" * 6}]}
+        message = {"type": "units", "id": 3,
+                   "units": [[0, 123, {"cell": 0}], [1, 124, {"cell": 0}]]}
         distributed.send_msg(client, message)
+        assert distributed.recv_msg(peer) == message
+        # the retired digest magic is still read
+        distributed.send_msg(client, message, magic=distributed.DIGEST_MAGIC)
         assert distributed.recv_msg(peer) == message
     finally:
         client.close()
@@ -131,6 +130,15 @@ def test_parse_address():
         distributed.RemoteBackend(["127.0.0.1:7401", "127.0.0.1:0"])
 
 
+def test_connect_backs_off_only_between_attempts(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(distributed.time, "sleep", sleeps.append)
+    refused = ("127.0.0.1", distributed.free_port())
+    with pytest.raises(exp.DistributedError, match="after 5 attempts"):
+        distributed._connect(refused, timeout=0.5)
+    assert sleeps == [0.2, 0.4, 0.8, 1.6]
+
+
 # -- batch scheduler --------------------------------------------------------
 
 
@@ -164,21 +172,6 @@ def test_scheduler_acquire_nowait_never_blocks():
     assert scheduler.unfinished() == 0
 
 
-def test_digest_frame_uses_rxd1_magic():
-    client, peer = _socket_pair()
-    try:
-        message = {"type": "digest", "id": 0,
-                   "cells": [["c0", "ab" * 6, "cd" * 16, 2]]}
-        distributed.send_msg(client, message,
-                             magic=distributed.DIGEST_MAGIC)
-        magic, received = distributed.recv_frame(peer)
-        assert magic == distributed.DIGEST_MAGIC
-        assert received == message
-    finally:
-        client.close()
-        peer.close()
-
-
 def test_scheduler_fail_wakes_blocked_acquirers():
     scheduler = distributed._BatchScheduler([["b0"]])
     assert scheduler.acquire("w1") == (0, ["b0"])
@@ -200,17 +193,13 @@ def test_scheduler_fail_wakes_blocked_acquirers():
 
 
 def _start_worker(*extra):
-    # every worker gets its own throwaway shadow store so tests never
-    # litter the repository root (or share state through the default)
-    shadow_dir = tempfile.mkdtemp(prefix="repro-shadow-")
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "worker",
-         "--listen", "127.0.0.1:0", "--shadow", shadow_dir, *extra],
+         "--listen", "127.0.0.1:0", *extra],
         env=env, stdout=subprocess.PIPE, text=True,
     )
-    process.shadow_dir = shadow_dir
     line = process.stdout.readline()
     match = re.search(r"listening on (\S+)", line)
     assert match, f"worker did not announce its address: {line!r}"
@@ -221,7 +210,6 @@ def _stop_worker(process):
     if process.poll() is None:
         process.terminate()
     process.wait(timeout=10)
-    shutil.rmtree(process.shadow_dir, ignore_errors=True)
 
 
 @pytest.fixture
@@ -247,70 +235,36 @@ def test_remote_campaign_matches_serial_including_store(tmp_path,
     serial_bytes = _store_bytes(tmp_path / "serial")
     assert serial_bytes == _store_bytes(tmp_path / "remote")
     assert serial_bytes
-    # digest-only return path: every cell acked by digest, and on the
-    # same host the shadow read spares even the reconciliation fetch
-    assert remote.cells_acked_digest == len(spec.trials)
-    assert remote.cells_shipped_full == 0
     assert remote.wire_bytes_in > 0 and remote.wire_bytes_out > 0
     # event attribution crosses the wire in the batch-complete frames
     assert remote.events_by_source == serial.events_by_source
     assert remote.beats_replayed == serial.beats_replayed > 0
 
 
-def test_digest_acks_stay_within_the_wire_budget(two_workers):
-    """Coordinator-received bytes per cell at the worst framing ratio
-    (cell size 2): digest acks keep them at or under 150, and no body
-    crosses the wire when the workers' shadows are readable.  (Byte
-    identity with a serial run is the test above.)"""
-    from repro.eval import campaign
-
-    spec = campaign.sharded_spec(missions=48, base_seed=5100, requests=8,
-                                 cell_size=2)
-    cells = len(spec.trials)
-    remote = exp.run(spec, workers=two_workers)
-    assert remote.cells_acked_digest == cells
-    assert remote.cells_shipped_full == 0
-    assert remote.wire_bytes_in / cells <= 150, remote.wire_bytes_in / cells
+def padded_trial(seed, params):
+    return {"seed": seed, "cell": params["cell"], "pad": "x" * 1000}
 
 
-def test_digest_mode_fetch_fallback_without_shadow_reads(tmp_path,
-                                                         two_workers):
-    """With shadow reads disabled every missing cell's body must be
-    wire-fetched — and the store bytes still match serial exactly."""
-    from repro.eval import campaign
-
-    spec = campaign.sharded_spec(missions=8, base_seed=5020, requests=8,
-                                 cell_size=4)
-    serial_store = exp.ResultStore(tmp_path / "serial")
-    remote_store = exp.ResultStore(tmp_path / "remote")
-    serial = exp.run(spec, jobs=1, backend="serial", store=serial_store)
-    backend = distributed.RemoteBackend(two_workers, use_shadow=False)
-    remote = exp.run(spec, batch=1, backend=backend, store=remote_store)
-    assert _dump(serial) == _dump(remote)
-    assert _store_bytes(tmp_path / "serial") == _store_bytes(
-        tmp_path / "remote")
-    assert remote.cells_acked_digest == len(spec.trials)
-    assert remote.cells_shipped_full == len(spec.trials)  # all fetched
-
-
-def test_coordinator_store_hit_resolves_digest_without_fetch(tmp_path,
-                                                             two_workers):
-    """A cell the coordinator's store already holds never crosses the
-    wire twice: ``fresh=True`` re-dispatches every cell, but the digest
-    acks reconcile against the existing local bytes — even with shadow
-    reads disabled there is nothing to fetch."""
-    from repro.eval import campaign
-
-    spec = campaign.sharded_spec(missions=8, base_seed=5030, requests=8,
-                                 cell_size=4)
-    store = exp.ResultStore(tmp_path / "store")
-    exp.run(spec, jobs=1, backend="serial", store=store)
-    before = _store_bytes(tmp_path / "store")
-    backend = distributed.RemoteBackend(two_workers, use_shadow=False)
-    remote = exp.run(spec, batch=1, backend=backend, store=store, fresh=True)
-    assert _store_bytes(tmp_path / "store") == before
-    assert remote.cells_acked_digest == len(spec.trials)
-    assert remote.cells_shipped_full == 0  # every ack was a local hit
+def test_each_unit_value_crosses_the_wire_once(two_workers):
+    """The coordinator receives each unit's ``[index, value]`` once plus
+    a fixed framing allowance per batch; a second copy of any value
+    would overrun it."""
+    spec = _echo_spec(cells=6, runs=2, name="echo-exact", trial=padded_trial)
+    serial = exp.run(spec, jobs=1, backend="serial")
+    values = [value for cell in serial.results.values() for value in cell]
+    # one [index, value] per unit, each followed by at most ", "
+    unit_bytes = sum(len(json.dumps([index, value])) + 2
+                     for index, value in enumerate(values))
+    batches = len(values) // 2
+    ready = distributed.HEADER_BYTES + len(json.dumps({"type": "ready"}))
+    framing = distributed.HEADER_BYTES + 96  # type, id, "ev" counts
+    remote = exp.run(spec, batch=2, workers=two_workers)
+    assert _dump(remote) == _dump(serial)
+    assert unit_bytes < remote.wire_bytes_in
+    budget = unit_bytes + batches * framing + len(two_workers) * ready
+    assert remote.wire_bytes_in <= budget, (remote.wire_bytes_in, budget)
+    # the slack is smaller than any one value: none can cross twice
+    assert budget - unit_bytes < min(len(json.dumps(v)) for v in values)
 
 
 def slow_echo_trial(seed, params):
@@ -325,7 +279,9 @@ def test_worker_crash_mid_campaign_rebatches_onto_survivor(tmp_path):
     """Kill one worker after it returned some batches: the orphaned units
     must land on the survivor and the store must match serial exactly."""
     mortal, mortal_address = _start_worker("--max-batches", "1")
-    survivor, survivor_address = _start_worker()
+    # --shadow is accepted and ignored: a worker keeps no store
+    ignored = tmp_path / "shadow"
+    survivor, survivor_address = _start_worker("--shadow", str(ignored))
     try:
         spec = _echo_spec(cells=8, runs=2, name="echo-failover",
                           trial=slow_echo_trial)
@@ -343,47 +299,43 @@ def test_worker_crash_mid_campaign_rebatches_onto_survivor(tmp_path):
         # the mortal worker really did serve its one batch, then died
         assert mortal.wait(timeout=10) == 0
         assert remote.executed == spec.unit_count
+        assert not ignored.exists()
     finally:
         for process in (mortal, survivor):
             _stop_worker(process)
 
 
-def test_worker_crash_after_persist_before_ack_does_not_duplicate(tmp_path):
-    """The shadow-store crash window: the mortal worker persists its
-    first fresh cell and dies *before* the digest ack leaves.  The
-    orphaned batch must be re-dispatched (the cell re-runs from the same
-    pure inputs, re-persisting identical bytes under the same
-    content-addressed name) and the final store must match serial
-    exactly — the cell appears once, never doubled."""
-    mortal, mortal_address = _start_worker("--crash-after-persist", "1")
-    survivor, survivor_address = _start_worker()
+def test_a_reply_naming_other_units_is_a_protocol_error():
+    """A results frame must name exactly the units dispatched in its
+    batch: a worker that answers with other indices is dropped, and
+    none of its values reach the assembler."""
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+
+    def shifted_worker():
+        conn, _addr = server.accept()
+        with conn:
+            distributed.recv_msg(conn)  # hello
+            distributed.send_msg(conn, {"type": "ready"})
+            batch = distributed.recv_msg(conn)
+            distributed.send_msg(conn, {
+                "type": "results", "id": batch["id"], "ev": [],
+                "results": [[index + 1, {}] for index, _s, _p in batch["units"]],
+            })
+
+    thread = threading.Thread(target=shifted_worker, daemon=True)
+    thread.start()
+    address = f"127.0.0.1:{server.getsockname()[1]}"
     try:
-        spec = _echo_spec(cells=8, runs=2, name="echo-persist-crash",
-                          trial=slow_echo_trial)
-        serial_store = exp.ResultStore(tmp_path / "serial")
-        remote_store = exp.ResultStore(tmp_path / "remote")
-        serial = exp.run(spec, jobs=1, backend="serial", store=serial_store)
-        backend = distributed.RemoteBackend(
-            [mortal_address, survivor_address], batch_timeout=30.0
-        )
-        remote = exp.run(spec, batch=1, backend=backend, store=remote_store)
-        assert _dump(serial) == _dump(remote)
-        assert _store_bytes(tmp_path / "serial") == _store_bytes(
-            tmp_path / "remote"
-        )
-        # the mortal worker persisted its cell, then exited deliberately
-        assert mortal.wait(timeout=10) == 0
-        shadow_cells = [
-            p for p in Path(mortal.shadow_dir).rglob("*.json")
-            if p.name != "manifest.json"
-        ]
-        assert shadow_cells, "the crash hook fired before any persist"
-        # the coordinator saw every cell exactly once
-        assert remote.cells_acked_digest == len(spec.trials)
-        assert remote.executed == spec.unit_count
+        with pytest.raises(exp.DistributedError,
+                           match="not the results of batch 0"):
+            exp.run(_echo_spec(cells=2, runs=1, name="echo-shifted"),
+                    batch=2, workers=[address])
     finally:
-        for process in (mortal, survivor):
-            _stop_worker(process)
+        thread.join(timeout=10)
+        server.close()
+    assert not thread.is_alive()
 
 
 def test_all_workers_dead_raises_distributed_error():
@@ -408,18 +360,50 @@ def raising_trial(seed, params):
     raise RuntimeError(f"boom at seed {seed}")
 
 
+def set_trial(seed, params):
+    return {"seed": seed, "tags": {"a", "b"}}
+
+
+def test_non_json_trial_value_on_a_worker_aborts_the_run(two_workers):
+    """The cause ``serial`` raises as ``ResultTypeError`` comes back as a
+    ``DistributedError`` naming it, and the workers live on."""
+    spec = exp.ExperimentSpec(
+        name="echo-set", trial=set_trial,
+        trials=(exp.Trial(key="c0", params={}, seeds=(1, 2)),),
+    )
+    with pytest.raises(exp.ResultTypeError, match="not JSON-serialisable"):
+        exp.run(spec, jobs=1, backend="serial")
+    with pytest.raises(exp.DistributedError, match="not JSON-serialisable"):
+        exp.run(spec, batch=1, workers=two_workers)
+    after = _echo_spec(cells=3, name="echo-after-set")
+    assert _dump(exp.run(after, batch=1, workers=two_workers)) == _dump(
+        exp.run(after, jobs=1, backend="serial"))
+
+
 def test_version_skewed_hello_is_refused_with_an_error_frame(two_workers):
     host, port = distributed.parse_address(two_workers[0])
     with socket.create_connection((host, port), timeout=10) as sock:
         distributed.send_msg(sock, {
-            "type": "hello", "version": 2, "spec": "echo-remote",
-            "spec_version": "2", "trial": f"{__name__}:echo_trial",
-            "reduce": None, "mode": "digest",
+            "type": "hello", "version": 2,
+            "trial": f"{__name__}:echo_trial", "trial_source": "",
         })
         reply = distributed.recv_msg(sock)
     assert reply["type"] == "error"
     assert "version" in reply["message"]
     assert str(distributed.PROTOCOL_VERSION) in reply["message"]
+
+
+def test_trial_source_skewed_hello_is_refused_with_an_error_frame(
+        two_workers):
+    host, port = distributed.parse_address(two_workers[0])
+    with socket.create_connection((host, port), timeout=10) as sock:
+        distributed.send_msg(sock, {
+            "type": "hello", "version": distributed.PROTOCOL_VERSION,
+            "trial": f"{__name__}:echo_trial", "trial_source": "0" * 64,
+        })
+        reply = distributed.recv_msg(sock)
+    assert reply["type"] == "error"
+    assert "trial source skew" in reply["message"]
 
 
 def ghost_trial(seed, params):

@@ -11,7 +11,6 @@ import pytest
 
 from repro import exp
 from repro.eval import table3
-from repro.exp.distributed import _rebuild_cell
 from repro.exp.errors import SpecError
 from tests.golden import cell_addresses
 
@@ -261,13 +260,3 @@ def test_sourceless_function_is_reference_only_and_memoised(monkeypatch):
     assert exp.fingerprint(spec)["trial_source_sha256"] == ""
     assert exp.fingerprint(spec)["trial"].endswith(":ghost")
     assert calls == [namespace["ghost"]]
-
-
-def test_worker_rebuilt_cell_hashes_equal_the_coordinators():
-    spec = _spec(reduce=_sum_reduce)
-    hello = {"spec": spec.name, "spec_version": spec.version}
-    for trial in spec.trials:
-        wire = {"key": trial.key, "params": dict(trial.params),
-                "seeds": list(trial.seeds)}
-        rebuilt, cell = _rebuild_cell(hello, spec.trial, spec.reduce, wire)
-        assert exp.cell_hash(rebuilt, cell) == exp.cell_hash(spec, trial)

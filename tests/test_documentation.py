@@ -74,3 +74,30 @@ def test_readme_and_design_docs_exist():
         path = root / doc
         assert path.exists(), f"{doc} missing"
         assert len(path.read_text()) > 1_000, f"{doc} suspiciously short"
+
+
+def test_changes_entries_fit_the_claims_ledger():
+    """ROADMAP item 8's rule: every CHANGES.md entry from PR 26 on is at
+    most 15 lines, none longer than 80 characters."""
+    import re
+    from pathlib import Path
+
+    root = Path(repro.__file__).resolve().parents[2]
+    entries = {}
+    current = None
+    for line in (root / "CHANGES.md").read_text().splitlines():
+        if line.startswith("- "):
+            match = re.match(r"- (?:\*\*)?PR (\d+)\b", line)
+            number = int(match.group(1)) if match else None
+            current = number if number is not None and number >= 26 else None
+            if current is not None:
+                entries[current] = []
+        elif not line.startswith("  "):
+            current = None
+        if current is not None:
+            entries[current].append(line)
+    assert {26, 27, 30, 31} <= set(entries), sorted(entries)
+    for number, lines in entries.items():
+        assert len(lines) <= 15, f"PR {number}: {len(lines)} lines"
+        wide = [line for line in lines if len(line) > 80]
+        assert not wide, f"PR {number}: lines over 80 characters: {wide}"

@@ -105,7 +105,7 @@ EVAL_ALL = [
 ]
 
 EXP_ALL = [
-    "BACKENDS", "CompletedCell", "DEFAULT_ROOT", "DistributedError",
+    "BACKENDS", "DEFAULT_ROOT", "DistributedError",
     "ExecutionPlan", "ExecutionStats", "ExecutorBackend", "ExperimentError",
     "ExperimentResult", "ExperimentSpec", "LocalPoolBackend", "RemoteBackend",
     "SerialBackend", "ReduceFn", "ResultStore", "ResultTypeError", "SpecError",
