@@ -55,8 +55,8 @@ Commands
 ``profile <spec> [--top N] [--sort cumulative|tottime] [...]``
     Run one experiment spec single-threaded under ``cProfile`` and print
     the hottest functions, so perf work starts from data instead of
-    guesses.  Specs: ``campaign``, ``campaign-sharded``,
-    ``transition-matrix``, ``table3``.
+    guesses.  Specs: ``campaign``, ``transition-matrix``,
+    ``gray-matrix``, ``table3``.
 ``store [--list | --gc | --clear] [--store DIR]``
     Inspect or clean the cell-granular result store: ``--list`` (the
     default) prints one line per stored spec, ``--gc`` removes orphaned
@@ -333,11 +333,7 @@ def _cmd_gray_matrix(args) -> int:
 #: builder applies the profile command's size knobs to the real spec
 #: factory, so the profile measures exactly what the experiments run.
 _PROFILE_SPECS = {
-    "campaign": lambda args: _eval_module("campaign").spec(
-        missions=args.missions, base_seed=5000 + args.seed,
-        requests=args.requests,
-    ),
-    "campaign-sharded": lambda args: _eval_module("campaign").sharded_spec(
+    "campaign": lambda args: _eval_module("campaign").sharded_spec(
         missions=args.missions, base_seed=5000 + args.seed,
         requests=args.requests,
     ),
@@ -471,6 +467,15 @@ def _slowdown(text: str) -> float:
     return value
 
 
+def _latency_ms(text: str) -> float:
+    """argparse type for a latency bound: a finite float > 0."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _list_of(item, choices=None):
     """argparse type for ``A,B,...`` flags: a non-empty list of
     ``item``-parsed parts, each one of ``choices`` when given."""
@@ -577,7 +582,7 @@ def main(argv=None) -> int:
                       help="client requests per mission (default: 200 — "
                            "a mission must outlive its own repair: a limped "
                            "disk slows the PBR→LFR transition to ~5 s)")
-    gray.add_argument("--slo-ms", type=float, default=30.0,
+    gray.add_argument("--slo-ms", type=_latency_ms, default=30.0,
                       help="per-request latency SLO in ms (default: 30)")
     _add_run_flags(gray)
     _add_backend_flags(gray)

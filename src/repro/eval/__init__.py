@@ -11,6 +11,11 @@ an :class:`repro.exp.ExperimentSpec` whose trials are pure functions
 ``generate()`` data shape from the runner's raw cells — so any artifact
 can be executed in parallel and cached via :func:`repro.exp.run`.
 
+``campaign`` has one form, sharded: ``sharded_spec(...)`` reduces each
+shard of missions to counts as it completes, and ``generate_sharded``,
+``from_shard_results``, ``shard_shape_checks`` and ``render_sharded``
+play the roles above over those streamed counts.
+
 =================  =============================================
 module             paper artifact
 =================  =============================================
@@ -26,6 +31,7 @@ module             paper artifact
 ``consistency_eval``  Sec. 5.3 — distributed consistency claims
 ``transition_matrix``  transition-survival matrix (fault × phase)
 ``gray``           gray-failure matrix (limplock × FTM sweeps)
+``campaign``       statistical fault-injection campaign (Wilson CIs)
 =================  =============================================
 """
 

@@ -9,7 +9,11 @@ the deployed FTM's model covers.
 One mission = deploy PBR⊕TR, run a steady workload, and along the way:
 a random master-or-slave crash (with recovery), a random burst of
 transient value faults, and one on-line transition.  The campaign
-aggregates outcomes over ``missions`` seeds.
+shards the mission seeds into cells of ``cell_size`` missions and reduces
+each cell to counts the moment it completes, so peak memory is bounded by
+the shard size whatever the mission count, a killed campaign resumes from
+its finished shards, and the Wilson CIs come from the streamed counts
+alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from repro.eval.format import render_table
 from repro.eval.mission import run_solo
 from repro.eval.stats import format_interval, wilson_interval
 from repro.exp import ExperimentSpec, ResultStore, Trial
@@ -54,9 +57,8 @@ def mission_task(seed: int, requests: int = 30) -> WorldTask:
     """One randomised mission as an unrun :class:`WorldTask`.
 
     The task's result is the mission outcome as a plain dict (JSON-safe
-    for the result store); :func:`run_mission` is the solo-execution
-    wrapper that returns the typed :class:`MissionOutcome`.  The
-    platform is three hosts on default links.
+    for the result store) with the fields of :class:`MissionOutcome`.
+    The platform is three hosts on default links.
     """
     from repro.app.workloads import constant
     from repro.core.adaptation_engine import AdaptationEngine
@@ -130,73 +132,10 @@ def mission_task(seed: int, requests: int = 30) -> WorldTask:
     return WorldTask(world, scenario(), name="mission")
 
 
-def run_mission(seed: int, requests: int = 30) -> MissionOutcome:
-    """One randomised mission; fully determined by its seed."""
-    return MissionOutcome(**run_solo(mission_task(seed, requests=requests)))
-
-
 def _trial(seed: int, params: Mapping) -> Dict:
     """One mission as a plain dict (JSON-safe for the result store)."""
     return run_solo(mission_task(seed, requests=params["requests"]))
 
-
-def spec(missions: int = 10, base_seed: int = 5000,
-         requests: int = 30) -> ExperimentSpec:
-    """The campaign experiment: one cell, one seed per mission."""
-    return ExperimentSpec(
-        name="campaign", trial=_trial,
-        trials=(Trial(
-            key="campaign", params={"requests": requests},
-            seeds=tuple(base_seed + 101 * m for m in range(missions)),
-        ),),
-    )
-
-
-def from_results(results: Dict) -> Dict:
-    """Rebuild the campaign aggregate dict from raw mission outcomes."""
-    outcomes = [MissionOutcome(**raw) for raw in results["campaign"]]
-    missions = len(outcomes)
-    clean = sum(1 for o in outcomes if o.clean)
-    exactly_once = sum(1 for o in outcomes if o.exactly_once)
-    injected = sum(o.injected_faults for o in outcomes)
-    masked = sum(o.masked_faults for o in outcomes)
-    return {
-        "missions": missions,
-        "outcomes": outcomes,
-        "clean_missions": clean,
-        "exactly_once_missions": exactly_once,
-        "total_crashes": sum(o.crashes for o in outcomes),
-        "total_injected": injected,
-        "total_masked": masked,
-        "total_promotions": sum(o.promotions for o in outcomes),
-        "total_reintegrations": sum(o.reintegrations for o in outcomes),
-        # point estimates + Wilson 95% CIs (JSON-safe lists)
-        "masking_rate": masked / injected if injected else None,
-        "masking_ci95": list(wilson_interval(min(masked, injected), injected)),
-        "exactly_once_rate": exactly_once / missions if missions else None,
-        "exactly_once_ci95": list(wilson_interval(exactly_once, missions)),
-    }
-
-
-def generate(missions: int = 10, base_seed: int = 5000, requests: int = 30,
-             jobs: int = 1, store: Optional[ResultStore] = None) -> Dict:
-    """Run the campaign and aggregate the per-mission outcomes."""
-    result = run_experiment(
-        spec(missions=missions, base_seed=base_seed, requests=requests),
-        jobs=jobs, store=store,
-    )
-    return from_results(result.results)
-
-
-# -- sharded streaming campaign ------------------------------------------------
-#
-# The 10k-mission campaign cannot hold 10k mission dicts, and a monolithic
-# single-cell spec cannot resume or parallelise its cache.  The sharded
-# form splits the same mission seed sequence into ~100-mission cells and
-# reduces each cell to counts the moment it completes, so peak memory is
-# bounded by the shard size whatever the mission count, a killed campaign
-# resumes from its finished shards, and Wilson CIs are computed from the
-# streamed per-shard counts alone.
 
 #: Missions per shard cell in the sharded campaign spec.
 SHARD_CELL_SIZE = 100
@@ -223,9 +162,9 @@ def sharded_spec(missions: int = 10000, base_seed: int = 5000,
                  cell_size: int = SHARD_CELL_SIZE) -> ExperimentSpec:
     """The streaming campaign: missions sharded into reduced cells.
 
-    The mission seed sequence is identical to :func:`spec`'s, so a
-    sharded campaign measures exactly the same missions — it just
-    stores and aggregates them shard-by-shard.
+    Mission ``m`` runs seed ``base_seed + 101·m`` whatever the shard
+    size, so ``cell_size`` changes how missions are stored and
+    aggregated, never which missions run.
     """
     seeds = [base_seed + 101 * m for m in range(missions)]
     trials = tuple(
@@ -315,57 +254,6 @@ def render_sharded(data: Dict) -> str:
     if data["dirty_seeds"]:
         lines.append(f"  DIRTY mission seeds: {data['dirty_seeds'][:20]}")
     return "\n".join(lines)
-
-
-def shape_checks(data: Dict) -> List[str]:
-    """The resilience claims the campaign must uphold (empty = all hold)."""
-    problems: List[str] = []
-    if data["clean_missions"] != data["missions"]:
-        dirty = [o.seed for o in data["outcomes"] if not o.clean]
-        problems.append(f"missions with lost/duplicated work: seeds {dirty}")
-    if data["total_crashes"] < data["missions"]:
-        problems.append("campaign injected fewer crashes than missions")
-    if data["total_masked"] < data["total_injected"] * 0.5:
-        problems.append(
-            f"too few masked faults ({data['total_masked']} of "
-            f"{data['total_injected']} injected)"
-        )
-    return problems
-
-
-def render(data: Dict) -> str:
-    """A per-mission table plus the aggregate summary."""
-    rows = [
-        [
-            o.seed,
-            o.requests,
-            o.clean,
-            o.crashes,
-            o.promotions,
-            o.reintegrations,
-            f"{o.masked_faults}/{o.injected_faults}",
-            o.transitioned_to,
-        ]
-        for o in data["outcomes"]
-    ]
-    table = render_table(
-        ["Seed", "Requests", "Clean", "Crashes", "Promotions",
-         "Reintegrations", "Masked/Injected", "Final FTM"],
-        rows,
-        title=f"Fault-injection campaign ({data['missions']} randomised missions)",
-    )
-    summary = (
-        f"\nclean missions: {data['clean_missions']}/{data['missions']}; "
-        f"crashes {data['total_crashes']}, faults masked "
-        f"{data['total_masked']}/{data['total_injected']}, "
-        f"promotions {data['total_promotions']}, "
-        f"reintegrations {data['total_reintegrations']}"
-        f"\nmasking rate {_rate(data['masking_rate'])} "
-        f"CI95 {format_interval(*data['masking_ci95'])}; "
-        f"exactly-once rate {_rate(data['exactly_once_rate'])} "
-        f"CI95 {format_interval(*data['exactly_once_ci95'])}"
-    )
-    return table + summary
 
 
 def _rate(value) -> str:

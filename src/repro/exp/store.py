@@ -9,7 +9,6 @@ plus an advisory spec-level manifest::
         manifest.json                 # spec hash + cell index (written last)
         deploy_pbr-1a2b3c4d5e6f.json  # one atomic file per cell
         pbr-_lfr-0f9e8d7c6b5a.json
-      campaign-<hash16>.json          # legacy single-file entries (read-through)
 
 Each cell file is keyed by :func:`repro.exp.spec.cell_hash`, which covers
 the spec identity (name, version, trial/reduce source) plus that cell's
@@ -36,11 +35,6 @@ Manifest schema::
       "meta":        { "jobs": ..., "elapsed_s": ..., ... },
       "cells":       { "<cell key>": {"file": ..., "hash": ...}, ... }
     }
-
-The pre-cell-granular format (one ``<name>-<hash16>.json`` per spec at
-the root) is still read: a matching legacy entry is transparently served
-— and migrated to cell files on first touch — so existing stores keep
-working.
 """
 
 from __future__ import annotations
@@ -97,11 +91,6 @@ class ResultStore:
         """The file one cell's values live in (may not exist yet)."""
         return self._cell_address(spec, trial)[1]
 
-    def legacy_path_for(self, spec: "spec_mod.ExperimentSpec") -> Path:
-        """Where the pre-cell-granular format stored this spec (legacy)."""
-        digest = spec_mod.spec_hash(spec)
-        return self.root / f"{spec.name}-{digest[:16]}.json"
-
     # -- atomic writes -----------------------------------------------------
 
     def _write_atomic(self, path: Path, payload: Dict[str, Any]) -> Path:
@@ -157,24 +146,13 @@ class ResultStore:
         """Every stored cell of ``spec`` — possibly a partial subset.
 
         Cells persisted by an interrupted run are found even when no
-        manifest was written.  Cells only present in a matching legacy
-        single-file entry are served from it and migrated to cell files,
-        so the old format keeps working without a conversion step.
+        manifest was written.
         """
         found: Dict[str, Any] = {}
         for trial in spec.trials:
             values = self.load_cell(spec, trial)
             if values is not None:
                 found[trial.key] = values
-        if len(found) < len(spec.trials):
-            legacy = self._load_legacy(spec)
-            if legacy is not None:
-                for trial in spec.trials:
-                    if trial.key not in found:
-                        values = legacy[trial.key]
-                        self.save_cell(spec, trial, values,
-                                       meta={"migrated": True})
-                        found[trial.key] = values
         return found
 
     def write_manifest(self, spec: "spec_mod.ExperimentSpec",
@@ -204,74 +182,7 @@ class ResultStore:
         return (isinstance(cells, dict)
                 and cells.keys() == {trial.key for trial in spec.trials})
 
-    # -- whole-spec API ----------------------------------------------------
-
-    def load(self, spec: "spec_mod.ExperimentSpec") -> Optional[Dict[str, Any]]:
-        """Complete stored results for ``spec``, or ``None`` if any cell
-        is missing (use :meth:`load_cells` for the partial view)."""
-        found = self.load_cells(spec)
-        if len(found) != len(spec.trials):
-            return None
-        return {trial.key: found[trial.key] for trial in spec.trials}
-
-    def _load_legacy(
-        self, spec: "spec_mod.ExperimentSpec"
-    ) -> Optional[Dict[str, List[Any]]]:
-        """A matching entry in the pre-cell-granular single-file format."""
-        payload = _read_json(self.legacy_path_for(spec))
-        if payload is None:
-            return None
-        if payload.get("hash") != spec_mod.spec_hash(spec):
-            return None
-        results = payload.get("results")
-        if not isinstance(results, dict):
-            return None
-        if list(results) != [trial.key for trial in spec.trials]:
-            return None
-        if spec.reduce is None:
-            if any(len(results[t.key]) != t.runs for t in spec.trials):
-                return None
-        return results
-
-    def save(
-        self,
-        spec: "spec_mod.ExperimentSpec",
-        results: Dict[str, Any],
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> Path:
-        """Persist a complete result set cell-by-cell; returns the manifest.
-
-        Equivalent to :meth:`save_cell` per cell followed by
-        :meth:`write_manifest` — the path the streaming runner takes
-        incrementally.
-        """
-        for trial in spec.trials:
-            self.save_cell(spec, trial, results[trial.key], meta=meta)
-        return self.write_manifest(spec, meta=meta)
-
     # -- maintenance -------------------------------------------------------
-
-    def invalidate(self, spec: "spec_mod.ExperimentSpec") -> bool:
-        """Drop every entry for ``spec``; True if anything existed."""
-        removed = False
-        spec_dir = self.spec_dir(spec)
-        if spec_dir.is_dir():
-            for path in spec_dir.iterdir():
-                try:
-                    path.unlink()
-                    removed = True
-                except OSError:
-                    continue
-            try:
-                spec_dir.rmdir()
-            except OSError:
-                pass
-        try:
-            self.legacy_path_for(spec).unlink()
-            removed = True
-        except OSError:
-            pass
-        return removed
 
     def clear(self) -> int:
         """Drop every entry; returns the number of files removed."""
@@ -337,30 +248,13 @@ class ResultStore:
 
         Spec directories appear once each; a directory whose manifest is
         missing (killed run) is reported with a ``None`` hash and the
-        count of cell files found.  Legacy single-file entries are listed
-        in their old form.
+        count of cell files found.  Loose files at the root are skipped.
         """
         out: List[Dict[str, Any]] = []
         if not self.root.is_dir():
             return out
         for entry in sorted(self.root.iterdir()):
             if entry.is_file():
-                if entry.suffix != ".json":
-                    continue
-                payload = _read_json(entry)
-                if payload is None:
-                    continue
-                fingerprint = payload.get("fingerprint", {})
-                out.append(
-                    {
-                        "file": entry.name,
-                        "spec": fingerprint.get("name"),
-                        "hash": payload.get("hash"),
-                        "cells": len(payload.get("results", {})),
-                        "meta": payload.get("meta", {}),
-                        "format": "legacy",
-                    }
-                )
                 continue
             cell_files = [
                 p for p in entry.glob("*.json") if p.name != MANIFEST_NAME

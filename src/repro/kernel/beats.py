@@ -18,8 +18,7 @@ counters, energy accumulation and ``drop`` records of ``Network.send`` /
 traces, stores and final RNG states are byte-identical.
 
 **One specialisation.**  The clock re-implements only the *quiet* beat:
-both nodes up, a plain link, no partition, loss or delivery filter in
-the way, a :class:`BeatMonitor` listening.  Anything else goes through
+both nodes up, a plain link, no partition or loss in the way, a :class:`BeatMonitor` listening.  Anything else goes through
 ``Network.send`` / ``Network._deliver`` themselves.  Quietness is checked
 once per replay window: nothing but the clock runs inside one, so the
 answer holds until foreign code does.
@@ -148,7 +147,7 @@ class BeatStream:
         if (
             mailbox is None or mailbox._getters
             or mailbox._sink.__class__ is not BeatMonitor
-            or not route[1].is_up or network._delivery_filters
+            or not route[1].is_up
             or link.loss > 0.0 or network._loss_probability > 0.0
             or self._span <= 0.0
             or (network._partitions and network.partitioned(node.name, peer))
@@ -226,8 +225,7 @@ class BeatClock:
     def _replay(self) -> None:
         """An alarm fired: run every virtual event ordered before the
         next pending kernel event, then re-arm.  Stops early when a
-        handler (mailbox getter, trace subscriber, delivery filter,
-        expired watchdog) scheduled a kernel event, which may precede
+        handler (mailbox getter, trace subscriber, expired watchdog) scheduled a kernel event, which may precede
         the bound; the fresh alarm then sorts after it."""
         sim = self.sim
         heap = self._heap

@@ -16,7 +16,7 @@ the ``bandwidth drop`` adaptation trigger of Figure 8 is produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.kernel.costs import CostModel, DEFAULT_COSTS
 from repro.kernel.errors import NetworkUnreachable, NodeDown
@@ -29,8 +29,7 @@ class Message:
 
     A plain slotted class rather than a dataclass: one is allocated per
     send, which makes construction cost part of the kernel's hot path.
-    Treat instances as immutable (delivery filters return new envelopes
-    instead of mutating).
+    Treat instances as immutable.
     """
 
     __slots__ = ("source", "destination", "port", "payload", "size", "sent_at")
@@ -88,7 +87,6 @@ class Network:
         self._mailboxes: Dict[Tuple[str, str], Channel] = {}
         self._partitions: Set[FrozenSet[str]] = set()
         self._loss_probability = 0.0
-        self._delivery_filters: List[Callable[[Message], Optional[Message]]] = []
         self._rand = sim.random.substream("network")
         # bound once: one delivery callback is scheduled per message, so a
         # fresh bound method per send() would dominate its allocations
@@ -199,15 +197,6 @@ class Network:
             probability=probability,
         )
 
-    def add_delivery_filter(
-        self, filter_fn: Callable[[Message], Optional[Message]]
-    ) -> None:
-        """Install a hook that may transform or drop (return None) messages.
-
-        The fault injector uses this to corrupt payloads in flight.
-        """
-        self._delivery_filters.append(filter_fn)
-
     # -- mailboxes --------------------------------------------------------------
 
     def bind(self, node: str, port: str) -> Channel:
@@ -308,14 +297,6 @@ class Network:
         if self._partitions and self.partitioned(message.source, dest_name):
             self._drop(message, "partition")
             return
-        if self._delivery_filters:
-            for filter_fn in self._delivery_filters:
-                filtered = filter_fn(message)
-                if filtered is None:
-                    self._drop(message, "filtered")
-                    return
-                message = filtered
-            dest_name = message.destination
         mailbox = self._mailboxes.get((dest_name, message.port))
         if mailbox is None:
             self._drop(message, "no_mailbox")

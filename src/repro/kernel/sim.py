@@ -72,32 +72,22 @@ _RESUME_ARGS = (None, None)
 class Handle:
     """A cancellable reference to a scheduled callback.
 
-    Keeps a back-reference to its simulator so a cancellation can bump
-    the dead-entry counter that drives lazy-cancel compaction.
+    Cancelling only marks the heap entry; the loop skips it when popped.
     """
 
-    __slots__ = ("_cancelled", "_fired", "_sim")
+    __slots__ = ("_cancelled", "_fired")
 
-    def __init__(self, sim: "Simulator") -> None:
+    def __init__(self) -> None:
         self._cancelled = False
         self._fired = False
-        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the scheduled callback from firing."""
-        if self._cancelled or self._fired:
-            return
         self._cancelled = True
-        self._sim._note_dead()
 
     @property
     def active(self) -> bool:
         return not (self._cancelled or self._fired)
-
-
-#: Compaction floor: below this many dead entries the heap is left alone
-#: (compacting a tiny heap costs more than carrying the garbage).
-_COMPACT_MIN_DEAD = 64
 
 
 class Simulator:
@@ -108,7 +98,6 @@ class Simulator:
         self.random = DeterministicRandom(seed)
         self._queue: List = []
         self._seq = 0
-        self._dead = 0
         self._running = False
         # per-run event attribution (see ``events_by_source``) and the
         # beat clock's counters: beat events replayed without a kernel
@@ -137,7 +126,7 @@ class Simulator:
         one.  ``delay`` is already validated.
         """
         self._seq += 1
-        handle = Handle(self) if cancellable else None
+        handle = Handle() if cancellable else None
         heapq.heappush(
             self._queue, (self.now + delay, self._seq, handle, fn, args)
         )
@@ -189,30 +178,11 @@ class Simulator:
         for process in self.processes:
             process.kill()
         self._queue.clear()
-        self._dead = 0
         self._beat_clock = None  # its streams died with the processes
         for process in self.processes:
             process.gen = process.exception = process._resume_cb = None
             process.terminated.value = None  # held the failure as well
         self.processes.clear()
-
-    # -- lazy-cancel bookkeeping -------------------------------------------
-
-    def _note_dead(self) -> None:
-        """One more cancelled entry is pending; maybe compact."""
-        self._dead += 1
-        if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 >= len(self._queue):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled heap entries and re-heapify (in place:
-        ``advance`` holds a reference to the list while a callback
-        cancels handles)."""
-        self._queue[:] = [
-            e for e in self._queue if e[2] is None or not e[2]._cancelled
-        ]
-        heapq.heapify(self._queue)
-        self._dead = 0
 
     def pending(self) -> int:
         """Live (non-cancelled) scheduled events."""
@@ -237,7 +207,6 @@ class Simulator:
             head = queue[0]
             if head[2] is not None and head[2]._cancelled:
                 heapq.heappop(queue)
-                self._dead -= 1
                 continue
             return head
         return None
@@ -259,7 +228,6 @@ class Simulator:
             time, _seq, handle, fn, args = heappop(queue)
             if handle is not None:
                 if handle._cancelled:
-                    self._dead -= 1
                     continue
                 handle._fired = True
             if time < self.now:
@@ -281,7 +249,7 @@ class Simulator:
         stop = Event(self, "run.until")
         handle = None
         if until is not None:
-            handle = Handle(self)
+            handle = Handle()
             heapq.heappush(
                 self._queue,
                 (max(until, self.now), inf, handle, stop.trigger, ()),

@@ -73,14 +73,11 @@ class Trace:
 
     clock: Callable[[], float]
     records: List[TraceRecord] = field(default_factory=list)
-    enabled: bool = True
     _subscribers: List[Callable[[TraceRecord], None]] = field(default_factory=list)
     _listeners: List[Callable[[Boundary], None]] = field(default_factory=list)
 
     def record(self, category: str, event: str, **details: Any) -> None:
         """Append one record at the current simulation time."""
-        if not self.enabled:
-            return
         # positional tuple.__new__ skips the NamedTuple keyword wrapper
         items = details.items()
         rec = tuple.__new__(TraceRecord, (

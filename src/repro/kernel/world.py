@@ -54,8 +54,8 @@ class World:
         accumulator, kills what still runs, and drops every reference
         the kernel layer holds into the finished mission or back onto
         itself: trace records, subscribers and listeners, storage
-        contents, node hooks and process lists, mailboxes, delivery
-        filters, the network's bound delivery callback.  Then each
+        contents, node hooks and process lists, mailboxes, the network's
+        bound delivery callback.  Then each
         component runtime dismantles the components it installed.  What
         is kept is acyclic, so the world and its mission — processes,
         frames, events, trace, components — are freed by reference
@@ -75,7 +75,6 @@ class World:
             node._crash_hooks.clear()
             node._restart_hooks.clear()
         self.network._mailboxes.clear()
-        self.network._delivery_filters.clear()
         self.network._deliver_cb = None
         for runtime in self._runtimes.values():
             runtime.dismantle()

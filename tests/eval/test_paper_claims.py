@@ -107,9 +107,9 @@ def test_consistency_holds_over_five_runs():
 
 
 def test_ten_mission_campaign_is_clean_and_recovers_every_crash():
-    result = exp.run(campaign.spec(missions=10), jobs=1)
-    data = campaign.from_results(result.results)
-    assert campaign.shape_checks(data) == []
+    result = exp.run(campaign.sharded_spec(missions=10), jobs=1)
+    data = campaign.from_shard_results(result.results)
+    assert campaign.shard_shape_checks(data) == []
     assert data["clean_missions"] == 10
     assert data["total_reintegrations"] >= 10
 

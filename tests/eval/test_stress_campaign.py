@@ -15,11 +15,11 @@ from repro.eval import campaign, transition_matrix
 
 @pytest.mark.stress
 def test_thousand_mission_campaign_is_clean_with_tight_cis():
-    spec = campaign.spec(missions=1000, base_seed=5000)
+    spec = campaign.sharded_spec(missions=1000, base_seed=5000)
     result = exp.run(spec, jobs=exp.default_jobs(), store=None)
-    data = campaign.from_results(result.results)
+    data = campaign.from_shard_results(result.results)
 
-    assert campaign.shape_checks(data) == []
+    assert campaign.shard_shape_checks(data) == []
     assert data["clean_missions"] == data["missions"] == 1000
 
     low, high = data["exactly_once_ci95"]

@@ -29,14 +29,14 @@ def test_parallel_table3_is_byte_identical_to_serial():
 
 
 def test_parallel_campaign_is_byte_identical_to_serial():
-    spec = campaign.spec(missions=5, base_seed=42, requests=12)
+    spec = campaign.sharded_spec(missions=5, base_seed=42, requests=12,
+                                 cell_size=2)
     serial = exp.run(spec, jobs=1)
     parallel = exp.run(spec, jobs=4)
     assert _dump(serial) == _dump(parallel)
     # and the aggregated artifact is identical too, not just the raw cells
-    assert campaign.from_results(serial.results) == campaign.from_results(
-        parallel.results
-    )
+    assert campaign.from_shard_results(
+        serial.results) == campaign.from_shard_results(parallel.results)
 
 
 def test_merge_order_follows_spec_not_completion():
@@ -84,7 +84,7 @@ def test_events_by_source_attribution_flows_to_result():
     # harvested from closed worlds (kernel events by producer) and the
     # clock's own counters must reach both the ExperimentResult summary
     # and an aggregating ExecutionStats
-    spec = campaign.spec(missions=2, base_seed=42, requests=8)
+    spec = campaign.sharded_spec(missions=2, base_seed=42, requests=8)
     stats = exp.ExecutionStats()
     result = exp.run(spec, jobs=1, stats=stats)
     sources = result.events_by_source
@@ -124,7 +124,7 @@ def test_table3_trials_report_their_events_too():
 def test_events_by_source_resets_between_runs():
     # the process-wide accumulator is taken per dispatch: two identical
     # runs report identical (not cumulative) attribution
-    spec = campaign.spec(missions=1, base_seed=7, requests=8)
+    spec = campaign.sharded_spec(missions=1, base_seed=7, requests=8)
     first = exp.run(spec, jobs=1).events_by_source
     second = exp.run(spec, jobs=1).events_by_source
     assert first == second

@@ -1,4 +1,4 @@
-"""Result-store tests: cell layout, cache hits, legacy read-through, GC."""
+"""Result-store tests: cell layout, cache hits, GC."""
 
 import collections
 import inspect
@@ -99,18 +99,16 @@ def test_one_cell_edit_recomputes_one_cell(tmp_path):
     assert result.cells_cached == 1 and result.cells_executed == 1
 
 
-def test_invalidate_and_clear(tmp_path):
+def test_clear_empties_the_store(tmp_path):
     store = exp.ResultStore(tmp_path)
     spec = _spec()
     exp.run(spec, jobs=1, store=store)
     assert store.manifest_path(spec).exists()
-    assert store.invalidate(spec)
-    assert not store.invalidate(spec)
-    assert store.load_cells(spec) == {}
-    exp.run(spec, jobs=1, store=store)
     # 2 cell files + 1 manifest
     assert store.clear() == 3
     assert store.entries() == []
+    assert store.load_cells(spec) == {}
+    assert store.clear() == 0
 
 
 def test_fresh_forces_recomputation(tmp_path):
@@ -144,43 +142,7 @@ def test_cell_with_wrong_shape_is_ignored(tmp_path):
     payload["values"] = payload["values"][:1]  # one run missing
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert store.load_cell(spec, spec.cell("a")) is None
-    assert store.load(spec) is None  # whole-spec view refuses partials
     assert store.load_cells(spec) == {"b": [{"seed": 3, "tag": "y"}]}
-
-
-def test_legacy_single_file_format_is_read_through(tmp_path):
-    store = exp.ResultStore(tmp_path)
-    spec = _spec()
-    results = {
-        "a": [{"seed": 1, "tag": "x"}, {"seed": 2, "tag": "x"}],
-        "b": [{"seed": 3, "tag": "y"}],
-    }
-    legacy_payload = {
-        "hash": exp.spec_hash(spec),
-        "fingerprint": exp.fingerprint(spec),
-        "meta": {},
-        "results": results,
-    }
-    store.root.mkdir(parents=True, exist_ok=True)
-    store.legacy_path_for(spec).write_text(json.dumps(legacy_payload),
-                                           encoding="utf-8")
-    served = exp.run(spec, jobs=1, store=store)
-    assert served.cached and served.executed == 0
-    assert served.results == results
-    # read-through migrates the entry into cell files
-    for trial in spec.trials:
-        assert store.cell_path(spec, trial).is_file()
-
-
-def test_stale_legacy_entry_is_ignored(tmp_path):
-    store = exp.ResultStore(tmp_path)
-    spec = _spec()
-    store.root.mkdir(parents=True, exist_ok=True)
-    store.legacy_path_for(spec).write_text(
-        json.dumps({"hash": "0" * 64, "results": {}}), encoding="utf-8"
-    )
-    result = exp.run(spec, jobs=1, store=store)
-    assert not result.cached and result.executed == 3
 
 
 def test_gc_removes_orphans_but_keeps_resumable_cells(tmp_path):

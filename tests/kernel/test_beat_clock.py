@@ -138,28 +138,6 @@ def test_limping_node_stretches_beats_identically(resource):
     _assert_parity(scenario)
 
 
-def test_delivery_filter_sees_every_beat():
-    def scenario(world):
-        _deploy(world)
-        start = world.now
-        seen = []
-
-        def drop_window(message):
-            seen.append((world.now, message.port, message.sent_at))
-            if message.port == "fd" and 500.0 < world.now - start < 800.0:
-                return None
-            return message
-
-        _at(world, 300.0, world.network.add_delivery_filter, drop_window)
-        world.run(until=world.now + 1_500.0)
-        world.filter_log = seen
-        reasons = {r.detail("reason")
-                   for r in world.trace.select("network", "drop")}
-        assert "filtered" in reasons
-
-    _assert_parity(scenario)
-
-
 def test_stopped_detector_buffers_beats_and_drains_them_on_start():
     def scenario(world):
         pair = _deploy(world)

@@ -94,16 +94,6 @@ def test_trace_summary_histogram():
     assert summary["node.restart"] == 1
 
 
-def test_trace_disable_enable():
-    world = World(seed=7)
-    world.trace.enabled = False
-    world.add_node("alpha").crash()
-    assert world.trace.records == []
-    world.trace.enabled = True
-    world.cluster.node("alpha").restart()
-    assert world.trace.count("node", "restart") == 1
-
-
 def test_trace_since_filter():
     world = World(seed=8)
     node = world.add_node("alpha")

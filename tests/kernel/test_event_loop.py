@@ -183,19 +183,7 @@ def test_cancelled_zero_delay_entry_does_not_fire():
     assert not handle.active
 
 
-def test_lazy_cancel_keeps_heap_bounded():
-    # the PR-4 regression: 10k schedule+cancel cycles used to leave 10k
-    # dead tuples in the heap; compaction must bound it near the floor
-    sim = Simulator()
-    for _ in range(10_000):
-        sim.schedule(1_000.0, _nop).cancel()
-    assert len(sim._queue) < 256
-    assert sim.pending() == 0
-    sim.run()
-    assert sim.now == 0.0  # nothing live ever fired
-
-
-def test_compaction_preserves_live_timers():
+def test_cancelled_timers_are_skipped_among_live_ones():
     sim = Simulator()
     fired = []
     for i in range(10):

@@ -200,25 +200,6 @@ def test_byte_accounting(world, pair):
     assert beta.bytes_received == 500
 
 
-def test_delivery_filter_can_transform(world, pair):
-    mailbox = world.network.bind("beta", "in")
-
-    def mangle(message):
-        return type(message)(
-            source=message.source,
-            destination=message.destination,
-            port=message.port,
-            payload="mangled",
-            size=message.size,
-            sent_at=message.sent_at,
-        )
-
-    world.network.add_delivery_filter(mangle)
-    world.network.send("alpha", "beta", "in", payload="original")
-    world.run()
-    assert mailbox.drain()[0].payload == "mangled"
-
-
 # -- fault injection -------------------------------------------------------------
 
 

@@ -434,9 +434,9 @@ def test_run_counts_no_dead_entry_it_never_pushed():
     sim = Simulator()
     for _ in range(5):
         sim.run()
-    assert sim._dead == 0 and not sim._queue
+    assert not sim._queue
 
     sim.schedule(1.0, lambda: None)
     sim.run(until=10.0)  # the horizon fired: popped, not cancelled
     assert sim.now == 10.0
-    assert sim._dead == 0 and not sim._queue
+    assert not sim._queue

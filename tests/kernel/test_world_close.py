@@ -42,11 +42,11 @@ def collector_off():
 
 
 def _kernel_mission(world):
-    """Every kernel mechanism that ties a knot: sinks, subscribers,
-    filters and hooks closing over the world, tickers on a node that
-    crashes and on one that does not, a beat stream, a parked getter
-    with and without a timeout, a failed process (its traceback names
-    its own shell), a joiner, a crash."""
+    """Every kernel mechanism that ties a knot: sinks, subscribers and
+    hooks closing over the world, tickers on a node that crashes and on
+    one that does not, a beat stream, a parked getter with and without a
+    timeout, a failed process (its traceback names its own shell), a
+    joiner, a crash."""
     network = world.network
     alpha, beta = world.cluster.node("alpha"), world.cluster.node("beta")
     seen = []
@@ -54,7 +54,6 @@ def _kernel_mission(world):
     network.bind("beta", "fd").set_sink(BeatMonitor(world.sim, 60.0))
     BeatStream(network, "alpha", lambda: "beta", "fd", "hb", 32, 20.0)
     world.trace.subscribe(lambda record: seen.append(world.now))
-    network.add_delivery_filter(lambda m: m if world.now >= 0 else None)
     alpha.on_crash(lambda node: seen.append(world))
     beta.on_restart(lambda node: seen.append(world))
     alpha.every(10.0, lambda: network.send("alpha", "beta", "svc", "t", 16))

@@ -13,7 +13,7 @@ NODES = st.sampled_from(["alpha", "beta"])
 FAULTS = st.tuples(
     st.sampled_from([
         "crash", "loss", "link_loss", "partition", "heal", "limp",
-        "latency", "filter", "requests",
+        "latency", "requests",
     ]),
     NODES,
     st.integers(min_value=0, max_value=3),
@@ -46,14 +46,6 @@ def _apply(world, kind, node, level, client=None):
         # 30 ms and more outlast the 20 ms period: beats overtake in flight
         network.set_link("alpha", "beta",
                          latency=(0.2, 5.0, 30.0, 45.0)[level])
-    elif kind == "filter":
-        count = [0]
-
-        def every_third(message):
-            count[0] += 1
-            return None if count[0] % (level + 2) == 0 else message
-
-        network.add_delivery_filter(every_third)
     elif kind == "ping" and world.cluster.node(node).is_up:
         network.send(node, "beta" if node == "alpha" else "alpha", "app",
                      level, 64)
@@ -97,7 +89,7 @@ def test_deployed_pair_survives_any_fault_schedule_identically(seed, schedule):
 BARE = st.tuples(
     st.sampled_from([
         "ping", "ping", "crash", "restart", "loss", "partition", "heal",
-        "latency", "filter",
+        "latency",
     ]),
     NODES,
     st.integers(min_value=0, max_value=3),

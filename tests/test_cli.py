@@ -129,7 +129,7 @@ def test_cli_profile_prints_hot_spots(capsys):
 
 def test_cli_profile_campaign_reports_event_sources(capsys):
     assert main([
-        "profile", "campaign-sharded", "--missions", "4",
+        "profile", "campaign", "--missions", "4",
         "--requests", "3", "--top", "3",
     ]) == 0
     captured = capsys.readouterr()
@@ -194,6 +194,9 @@ def test_cli_experiment_errors_exit_2_without_a_traceback(
     ["gray-matrix", "--resources", "bogus"],
     ["gray-matrix", "--factors", "0.5"],
     ["gray-matrix", "--ftms", ","],
+    ["gray-matrix", "--slo-ms", "nan"],
+    ["gray-matrix", "--slo-ms", "0"],
+    ["gray-matrix", "--slo-ms", "-5"],
     ["bench", "--report"],
 ])
 def test_cli_malformed_flags_are_usage_errors(capsys, argv):
