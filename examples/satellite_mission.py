@@ -32,7 +32,7 @@ from repro.core import (
 )
 from repro.core.transition_graph import _ctx
 from repro.ftm import Client, deploy_ftm_pair, ftm_assembly
-from repro.kernel import Timeout, World
+from repro.kernel import Fault, Timeout, World
 
 
 def main() -> None:
@@ -76,7 +76,7 @@ def main() -> None:
         assert pair.ftm == "pbr+tr"
 
         # a real bit flip hits the payload computer: TR masks it
-        world.faults.arm_transient("obc-a", probability=1.0, budget=1)
+        world.faults.arm(Fault("value", "obc-a"))
         reply = yield from telemetry.request(("add", 1))
         assert reply.ok and reply.value == 4
         print(f"[{world.now:9.0f} ms] transient fault masked by TR "

@@ -460,10 +460,11 @@ def _positive_int(text: str) -> int:
 
 
 def _slowdown(text: str) -> float:
-    """argparse type for a slowdown factor: a float >= 1."""
+    """argparse type for a slowdown factor: a finite float >= 1."""
     value = float(text)
-    if not value >= 1.0:
-        raise argparse.ArgumentTypeError(f"slowdown factor must be >= 1, got {text}")
+    if not 1.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"slowdown factor must be >= 1 and finite, got {text}")
     return value
 
 

@@ -63,7 +63,7 @@ def mission_task(seed: int, requests: int = 30) -> WorldTask:
     from repro.app.workloads import constant
     from repro.core.adaptation_engine import AdaptationEngine
     from repro.ftm import Client, deploy_ftm_pair
-    from repro.kernel import Timeout, World, WorldTask
+    from repro.kernel import Fault, Timeout, World, WorldTask
 
     world = World(seed=seed)
     world.add_nodes(["alpha", "beta", "client"])
@@ -84,26 +84,22 @@ def mission_task(seed: int, requests: int = 30) -> WorldTask:
         # randomised adversity, scheduled inside the workload window
         span = requests * 120.0
         victim = rng.choice(["alpha", "beta"])
-        world.faults.schedule_crash(
-            world.cluster.node(victim), at=world.now + rng.uniform(0.3, 0.7) * span
-        )
+        crash = Fault("crash", victim,
+                      start=world.now + rng.uniform(0.3, 0.7) * span)
         # isolated transient faults (the TR fault model: at most one fault
         # per request) — separate single-shot windows, far enough apart
-        # that they always hit different requests
+        # that they always hit different requests; bounded, so a shot
+        # that finds its node idle (e.g. a backup that computes nothing)
+        # expires instead of double-striking the first request after a
+        # promotion
         fault_node = rng.choice(["alpha", "beta"])
         first_fault = world.now + rng.uniform(0.1, 0.2) * span
-        for shot in range(rng.randint(1, 2)):
-            # bounded window: a shot that finds its node idle (e.g. a
-            # backup that computes nothing) expires instead of lingering
-            # and double-striking the first request after a promotion
-            start = first_fault + shot * 900.0
-            world.faults.arm_transient(
-                fault_node,
-                probability=1.0,
-                start=start,
-                end=start + 400.0,
-                budget=1,
-            )
+        starts = [first_fault + shot * 900.0
+                  for shot in range(rng.randint(1, 2))]
+        world.faults.arm(crash, *(
+            Fault("value", fault_node, start=start, end=start + 400.0)
+            for start in starts
+        ))
         target = rng.choice(["lfr+tr", "pbr+tr", "a+pbr"])
 
         def adapt():

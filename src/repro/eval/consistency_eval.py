@@ -11,10 +11,9 @@ This harness turns each claim into a counted experiment over ``runs``
 seeded repetitions.
 
 Fault injection goes through the one injection API,
-``FaultInjector.arm_transition_fault("script", "corrupt", node=...)`` —
-the same call the transition-survival matrix
-(:mod:`repro.eval.transition_matrix`) drives across every phase × kind
-combination.
+``FaultInjector.arm(Fault("corrupt", node, phase="script"))`` — the same
+call the transition-survival matrix (:mod:`repro.eval.transition_matrix`)
+drives across every phase × kind combination.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.eval.format import render_table
 from repro.exp import ExperimentSpec, ResultStore, Trial
 from repro.exp import run as run_experiment
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World
+from repro.kernel import Fault, Timeout, World
 
 
 def _run_one(seed: int) -> Dict:
@@ -64,7 +63,7 @@ def _run_one(seed: int) -> Dict:
         world.sim.spawn(during())
 
         # transition with a script failure injected on the slave
-        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        world.faults.arm(Fault("corrupt", "beta", phase="script"))
         report = yield from engine.transition("lfr")
         outcome["killed_replica"] = any(r.killed for r in report.replicas)
 

@@ -185,12 +185,10 @@ def gray_task(
         SystemManager,
     )
     from repro.ftm import Client, deploy_ftm_pair
-    from repro.kernel import Timeout, World, WorldTask
+    from repro.kernel import Fault, Timeout, World, WorldTask
 
-    if resource not in SLOW_RESOURCES:
-        raise ValueError(
-            f"unknown slow resource {resource!r}; pick from {SLOW_RESOURCES}"
-        )
+    # a window open since t=0: armed at the limp's start, it fires at once
+    limp = Fault("slow", "alpha", resource=resource, factor=factor)
     world = World(seed=seed)
     world.add_nodes(["alpha", "beta", "client"])
     outcome = GrayOutcome(seed=seed, ftm=ftm, resource=resource,
@@ -220,9 +218,7 @@ def gray_task(
         yield from constant(world, client, count=warmup,
                             period_ms=period_ms, result=result)
         limp_start = world.now
-        world.faults.arm_slow(
-            world.cluster.node("alpha"), resource, factor, start=limp_start
-        )
+        world.faults.arm(limp)
         yield from constant(world, client, count=requests - warmup,
                             period_ms=period_ms, result=result)
         yield Timeout(500.0)  # let the last probe window close

@@ -53,7 +53,7 @@ from repro.exp import run as run_experiment
 from repro.vocabulary import TRANSITION_FAULT_KINDS, TRANSITION_PHASES
 
 if TYPE_CHECKING:
-    from repro.kernel import World, WorldTask
+    from repro.kernel import WorldTask
 
 #: The FTM transitions the matrix exercises (differential neighbours).
 TRANSITIONS = (("pbr", "lfr"), ("pbr", "lfr+tr"), ("lfr", "lfr+tr"))
@@ -109,27 +109,6 @@ class CellOutcome:
     reintegrations: int = 0
 
 
-def _arm(world: World, phase: str, kind: str) -> None:
-    """Arm the cell's fault against FAULTED_NODE via the first-class hook."""
-    if kind == "omission":
-        world.faults.arm_transition_fault(
-            phase, kind, node=FAULTED_NODE, probability=OMISSION_RATE
-        )
-    elif kind == "slow":
-        world.faults.arm_transition_fault(
-            phase, kind, node=FAULTED_NODE,
-            resource=SLOW_RESOURCE_BY_PHASE[phase], factor=SLOW_FACTOR,
-        )
-    elif phase == "script" and kind == "crash":
-        # crashes on the script path land at a statement boundary: the
-        # transaction rolls back before the fail-silent wrapper kills
-        world.faults.arm_transition_fault(
-            phase, kind, node=FAULTED_NODE, at_statement=1
-        )
-    else:
-        world.faults.arm_transition_fault(phase, kind, node=FAULTED_NODE)
-
-
 def cell_task(
     seed: int, source: str, target: str, fault: str, requests: int = 20
 ) -> WorldTask:
@@ -143,7 +122,7 @@ def cell_task(
     from repro.core.adaptation_engine import AdaptationEngine
     from repro.core.repository import Repository
     from repro.ftm import Client, deploy_ftm_pair
-    from repro.kernel import Timeout, World, WorldTask
+    from repro.kernel import Fault, Timeout, World, WorldTask
 
     world = World(seed=seed)
     world.add_nodes(["alpha", "beta", "client"])
@@ -163,7 +142,14 @@ def cell_task(
         )
         if fault != "none":
             phase, kind = fault.split("/")
-            _arm(world, phase, kind)
+            # a script-phase crash lands at a statement boundary: the
+            # transaction rolls back before the fail-silent wrapper kills
+            world.faults.arm(Fault(
+                kind, FAULTED_NODE, phase=phase,
+                statement=1 if (phase, kind) == ("script", "crash") else None,
+                probability=OMISSION_RATE if kind == "omission" else 1.0,
+                resource=SLOW_RESOURCE_BY_PHASE[phase], factor=SLOW_FACTOR,
+            ))
 
         span = requests * 120.0
         report_box = {}
@@ -185,8 +171,8 @@ def cell_task(
         outcome.final_ftm = pair.ftm
         outcome.replicas_alive = sum(1 for r in pair.replicas if r.alive)
         outcome.reintegrations = pair.reintegrations
-        outcome.faults_injected = sum(
-            world.faults.transition_faults_injected.values()
+        outcome.faults_injected = world.trace.count(
+            "fault", "transition_fault_injected"
         )
         outcome.corrupt_detected = (
             world.trace.count("adaptation", "fetch_corrupt_detected")

@@ -29,8 +29,8 @@ from repro.kernel.faults import (
     TRANSITION_FAULT_KINDS,
     TRANSITION_PHASES,
     Corrupted,
+    Fault,
     FaultInjector,
-    FaultKind,
     bit_flip,
 )
 from repro.kernel.network import Link, Message, Network
@@ -76,8 +76,8 @@ __all__ = [
     "TRANSITION_FAULT_KINDS",
     "TRANSITION_PHASES",
     "Corrupted",
+    "Fault",
     "FaultInjector",
-    "FaultKind",
     "bit_flip",
     "BeatMonitor",
     "BeatStream",

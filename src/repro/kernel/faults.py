@@ -17,17 +17,23 @@ Avizienis et al. taxonomy the paper cites):
   probes can tell it apart from a healthy one (the HDFS "limplock"
   failure mode).
 
+Every injected fault is data: one frozen :class:`Fault` record, armed
+through :meth:`FaultInjector.arm`, which compiles it onto the kernel —
+fire events for timed crashes and slowdowns, a window consulted on
+every computed result for value faults, and a listener on the
+transition path's announcements for the Sec. 5.3 phase-scoped faults.
+
 Value faults are injected at the *computation* boundary: application
 servers pass every computed result through
-:meth:`FaultInjector.filter_value`, which corrupts it when an armed fault
-campaign says so.  This mirrors how the paper's FTMs observe faults — TR
+:meth:`FaultInjector.filter_value`, which corrupts it when an armed value
+fault says so.  This mirrors how the paper's FTMs observe faults — TR
 compares two executions of the same request, Assertion checks a safety
 predicate on the output.
 """
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -39,37 +45,87 @@ from repro.vocabulary import (
     TRANSITION_PHASES,
 )
 
-
-class FaultKind(enum.Enum):
-    """The injectable fault classes (Table 1 vocabulary)."""
-
-    CRASH = "crash"
-    TRANSIENT_VALUE = "transient_value"
-    PERMANENT_VALUE = "permanent_value"
-    OMISSION = "omission"
-    SLOW = "slow"
+#: The fault kinds a simulated-time window can carry.
+TIMED_FAULT_KINDS = ("crash", "slow", "value")
 
 
-@dataclass
-class _ValueCampaign:
-    """An armed window of value-fault injection on one node."""
+@dataclass(frozen=True)
+class Fault:
+    """One injected fault: what strikes, on which node, and when.
 
-    kind: FaultKind
-    node: str
-    start: float
-    end: Optional[float]  # None = forever (permanent)
-    probability: float
-    injected: int = 0
-    budget: Optional[int] = None  # max number of corruptions, None = unlimited
+    *When* is a simulated-time window from ``start`` to ``end`` (``None``:
+    for ever), or — with ``phase`` set, one of :data:`TRANSITION_PHASES`
+    — the span of that phase of a transition on ``node`` (``None``: any
+    node).  ``kind`` is one of :data:`TIMED_FAULT_KINDS` for a window and
+    one of :data:`TRANSITION_FAULT_KINDS` for a phase:
 
-    def active(self, now: float) -> bool:
-        if now < self.start:
-            return False
-        if self.end is not None and now > self.end:
-            return False
-        if self.budget is not None and self.injected >= self.budget:
-            return False
-        return True
+    * ``crash`` — fail-stop the node at ``start``, or when the phase
+      starts (script phase: at the ``statement`` boundary, after the
+      transactional rollback — the fail-silent wrapper);
+    * ``slow`` — the node's ``resource`` (one of :data:`SLOW_RESOURCES`)
+      limps by ``factor`` over the window or while the phase runs, then
+      reverts byte-exactly (use power-of-two factors);
+    * ``value`` — each result the node computes in the window is
+      bit-flipped with ``probability``;
+    * ``corrupt`` — bit-flip the in-flight chunk payloads (fetch),
+      corrupt the unpacked payload so the checksum rejects it (deploy),
+      tamper the script so it must roll back (script), or fail the
+      residual cleanup (remove);
+    * ``omission`` — message loss at ``probability`` while the phase runs.
+
+    ``budget`` caps how often a value or phase-scoped fault strikes (by
+    default once; ``None``: no cap).  A value fault with no end, no cap
+    and ``probability`` 1 is *permanent*: it corrupts every result from
+    ``start`` on.  A record checks itself once, when built: a fault
+    that could never fire, or would only fail inside a running
+    simulation, raises :class:`ValueError` here.
+    """
+
+    kind: str
+    node: Optional[str] = None
+    start: float = 0.0
+    end: Optional[float] = None
+    phase: Optional[str] = None
+    statement: Optional[int] = None
+    probability: float = 1.0
+    budget: Optional[int] = 1
+    resource: str = "cpu"
+    factor: float = 8.0
+
+    def __post_init__(self) -> None:
+        timed = self.phase is None
+        for broken, why in (
+            (not timed and self.phase not in TRANSITION_PHASES,
+             f"unknown transition phase {self.phase!r}"),
+            (self.kind not in (TIMED_FAULT_KINDS if timed
+                               else TRANSITION_FAULT_KINDS),
+             f"a {'timed' if timed else self.phase} fault cannot be "
+             f"{self.kind!r}"),
+            (timed and self.node is None, "a timed fault needs a node"),
+            (not timed and (self.start != 0.0 or self.end is not None),
+             "a phase-scoped fault has no time window"),
+            (self.end is not None and not self.end >= self.start,
+             f"fault window ends before it starts: start={self.start!r}, "
+             f"end={self.end!r}"),
+            (self.kind == "crash" and self.end is not None,
+             "a crash has no end"),
+            (self.statement is not None
+             and ((self.phase, self.kind) != ("script", "crash")
+                  or not self.statement >= 0),
+             f"statement={self.statement!r} needs a script-phase crash "
+             f"and an index >= 0"),
+            (not 0.0 <= self.probability <= 1.0,
+             f"fault probability must be in [0, 1], got {self.probability!r}"),
+            (self.budget is not None and not self.budget >= 1,
+             f"fault budget must be >= 1 or None, got {self.budget!r}"),
+            (self.resource not in SLOW_RESOURCES,
+             f"unknown slow resource {self.resource!r} "
+             f"(one of {SLOW_RESOURCES})"),
+            (not 1.0 <= self.factor < math.inf,
+             f"slowdown factor must be >= 1 and finite, got {self.factor!r}"),
+        ):
+            if broken:
+                raise ValueError(why)
 
 
 def bit_flip(value: Any, bit: int) -> Any:
@@ -125,84 +181,94 @@ class Corrupted:
         return f"<Corrupted {self.original!r}>"
 
 
-@dataclass
-class _TransitionFault:
-    """One armed phase-scoped fault on the transition path.
-
-    ``node=None`` matches any node; ``at_statement`` (script phase only)
-    pins a crash to one statement boundary; ``probability`` is the
-    omission rate applied while the faulted phase runs.
-    """
-
-    phase: str
-    kind: str
-    node: Optional[str]
-    at_statement: Optional[int] = None
-    probability: float = 1.0
-    budget: int = 1
-    fired: int = 0
-    resource: str = "cpu"  # slow faults only: which resource limps
-    factor: float = 8.0  # slow faults only: the slowdown multiplier
-
-    def matches(self, phase: str, node: str, kind: str,
-                statement: Optional[int]) -> bool:
-        if self.fired >= self.budget:
-            return False
-        if self.phase != phase or self.kind != kind:
-            return False
-        if self.node is not None and self.node != node:
-            return False
-        if self.at_statement is not None and statement != self.at_statement:
-            return False
-        return True
-
-
 class FaultInjector:
     """Central fault-injection authority for one simulation."""
 
-    def __init__(self, sim: Simulator, trace: Trace):
+    def __init__(self, sim: Simulator, trace: Trace, cluster, network):
         self.sim = sim
         self.trace = trace
-        self.network = None  # wired by World; needed for link slowdowns
-        self._campaigns: List[_ValueCampaign] = []
-        self._transition_faults: List[_TransitionFault] = []
+        self.cluster = cluster  # timed faults strike nodes by name
+        self.network = network  # link slowdowns and omission windows
+        #: armed value faults: [fault, spent budget, traced kind]
+        self._values: List[list] = []
+        #: armed phase-scoped faults: [fault, spent budget]
+        self._phased: List[list] = []
         #: what each running phase opened and must close: (phase, node) -> closers
         self._windows: Dict[tuple, list] = {}
         #: open omission windows per scope: [base loss, *window probabilities]
         self._loss_windows: Dict[Optional[tuple], List[float]] = {}
         self._rand = sim.random.substream("faults")
-        self.injected_counts: Dict[FaultKind, int] = {kind: 0 for kind in FaultKind}
-        self.transition_faults_injected: Dict[str, int] = {}
 
-    # -- crash faults -------------------------------------------------------------
+    def arm(self, *faults: Fault) -> None:
+        """Arm each fault, in order, and trace it.
 
-    def _schedule_fault(self, delay: float, fire) -> None:
+        A timed crash or slowdown schedules its fire events (the fault
+        bucket of ``Simulator.events_by_source``); a value fault joins
+        the windows :meth:`filter_value` consults; a phase-scoped fault
+        joins those the transition path's announcements are matched
+        against (:meth:`_on_boundary`, registered with the first one).
+        Nothing on the transition path consults the injector: the
+        Adaptation Engine and the script interpreter announce
+        (:meth:`Trace.announce`) and the injector *listens*.
+        """
+        for fault in faults:
+            if fault.phase is not None:
+                if not self._phased:  # until now nobody had to listen
+                    self.trace.listen(self._on_boundary)
+                self._phased.append([fault, 0])
+                self.trace.record(
+                    "fault", "arm_transition_fault",
+                    phase=fault.phase, kind=fault.kind, node=fault.node,
+                )
+            elif fault.kind == "value":
+                sure = (fault.end, fault.budget, fault.probability)
+                label = ("permanent" if sure == (None, None, 1.0)
+                         else "transient")
+                self._values.append([fault, 0, f"{label}_value"])
+                self.trace.record("fault", f"arm_{label}", node=fault.node,
+                                  probability=fault.probability)
+            else:
+                self._arm_timed(fault)
+
+    def _arm_timed(self, fault: Fault) -> None:
+        """Schedule a timed crash, or a slowdown's apply and revert."""
+        node, now = self.cluster.node(fault.node), self.sim.now
+        if fault.kind == "crash":
+            self._schedule_fault(max(0.0, fault.start - now), self._crash, node)
+            return
+        reverts = []
+        self._schedule_fault(
+            max(0.0, fault.start - now),
+            lambda: reverts.append(
+                self._limp(node, fault.resource, fault.factor)
+            ),
+        )
+        if fault.end is not None:
+            self._schedule_fault(
+                max(0.0, fault.end - now), lambda: reverts.pop()()
+            )
+        self.trace.record(
+            "fault", "arm_slow",
+            node=node.name, resource=fault.resource, factor=fault.factor,
+        )
+
+    def _schedule_fault(self, delay: float, fire, *args) -> None:
         """Schedule an injector callback, attributed to the fault bucket
         of ``Simulator.events_by_source``."""
         self.sim._ev_fault += 1
-        self.sim.schedule(delay, fire)
+        self.sim.schedule(delay, fire, *args)
 
-    def schedule_crash(self, node, at: float, restart_after: Optional[float] = None):
-        """Crash ``node`` at absolute time ``at`` (optionally restart later)."""
+    def _crash(self, node) -> None:
+        """Fire a timed crash."""
+        self.trace.record("fault", "crash_injected", node=node.name)
+        node.crash()
 
-        def fire() -> None:
-            self.injected_counts[FaultKind.CRASH] += 1
-            self.trace.record("fault", "crash_injected", node=node.name)
-            node.crash()
-            if restart_after is not None:
-                node.schedule_restart(restart_after)
-
-        delay = max(0.0, at - self.sim.now)
-        self._schedule_fault(delay, fire)
-
-    # -- slow (gray) faults ---------------------------------------------------------
-    #
     # A limping resource, not a dead one.  Slowdowns are multiplicative so
-    # they compose: two armed campaigns on the same resource stack, and
-    # reverts restore the exact original speed in any order (use power-of-
-    # two factors for bit-exact float round-trips).
+    # they compose: two slowdowns of the same resource stack, and reverts
+    # restore the exact original speed in any order (use power-of-two
+    # factors for bit-exact float round-trips).
 
-    def apply_slow(self, node, resource: str, factor: float):
+    def _limp(self, node, resource: str, factor: float):
         """Degrade one of ``node``'s resources *now* by ``factor``.
 
         Returns a revert callback restoring the original speed.  ``cpu``
@@ -211,12 +277,6 @@ class FaultInjector:
         ``link`` multiplies latency / divides bandwidth on every link
         touching the node (both directions).
         """
-        if resource not in SLOW_RESOURCES:
-            raise ValueError(
-                f"unknown slow resource {resource!r} (one of {SLOW_RESOURCES})"
-            )
-        if not factor >= 1.0:
-            raise ValueError(f"slowdown factor must be >= 1, got {factor!r}")
         if resource == "cpu":
             node.cpu_speed /= factor
 
@@ -230,8 +290,6 @@ class FaultInjector:
                 node.disk_speed *= factor
 
         else:  # link
-            if self.network is None:
-                raise RuntimeError("link slowdowns need faults.network wired")
             links = self.network.links_touching(node.name)
             for link in links:
                 link.latency *= factor
@@ -242,17 +300,12 @@ class FaultInjector:
                     link.latency /= factor
                     link.bandwidth *= factor
 
-        self.injected_counts[FaultKind.SLOW] += 1
         self.trace.record(
             "fault", "slow_applied",
             node=node.name, resource=resource, factor=factor,
         )
-        reverted = [False]
 
         def revert() -> None:
-            if reverted[0]:
-                return
-            reverted[0] = True
             undo()
             self.trace.record(
                 "fault", "slow_reverted",
@@ -261,235 +314,44 @@ class FaultInjector:
 
         return revert
 
-    def arm_slow(
-        self,
-        node,
-        resource: str,
-        factor: float,
-        start: float = 0.0,
-        duration: Optional[float] = None,
-    ) -> None:
-        """Arm a gray failure: ``node``'s ``resource`` limps by ``factor``.
-
-        The slowdown applies at absolute time ``start`` and reverts after
-        ``duration`` ms (``None`` = the resource limps forever).  The host
-        never goes down — heartbeats keep flowing — so only the Monitoring
-        Engine's latency-percentile probes can see it.  Composable with
-        crash/value/omission campaigns and with other slowdowns.
-        """
-        if resource not in SLOW_RESOURCES:
-            raise ValueError(
-                f"unknown slow resource {resource!r} (one of {SLOW_RESOURCES})"
-            )
-        if not factor >= 1.0:
-            raise ValueError(f"slowdown factor must be >= 1, got {factor!r}")
-        if duration is not None and duration < 0:
-            raise ValueError(f"slow duration must be >= 0, got {duration!r}")
-        state = {"revert": None}
-
-        def fire_apply() -> None:
-            state["revert"] = self.apply_slow(node, resource, factor)
-
-        self._schedule_fault(max(0.0, start - self.sim.now), fire_apply)
-        if duration is not None:
-
-            def fire_revert() -> None:
-                if state["revert"] is not None:
-                    state["revert"]()
-                    state["revert"] = None
-
-            self._schedule_fault(
-                max(0.0, start + duration - self.sim.now), fire_revert
-            )
-        self.trace.record(
-            "fault", "arm_slow",
-            node=node.name, resource=resource, factor=factor,
-        )
-
-    # -- value faults -----------------------------------------------------------------
-
-    def arm_transient(
-        self,
-        node_name: str,
-        probability: float,
-        start: float = 0.0,
-        end: Optional[float] = None,
-        budget: Optional[int] = None,
-    ) -> None:
-        """Arm a window of transient value faults on a node's computations."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(
-                f"transient fault probability must be in [0, 1], "
-                f"got {probability!r}"
-            )
-        if end is not None and end < start:
-            raise ValueError(
-                f"transient window has negative duration: "
-                f"start={start!r}, end={end!r}"
-            )
-        self._campaigns.append(
-            _ValueCampaign(
-                kind=FaultKind.TRANSIENT_VALUE,
-                node=node_name,
-                start=start,
-                end=end,
-                probability=probability,
-                budget=budget,
-            )
-        )
-        self.trace.record(
-            "fault", "arm_transient", node=node_name, probability=probability
-        )
-
-    def arm_permanent(self, node_name: str, start: float = 0.0) -> None:
-        """From ``start`` on, every computation on the node is corrupted."""
-        self._campaigns.append(
-            _ValueCampaign(
-                kind=FaultKind.PERMANENT_VALUE,
-                node=node_name,
-                start=start,
-                end=None,
-                probability=1.0,
-            )
-        )
-        self.trace.record("fault", "arm_permanent", node=node_name)
-
-    def disarm(self, node_name: str) -> None:
-        """Cancel all value-fault campaigns on a node (hardware replaced)."""
-        self._campaigns = [c for c in self._campaigns if c.node != node_name]
-        self.trace.record("fault", "disarm", node=node_name)
-
     def filter_value(self, node_name: str, value: Any) -> Any:
-        """Pass a computation result through the armed campaigns.
+        """Pass a computation result through the armed value faults.
 
-        Transient campaigns corrupt *this one result* with their
-        probability; permanent campaigns corrupt every result.  Each
-        corruption is an independent bit flip.
+        Each live window on the node, in arming order, corrupts *this one
+        result* with its probability (a permanent fault: every result);
+        the first that strikes wins.  Each corruption is an independent
+        bit flip.
         """
-        for campaign in self._campaigns:
-            if campaign.node != node_name or not campaign.active(self.sim.now):
+        for armed in self._values:
+            fault, spent, kind = armed
+            now = self.sim.now
+            if (fault.node != node_name or now < fault.start
+                    or (fault.end is not None and now > fault.end)
+                    or (fault.budget is not None and spent >= fault.budget)
+                    or not self._rand.chance(fault.probability)):
                 continue
-            if not self._rand.chance(campaign.probability):
-                continue
-            campaign.injected += 1
-            self.injected_counts[campaign.kind] += 1
+            armed[1] = spent + 1
             bit = self._rand.randint(0, 30)
-            corrupted = bit_flip(value, bit)
             self.trace.record(
-                "fault",
-                "value_injected",
-                node=node_name,
-                kind=campaign.kind.value,
-                bit=bit,
+                "fault", "value_injected", node=node_name, kind=kind, bit=bit
             )
-            return corrupted
+            return bit_flip(value, bit)
         return value
-
-    def has_active_campaign(self, node_name: str) -> bool:
-        """Is any value-fault campaign currently live on the node?"""
-        return any(
-            c.node == node_name and c.active(self.sim.now) for c in self._campaigns
-        )
-
-    # -- omission faults -----------------------------------------------------------
-
-    def set_omission_rate(self, network, probability: float) -> None:
-        """Inject omission faults: network-wide message loss."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(
-                f"omission probability must be in [0, 1], got {probability!r}"
-            )
-        network.set_loss_probability(probability)
-        self.trace.record("fault", "omission_rate", probability=probability)
-
-    def set_link_omission_rate(
-        self, network, source: str, destination: str, probability: float
-    ) -> None:
-        """Inject omission faults on one link only (e.g. the repository link)."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(
-                f"omission probability must be in [0, 1], got {probability!r}"
-            )
-        network.set_link_loss(source, destination, probability)
-        self.trace.record(
-            "fault", "link_omission_rate",
-            source=source, destination=destination, probability=probability,
-        )
 
     # -- phase-scoped transition faults ----------------------------------------------
 
-    def arm_transition_fault(
-        self,
-        phase: str,
-        kind: str,
-        node: Optional[str] = None,
-        at_statement: Optional[int] = None,
-        probability: float = 1.0,
-        budget: int = 1,
-        resource: str = "cpu",
-        factor: float = 8.0,
-    ) -> None:
-        """Arm a fault against one phase of the transition path.
-
-        ``phase`` is one of :data:`TRANSITION_PHASES`, ``kind`` one of
-        :data:`TRANSITION_FAULT_KINDS`.  Nothing on the transition path
-        consults the injector: the Adaptation Engine and the script
-        interpreter announce their phase boundaries and crossings
-        (:meth:`Trace.announce`) and the injector *listens*
-        (:meth:`_on_boundary`) — this is the single injection API behind
-        the Sec. 5.3 consistency experiments and the transition-survival
-        matrix.  Semantics by kind:
-
-        * ``crash`` — fail-stop the transitioning node when the phase
-          starts (script phase: at the ``at_statement`` boundary, after
-          the transactional rollback — the fail-silent wrapper);
-        * ``corrupt`` — bit-flip the in-flight chunk payloads (fetch),
-          corrupt the unpacked payload so the checksum rejects it
-          (deploy), tamper the script so it must roll back (script), or
-          fail the residual cleanup (remove);
-        * ``omission`` — message loss at ``probability`` while the phase
-          runs;
-        * ``slow`` — the transitioning node's ``resource`` (one of
-          :data:`SLOW_RESOURCES`) limps by ``factor`` while the phase
-          runs (gray failure: degraded, never dead).
-        """
-        if phase not in TRANSITION_PHASES:
-            raise ValueError(f"unknown transition phase {phase!r}")
-        if kind not in TRANSITION_FAULT_KINDS:
-            raise ValueError(f"unknown transition fault kind {kind!r}")
-        if kind == "slow" and resource not in SLOW_RESOURCES:
-            raise ValueError(
-                f"unknown slow resource {resource!r} (one of {SLOW_RESOURCES})"
-            )
-        if not self._transition_faults:  # until now nobody had to listen
-            self.trace.listen(self._on_boundary)
-        self._transition_faults.append(
-            _TransitionFault(
-                phase=phase,
-                kind=kind,
-                node=node,
-                at_statement=at_statement,
-                probability=probability,
-                budget=budget,
-                resource=resource,
-                factor=factor,
-            )
-        )
-        self.trace.record(
-            "fault", "arm_transition_fault", phase=phase, kind=kind, node=node
-        )
-
-    def _take(self, boundary: Boundary, kind: str) -> Optional[_TransitionFault]:
+    def _take(self, boundary: Boundary, kind: str) -> Optional[Fault]:
         """Spend one unit of the first armed fault of ``kind`` the
         announced boundary matches; ``None`` when nothing matches."""
         node = boundary.node.name
-        for fault in self._transition_faults:
-            if fault.matches(boundary.phase, node, kind, boundary.index):
-                fault.fired += 1
-                key = f"{fault.phase}/{kind}"
-                self.transition_faults_injected[key] = (
-                    self.transition_faults_injected.get(key, 0) + 1
-                )
+        for armed in self._phased:
+            fault, spent = armed
+            if (fault.phase == boundary.phase and fault.kind == kind
+                    and (fault.budget is None or spent < fault.budget)
+                    and (fault.node is None or fault.node == node)
+                    and (fault.statement is None
+                         or fault.statement == boundary.index)):
+                armed[1] = spent + 1
                 self.trace.record(
                     "fault", "transition_fault_injected",
                     phase=fault.phase, kind=kind, node=node,
@@ -499,7 +361,7 @@ class FaultInjector:
 
     def _on_boundary(self, boundary: Boundary) -> None:
         """The injector's one listener on the transition path, registered
-        with the first fault armed.
+        with the first phase-scoped fault armed.
 
         Crash on ``enter`` (script phase: fail the ``statement`` boundary
         instead, so the transaction rolls back before the fail-silent
@@ -515,7 +377,7 @@ class FaultInjector:
             closers = self._windows.setdefault((boundary.phase, node.name), [])
             slow = self._take(boundary, "slow")
             if slow is not None:
-                closers.append(self.apply_slow(node, slow.resource, slow.factor))
+                closers.append(self._limp(node, slow.resource, slow.factor))
             omission = self._take(boundary, "omission")
             if omission is not None:
                 closers.append(self._open_loss_window(

@@ -83,8 +83,8 @@ class Node:
         self.cpu_speed = cpu_speed
         #: Relative storage speed: disk-heavy costs (checkpoint capture /
         #: apply, package unpack / remove / checksum) divide by it.  A
-        #: limping disk (gray failure) drops it below 1.0 via
-        #: :meth:`FaultInjector.apply_slow`; the node itself stays up.
+        #: limping disk (gray failure) drops it below 1.0 via a ``slow``
+        #: :class:`Fault`; the node itself stays up.
         self.disk_speed = 1.0
         #: Plain attribute, not a property: the message path reads it on
         #: every send/deliver, so crash/restart maintain it directly.
@@ -208,14 +208,6 @@ class Node:
         self.trace.record("node", "restart", node=self.name)
         for hook in list(self._restart_hooks):
             hook(self)
-
-    def schedule_crash(self, delay: float) -> None:
-        """Crash this node ``delay`` ms from now."""
-        self.sim.schedule(delay, self.crash)
-
-    def schedule_restart(self, delay: float) -> None:
-        """Restart this node ``delay`` ms from now."""
-        self.sim.schedule(delay, self.restart)
 
 
 class Cluster:

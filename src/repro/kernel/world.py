@@ -36,8 +36,7 @@ class World:
         self.costs = costs
         self.cluster = Cluster(sim, self.trace, costs)
         self.network = Network(sim, self.trace, costs)
-        self.faults = FaultInjector(sim, self.trace)
-        self.faults.network = self.network  # link slowdowns need the links
+        self.faults = FaultInjector(sim, self.trace, self.cluster, self.network)
         self.storage = StableStorage(self.trace, clock=lambda: sim.now)
         self.seed = seed
         #: Per-node component runtimes (see :meth:`runtime_for`), by name.

@@ -10,7 +10,7 @@ re-export them.
 #: Canonical FTM names, in the order the paper's Table 3 lists them.
 FTM_NAMES = ("pbr", "lfr", "pbr+tr", "lfr+tr", "a+pbr", "a+lfr")
 
-#: The resources :meth:`FaultInjector.arm_slow` can degrade.
+#: The resources a ``slow`` :class:`~repro.kernel.faults.Fault` can degrade.
 SLOW_RESOURCES = ("cpu", "link", "disk")
 
 #: The four phases of the resilient transition path that accept faults.

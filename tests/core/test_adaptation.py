@@ -7,7 +7,7 @@ from repro.core import AdaptationEngine, Repository, build_package
 from repro.core.repository import catalogue_package
 from repro.ftm import FTM_NAMES, Client, UnknownFTM, deploy_ftm_pair, ftm_assembly
 from repro.ftm import PbrSyncAfter, variable_feature_distance
-from repro.kernel import Timeout, World
+from repro.kernel import Fault, Timeout, World
 
 
 def make_world(seed=40):
@@ -120,8 +120,8 @@ def test_script_corruption_in_one_world_leaves_the_shared_package_intact():
     world_a = make_world(seed=41)
     pair_a = deploy(world_a, "pbr")
     engine_a = AdaptationEngine(world_a, pair_a)
-    world_a.faults.arm_transition_fault("script", "corrupt", node="alpha")
-    world_a.faults.arm_transition_fault("script", "corrupt", node="beta")
+    world_a.faults.arm(Fault("corrupt", "alpha", phase="script"))
+    world_a.faults.arm(Fault("corrupt", "beta", phase="script"))
     report_a = world_a.run_process(engine_a.transition("lfr"), name="tampered")
     assert report_a.degraded
     rolled_back = world_a.trace.select("script", "rollback")
@@ -343,7 +343,7 @@ def test_script_failure_kills_replica_and_survivor_continues():
     client = Client(world, world.cluster.node("client"), "c1", pair.node_names())
 
     def scenario():
-        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        world.faults.arm(Fault("corrupt", "beta", phase="script"))
         report = yield from engine.transition("lfr")
         yield Timeout(300.0)  # let the FD notice the kill
         reply = yield from client.request(("add", 3))
@@ -369,7 +369,7 @@ def test_script_failure_on_both_replicas_degrades_transition():
     world.cluster.node("alpha").crash()
 
     def scenario():
-        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        world.faults.arm(Fault("corrupt", "beta", phase="script"))
         report = yield from engine.transition("lfr")
         return report
 
@@ -390,7 +390,7 @@ def test_crashed_mid_transition_replica_recovers_in_target_config():
     engine = AdaptationEngine(world, pair)
 
     def scenario():
-        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        world.faults.arm(Fault("corrupt", "beta", phase="script"))
         report = yield from engine.transition("lfr")
         yield Timeout(8_000.0)  # restart + redeploy + reintegration
         return report

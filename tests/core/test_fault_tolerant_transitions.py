@@ -19,7 +19,7 @@ from repro.core import (
 from repro.core.parameters import SystemContext
 from repro.core.transition import package_blob, package_checksum
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World
+from repro.kernel import Fault, Timeout, World
 
 pytestmark = []
 
@@ -131,12 +131,8 @@ def test_transitions_converge_under_repository_link_loss(loss):
         def scenario():
             pair = yield from deploy_ftm_pair(world, "pbr", ["alpha", "beta"])
             repo = attach_repo(world)
-            world.faults.set_link_omission_rate(
-                world.network, "alpha", "repository", loss
-            )
-            world.faults.set_link_omission_rate(
-                world.network, "beta", "repository", loss
-            )
+            world.network.set_link_loss("alpha", "repository", loss)
+            world.network.set_link_loss("beta", "repository", loss)
             engine = AdaptationEngine(world, pair, repo)
             client = Client(
                 world, world.cluster.node("client"), "c1", pair.node_names(),
@@ -171,7 +167,7 @@ def test_backoff_retries_are_traced_and_bounded():
     world = make_world(seed=61)
     pair = deploy(world)
     repo = attach_repo(world)
-    world.faults.set_link_omission_rate(world.network, "beta", "repository", 0.4)
+    world.network.set_link_loss("beta", "repository", 0.4)
     engine = AdaptationEngine(world, pair, repo)
 
     def do():
@@ -200,7 +196,7 @@ def test_corrupted_fetch_detected_and_refetched():
     world = make_world(seed=62)
     pair = deploy(world)
     repo = attach_repo(world)
-    world.faults.arm_transition_fault("fetch", "corrupt", node="beta")
+    world.faults.arm(Fault("corrupt", "beta", phase="fetch"))
     engine = AdaptationEngine(world, pair, repo)
 
     def do():
@@ -221,9 +217,7 @@ def test_permanently_corrupted_fetch_never_installs(monkeypatch):
     pair = deploy(world)
     repo = attach_repo(world)
     # tamper every chunk every time: the integrity budget must exhaust
-    world.faults.arm_transition_fault(
-        "fetch", "corrupt", node=None, budget=10_000
-    )
+    world.faults.arm(Fault("corrupt", phase="fetch", budget=10_000))
     engine = AdaptationEngine(world, pair, repo)
 
     def do():
@@ -324,8 +318,8 @@ def test_quarantine_reintegrates_replicas_without_pair_recovery():
     assert pair.recovery_enabled is False
     # tamper the script on BOTH replicas: the transition fails everywhere,
     # the fail-silent wrapper kills both
-    world.faults.arm_transition_fault("script", "corrupt", node="alpha")
-    world.faults.arm_transition_fault("script", "corrupt", node="beta")
+    world.faults.arm(Fault("corrupt", "alpha", phase="script"),
+                     Fault("corrupt", "beta", phase="script"))
 
     def do():
         report = yield from engine.transition("lfr")
@@ -350,9 +344,7 @@ def test_divergent_replica_is_fail_silenced_and_recovered():
     pair.enable_recovery(restart_delay=300.0)
     repo = attach_repo(world)
     # beta's fetch is permanently corrupted; alpha's is clean
-    world.faults.arm_transition_fault(
-        "fetch", "corrupt", node="beta", budget=10_000
-    )
+    world.faults.arm(Fault("corrupt", "beta", phase="fetch", budget=10_000))
     engine = AdaptationEngine(world, pair, repo)
 
     def do():

@@ -15,7 +15,7 @@ from repro.core.consistency import evaluate_ftm
 from repro.core.preprogrammed import preprogrammed_assembly
 from repro.core.transition_graph import _ctx
 from repro.ftm import Client, FTMPair, deploy_ftm_pair, ftm_assembly
-from repro.kernel import World
+from repro.kernel import Fault, World
 
 
 def make_world(seed=50):
@@ -93,7 +93,7 @@ def test_error_observer_detects_transient_fault_pattern():
     monitoring = MonitoringEngine(world, ["alpha", "beta"])
     monitoring.start()
     client = Client(world, world.cluster.node("client"), "c1", pair.node_names())
-    world.faults.arm_transient("alpha", probability=1.0, budget=4)
+    world.faults.arm(Fault("value", "alpha", budget=4))
 
     def workload():
         for _ in range(4):

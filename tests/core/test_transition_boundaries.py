@@ -24,7 +24,7 @@ import pytest
 
 from repro.core import AdaptationEngine, Repository
 from repro.ftm import deploy_ftm_pair
-from repro.kernel import World
+from repro.kernel import Fault, World
 from tests.golden import transition_parity
 
 GOLDEN = json.loads(transition_parity.GOLDEN_PATH.read_text())
@@ -170,9 +170,7 @@ def test_an_exhausted_fetch_leaves_through_its_boundary():
     world, pair, engine = _pair_world(hosted=True)
     stream = []
     world.trace.listen(stream.append)
-    world.faults.arm_transition_fault(
-        "fetch", "omission", node="beta", probability=1.0
-    )
+    world.faults.arm(Fault("omission", "beta", phase="fetch"))
     report = world.run_process(engine.transition("lfr"), name="transition")
     beta = next(r for r in report.replicas if r.node == "beta")
     assert "unanswered" in beta.error
@@ -188,7 +186,7 @@ def test_an_exhausted_fetch_leaves_through_its_boundary():
 def test_close_drops_the_streams_listeners():
     world, pair, engine = _pair_world(hosted=False)
     world.trace.listen(lambda boundary: None)
-    world.faults.arm_transition_fault("fetch", "slow")  # the injector listens too
+    world.faults.arm(Fault("slow", phase="fetch"))  # the injector listens too
     assert len(world.trace._listeners) == 2
     world.close()
     assert world.trace._listeners == []

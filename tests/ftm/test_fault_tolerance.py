@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World
+from repro.kernel import Fault, Timeout, World
 
 
 def make_world(seed=20):
@@ -36,7 +36,7 @@ def test_master_crash_failover_serves_all_requests(ftm):
     client = make_client(world, pair)
 
     # crash the master in the middle of the workload
-    world.faults.schedule_crash(world.cluster.node("alpha"), at=world.now + 2_000)
+    world.faults.arm(Fault("crash", "alpha", start=world.now + 2_000))
 
     def workload():
         replies = []
@@ -96,7 +96,7 @@ def test_failure_detector_latency_is_bounded():
     world = make_world()
     pair = deploy(world, "pbr", fd_period=20.0, fd_timeout=60.0)
     crash_at = world.now + 500.0
-    world.faults.schedule_crash(world.cluster.node("alpha"), at=crash_at)
+    world.faults.arm(Fault("crash", "alpha", start=crash_at))
     world.run(until=crash_at + 400.0)
     suspicion = world.trace.last("ftm", "peer_suspected")
     assert suspicion is not None
@@ -111,7 +111,7 @@ def test_tr_masks_transient_value_faults():
     pair = deploy(world, "pbr+tr")
     client = make_client(world, pair)
     # one guaranteed transient fault on the master's next computation
-    world.faults.arm_transient("alpha", probability=1.0, budget=1)
+    world.faults.arm(Fault("value", "alpha"))
 
     def workload():
         reply = yield from client.request(("add", 5))
@@ -127,7 +127,7 @@ def test_lfr_tr_follower_masks_its_own_transients():
     world = make_world()
     pair = deploy(world, "lfr+tr")
     client = make_client(world, pair)
-    world.faults.arm_transient("beta", probability=1.0, budget=1)
+    world.faults.arm(Fault("value", "beta"))
 
     def workload():
         reply = yield from client.request(("add", 5))
@@ -146,7 +146,7 @@ def test_plain_pbr_does_not_mask_value_faults():
     world = make_world()
     pair = deploy(world, "pbr")
     client = make_client(world, pair)
-    world.faults.arm_transient("alpha", probability=1.0, budget=1)
+    world.faults.arm(Fault("value", "alpha"))
 
     def workload():
         reply = yield from client.request(("add", 5))
@@ -164,7 +164,7 @@ def test_tr_repeated_faults_eventually_unmasked():
     # corrupt EVERY execution: 2-of-3 voting cannot find a pair... results
     # may coincide by chance; budget is generous so at least the error path
     # is exercised deterministically with this seed
-    world.faults.arm_permanent("alpha")
+    world.faults.arm(Fault("value", "alpha", budget=None))
 
     def workload():
         reply = yield from client.request(("add", 5))
@@ -193,7 +193,7 @@ def test_a_pbr_masks_permanent_fault_via_backup_reexecution():
         return reply
 
     # make the assertion bite: result must be < 1_000_000
-    world.faults.arm_permanent("alpha")
+    world.faults.arm(Fault("value", "alpha", budget=None))
 
     def workload2():
         reply = yield from client.request(("add", 5))
@@ -217,7 +217,7 @@ def test_a_pbr_assertion_failure_recovered_deterministically():
         pass
     pair = deploy(world, "a+pbr", assertion="exactly-five")
     client = make_client(world, pair)
-    world.faults.arm_transient("alpha", probability=1.0, budget=1)
+    world.faults.arm(Fault("value", "alpha"))
 
     def workload():
         reply = yield from client.request(("add", 5))

@@ -10,7 +10,7 @@ from repro.core import (
 )
 from repro.core.transition_graph import _ctx
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Timeout, World
+from repro.kernel import Fault, Timeout, World
 
 
 def build(seed=80, ftm="pbr", assertion="always-true"):
@@ -73,7 +73,7 @@ def test_crash_during_transition_under_load():
         yield Timeout(200.0)
         # the slave's reconfiguration script is tampered: it will be killed
         # mid-transition, the survivor completes, recovery reintegrates
-        world.faults.arm_transition_fault("script", "corrupt", node="beta")
+        world.faults.arm(Fault("corrupt", "beta", phase="script"))
         yield from engine.transition("lfr")
         yield loader
         yield Timeout(8_000.0)  # reintegration window
@@ -91,7 +91,7 @@ def test_value_faults_masked_across_a_transition():
     world, pair, client = build(seed=82, ftm="pbr+tr", assertion="counter-range")
     engine = AdaptationEngine(world, pair)
     # one guaranteed transient fault before the transition...
-    world.faults.arm_transient("alpha", probability=1.0, budget=1)
+    world.faults.arm(Fault("value", "alpha"))
     results = {}
 
     def load():
@@ -104,7 +104,7 @@ def test_value_faults_masked_across_a_transition():
         yield Timeout(400.0)
         yield from engine.transition("lfr+tr")
         # ... and one after it (TR must keep masking under the new FTM)
-        world.faults.arm_transient("alpha", probability=1.0, budget=1)
+        world.faults.arm(Fault("value", "alpha"))
         yield loader
 
     world.run_process(adapt(), name="adapt")

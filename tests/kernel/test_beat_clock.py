@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import BeatMonitor, BeatStream, Timeout, World
+from repro.kernel import BeatMonitor, BeatStream, Fault, Timeout, World
 from repro.kernel.errors import NodeDown
 
 from tests.golden import beat_parity
@@ -131,8 +131,8 @@ def test_partition_and_heal():
 def test_limping_node_stretches_beats_identically(resource):
     def scenario(world):
         _deploy(world)
-        beta = world.cluster.node("beta")
-        _at(world, 300.0, world.faults.apply_slow, beta, resource, 8.0)
+        world.faults.arm(Fault("slow", "beta", start=world.now + 300.0,
+                               resource=resource, factor=8.0))
         world.run(until=world.now + 1_500.0)
 
     _assert_parity(scenario)

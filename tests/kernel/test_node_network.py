@@ -4,7 +4,7 @@ import pytest
 
 from repro.kernel import (
     Corrupted,
-    FaultKind,
+    Fault,
     NodeDown,
     NodeState,
     ProcessKilled,
@@ -69,7 +69,7 @@ def test_crash_kills_node_processes(world):
         reached.append("done")
 
     process = node.spawn(proc())
-    node.schedule_crash(5.0)
+    world.faults.arm(Fault("crash", "alpha", start=5.0))
     world.run()
     assert reached == []
     assert isinstance(process.exception, ProcessKilled)
@@ -219,14 +219,15 @@ def test_bit_flip_unknown_type_wrapped():
 
 def test_transient_campaign_corrupts_within_window(world):
     world.add_node("alpha")
-    world.faults.arm_transient("alpha", probability=1.0, start=0.0, end=100.0)
+    world.faults.arm(Fault("value", "alpha", start=0.0, end=100.0))
     assert world.faults.filter_value("alpha", 7) != 7
-    assert world.faults.injected_counts[FaultKind.TRANSIENT_VALUE] == 1
+    injected = world.trace.select("fault", "value_injected")
+    assert [r.detail("kind") for r in injected] == ["transient_value"]
 
 
 def test_transient_campaign_respects_budget(world):
     world.add_node("alpha")
-    world.faults.arm_transient("alpha", probability=1.0, budget=1)
+    world.faults.arm(Fault("value", "alpha"))
     assert world.faults.filter_value("alpha", 7) != 7
     assert world.faults.filter_value("alpha", 7) == 7
 
@@ -234,32 +235,17 @@ def test_transient_campaign_respects_budget(world):
 def test_campaign_does_not_hit_other_nodes(world):
     world.add_node("alpha")
     world.add_node("beta")
-    world.faults.arm_transient("alpha", probability=1.0)
+    world.faults.arm(Fault("value", "alpha", budget=None))
     assert world.faults.filter_value("beta", 7) == 7
 
 
 def test_permanent_campaign_corrupts_forever(world):
     world.add_node("alpha")
-    world.faults.arm_permanent("alpha", start=0.0)
+    world.faults.arm(Fault("value", "alpha", start=0.0, budget=None))
     corrupted = [world.faults.filter_value("alpha", 10) for _ in range(5)]
     assert all(value != 10 for value in corrupted)
-
-
-def test_disarm_stops_campaigns(world):
-    world.add_node("alpha")
-    world.faults.arm_permanent("alpha")
-    world.faults.disarm("alpha")
-    assert world.faults.filter_value("alpha", 10) == 10
-    assert not world.faults.has_active_campaign("alpha")
-
-
-def test_scheduled_crash_and_restart(world):
-    node = world.add_node("alpha")
-    world.faults.schedule_crash(node, at=5.0, restart_after=3.0)
-    world.run(until=6.0)
-    assert not node.is_up
-    world.run()
-    assert node.is_up
+    injected = world.trace.select("fault", "value_injected")
+    assert {r.detail("kind") for r in injected} == {"permanent_value"}
 
 
 # -- stable storage ----------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.kernel import (
     BeatStream,
     Channel,
     Event,
+    Fault,
     Process,
     Timeout,
     World,
@@ -86,7 +87,7 @@ def _kernel_mission(world):
             yield Timeout(7.0)
             world.storage.write("alpha", "k", i)
             world.storage.append("log", i)
-        world.faults.schedule_crash(alpha, at=world.now + 1.0)
+        world.faults.arm(Fault("crash", "alpha", start=world.now + 1.0))
         yield Timeout(50.0)
         return len(seen)
 

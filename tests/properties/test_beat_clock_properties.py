@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ftm import Client, deploy_ftm_pair
+from repro.kernel import Fault
 from tests.kernel.beat_reference import run_bare, run_both_ways
 
 NODES = st.sampled_from(["alpha", "beta"])
@@ -38,10 +39,10 @@ def _apply(world, kind, node, level, client=None):
     elif kind == "heal":
         network.heal()
     elif kind == "limp":
-        world.faults.apply_slow(
-            world.cluster.node(node), ("link", "cpu", "disk", "link")[level],
-            (2.0, 8.0)[level % 2],
-        )
+        world.faults.arm(Fault(
+            "slow", node, resource=("link", "cpu", "disk", "link")[level],
+            factor=(2.0, 8.0)[level % 2],
+        ))
     elif kind == "latency":
         # 30 ms and more outlast the 20 ms period: beats overtake in flight
         network.set_link("alpha", "beta",

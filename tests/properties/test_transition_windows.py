@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import AdaptationEngine, Repository
 from repro.ftm import deploy_ftm_pair
-from repro.kernel import TRANSITION_FAULT_KINDS, TRANSITION_PHASES, Timeout, World
+from repro.kernel import TRANSITION_FAULT_KINDS, TRANSITION_PHASES, Fault, Timeout, World
 
 #: The resource a ``slow`` fault limps per phase (as the matrix arms it).
 SLOW_RESOURCE = {"fetch": "link", "deploy": "disk", "script": "cpu",
@@ -53,10 +53,10 @@ def _transition_under(faults, hosted, slow_beta, seed=1):
         engine = AdaptationEngine(world, pair, repository)
         before = _platform_state(world)
         for phase, kind, node, budget in faults:
-            world.faults.arm_transition_fault(
-                phase, kind, node=node, budget=budget, probability=0.3,
+            world.faults.arm(Fault(
+                kind, node, phase=phase, budget=budget, probability=0.3,
                 resource=SLOW_RESOURCE[phase], factor=8.0,
-            )
+            ))
         report = yield from engine.transition("lfr")
         yield Timeout(10_000.0)  # recovery / quarantine tail
         return before, _platform_state(world), report
@@ -72,7 +72,8 @@ def test_overlapping_omission_windows_restore_the_base_loss():
         [("fetch", "omission", None, 2)], hosted=False, slow_beta=True
     )
     assert report.outcome == "success"
-    assert world.faults.transition_faults_injected == {"fetch/omission": 2}
+    assert [(r.detail("phase"), r.detail("kind")) for r in world.trace.select(
+        "fault", "transition_fault_injected")] == [("fetch", "omission")] * 2
     assert world.network.loss_probability == 0.0
     assert after == before
 

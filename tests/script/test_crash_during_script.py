@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import AdaptationEngine
 from repro.ftm import deploy_ftm_pair
-from repro.kernel import Timeout, World
+from repro.kernel import Fault, Timeout, World
 
 
 def _snapshot(composite):
@@ -56,8 +56,8 @@ def test_crash_at_each_statement_boundary_rolls_back_cleanly(boundary):
     before = _snapshot(held_composite)
     assert held_composite.gate_open
 
-    world.faults.arm_transition_fault(
-        "script", "crash", node="beta", at_statement=boundary
+    world.faults.arm(
+        Fault("crash", "beta", phase="script", statement=boundary)
     )
 
     def do():
@@ -101,9 +101,7 @@ def test_script_crash_budget_is_consumed_once():
     pair = world.run_process(deploy(), name="deploy")
     pair.enable_recovery(restart_delay=300.0)
     engine = AdaptationEngine(world, pair)
-    world.faults.arm_transition_fault(
-        "script", "crash", node="beta", at_statement=0
-    )
+    world.faults.arm(Fault("crash", "beta", phase="script", statement=0))
 
     def do():
         first = yield from engine.transition("lfr")
@@ -117,4 +115,5 @@ def test_script_crash_budget_is_consumed_once():
     # the budget was spent: the second transition runs fault-free
     assert second.success
     assert all(r.success for r in second.replicas)
-    assert world.faults.transition_faults_injected == {"script/crash": 1}
+    assert [(r.detail("phase"), r.detail("kind")) for r in world.trace.select(
+        "fault", "transition_fault_injected")] == [("script", "crash")]

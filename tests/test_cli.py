@@ -193,6 +193,7 @@ def test_cli_experiment_errors_exit_2_without_a_traceback(
     ["gray-matrix", "--backend", "serial", "--workers", "127.0.0.1:1"],
     ["gray-matrix", "--resources", "bogus"],
     ["gray-matrix", "--factors", "0.5"],
+    ["gray-matrix", "--factors", "inf"],
     ["gray-matrix", "--ftms", ","],
     ["gray-matrix", "--slo-ms", "nan"],
     ["gray-matrix", "--slo-ms", "0"],
