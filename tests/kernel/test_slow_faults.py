@@ -149,6 +149,13 @@ def test_slow_rejects_unknown_resource(resource):
         Fault("slow", "alpha", phase="script", resource=resource)
 
 
+def test_transition_fault_validates_slow_resource():
+    world = make_world()
+    with pytest.raises(ValueError, match="unknown slow resource"):
+        world.faults.arm(Fault("slow", "alpha", phase="script",
+                               resource="gpu"))
+
+
 @pytest.mark.parametrize(
     "factor", [0.5, 0.0, -3.0, float("nan"), float("inf")])
 def test_slow_rejects_sub_unity_factor(factor):
