@@ -55,8 +55,10 @@ Commands
 ``profile <spec> [--top N] [--sort cumulative|tottime] [...]``
     Run one experiment spec single-threaded under ``cProfile`` and print
     the hottest functions, so perf work starts from data instead of
-    guesses.  Specs: ``campaign``, ``transition-matrix``,
-    ``gray-matrix``, ``table3``.
+    guesses.  Specs: ``table3``, ``transition-matrix``, ``campaign``,
+    ``gray-matrix``; each takes the seed and size flags, with the
+    defaults, of the command that runs it (``reproduce`` for Table 3),
+    so it profiles what that command runs.
 ``store [--list | --gc | --clear] [--store DIR]``
     Inspect or clean the cell-granular result store: ``--list`` (the
     default) prints one line per stored spec, ``--gc`` removes orphaned
@@ -99,13 +101,55 @@ def _cmd_info(_args) -> int:
     return 0
 
 
-def _cmd_tables(_args) -> int:
-    from repro.eval import figure2, figure4, figure5, figure8, table1, table2
+def _cmd_tables(args) -> int:
+    from repro.eval import ARTIFACTS
 
-    for module in (table1, table2, figure2, figure4, figure5, figure8):
-        print(module.render(module.generate()))
-        print()
+    for artifact in ARTIFACTS:
+        if artifact.static:
+            print(artifact.run(artifact.spec(args), jobs=1).text)
+            print()
     return 0
+
+
+def _run_options(args) -> dict:
+    """The :func:`repro.exp.run` keywords the common run flags ask for."""
+    from repro import exp
+
+    return {
+        "jobs": exp.default_jobs() if args.jobs is None else args.jobs,
+        "store": None if args.no_store else exp.ResultStore(args.store),
+        "fresh": args.fresh,
+    }
+
+
+def _run_artifact(args, artifact, out, **how):
+    """Run one artifact of the table with ``args``' seed and size flags
+    and the :func:`repro.exp.run` keywords ``how``; print its rendering
+    and status line to ``out`` and return its
+    :class:`~repro.eval.Outcome`."""
+    spec = artifact.spec(args)
+    outcome = artifact.run(spec, **how)
+    result = outcome.result
+    print(outcome.text, file=out)
+    status = artifact.ok if not outcome.problems else f"FAILS: {outcome.problems}"
+    print(f"  -> {artifact.title}: {status} "
+          f"[{result.cells_cached}/{len(spec.trials)} cells from store, "
+          f"{result.executed} trial(s) simulated, {result.elapsed_s:.2f}s, "
+          f"backend={result.backend}]", file=out)
+    return outcome
+
+
+def _print_events(counts, out) -> None:
+    """Where the simulated events of a run (or of several, ``counts``
+    being an ``ExecutionStats``) came from, as one line on ``out``."""
+    if counts.events_by_source:
+        total = sum(counts.events_by_source.values()) or 1
+        breakdown = ", ".join(
+            f"{source} {count} ({100.0 * count / total:.0f}%)"
+            for source, count in sorted(counts.events_by_source.items()))
+        print(f"[events by source: {breakdown}; beats replayed "
+              f"{counts.beats_replayed}, materialised "
+              f"{counts.beats_materialised}]", file=out)
 
 
 def _cmd_reproduce(args) -> int:
@@ -113,108 +157,44 @@ def _cmd_reproduce(args) -> int:
     import time
 
     from repro import exp
-    from repro.eval import (
-        agility,
-        consistency_eval,
-        figure2,
-        figure4,
-        figure5,
-        figure8,
-        figure9,
-        table1,
-        table2,
-        table3,
-        transition_matrix,
-    )
+    from repro.eval import ARTIFACTS
 
-    seed = args.seed
-    jobs = exp.default_jobs() if args.jobs is None else max(1, args.jobs)
-    store = None if args.no_store else exp.ResultStore(args.store)
     if args.resume and (args.no_store or args.fresh):
         print("--resume needs the result store (drop --no-store/--fresh)",
               file=sys.stderr)
         return 2
+    how = _run_options(args)
     # with --json, stdout carries only the machine-readable summary
     out = sys.stderr if args.json else sys.stdout
-
-    artifacts = [
-        ("Table 1", table1, table1.spec(),
-         lambda d: [] if table1.fidelity(d)["matches"] >= 30 else ["fidelity"]),
-        ("Table 2", table2, table2.spec(), lambda _d: []),
-        ("Table 3", table3,
-         table3.spec(runs=args.runs, base_seed=1000 + seed),
-         table3.shape_checks),
-        ("Figure 2", figure2, figure2.spec(), figure2.coverage),
-        ("Figure 4", figure4, figure4.spec(), figure4.shape_checks),
-        ("Figure 5", figure5, figure5.spec(), figure5.shape_checks),
-        ("Figure 8", figure8, figure8.spec(), figure8.fidelity),
-        ("Figure 9", figure9,
-         figure9.spec(runs=args.runs, base_seed=2000 + seed),
-         figure9.shape_checks),
-        ("Sec 6.2", agility, agility.spec(seed=3000 + seed),
-         agility.shape_checks),
-        ("Sec 5.3", consistency_eval,
-         consistency_eval.spec(runs=max(2, args.runs), base_seed=4000 + seed),
-         consistency_eval.shape_checks),
-        ("Transition matrix", transition_matrix,
-         transition_matrix.spec(runs=args.runs, base_seed=7000 + seed),
-         transition_matrix.shape_checks),
-    ]
-
-    failures = []
     summaries = []
     stats = exp.ExecutionStats()
     started = time.perf_counter()
-    for title, module, spec, checks in artifacts:
-        result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh,
-                         stats=stats)
-        data = module.from_results(result.results)
-        print(module.render(data), file=out)
-        problems = checks(data)
-        status = "reproduces" if not problems else f"FAILS: {problems}"
-        plural = "" if result.executed == 1 else "s"
-        if result.cached:
-            source = "result store"
-        elif result.cells_cached:
-            source = (f"resumed {result.cells_cached}/{len(spec.trials)} "
-                      f"cells, {result.executed} trial{plural}, "
-                      f"{result.elapsed_s:.2f}s")
-        else:
-            source = f"{result.executed} trial{plural}, {result.elapsed_s:.2f}s"
-        print(f"  -> {title}: {status} [{source}]\n", file=out)
-        failures.extend(f"{title}: {p}" for p in problems)
-        summary = result.summary()
-        summary["title"] = title
-        summary["problems"] = problems
-        summaries.append(summary)
+    for artifact in ARTIFACTS:
+        if artifact.reproduce:
+            outcome = _run_artifact(args, artifact, out, stats=stats, **how)
+            print(file=out)
+            summaries.append({**outcome.result.summary(),
+                              "title": artifact.title,
+                              "problems": outcome.problems})
     elapsed = time.perf_counter() - started
+    failures = [f"{summary['title']}: {problem}" for summary in summaries
+                for problem in summary["problems"]]
 
-    total_executed = stats.executed
-    served = ("all served from store" if total_executed == 0 else
+    served = ("all served from store" if stats.executed == 0 else
               f"fresh; {stats.cells_cached} cells from store, "
               f"{stats.cells_executed} computed")
-    print(
-        f"[timing] wall {elapsed:.2f}s, jobs={jobs}, "
-        f"trials simulated {total_executed} ({served})",
-        file=out,
-    )
-    if stats.events_by_source:
-        breakdown = ", ".join(
-            f"{source} {count}"
-            for source, count in sorted(stats.events_by_source.items())
-        )
-        print(f"[events] by source: {breakdown}; beats replayed "
-              f"{stats.beats_replayed}, materialised "
-              f"{stats.beats_materialised}", file=out)
+    print(f"[timing] wall {elapsed:.2f}s, jobs={how['jobs']}, "
+          f"trials simulated {stats.executed} ({served})", file=out)
+    _print_events(stats, out)
     if args.json:
         print(json.dumps(
             {
                 "runs": args.runs,
-                "seed": seed,
-                "jobs": jobs,
-                "store": None if store is None else str(store.root),
+                "seed": args.seed,
+                "jobs": how["jobs"],
+                "store": None if how["store"] is None else str(how["store"].root),
                 "wall_s": round(elapsed, 6),
-                "total_executed": total_executed,
+                "total_executed": stats.executed,
                 "cells_cached": stats.cells_cached,
                 "cells_executed": stats.cells_executed,
                 "events_by_source": dict(stats.events_by_source),
@@ -232,157 +212,63 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _run_spec_command(args, label, spec, from_results, render, checks,
-                      extras, ok="clean") -> int:
-    """The shared body of the spec subcommands.
+def _cmd_artifact(args) -> int:
+    """The spec subcommands: run the artifact the command names.
 
-    Runs ``spec`` as the common flags say (jobs, store, backend,
-    workers), prints the rendered table and one status line, and with
-    ``--json`` the run summary plus ``extras(data)`` — the subcommand's
-    own keys.  Exits non-zero when ``checks(data)`` finds problems.
+    Exits non-zero when its checks find problems; with ``--json`` prints
+    the run summary plus the artifact's own keys.
     """
     import json
 
-    from repro import exp
+    from repro.eval import artifact as lookup
 
     backend = getattr(args, "backend", None)
     workers = getattr(args, "workers", None)
     if workers and backend in ("serial", "local"):
         args.usage_error(f"--workers runs the remote backend; drop it or "
                          f"drop --backend {backend}")
-    jobs = exp.default_jobs() if args.jobs is None else args.jobs
-    store = None if args.no_store else exp.ResultStore(args.store)
+    artifact = lookup(args.command)
     # with --json, stdout carries only the machine-readable summary
     out = sys.stderr if args.json else sys.stdout
-
-    result = exp.run(spec, jobs=jobs, store=store, fresh=args.fresh,
-                     backend=backend, workers=workers)
-    data = from_results(result.results)
-    print(render(data), file=out)
-    problems = checks(data)
-    status = ok if not problems else f"FAILS: {problems}"
-    print(f"  -> {label}: {status} "
-          f"[{result.cells_cached}/{len(spec.trials)} cells from store, "
-          f"{result.executed} trial(s) simulated, {result.elapsed_s:.2f}s, "
-          f"backend={result.backend}]", file=out)
+    outcome = _run_artifact(args, artifact, out, backend=backend,
+                            workers=workers, **_run_options(args))
     if args.json:
-        summary = result.summary()
-        summary["problems"] = problems
-        summary.update(extras(data))
-        print(json.dumps(summary, indent=2))
-    return 1 if problems else 0
-
-
-def _cmd_transition_matrix(args) -> int:
-    from repro.eval import transition_matrix
-
-    spec = transition_matrix.spec(
-        runs=args.runs, base_seed=7000 + args.seed, smoke=args.smoke
-    )
-    return _run_spec_command(
-        args, "Transition matrix", spec, transition_matrix.from_results,
-        transition_matrix.render, transition_matrix.shape_checks,
-        lambda data: {"grid": {
-            transition: {
-                fault: [o.status for o in outcomes]
-                for fault, outcomes in row.items()
-            }
-            for transition, row in data["cells"].items()
-        }},
-        ok="reproduces",
-    )
-
-
-def _cmd_campaign(args) -> int:
-    from repro.eval import campaign
-
-    spec = campaign.sharded_spec(
-        missions=args.missions, base_seed=5000 + args.seed,
-        requests=args.requests, cell_size=args.cell_size,
-    )
-    return _run_spec_command(
-        args, "Campaign", spec, campaign.from_shard_results,
-        campaign.render_sharded, campaign.shard_shape_checks,
-        lambda data: {"campaign": {key: data[key] for key in (
-            "missions", "shards", "clean_missions", "exactly_once_missions",
-            "masking_rate", "masking_ci95", "exactly_once_rate",
-            "exactly_once_ci95",
-        )}},
-    )
-
-
-def _cmd_gray_matrix(args) -> int:
-    from repro.eval import gray
-
-    spec = gray.spec(
-        missions=args.missions, base_seed=41_000 + args.seed,
-        ftms=args.ftms, resources=args.resources, factors=args.factors,
-        requests=args.requests, slo_ms=args.slo_ms,
-    )
-    return _run_spec_command(
-        args, "Gray matrix", spec, gray.from_results, gray.render,
-        gray.shape_checks,
-        lambda data: {"gray": {key: data[key] for key in (
-            "missions", "sent", "ok", "detected", "transitioned",
-            "peer_suspected", "slo_misses",
-        )}},
-    )
-
-
-#: Specs the ``profile`` command can build, name -> builder(args).  Each
-#: builder applies the profile command's size knobs to the real spec
-#: factory, so the profile measures exactly what the experiments run.
-_PROFILE_SPECS = {
-    "campaign": lambda args: _eval_module("campaign").sharded_spec(
-        missions=args.missions, base_seed=5000 + args.seed,
-        requests=args.requests,
-    ),
-    "transition-matrix": lambda args: _eval_module("transition_matrix").spec(
-        runs=args.runs, base_seed=7000 + args.seed, smoke=True,
-    ),
-    "gray-matrix": lambda args: _eval_module("gray").spec(
-        missions=args.missions, base_seed=41_000 + args.seed,
-    ),
-    "table3": lambda args: _eval_module("table3").spec(
-        runs=args.runs, base_seed=1000 + args.seed,
-    ),
-}
-
-
-def _eval_module(name: str):
-    """Late import of ``repro.eval.<name>`` (keeps ``--help`` instant)."""
-    import importlib
-
-    return importlib.import_module(f"repro.eval.{name}")
+        print(json.dumps({**outcome.result.summary(),
+                          "problems": outcome.problems,
+                          **artifact.extras(outcome.data)}, indent=2))
+    return 1 if outcome.problems else 0
 
 
 def _cmd_profile(args) -> int:
     import cProfile
     import pstats
 
-    from repro import exp
+    from repro.eval import artifact as lookup
 
-    spec = _PROFILE_SPECS[args.spec](args)
+    # the spec's own flags get their parser only here: building one per
+    # spec for every command would double the CLI's parser set-up
+    parser = argparse.ArgumentParser(prog=f"repro profile {args.spec}")
+    _SIZE_FLAGS[args.spec](parser)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="offset added to the experiment base seed")
+    parser.add_argument("--top", type=_positive_int, default=20,
+                        help="rows of the profile to print (default: 20)")
+    parser.add_argument("--sort", choices=("cumulative", "tottime"),
+                        default="cumulative",
+                        help="stat ordering (default: cumulative)")
+    options = parser.parse_args(args.flags)
+    artifact = lookup(args.spec)
+    spec = artifact.spec(options)
     print(f"profiling spec {spec.name!r}: {spec.unit_count} unit(s), "
           f"jobs=1, store off ...", file=sys.stderr)
     profiler = cProfile.Profile()
-    profiler.enable()
-    result = exp.run(spec, jobs=1, store=None)
-    profiler.disable()
+    result = profiler.runcall(artifact.run, spec, jobs=1, store=None).result
     print(f"[{result.executed} trial(s) in {result.elapsed_s:.2f}s — "
           f"{result.executed / max(result.elapsed_s, 1e-9):.1f} units/s]",
           file=sys.stderr)
-    if result.events_by_source:
-        total = sum(result.events_by_source.values()) or 1
-        breakdown = ", ".join(
-            f"{source} {count} ({100.0 * count / total:.0f}%)"
-            for source, count in sorted(result.events_by_source.items())
-        )
-        print(f"[events by source: {breakdown}; beats replayed "
-              f"{result.beats_replayed}, materialised "
-              f"{result.beats_materialised}]", file=sys.stderr)
+    _print_events(result, sys.stderr)
     stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    stats.strip_dirs().sort_stats(options.sort).print_stats(options.top)
     return 0
 
 
@@ -495,6 +381,62 @@ def _list_of(item, choices=None):
     return parse
 
 
+def _runs_flags(parser) -> None:
+    """``--runs``: the size flag of ``reproduce`` (and so of Table 3)."""
+    parser.add_argument("--runs", type=_positive_int, default=1,
+                        help="seeded repetitions per experiment cell")
+
+
+def _matrix_flags(parser) -> None:
+    """The transition matrix's size flags."""
+    _runs_flags(parser)
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI subset: baseline + one cell per fault kind")
+
+
+def _campaign_flags(parser) -> None:
+    """The campaign's size flags."""
+    parser.add_argument("--missions", type=_positive_int, default=100,
+                        help="randomised missions to run (default: 100)")
+    parser.add_argument("--cell-size", type=_positive_int, default=100,
+                        help="missions per shard cell (default: 100)")
+    parser.add_argument("--requests", type=_positive_int, default=30,
+                        help="client requests per mission (default: 30)")
+
+
+def _gray_flags(parser) -> None:
+    """The gray matrix's size flags: its grid and its missions."""
+    parser.add_argument("--missions", type=_positive_int, default=3,
+                        help="seeded missions per matrix cell (default: 3)")
+    parser.add_argument("--ftms", type=_list_of(str, FTM_NAMES),
+                        default="pbr,lfr", metavar="F1,F2,...",
+                        help="FTMs to grid over (default: pbr,lfr)")
+    parser.add_argument("--resources", type=_list_of(str, SLOW_RESOURCES),
+                        default="cpu,link,disk", metavar="R1,R2,...",
+                        help="limping resources to grid over "
+                             "(default: cpu,link,disk)")
+    parser.add_argument("--factors", type=_list_of(_slowdown), default="4,8",
+                        metavar="F1,F2,...",
+                        help="slowdown factors to grid over (default: 4,8)")
+    parser.add_argument("--requests", type=_positive_int, default=200,
+                        help="client requests per mission (default: 200 — "
+                             "a mission must outlive its own repair: a limped "
+                             "disk slows the PBR→LFR transition to ~5 s)")
+    parser.add_argument("--slo-ms", type=_latency_ms, default=30.0,
+                        help="per-request latency SLO in ms (default: 30)")
+
+
+#: What ``profile`` offers, by subcommand (spec name for Table 3): the
+#: size flags that command (``reproduce`` for Table 3) takes, which
+#: ``profile <name>`` takes too.
+_SIZE_FLAGS = {
+    "table3": _runs_flags,
+    "transition-matrix": _matrix_flags,
+    "campaign": _campaign_flags,
+    "gray-matrix": _gray_flags,
+}
+
+
 def _add_run_flags(parser) -> None:
     """The flags every spec-running subcommand takes."""
     parser.add_argument("--jobs", type=_positive_int, default=None,
@@ -531,8 +473,7 @@ def main(argv=None) -> int:
     sub.add_parser("info", help="catalog and graph summary")
     sub.add_parser("tables", help="print the static artifacts")
     reproduce = sub.add_parser("reproduce", help="run the full evaluation")
-    reproduce.add_argument("--runs", type=_positive_int, default=1,
-                           help="seeded repetitions per experiment cell")
+    _runs_flags(reproduce)
     _add_run_flags(reproduce)
     reproduce.add_argument("--resume", action="store_true",
                            help="continue an interrupted run from the cells "
@@ -542,21 +483,13 @@ def main(argv=None) -> int:
         "transition-matrix",
         help="transition-survival matrix (fault at phase x kind)",
     )
-    matrix.add_argument("--runs", type=_positive_int, default=1,
-                        help="seeded repetitions per matrix cell")
+    _matrix_flags(matrix)
     _add_run_flags(matrix)
-    matrix.add_argument("--smoke", action="store_true",
-                        help="CI subset: baseline + one cell per fault kind")
     camp = sub.add_parser(
         "campaign",
         help="sharded statistical fault-injection campaign (Wilson CIs)",
     )
-    camp.add_argument("--missions", type=_positive_int, default=100,
-                      help="randomised missions to run (default: 100)")
-    camp.add_argument("--cell-size", type=_positive_int, default=100,
-                      help="missions per shard cell (default: 100)")
-    camp.add_argument("--requests", type=_positive_int, default=30,
-                      help="client requests per mission (default: 30)")
+    _campaign_flags(camp)
     _add_run_flags(camp)
     _add_backend_flags(camp)
     camp.add_argument("--wire", choices=("digest",), default="digest",
@@ -567,24 +500,7 @@ def main(argv=None) -> int:
         "gray-matrix",
         help="gray-failure matrix (FTM x slow resource x slowdown factor)",
     )
-    gray.add_argument("--missions", type=_positive_int, default=3,
-                      help="seeded missions per matrix cell (default: 3)")
-    gray.add_argument("--ftms", type=_list_of(str, FTM_NAMES), default="pbr,lfr",
-                      metavar="F1,F2,...",
-                      help="FTMs to grid over (default: pbr,lfr)")
-    gray.add_argument("--resources", type=_list_of(str, SLOW_RESOURCES),
-                      default="cpu,link,disk", metavar="R1,R2,...",
-                      help="limping resources to grid over "
-                           "(default: cpu,link,disk)")
-    gray.add_argument("--factors", type=_list_of(_slowdown), default="4,8",
-                      metavar="F1,F2,...",
-                      help="slowdown factors to grid over (default: 4,8)")
-    gray.add_argument("--requests", type=_positive_int, default=200,
-                      help="client requests per mission (default: 200 — "
-                           "a mission must outlive its own repair: a limped "
-                           "disk slows the PBR→LFR transition to ~5 s)")
-    gray.add_argument("--slo-ms", type=_latency_ms, default=30.0,
-                      help="per-request latency SLO in ms (default: 30)")
+    _gray_flags(gray)
     _add_run_flags(gray)
     _add_backend_flags(gray)
     worker = sub.add_parser(
@@ -604,21 +520,11 @@ def main(argv=None) -> int:
         "profile",
         help="run one spec under cProfile and print the hot spots",
     )
-    profile.add_argument("spec", choices=sorted(_PROFILE_SPECS),
+    profile.add_argument("spec", choices=list(_SIZE_FLAGS),
                          help="which experiment spec to profile")
-    profile.add_argument("--runs", type=_positive_int, default=1,
-                         help="seeded repetitions per cell (grid specs)")
-    profile.add_argument("--missions", type=_positive_int, default=50,
-                         help="missions (campaign specs; default: 50)")
-    profile.add_argument("--requests", type=_positive_int, default=30,
-                         help="client requests per mission (default: 30)")
-    profile.add_argument("--seed", type=int, default=0,
-                         help="offset added to the experiment base seed")
-    profile.add_argument("--top", type=_positive_int, default=20,
-                         help="rows of the profile to print (default: 20)")
-    profile.add_argument("--sort", choices=("cumulative", "tottime"),
-                         default="cumulative",
-                         help="stat ordering (default: cumulative)")
+    profile.add_argument("flags", nargs=argparse.REMAINDER,
+                         help="its command's seed and size flags, --top N, "
+                              "--sort cumulative|tottime")
     store_cmd = sub.add_parser(
         "store", help="inspect or clean the cell-granular result store"
     )
@@ -638,9 +544,9 @@ def main(argv=None) -> int:
         "info": _cmd_info,
         "tables": _cmd_tables,
         "reproduce": _cmd_reproduce,
-        "transition-matrix": _cmd_transition_matrix,
-        "campaign": _cmd_campaign,
-        "gray-matrix": _cmd_gray_matrix,
+        "transition-matrix": _cmd_artifact,
+        "campaign": _cmd_artifact,
+        "gray-matrix": _cmd_artifact,
         "profile": _cmd_profile,
         "store": _cmd_store,
         "worker": _cmd_worker,

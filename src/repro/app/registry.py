@@ -84,9 +84,3 @@ def get_assertion(name: str) -> Callable[[Any, Any], bool]:
 def registered_applications() -> Dict[str, ApplicationInfo]:
     """A copy of the whole application catalog."""
     return dict(_APPLICATIONS)
-
-
-def _reset_for_tests() -> None:
-    """Test hook: wipe registrations (builtin apps re-register on import)."""
-    _APPLICATIONS.clear()
-    _ASSERTIONS.clear()

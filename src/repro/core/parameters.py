@@ -41,14 +41,6 @@ class FaultToleranceRequirements:
         """Must this fault class be tolerated?"""
         return fault_class in self.fault_classes
 
-    def with_added(self, fault_class: FaultClass) -> "FaultToleranceRequirements":
-        """A copy with one more required fault class."""
-        return FaultToleranceRequirements(self.fault_classes | {fault_class})
-
-    def with_removed(self, fault_class: FaultClass) -> "FaultToleranceRequirements":
-        """A copy without the given fault class."""
-        return FaultToleranceRequirements(self.fault_classes - {fault_class})
-
     def names(self) -> FrozenSet[str]:
         """The required fault classes as strings (Table 1 vocabulary)."""
         return frozenset(fc.value for fc in self.fault_classes)

@@ -50,10 +50,6 @@ class TransitionPackage:
         """Component-name → spec mapping, as the script interpreter wants it."""
         return {spec.name: spec for spec in self.components}
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self.script) == 0
-
 
 # ---------------------------------------------------------------------------
 # Networked delivery: payload, checksum and the chunk wire format

@@ -17,7 +17,7 @@ This harness measures all three axes on the simulated platform:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.core.adaptation_engine import AdaptationEngine
 from repro.core.preprogrammed import (
@@ -25,8 +25,7 @@ from repro.core.preprogrammed import (
     preprogrammed_assembly,
 )
 from repro.eval.format import render_table
-from repro.exp import ExperimentSpec, ResultStore, Trial
-from repro.exp import run as run_experiment
+from repro.exp import ExperimentSpec, Trial
 from repro.ftm import FTMPair, deploy_ftm_pair, ftm_assembly
 from repro.ftm.errors import UnknownFTM
 from repro.kernel import World
@@ -152,13 +151,6 @@ def spec(seed: int = 3000) -> ExperimentSpec:
 def from_results(results: Dict) -> Dict:
     """Rebuild the Sec. 6.2 comparison dict from raw trial results."""
     return results["agility"][0]
-
-
-def generate(seed: int = 3000, jobs: int = 1,
-             store: Optional[ResultStore] = None) -> Dict:
-    """Measure agile vs preprogrammed adaptation (see :func:`spec`)."""
-    result = run_experiment(spec(seed=seed), jobs=jobs, store=store)
-    return from_results(result.results)
 
 
 def shape_checks(data: Dict) -> List[str]:

@@ -19,12 +19,11 @@ alone.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping
 
 from repro.eval.mission import run_solo
 from repro.eval.stats import format_interval, wilson_interval
-from repro.exp import ExperimentSpec, ResultStore, Trial
-from repro.exp import run as run_experiment
+from repro.exp import ExperimentSpec, Trial
 
 if TYPE_CHECKING:
     from repro.kernel import WorldTask
@@ -199,19 +198,6 @@ def from_shard_results(results: Dict) -> Dict:
         "exactly_once_rate": exactly_once / missions if missions else None,
         "exactly_once_ci95": list(wilson_interval(exactly_once, missions)),
     }
-
-
-def generate_sharded(missions: int = 10000, base_seed: int = 5000,
-                     requests: int = 30, jobs: int = 1,
-                     store: Optional[ResultStore] = None,
-                     cell_size: int = SHARD_CELL_SIZE) -> Dict:
-    """Run the sharded campaign and aggregate the streamed counts."""
-    result = run_experiment(
-        sharded_spec(missions=missions, base_seed=base_seed,
-                     requests=requests, cell_size=cell_size),
-        jobs=jobs, store=store,
-    )
-    return from_shard_results(result.results)
 
 
 def shard_shape_checks(data: Dict) -> List[str]:

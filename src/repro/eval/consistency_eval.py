@@ -18,12 +18,11 @@ drives across every phase × kind combination.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.core.adaptation_engine import AdaptationEngine
 from repro.eval.format import render_table
-from repro.exp import ExperimentSpec, ResultStore, Trial
-from repro.exp import run as run_experiment
+from repro.exp import ExperimentSpec, Trial
 from repro.ftm import Client, deploy_ftm_pair
 from repro.kernel import Fault, Timeout, World
 
@@ -119,14 +118,6 @@ def from_results(results: Dict) -> Dict:
             o["recovered_config"] == "LfrSyncBefore" for o in outcomes
         ),
     }
-
-
-def generate(runs: int = 5, base_seed: int = 4000, jobs: int = 1,
-             store: Optional[ResultStore] = None) -> Dict:
-    """Run the fault-injection scenario over seeded repetitions."""
-    result = run_experiment(spec(runs=runs, base_seed=base_seed),
-                            jobs=jobs, store=store)
-    return from_results(result.results)
 
 
 def shape_checks(data: Dict) -> List[str]:

@@ -16,7 +16,6 @@ from repro.core.transition_graph import (
 )
 from repro.eval.format import render_table
 from repro.exp import ExperimentSpec, Trial
-from repro.exp import run as run_experiment
 
 
 def _collapse(label: str) -> str:
@@ -51,11 +50,6 @@ def from_results(results: Dict) -> Dict:
         "graph": figure2_graph(),
         "realised": {tuple(pair) for pair in raw["realised"]},
     }
-
-
-def generate() -> Dict:
-    """The Figure 2 graph plus the scenario-realised edge set."""
-    return from_results(run_experiment(spec()).results)
 
 
 def coverage(data: Dict) -> List[str]:

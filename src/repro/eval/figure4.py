@@ -20,7 +20,6 @@ from typing import Dict, List, Mapping
 from repro.eval.format import render_table
 from repro.eval.sloc import classes_sloc
 from repro.exp import ExperimentSpec, Trial
-from repro.exp import run as run_experiment
 from repro.patterns import (
     LFR,
     LFR_A,
@@ -82,11 +81,6 @@ def spec() -> ExperimentSpec:
 def from_results(results: Dict) -> Dict:
     """Rebuild the Figure 4 data from the stored trial result."""
     return results["figure4"][0]
-
-
-def generate() -> Dict:
-    """Paper day-counts next to the incremental-SLOC proxy."""
-    return from_results(run_experiment(spec()).results)
 
 
 def shape_checks(data: Dict) -> List[str]:

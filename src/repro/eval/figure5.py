@@ -13,7 +13,6 @@ from typing import Dict, List, Mapping
 from repro.eval.format import render_table
 from repro.eval.sloc import class_sloc
 from repro.exp import ExperimentSpec, Trial
-from repro.exp import run as run_experiment
 from repro.patterns import (
     LFR,
     LFR_A,
@@ -57,11 +56,6 @@ def spec() -> ExperimentSpec:
 def from_results(results: Dict) -> Dict[str, int]:
     """Rebuild the Figure 5 data from the stored trial result."""
     return results["figure5"][0]
-
-
-def generate() -> Dict[str, int]:
-    """Measured SLOC per pattern element."""
-    return from_results(run_experiment(spec()).results)
 
 
 def shape_checks(data: Dict[str, int]) -> List[str]:

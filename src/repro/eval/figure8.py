@@ -13,7 +13,6 @@ from typing import Dict, List, Mapping
 from repro.core.transition_graph import build_scenario_graph
 from repro.eval.format import render_table
 from repro.exp import ExperimentSpec, Trial
-from repro.exp import run as run_experiment
 
 #: Edges the paper's Figure 8 explicitly shows, which the derivation must
 #: reproduce: (source, event, target, kind).
@@ -64,11 +63,6 @@ def spec() -> ExperimentSpec:
 def from_results(results: Dict) -> Dict:
     """Rebuild the Figure 8 data from the stored trial result."""
     return results["figure8"][0]
-
-
-def generate() -> Dict:
-    """The derived scenario graph as plain data."""
-    return from_results(run_experiment(spec()).results)
 
 
 def fidelity(data: Dict) -> List[str]:

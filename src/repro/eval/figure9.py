@@ -18,12 +18,11 @@ Engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.adaptation_engine import AdaptationEngine
 from repro.eval.format import render_table
-from repro.exp import ExperimentSpec, ResultStore, Trial
-from repro.exp import run as run_experiment
+from repro.exp import ExperimentSpec, Trial
 from repro.ftm import deploy_ftm_pair, variable_feature_distance
 from repro.kernel import World
 
@@ -104,14 +103,6 @@ def from_results(results: Dict) -> Dict:
             },
         }
     return {"transitions": out, "runs": runs}
-
-
-def generate(runs: int = 3, base_seed: int = 2000, jobs: int = 1,
-             store: Optional[ResultStore] = None) -> Dict:
-    """The three Figure 9 transitions, averaged over ``runs`` seeds."""
-    result = run_experiment(spec(runs=runs, base_seed=base_seed),
-                            jobs=jobs, store=store)
-    return from_results(result.results)
 
 
 def shape_checks(data: Dict) -> List[str]:

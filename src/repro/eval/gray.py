@@ -36,8 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 from repro.eval.format import render_table
 from repro.eval.mission import run_solo
 from repro.eval.stats import format_interval, wilson_interval
-from repro.exp import ExperimentSpec, ResultStore, Trial
-from repro.exp import run as run_experiment
+from repro.exp import ExperimentSpec, Trial
 from repro.vocabulary import SLOW_RESOURCES
 
 if TYPE_CHECKING:
@@ -437,18 +436,3 @@ def shape_checks(data: Dict) -> List[str]:
                 f"transition ({cell['transitioned']}/{cell['missions']})"
             )
     return problems
-
-
-def generate(
-    missions: int = 3,
-    base_seed: int = 41_000,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    **grid,
-) -> Dict:
-    """Run the gray matrix and aggregate the streamed counts."""
-    result = run_experiment(
-        spec(missions=missions, base_seed=base_seed, **grid),
-        jobs=jobs, store=store,
-    )
-    return from_results(result.results)

@@ -8,11 +8,10 @@ consistency checker uses, so the table *is* the decision model).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping
 
 from repro.eval.format import check, render_table
 from repro.exp import ExperimentSpec, Trial
-from repro.exp import run as run_experiment
 from repro.patterns import LFR, PBR, PBR_A, TimeRedundancy
 
 #: The paper's Table 1 columns (A&Duplex is represented by its PBR variant;
@@ -41,11 +40,6 @@ def from_results(results: Dict) -> Dict:
         label: {**chars, "fault_models": tuple(chars["fault_models"])}
         for label, chars in results["table1"][0].items()
     }
-
-
-def generate() -> Dict:
-    """The Table 1 data, FTM → characteristics."""
-    return from_results(run_experiment(spec()).results)
 
 
 #: The paper's Table 1 cells, for the fidelity check in the tests: each
@@ -111,6 +105,11 @@ def fidelity(data: Dict) -> Dict[str, int]:
         else:
             mismatches.append((row, column, expected, actual))
     return {"matches": matches, "total": len(PAPER_TABLE1), "mismatches": mismatches}
+
+
+def shape_checks(data: Dict) -> List[str]:
+    """Table 1 reproduces when at least 30 of its 32 cells match."""
+    return [] if fidelity(data)["matches"] >= 30 else ["fidelity"]
 
 
 def render(data: Dict) -> str:

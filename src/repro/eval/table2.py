@@ -13,7 +13,6 @@ from typing import Dict, List, Mapping, Tuple
 
 from repro.eval.format import render_table
 from repro.exp import ExperimentSpec, Trial
-from repro.exp import run as run_experiment
 from repro.ftm.catalog import VARIABLE_FEATURES
 from repro.patterns import LFR, PBR, PBR_A, TimeRedundancy
 
@@ -53,11 +52,6 @@ def spec() -> ExperimentSpec:
 def from_results(results: Dict) -> Dict:
     """Rebuild the Table 2 data from the stored trial result."""
     return results["table2"][0]
-
-
-def generate() -> Dict:
-    """Scheme rows per role, plus the component classes implementing them."""
-    return from_results(run_experiment(spec()).results)
 
 
 def render(data: Dict) -> str:

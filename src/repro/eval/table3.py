@@ -20,8 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.adaptation_engine import AdaptationEngine
 from repro.eval.format import render_table
-from repro.exp import ExperimentSpec, ResultStore, Trial, derive_seeds
-from repro.exp import run as run_experiment
+from repro.exp import ExperimentSpec, Trial, derive_seeds
 from repro.ftm import FTM_NAMES, deploy_ftm_pair, variable_feature_distance
 from repro.kernel import World
 
@@ -123,14 +122,6 @@ def from_results(results: Dict, ftms: Optional[Sequence[str]] = None) -> Dict:
             transitions[(source, target)] = sum(samples) / len(samples)
     runs = len(results[f"deploy:{names[0]}"])
     return {"deployment": deployment, "transitions": transitions, "runs": runs}
-
-
-def generate(runs: int = 3, base_seed: int = 1000, jobs: int = 1,
-             store: Optional[ResultStore] = None) -> Dict:
-    """The full Table 3 matrix, each cell averaged over ``runs`` seeds."""
-    result = run_experiment(spec(runs=runs, base_seed=base_seed),
-                            jobs=jobs, store=store)
-    return from_results(result.results)
 
 
 def shape_checks(data: Dict) -> List[str]:

@@ -48,8 +48,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.eval.format import render_table
 from repro.eval.mission import run_solo
-from repro.exp import ExperimentSpec, ResultStore, Trial
-from repro.exp import run as run_experiment
+from repro.exp import ExperimentSpec, Trial
 from repro.vocabulary import TRANSITION_FAULT_KINDS, TRANSITION_PHASES
 
 if TYPE_CHECKING:
@@ -347,14 +346,3 @@ def shape_checks(data: Dict) -> List[str]:
                         f"{label}: slow cell must survive ({o.status})"
                     )
     return problems
-
-
-def generate(runs: int = 1, base_seed: int = 7000, requests: int = 20,
-             jobs: int = 1, smoke: bool = False,
-             store: Optional[ResultStore] = None) -> Dict:
-    """Run the matrix and fold the outcomes into the grid."""
-    result = run_experiment(
-        spec(runs=runs, base_seed=base_seed, requests=requests, smoke=smoke),
-        jobs=jobs, store=store,
-    )
-    return from_results(result.results)

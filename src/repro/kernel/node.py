@@ -236,7 +236,3 @@ class Cluster:
             return self.nodes[name]
         except KeyError:
             raise KeyError(f"unknown node {name!r}") from None
-
-    def up_nodes(self) -> List[Node]:
-        """The nodes currently serving."""
-        return [n for n in self.nodes.values() if n.is_up]

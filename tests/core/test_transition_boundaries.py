@@ -12,7 +12,7 @@ listener — a plain recorder — beside the fault injector, and must
   remove``, every ``enter`` closed by its ``leave`` however the phase
   ended, every crossing inside its own phase;
 * carry enough to rebuild each replica's ``deploy_ms``/``script_ms``/
-  ``remove_ms`` bit for bit — the sink ROADMAP item 2's timelines need.
+  ``remove_ms`` bit for bit — the sink ROADMAP item 3's timelines need.
 """
 
 import ast

@@ -7,9 +7,10 @@ counts alone — so the numbers must not depend on the shard size.
 """
 
 import json
+from argparse import Namespace
 
 from repro import exp
-from repro.eval import campaign
+from repro.eval import artifact, campaign
 
 MISSIONS = 6
 REQUESTS = 10
@@ -22,6 +23,14 @@ def _sharded(cell_size=2, missions=MISSIONS):
     )
 
 
+def _campaign(cell_size, missions=MISSIONS):
+    """The table's campaign entry at the default seed, run serially."""
+    entry = artifact("campaign")
+    options = Namespace(seed=0, missions=missions, requests=REQUESTS,
+                        cell_size=cell_size)
+    return entry.run(entry.spec(options), jobs=1)
+
+
 def test_sharded_spec_splits_the_same_mission_seeds():
     sharded = _sharded(cell_size=2)
     assert len(sharded.trials) == 3
@@ -31,11 +40,8 @@ def test_sharded_spec_splits_the_same_mission_seeds():
 
 
 def test_shard_size_does_not_change_the_aggregate():
-    by_size = {
-        size: campaign.generate_sharded(missions=MISSIONS, base_seed=42,
-                                        requests=REQUESTS, cell_size=size)
-        for size in (1, 2, MISSIONS)
-    }
+    by_size = {size: _campaign(cell_size=size).data
+               for size in (1, 2, MISSIONS)}
     assert {size: data["shards"] for size, data in by_size.items()} == {
         1: MISSIONS, 2: 3, MISSIONS: 1}
     whole = by_size[MISSIONS]
@@ -79,9 +85,7 @@ def test_store_holds_shard_counts_not_mission_dicts(tmp_path):
 
 
 def test_render_sharded_reports_wilson_cis():
-    data = campaign.generate_sharded(missions=4, base_seed=42,
-                                     requests=REQUESTS, cell_size=2)
-    text = campaign.render_sharded(data)
+    text = _campaign(cell_size=2, missions=4).text
     assert "4 randomised missions in 2 shards" in text
     assert "CI95 [" in text
     assert "exactly-once rate" in text

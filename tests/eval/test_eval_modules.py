@@ -1,12 +1,11 @@
 """Unit tests for the evaluation harness itself."""
 
+from argparse import Namespace
+
 import pytest
 
 from repro import exp
-from repro.eval import (
-    agility, consistency_eval, figure2, figure4, figure5, figure8, figure9,
-    table1, table2,
-)
+from repro.eval import agility, artifact, consistency_eval, figure9, table1
 from repro.eval.format import check, render_table
 from repro.eval.sloc import class_sloc, count_sloc
 
@@ -62,15 +61,22 @@ def test_class_sloc_positive_for_real_classes():
 # -- table/figure data structures --------------------------------------------------
 
 
+def _artifact(name):
+    """Run one static entry of the artifact table."""
+    entry = artifact(name)
+    return entry.run(entry.spec(Namespace(seed=0)), jobs=1)
+
+
+
 def test_table1_has_all_four_columns():
-    data = table1.generate()
+    data = _artifact("table1").data
     assert set(data) == {"PBR", "LFR", "TR", "A&Duplex"}
     for chars in data.values():
         assert {"fault_models", "bandwidth", "cpu"} <= set(chars)
 
 
 def test_table1_fidelity_structure():
-    result = table1.fidelity(table1.generate())
+    result = table1.fidelity(_artifact("table1").data)
     assert result["total"] == 32
     assert result["matches"] + len(result["mismatches"]) == result["total"]
     # the two divergences are documented in EXPERIMENTS.md (A&Duplex
@@ -79,41 +85,44 @@ def test_table1_fidelity_structure():
 
 
 def test_table2_scheme_covers_all_roles():
-    data = table2.generate()
+    data = _artifact("table2").data
     roles = set(data["scheme"])
     assert {"PBR (Primary)", "PBR (Backup)", "LFR (Leader)", "LFR (Follower)"} <= roles
 
 
 def test_figure2_realises_every_edge():
-    data = figure2.generate()
-    assert figure2.coverage(data) == []
+    outcome = _artifact("figure2")
+    assert outcome.problems == []
+    data = outcome.data
     assert set(data["graph"]) == {"pbr", "lfr", "pbr+tr", "lfr+tr", "a+duplex"}
 
 
 def test_figure4_proxy_is_positive_everywhere():
-    data = figure4.generate()
+    outcome = _artifact("figure4")
+    data = outcome.data
     assert all(v > 0 for v in data["proxy_sloc"].values())
     assert set(data["paper_days"]) == set(data["proxy_sloc"])
-    assert figure4.shape_checks(data) == []
+    assert outcome.problems == []
 
 
 def test_figure5_render_contains_bars():
-    data = figure5.generate()
-    out = figure5.render(data)
-    assert "#" in out
-    assert figure5.shape_checks(data) == []
+    outcome = _artifact("figure5")
+    data = outcome.data
+    assert "#" in outcome.text
+    assert outcome.problems == []
     # the paper's plot tops out around 250 SLOC per element
     assert all(sloc <= 250 for sloc in data.values())
 
 
 def test_figure8_edge_fields():
-    data = figure8.generate()
+    outcome = _artifact("figure8")
+    data = outcome.data
     for edge in data["edges"]:
         assert edge["kind"] in ("mandatory", "possible", "intra")
         assert edge["detection"] in ("probe", "manager")
         assert edge["nature"] in ("reactive", "proactive")
     # every edge the paper's figure shows is derived by the model
-    assert figure8.fidelity(data) == []
+    assert outcome.problems == []
 
 
 # -- simulating artifacts report their events ---------------------------------------

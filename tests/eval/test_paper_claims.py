@@ -8,16 +8,24 @@ conclusions, and three ablations — per-FTM request latency, the ratio
 under a slower or faster platform, and quiescence under client load.
 """
 
+from argparse import Namespace
+
 from repro import exp
 from repro.app.workloads import constant
 from repro.core import AdaptationEngine
-from repro.eval import agility, campaign, consistency_eval, figure9, table2, table3
+from repro.eval import artifact, campaign, figure9, table3
 from repro.eval.table2 import PAPER_TABLE2
 from repro.ftm import FTM_NAMES, Client, deploy_ftm_pair
 from repro.kernel import CostModel, Timeout, World
 
 #: Seeded repetitions per Table 3 / Figure 9 cell (the paper averaged 100).
 RUNS = 3
+
+
+def _artifact(name, **options):
+    """Run one entry of the artifact table, serially, at the default seed."""
+    entry = artifact(name)
+    return entry.run(entry.spec(Namespace(seed=0, **options)), jobs=1)
 
 
 def _mean(values):
@@ -70,7 +78,7 @@ def _step_compatible(paper_step, our_step):
 
 
 def test_table2_matches_every_paper_row():
-    data = table2.generate()
+    data = _artifact("table2").data
     for role, before, proceed, after in PAPER_TABLE2:
         ours = _scheme_row(data["scheme"], role)
         assert ours is not None, role
@@ -87,8 +95,9 @@ def test_table2_matches_every_paper_row():
 
 
 def test_agility_conclusions():
-    data = agility.generate()
-    assert agility.shape_checks(data) == []
+    outcome = _artifact("agility")
+    assert outcome.problems == []
+    data = outcome.data
     agile, pre = data["agile"], data["preprogrammed"]
     # agility costs switch latency, within the related-work spread the
     # paper discusses (preprogrammed 4.5-390 ms, agile ~1 s) ...
@@ -102,8 +111,7 @@ def test_agility_conclusions():
 
 
 def test_consistency_holds_over_five_runs():
-    data = consistency_eval.generate(runs=5)
-    assert consistency_eval.shape_checks(data) == []
+    assert _artifact("consistency", runs=5).problems == []
 
 
 def test_ten_mission_campaign_is_clean_and_recovers_every_crash():

@@ -138,6 +138,32 @@ def test_cli_profile_campaign_reports_event_sources(capsys):
     assert "function calls" in captured.out
 
 
+class _Built(Exception):
+    """Raised by the stubbed runner once a command has built its spec."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign"],
+    ["gray-matrix", "--requests", "20"],
+    ["transition-matrix", "--smoke"],
+], ids=lambda argv: argv[0])
+def test_cli_profile_builds_the_spec_its_command_runs(monkeypatch, argv):
+    from repro import exp
+
+    hashes = []
+
+    def built(spec, **_how):
+        hashes.append(exp.spec_hash(spec))
+        raise _Built
+
+    monkeypatch.setattr(exp, "run", built)
+    with pytest.raises(_Built):
+        main(argv + ["--no-store"])
+    with pytest.raises(_Built):
+        main(["profile"] + argv)
+    assert len(hashes) == 2 and hashes[0] == hashes[1]
+
+
 def test_cli_profile_rejects_unknown_spec(capsys):
     with pytest.raises(SystemExit):
         main(["profile", "nonsense"])
@@ -199,6 +225,7 @@ def test_cli_experiment_errors_exit_2_without_a_traceback(
     ["gray-matrix", "--slo-ms", "0"],
     ["gray-matrix", "--slo-ms", "-5"],
     ["bench", "--report"],
+    ["profile", "table3", "--missions", "3"],
 ])
 def test_cli_malformed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:

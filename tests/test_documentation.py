@@ -77,7 +77,7 @@ def test_readme_and_design_docs_exist():
 
 
 def test_changes_entries_fit_the_claims_ledger():
-    """ROADMAP item 8's rule: every CHANGES.md entry from PR 26 on is at
+    """ROADMAP item 7's rule: every CHANGES.md entry from PR 26 on is at
     most 15 lines, none longer than 80 characters."""
     import re
     from pathlib import Path
