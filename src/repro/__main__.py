@@ -305,20 +305,11 @@ def _cmd_worker(args) -> int:
 
 def _cmd_demo(_args) -> int:
     from repro.core import AdaptationEngine
-    from repro.ftm import Client, deploy_ftm_pair
-    from repro.kernel import Timeout, World
+    from repro.eval.mission import pair_task, run_solo
+    from repro.kernel import Timeout
 
-    world = World(seed=42)
-    world.add_nodes(["alpha", "beta", "client"])
-
-    def scenario():
-        print("deploying PBR over alpha/beta ...")
-        pair = yield from deploy_ftm_pair(world, "pbr", ["alpha", "beta"])
-        pair.enable_recovery(restart_delay=300.0)
-        client = Client(world, world.cluster.node("client"), "you",
-                        pair.node_names())
+    def demo(world, pair, client):
         engine = AdaptationEngine(world, pair)
-
         reply = yield from client.request(("add", 7))
         print(f"  add 7 -> {reply.value} (served by {reply.served_by})")
         print("crashing the primary ...")
@@ -333,7 +324,9 @@ def _cmd_demo(_args) -> int:
         reply = yield from client.request(("get",))
         print(f"  get -> {reply.value} under {pair.ftm!r}: state survived")
 
-    world.run_process(scenario(), name="demo")
+    print("deploying PBR over alpha/beta ...")
+    run_solo(pair_task(42, "pbr", demo, client="you", timeout=400.0,
+                       max_attempts=8))
     return 0
 
 
@@ -360,6 +353,18 @@ def _latency_ms(text: str) -> float:
     if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0, got {text}")
+    return value
+
+
+def _gray_requests(text: str) -> int:
+    """argparse type for ``gray-matrix --requests``: more than the fixed
+    warm-up, so that some requests run while the primary limps."""
+    from repro.eval.gray import GRAY_WARMUP
+
+    value = int(text)
+    if value <= GRAY_WARMUP:
+        raise argparse.ArgumentTypeError(
+            f"must exceed the {GRAY_WARMUP}-request warm-up, got {value}")
     return value
 
 
@@ -418,8 +423,9 @@ def _gray_flags(parser) -> None:
     parser.add_argument("--factors", type=_list_of(_slowdown), default="4,8",
                         metavar="F1,F2,...",
                         help="slowdown factors to grid over (default: 4,8)")
-    parser.add_argument("--requests", type=_positive_int, default=200,
-                        help="client requests per mission (default: 200 — "
+    parser.add_argument("--requests", type=_gray_requests, default=200,
+                        help="client requests per mission, more than its "
+                             "warm-up (default: 200 — "
                              "a mission must outlive its own repair: a limped "
                              "disk slows the PBR→LFR transition to ~5 s)")
     parser.add_argument("--slo-ms", type=_latency_ms, default=30.0,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping
 
-from repro.eval.mission import run_solo
+from repro.eval.mission import pair_task, run_solo
 from repro.eval.stats import format_interval, wilson_interval
 from repro.exp import ExperimentSpec, Trial
 
@@ -57,28 +57,17 @@ def mission_task(seed: int, requests: int = 30) -> WorldTask:
 
     The task's result is the mission outcome as a plain dict (JSON-safe
     for the result store) with the fields of :class:`MissionOutcome`.
-    The platform is three hosts on default links.
+    The platform is :func:`~repro.eval.mission.pair_task`'s, on PBR⊕TR.
     """
     from repro.app.workloads import constant
     from repro.core.adaptation_engine import AdaptationEngine
-    from repro.ftm import Client, deploy_ftm_pair
-    from repro.kernel import Fault, Timeout, World, WorldTask
+    from repro.kernel import Fault, Timeout
 
-    world = World(seed=seed)
-    world.add_nodes(["alpha", "beta", "client"])
-    rng = world.sim.random.substream("campaign")
     outcome = MissionOutcome(seed=seed, requests=requests, expected_value=requests)
 
-    def scenario():
-        pair = yield from deploy_ftm_pair(
-            world, "pbr+tr", ["alpha", "beta"], assertion="counter-range"
-        )
-        pair.enable_recovery(restart_delay=300.0)
+    def run(world, pair, client):
+        rng = world.sim.random.substream("campaign")
         engine = AdaptationEngine(world, pair)
-        client = Client(
-            world, world.cluster.node("client"), "c1", pair.node_names(),
-            timeout=4_000.0, max_attempts=10,
-        )
 
         # randomised adversity, scheduled inside the workload window
         span = requests * 120.0
@@ -124,7 +113,7 @@ def mission_task(seed: int, requests: int = 30) -> WorldTask:
         outcome.transitioned_to = pair.ftm
         return asdict(outcome)
 
-    return WorldTask(world, scenario(), name="mission")
+    return pair_task(seed, "pbr+tr", run, assertion="counter-range")
 
 
 def _trial(seed: int, params: Mapping) -> Dict:

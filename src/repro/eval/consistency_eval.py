@@ -20,25 +20,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping
 
-from repro.core.adaptation_engine import AdaptationEngine
 from repro.eval.format import render_table
+from repro.eval.mission import pair_task, run_solo
 from repro.exp import ExperimentSpec, Trial
-from repro.ftm import Client, deploy_ftm_pair
-from repro.kernel import Fault, Timeout, World
 
 
 def _run_one(seed: int) -> Dict:
-    world = World(seed=seed)
-    pair = world.run_scenario(
-        lambda w: deploy_ftm_pair(w, "pbr", ["alpha", "beta"]),
-        nodes=("alpha", "beta", "client"), name="deploy",
-    )
-    pair.enable_recovery(restart_delay=300.0)
-    engine = AdaptationEngine(world, pair)
-    client = Client(
-        world, world.cluster.node("client"), "c1", pair.node_names(),
-        timeout=2_000.0, max_attempts=10,
-    )
+    from repro.core.adaptation_engine import AdaptationEngine
+    from repro.kernel import Fault, Timeout
+
     outcome = {
         "served_before": 0,
         "served_during": 0,
@@ -48,7 +38,8 @@ def _run_one(seed: int) -> Dict:
         "killed_replica": False,
     }
 
-    def scenario():
+    def run(world, pair, client):
+        engine = AdaptationEngine(world, pair)
         for _ in range(3):
             reply = yield from client.request(("add", 1))
             outcome["served_before"] += int(reply.ok)
@@ -79,9 +70,7 @@ def _run_one(seed: int) -> Dict:
             ).__name__
         return outcome
 
-    world.run_process(scenario(), name="scenario")
-    world.close()
-    return outcome
+    return run_solo(pair_task(seed, "pbr", run, timeout=2_000.0))
 
 
 def _trial(seed: int, _params: Mapping) -> Dict:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
-from repro.core.adaptation_engine import AdaptationEngine
 from repro.eval.format import render_table
+from repro.eval.table3 import transition_report
 from repro.exp import ExperimentSpec, Trial
-from repro.ftm import deploy_ftm_pair, variable_feature_distance
-from repro.kernel import World
+from repro.ftm import variable_feature_distance
 
 #: The paper's three transitions and their phase shares.
 PAPER_FIGURE9 = {
@@ -38,16 +37,7 @@ TRANSITIONS: Tuple[Tuple[str, str], ...] = tuple(PAPER_FIGURE9)
 
 def measure(source: str, target: str, seed: int) -> Dict:
     """One instrumented transition run; returns the phase breakdown."""
-    world = World(seed=seed)
-
-    def do():
-        pair = yield from deploy_ftm_pair(world, source, ["alpha", "beta"])
-        engine = AdaptationEngine(world, pair)
-        report = yield from engine.transition(target)
-        return report
-
-    report = world.run_scenario(do(), nodes=("alpha", "beta"), name="measure")
-    world.close()
+    report = transition_report(source, target, seed)
     replica = next(r for r in report.replicas if r.success)
     return {
         "components": variable_feature_distance(source, target),

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.eval.format import render_table
-from repro.eval.mission import run_solo
+from repro.eval.mission import pair_task, run_solo
 from repro.eval.stats import format_interval, wilson_interval
 from repro.exp import ExperimentSpec, Trial
 from repro.vocabulary import SLOW_RESOURCES
@@ -50,6 +50,9 @@ GRAY_FTMS = ("pbr", "lfr")
 
 #: Slowdown factors: ×4 is a mild limp, ×8 a textbook limplock.
 GRAY_FACTORS = (4.0, 8.0)
+
+#: Healthy requests a gray mission sends before its primary limps.
+GRAY_WARMUP = 20
 
 
 def trace_digest(world) -> str:
@@ -147,7 +150,7 @@ def gray_task(
     resource: str = "link",
     factor: float = 8.0,
     requests: int = 200,
-    warmup: int = 20,
+    warmup: int = GRAY_WARMUP,
     period_ms: float = 40.0,
     probe_period_ms: float = 100.0,
     slo_ms: float = 30.0,
@@ -174,7 +177,9 @@ def gray_task(
     the manager — otherwise the pair oscillates PBR→LFR→PBR→… for as
     long as the gray fault persists (the paper's man-in-the-loop
     argument, reproduced here by a limplock instead of a flapping link).
-    The platform is three hosts on default links.
+    The platform is :func:`~repro.eval.mission.pair_task`'s.  Raises
+    :class:`ValueError` unless ``requests`` exceeds ``warmup``: a
+    mission must send requests after its limp starts.
     """
     from repro.app.workloads import WorkloadResult, constant
     from repro.core import (
@@ -183,19 +188,17 @@ def gray_task(
         ResilienceManager,
         SystemManager,
     )
-    from repro.ftm import Client, deploy_ftm_pair
-    from repro.kernel import Fault, Timeout, World, WorldTask
+    from repro.kernel import Fault, Timeout
 
+    if requests <= warmup:
+        raise ValueError(
+            f"requests ({requests}) must exceed the warm-up ({warmup})")
     # a window open since t=0: armed at the limp's start, it fires at once
     limp = Fault("slow", "alpha", resource=resource, factor=factor)
-    world = World(seed=seed)
-    world.add_nodes(["alpha", "beta", "client"])
     outcome = GrayOutcome(seed=seed, ftm=ftm, resource=resource,
                           factor=factor, proactive=proactive)
 
-    def scenario():
-        pair = yield from deploy_ftm_pair(world, ftm, ["alpha", "beta"])
-        pair.enable_recovery(restart_delay=300.0)
+    def run(world, pair, client):
         monitoring = MonitoringEngine(
             world, ["alpha", "beta"],
             period=probe_period_ms, thresholds=gray_thresholds(),
@@ -209,10 +212,6 @@ def gray_task(
             )
             monitoring.start()
             resilience.start()
-        client = Client(
-            world, world.cluster.node("client"), "c-gray",
-            pair.node_names(), timeout=2_000.0, max_attempts=6,
-        )
         result = WorkloadResult()
         yield from constant(world, client, count=warmup,
                             period_ms=period_ms, result=result)
@@ -247,7 +246,8 @@ def gray_task(
         outcome.trace_digest = trace_digest(world)
         return asdict(outcome)
 
-    return WorldTask(world, scenario(), name="gray-mission")
+    return pair_task(seed, ftm, run, client="c-gray", timeout=2_000.0,
+                     max_attempts=6)
 
 
 def run_gray_mission(seed: int, **kwargs) -> GrayOutcome:
@@ -294,7 +294,7 @@ def spec(
     resources=SLOW_RESOURCES,
     factors=GRAY_FACTORS,
     requests: int = 200,
-    warmup: int = 20,
+    warmup: int = GRAY_WARMUP,
     period_ms: float = 40.0,
     slo_ms: float = 30.0,
 ) -> ExperimentSpec:

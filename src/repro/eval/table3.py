@@ -55,19 +55,22 @@ def measure_deployment(ftm: str, seed: int) -> float:
     return world.now
 
 
-def measure_transition(source: str, target: str, seed: int) -> float:
-    """Virtual per-replica time of one differential transition."""
+def transition_report(source: str, target: str, seed: int):
+    """The engine's report of one ``source`` → ``target`` transition."""
     world = World(seed=seed)
 
     def do():
         pair = yield from deploy_ftm_pair(world, source, ["alpha", "beta"])
-        engine = AdaptationEngine(world, pair)
-        report = yield from engine.transition(target)
-        return report
+        return (yield from AdaptationEngine(world, pair).transition(target))
 
     report = world.run_scenario(do(), nodes=("alpha", "beta"), name="measure")
     world.close()
-    return report.per_replica_ms
+    return report
+
+
+def measure_transition(source: str, target: str, seed: int) -> float:
+    """Virtual per-replica time of one differential transition."""
+    return transition_report(source, target, seed).per_replica_ms
 
 
 def _trial(seed: int, params: Mapping) -> Dict:

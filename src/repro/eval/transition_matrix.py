@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.eval.format import render_table
-from repro.eval.mission import run_solo
+from repro.eval.mission import pair_task, run_solo
 from repro.exp import ExperimentSpec, Trial
 from repro.vocabulary import TRANSITION_FAULT_KINDS, TRANSITION_PHASES
 
@@ -115,30 +115,22 @@ def cell_task(
 
     The task's result is the cell outcome as a plain dict;
     :func:`run_cell` is the solo wrapper returning :class:`CellOutcome`.
-    The platform is three hosts on default links.
+    The platform is :func:`~repro.eval.mission.pair_task`'s, with the
+    repository hosted on a fourth node.
     """
     from repro.app.workloads import constant
     from repro.core.adaptation_engine import AdaptationEngine
     from repro.core.repository import Repository
-    from repro.ftm import Client, deploy_ftm_pair
-    from repro.kernel import Fault, Timeout, World, WorldTask
+    from repro.kernel import Fault, Timeout
 
-    world = World(seed=seed)
-    world.add_nodes(["alpha", "beta", "client"])
     outcome = CellOutcome(
         seed=seed, transition=f"{source}->{target}", fault=fault
     )
 
-    def scenario():
-        pair = yield from deploy_ftm_pair(world, source, ["alpha", "beta"])
-        pair.enable_recovery(restart_delay=300.0)
+    def run(world, pair, client):
         repository = Repository()
         repository.attach(world)
         engine = AdaptationEngine(world, pair, repository)
-        client = Client(
-            world, world.cluster.node("client"), "c1", pair.node_names(),
-            timeout=4_000.0, max_attempts=10,
-        )
         if fault != "none":
             phase, kind = fault.split("/")
             # a script-phase crash lands at a statement boundary: the
@@ -210,8 +202,7 @@ def cell_task(
             outcome.status += "!"
         return asdict(outcome)
 
-    return WorldTask(world, scenario(),
-                     name="matrix-cell")
+    return pair_task(seed, source, run)
 
 
 def run_cell(

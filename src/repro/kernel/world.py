@@ -5,15 +5,15 @@ storage, which otherwise must be threaded through every constructor.  All
 examples, tests and ``bench/`` workloads start from ``World(seed=...)``.
 
 A world has one lifecycle: *build* it (``World(seed)`` plus
-``add_nodes``), *run* it (:meth:`World.run_scenario`, or a
-:class:`WorldTask` under :func:`run_solo`), *close* it
-(:meth:`World.close`).  Every mission gets its own world; nothing is
-rewound or reused.
+``add_nodes``), *run* it (:meth:`World.run_scenario`, or a world and its
+generator as a :class:`WorldTask` under :func:`run_solo`), *close* it
+(:meth:`World.close`, which :func:`run_solo` always calls).  Every
+mission gets its own world; nothing is rewound or reused.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Union
+from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.kernel.costs import CostModel, DEFAULT_COSTS
 from repro.kernel.errors import SimulationError
@@ -134,11 +134,6 @@ class World:
         return self.run_process(gen, name=name)
 
 
-#: A scenario is either a ready generator or a callable ``world -> gen``
-#: (the same convention as :meth:`World.run_scenario`).
-Scenario = Union[Generator, Callable[[World], Generator]]
-
-
 class WorldTask:
     """One world plus the process that drives it to completion.
 
@@ -149,16 +144,7 @@ class WorldTask:
 
     __slots__ = ("world", "process", "name")
 
-    def __init__(
-        self,
-        world: World,
-        scenario: Scenario,
-        nodes: Sequence[str] = (),
-        name: str = "scenario",
-    ):
-        if nodes:
-            world.add_nodes(list(nodes))
-        gen = scenario(world) if callable(scenario) else scenario
+    def __init__(self, world: World, gen: Generator, name: str = "scenario"):
         self.world = world
         self.name = name
         self.process = world.sim.spawn(gen, name=name)
@@ -183,12 +169,14 @@ def run_solo(task: WorldTask) -> Any:
     Drives exactly as :meth:`Simulator.run_process` would — until the
     task process terminates; a failing task raises, a world going idle
     before its task finished raises :class:`SimulationError` (deadlock).
+    The world is closed whichever way the task ends.
     """
-    task.world.sim.advance(task.process.terminated)
-    if not task.done:
-        raise SimulationError(
-            f"task {task.name!r} never terminated (deadlock?)"
-        )
-    result = task.result()
-    task.world.close()
-    return result
+    try:
+        task.world.sim.advance(task.process.terminated)
+        if not task.done:
+            raise SimulationError(
+                f"task {task.name!r} never terminated (deadlock?)"
+            )
+        return task.result()
+    finally:
+        task.world.close()

@@ -25,6 +25,13 @@ def test_gray_task_rejects_unknown_resource():
         gray.gray_task(1, resource="gpu")
 
 
+@pytest.mark.parametrize("requests", [gray.GRAY_WARMUP, 5])
+def test_gray_task_rejects_requests_that_end_with_the_warmup(requests):
+    """A mission must send requests after its limp starts."""
+    with pytest.raises(ValueError, match="must exceed the warm-up"):
+        gray.gray_task(1, requests=requests)
+
+
 def test_mission_is_deterministic_for_a_seed():
     kwargs = dict(ftm="pbr", resource="disk", factor=8.0, requests=60)
     first = gray.run_gray_mission(41_000, **kwargs)

@@ -34,7 +34,11 @@ def _rng_task(seed, steps=5):
 def _failing_task():
     world = World(seed=1)
 
+    def background():
+        yield Timeout(100.0)
+
     def scenario():
+        world.sim.spawn(background())
         yield Timeout(1.0)
         raise RuntimeError("boom")
 
@@ -50,14 +54,24 @@ def _deadlocked_task():
     return WorldTask(world, scenario(), name="stuck")
 
 
+def _assert_closed(world):
+    """``World.close()`` ran: no event is queued and no process is left."""
+    assert world.sim.pending() == 0
+    assert world.sim.processes == []
+
+
 def test_failing_task_propagates_from_solo():
+    task = _failing_task()
     with pytest.raises(RuntimeError, match="boom"):
-        run_solo(_failing_task())
+        run_solo(task)
+    _assert_closed(task.world)  # the background timer did not outlive it
 
 
 def test_deadlocked_task_raises_like_run_process():
+    task = _deadlocked_task()
     with pytest.raises(SimulationError, match="never terminated"):
-        run_solo(_deadlocked_task())
+        run_solo(task)
+    _assert_closed(task.world)
 
 
 def test_result_before_completion_raises():
@@ -66,13 +80,3 @@ def test_result_before_completion_raises():
     with pytest.raises(SimulationError, match="has not finished"):
         task.result()
 
-
-def test_worldtask_adds_nodes_and_accepts_callable_scenario():
-    world = World(seed=9)
-
-    def scenario(w):
-        yield Timeout(1.0)
-        return sorted(w.cluster.nodes)
-
-    task = WorldTask(world, scenario, nodes=("alpha", "beta"))
-    assert run_solo(task) == ["alpha", "beta"]

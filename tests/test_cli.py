@@ -144,7 +144,7 @@ class _Built(Exception):
 
 @pytest.mark.parametrize("argv", [
     ["campaign"],
-    ["gray-matrix", "--requests", "20"],
+    ["gray-matrix", "--requests", "21"],
     ["transition-matrix", "--smoke"],
 ], ids=lambda argv: argv[0])
 def test_cli_profile_builds_the_spec_its_command_runs(monkeypatch, argv):
@@ -226,6 +226,7 @@ def test_cli_experiment_errors_exit_2_without_a_traceback(
     ["gray-matrix", "--slo-ms", "-5"],
     ["bench", "--report"],
     ["profile", "table3", "--missions", "3"],
+    ["gray-matrix", "--requests", "20"],
 ])
 def test_cli_malformed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
