@@ -69,8 +69,6 @@ from repro.core.transition_graph import (
     build_scenario_graph,
     event,
     figure2_graph,
-    mandatory_edges,
-    possible_edges,
     select_target,
     state_label,
 )
@@ -129,8 +127,6 @@ __all__ = [
     "build_scenario_graph",
     "event",
     "figure2_graph",
-    "mandatory_edges",
-    "possible_edges",
     "select_target",
     "state_label",
 ]

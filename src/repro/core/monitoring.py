@@ -257,7 +257,10 @@ class MonitoringEngine:
                 "bytes_sent": node.bytes_sent,
                 "up": node.is_up,
             }
-            if utilisation > self.thresholds.cpu_saturated:
+            if not node.is_up:
+                # a dead host charges no busy time: it is not an idle CPU
+                self._cpu_streak[name] = 0
+            elif utilisation > self.thresholds.cpu_saturated:
                 self._cpu_streak[name] = self._cpu_streak.get(name, 0) + 1
                 if (
                     self._cpu_streak[name] == self.thresholds.cpu_sustain_samples

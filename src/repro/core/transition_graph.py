@@ -462,16 +462,3 @@ def _edges_for(
             seen_labels.add(label)
     return out
 
-
-def mandatory_edges(edges=None) -> List[ScenarioEdge]:
-    """The automatic edges of the scenario graph."""
-    if edges is None:
-        _states, edges = build_scenario_graph()
-    return [e for e in edges if e.kind == "mandatory"]
-
-
-def possible_edges(edges=None) -> List[ScenarioEdge]:
-    """The manager-decided edges of the scenario graph."""
-    if edges is None:
-        _states, edges = build_scenario_graph()
-    return [e for e in edges if e.kind == "possible"]

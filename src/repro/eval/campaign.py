@@ -100,11 +100,11 @@ def mission_task(seed: int, requests: int = 30) -> WorldTask:
 
         world.sim.spawn(adapt())
 
-        result = yield from constant(world, client, count=requests, period_ms=120.0)
+        yield from constant(client, count=requests, period_ms=120.0)
         yield Timeout(8_000.0)  # recovery tail
 
-        outcome.all_ok = result.all_ok
-        outcome.final_value = result.replies[-1].value if result.replies else -1
+        outcome.all_ok = client.all_ok
+        outcome.final_value = client.replies[-1].value if client.replies else -1
         outcome.masked_faults = world.trace.count("ftm", "tr_masked")
         outcome.injected_faults = world.trace.count("fault", "value_injected")
         outcome.crashes = world.trace.count("node", "crash")

@@ -71,11 +71,7 @@ def trace_digest(world) -> str:
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
-def gray_thresholds(
-    limp_p99_ms: float = 10.0,
-    limp_clear_p99_ms: float = 9.0,
-    limp_sustain_samples: int = 3,
-) -> Thresholds:
+def gray_thresholds() -> Thresholds:
     """Probe thresholds for gray missions.
 
     The band is calibrated to the cost model and the probe's vantage
@@ -92,9 +88,9 @@ def gray_thresholds(
         bandwidth_low=0.0,       # bandwidth probe: never scarce
         bandwidth_high=1.0,
         cpu_saturated=1.01,      # CPU probe: utilisation is capped at 1.0
-        limp_p99_ms=limp_p99_ms,
-        limp_clear_p99_ms=limp_clear_p99_ms,
-        limp_sustain_samples=limp_sustain_samples,
+        limp_p99_ms=10.0,        # limping: p99 above 10 ms for 3 samples
+        limp_clear_p99_ms=9.0,   # recovered: p99 back below 9 ms
+        limp_sustain_samples=3,
     )
 
 
@@ -152,7 +148,6 @@ def gray_task(
     requests: int = 200,
     warmup: int = GRAY_WARMUP,
     period_ms: float = 40.0,
-    probe_period_ms: float = 100.0,
     slo_ms: float = 30.0,
     proactive: bool = True,
 ) -> WorldTask:
@@ -181,7 +176,7 @@ def gray_task(
     :class:`ValueError` unless ``requests`` exceeds ``warmup``: a
     mission must send requests after its limp starts.
     """
-    from repro.app.workloads import WorkloadResult, constant
+    from repro.app.workloads import constant
     from repro.core import (
         AdaptationEngine,
         MonitoringEngine,
@@ -201,7 +196,7 @@ def gray_task(
     def run(world, pair, client):
         monitoring = MonitoringEngine(
             world, ["alpha", "beta"],
-            period=probe_period_ms, thresholds=gray_thresholds(),
+            period=100.0, thresholds=gray_thresholds(),
         )
         manager = SystemManager(auto_approve=False)
         if proactive:
@@ -212,18 +207,15 @@ def gray_task(
             )
             monitoring.start()
             resilience.start()
-        result = WorkloadResult()
-        yield from constant(world, client, count=warmup,
-                            period_ms=period_ms, result=result)
+        yield from constant(client, count=warmup, period_ms=period_ms)
         limp_start = world.now
         world.faults.arm(limp)
-        yield from constant(world, client, count=requests - warmup,
-                            period_ms=period_ms, result=result)
+        yield from constant(client, count=requests - warmup, period_ms=period_ms)
         yield Timeout(500.0)  # let the last probe window close
 
-        outcome.sent = result.sent
-        outcome.ok = result.ok
-        outcome.errors = result.errors
+        outcome.sent = client.sent
+        outcome.ok = client.ok
+        outcome.errors = client.errors
         limps = [t for t in monitoring.trigger_history
                  if t.event == "node-limping"]
         outcome.detected = bool(limps)
@@ -237,12 +229,12 @@ def gray_task(
         outcome.final_ftm = pair.ftm
         outcome.pending_proposals = len(manager.pending)
         outcome.peer_suspected = world.trace.count("ftm", "peer_suspected")
-        post = result.latencies_ms[warmup:]
+        post = client.latencies_ms[warmup:]
         outcome.post_requests = len(post)
         outcome.slo_misses = sum(
             1 for latency in post if latency > slo_ms
         )
-        outcome.masked = result.all_ok
+        outcome.masked = client.all_ok
         outcome.trace_digest = trace_digest(world)
         return asdict(outcome)
 

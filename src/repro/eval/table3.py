@@ -47,11 +47,13 @@ PAPER_TABLE3: Dict[Tuple[str, str], float] = {
 def measure_deployment(ftm: str, seed: int) -> float:
     """Virtual time to deploy one FTM pair from scratch (per replica)."""
     world = World(seed=seed)
-    world.run_scenario(
-        lambda w: deploy_ftm_pair(w, ftm, ["alpha", "beta"]),
-        nodes=("alpha", "beta"), name="deploy",
-    )
-    world.close()
+    try:
+        world.run_scenario(
+            lambda w: deploy_ftm_pair(w, ftm, ["alpha", "beta"]),
+            nodes=("alpha", "beta"), name="deploy",
+        )
+    finally:
+        world.close()
     return world.now
 
 
@@ -63,9 +65,10 @@ def transition_report(source: str, target: str, seed: int):
         pair = yield from deploy_ftm_pair(world, source, ["alpha", "beta"])
         return (yield from AdaptationEngine(world, pair).transition(target))
 
-    report = world.run_scenario(do(), nodes=("alpha", "beta"), name="measure")
-    world.close()
-    return report
+    try:
+        return world.run_scenario(do(), nodes=("alpha", "beta"), name="measure")
+    finally:
+        world.close()
 
 
 def measure_transition(source: str, target: str, seed: int) -> float:

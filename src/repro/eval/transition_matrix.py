@@ -143,21 +143,18 @@ def cell_task(
             ))
 
         span = requests * 120.0
-        report_box = {}
 
         def adapt():
             yield Timeout(0.25 * span)
-            report_box["report"] = yield from engine.transition(target)
+            yield from engine.transition(target)
 
         world.sim.spawn(adapt(), name="adapt")
-        result = yield from constant(
-            world, client, count=requests, period_ms=120.0
-        )
+        yield from constant(client, count=requests, period_ms=120.0)
         yield Timeout(10_000.0)  # quarantine/recovery tail
 
-        report = report_box.get("report")
-        outcome.all_ok = result.all_ok
-        final_value = result.replies[-1].value if result.replies else -1
+        report = engine.history[-1] if engine.history else None
+        outcome.all_ok = client.all_ok
+        final_value = client.replies[-1].value if client.replies else -1
         outcome.exactly_once = final_value == requests
         outcome.final_ftm = pair.ftm
         outcome.replicas_alive = sum(1 for r in pair.replicas if r.alive)

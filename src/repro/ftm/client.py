@@ -17,7 +17,14 @@ from repro.kernel.sim import TIMEOUT, Timeout
 
 
 class Client:
-    """A request/reply client with retransmission and replica failover."""
+    """A request/reply client with retransmission and replica failover.
+
+    The client is the record of its requests: ``replies`` and
+    ``latencies_ms`` (from a request's start to its reply) hold one entry
+    per answered request, in answer order, and ``sent``, ``ok``,
+    ``errors``, ``replayed`` and ``all_ok`` are read off them.  A request
+    that raised was never answered and is not counted.
+    """
 
     def __init__(
         self,
@@ -39,14 +46,37 @@ class Client:
         self._ids = itertools.count(1)
         self._preferred = 0
         self.replies: List[ClientReply] = []
+        self.latencies_ms: List[float] = []
         self.retransmissions = 0
+
+    @property
+    def sent(self) -> int:
+        return len(self.replies)
+
+    @property
+    def ok(self) -> int:
+        return sum(1 for reply in self.replies if reply.ok)
+
+    @property
+    def errors(self) -> int:
+        return self.sent - self.ok
+
+    @property
+    def replayed(self) -> int:
+        return sum(1 for reply in self.replies if reply.replayed)
+
+    @property
+    def all_ok(self) -> bool:
+        return self.sent > 0 and self.ok == self.sent
 
     def request(self, payload: Any) -> Any:
         """Issue one request (generator; ``yield from`` inside a process).
 
-        Returns the :class:`ClientReply`; raises :class:`FTMError` after
-        ``max_attempts`` unanswered transmissions.
+        Returns the :class:`ClientReply` and records it with its latency;
+        raises :class:`FTMError` after ``max_attempts`` unanswered
+        transmissions.
         """
+        started = self.world.now
         request_id = next(self._ids)
         port = f"reply-{self.name}-{request_id}"
         mailbox = self.world.network.bind(self.node.name, port)
@@ -82,6 +112,7 @@ class Client:
                     yield Timeout(self.timeout / 8)
                     continue
                 self.replies.append(reply)
+                self.latencies_ms.append(self.world.now - started)
                 return reply
             raise FTMError(
                 f"client {self.name}: no reply to request {request_id} after "
@@ -93,11 +124,3 @@ class Client:
     def _failover(self) -> None:
         if len(self.targets) > 1:
             self._preferred = (self._preferred + 1) % len(self.targets)
-
-    def run_workload(self, payloads) -> Any:
-        """Issue a sequence of requests; returns the list of replies."""
-        replies = []
-        for payload in payloads:
-            reply = yield from self.request(payload)
-            replies.append(reply)
-        return replies

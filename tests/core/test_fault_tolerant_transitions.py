@@ -145,16 +145,16 @@ def test_transitions_converge_under_repository_link_loss(loss):
                 box["report"] = yield from engine.transition("lfr+tr")
 
             world.sim.spawn(adapt(), name="adapt")
-            result = yield from constant(world, client, count=10, period_ms=120.0)
+            yield from constant(client, count=10, period_ms=120.0)
             yield Timeout(2_000.0)
-            return pair, box["report"], result
+            return pair, box["report"], client
 
-        pair, report, result = world.run_process(scenario(), name="mission")
+        pair, report, client = world.run_process(scenario(), name="mission")
         assert report.outcome in ("success", "degraded"), report.outcome
         outcomes[report.outcome] += 1
         # exactly-once client service throughout
-        assert result.all_ok
-        assert result.replies[-1].value == 10
+        assert client.all_ok
+        assert client.replies[-1].value == 10
         # converged: serving the target, or cleanly back on the source
         expected = "lfr+tr" if report.success else "pbr"
         assert pair.ftm == expected
@@ -296,15 +296,15 @@ def test_degraded_service_continues_under_load():
             box["report"] = yield from engine.transition("lfr")
 
         world.sim.spawn(adapt(), name="adapt")
-        result = yield from constant(world, client, count=15, period_ms=120.0)
+        yield from constant(client, count=15, period_ms=120.0)
         while "report" not in box:  # fetch retries may outlast the workload
             yield Timeout(500.0)
-        return pair, box["report"], result
+        return pair, box["report"], client
 
-    pair, report, result = world.run_process(scenario(), name="degraded-load")
+    pair, report, client = world.run_process(scenario(), name="degraded-load")
     assert report.degraded
-    assert result.all_ok
-    assert result.replies[-1].value == 15  # exactly-once despite the fallback
+    assert client.all_ok
+    assert client.replies[-1].value == 15  # exactly-once despite the fallback
     assert pair.ftm == "pbr"
 
 

@@ -216,6 +216,35 @@ def test_cpu_trigger_requires_consecutive_saturated_samples():
     assert len(ups) == 1
 
 
+def test_crashed_node_is_not_an_idle_cpu():
+    world = World(seed=1)
+    world.add_nodes(["alpha", "beta"])
+    monitoring = MonitoringEngine(world, ["alpha", "beta"],
+                                  thresholds=Thresholds(cpu_sustain_samples=4))
+    monitoring.start()
+    alpha = world.cluster.node("alpha")
+
+    def scenario():
+        while world.now < 3_000.0:  # saturate alpha: cpu-drop fires
+            yield from alpha.compute(25.0)
+        alpha.crash()  # a dead host charges no busy time ...
+        yield Timeout(1_000.0)
+        ups_while_down = [t for t in monitoring.trigger_history
+                          if t.event == "cpu-increase"]
+        alpha.restart()  # ... an idle live one recovers the resource
+        restarted = world.now
+        yield Timeout(1_000.0)
+        return ups_while_down, restarted
+
+    ups_while_down, restarted = world.run_process(scenario(), name="driver")
+    drops = [t for t in monitoring.trigger_history if t.event == "cpu-drop"]
+    assert [t.details["node"] for t in drops] == ["alpha"]
+    assert ups_while_down == []
+    ups = [t for t in monitoring.trigger_history if t.event == "cpu-increase"]
+    assert [t.details["node"] for t in ups] == ["alpha"]
+    assert ups[0].time > restarted
+
+
 # -- the gray parameter events ------------------------------------------------------
 
 

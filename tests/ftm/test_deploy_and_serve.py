@@ -28,11 +28,11 @@ def run_requests(world, pair, payloads, client_name="c1", **client_kwargs):
     )
 
     def workload():
-        replies = yield from client.run_workload(payloads)
-        return replies
+        for payload in payloads:
+            yield from client.request(payload)
 
-    replies = world.run_process(workload(), name="workload")
-    return client, replies
+    world.run_process(workload(), name="workload")
+    return client, client.replies
 
 
 # -- deployment ----------------------------------------------------------------

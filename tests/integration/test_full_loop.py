@@ -34,13 +34,7 @@ def build(seed=80, ftm="pbr", assertion="always-true"):
 def test_transition_under_steady_load_loses_nothing():
     world, pair, client = build()
     engine = AdaptationEngine(world, pair)
-    results = {}
-
-    def load():
-        result = yield from constant(world, client, count=30, period_ms=40.0)
-        results["load"] = result
-
-    loader = world.sim.spawn(load())
+    loader = world.sim.spawn(constant(client, count=30, period_ms=40.0))
 
     def adapt():
         yield Timeout(300.0)
@@ -50,9 +44,8 @@ def test_transition_under_steady_load_loses_nothing():
         yield loader
 
     world.run_process(adapt(), name="adapt")
-    result = results["load"]
-    assert result.all_ok
-    assert result.replies[-1].value == 30  # exactly-once effects throughout
+    assert client.all_ok
+    assert client.replies[-1].value == 30  # exactly-once effects throughout
     assert pair.ftm == "lfr+tr"
 
 
@@ -61,13 +54,7 @@ def test_crash_during_transition_under_load():
     world, pair, client = build(seed=81)
     pair.enable_recovery(restart_delay=400.0)
     engine = AdaptationEngine(world, pair)
-    results = {}
-
-    def load():
-        result = yield from constant(world, client, count=25, period_ms=80.0)
-        results["load"] = result
-
-    loader = world.sim.spawn(load())
+    loader = world.sim.spawn(constant(client, count=25, period_ms=80.0))
 
     def chaos():
         yield Timeout(200.0)
@@ -79,9 +66,8 @@ def test_crash_during_transition_under_load():
         yield Timeout(8_000.0)  # reintegration window
 
     world.run_process(chaos(), name="chaos")
-    result = results["load"]
-    assert result.all_ok
-    assert result.replies[-1].value == 25
+    assert client.all_ok
+    assert client.replies[-1].value == 25
     assert pair.ftm == "lfr"
     beta = pair.replica_on("beta")
     assert beta.alive and beta.role() == "slave"
@@ -92,13 +78,7 @@ def test_value_faults_masked_across_a_transition():
     engine = AdaptationEngine(world, pair)
     # one guaranteed transient fault before the transition...
     world.faults.arm(Fault("value", "alpha"))
-    results = {}
-
-    def load():
-        result = yield from constant(world, client, count=20, period_ms=60.0)
-        results["load"] = result
-
-    loader = world.sim.spawn(load())
+    loader = world.sim.spawn(constant(client, count=20, period_ms=60.0))
 
     def adapt():
         yield Timeout(400.0)
@@ -108,9 +88,8 @@ def test_value_faults_masked_across_a_transition():
         yield loader
 
     world.run_process(adapt(), name="adapt")
-    result = results["load"]
-    assert result.all_ok
-    assert result.replies[-1].value == 20  # every fault masked, before & after
+    assert client.all_ok
+    assert client.replies[-1].value == 20  # every fault masked, before & after
     assert world.trace.count("ftm", "tr_masked") >= 2
 
 
@@ -127,7 +106,7 @@ def test_closed_loop_mission_with_multiple_triggers():
     resilience.start()
 
     def mission():
-        yield from constant(world, client, count=5, period_ms=30.0)
+        yield from constant(client, count=5, period_ms=30.0)
         # R: the link degrades -> mandatory PBR -> LFR
         world.network.set_link("alpha", "beta", bandwidth=500.0)
         yield Timeout(4_000.0)
@@ -137,12 +116,12 @@ def test_closed_loop_mission_with_multiple_triggers():
         yield Timeout(3_000.0)
         assert pair.ftm == "lfr+tr"
         # traffic still flows, exactly-once preserved
-        result = yield from constant(world, client, count=5, period_ms=30.0)
-        return result
+        yield from constant(client, count=5, period_ms=30.0)
 
-    result = world.run_process(mission(), name="mission")
-    assert result.all_ok
-    assert result.replies[-1].value == 10
+    world.run_process(mission(), name="mission")
+    assert client.sent == 10
+    assert client.all_ok
+    assert client.replies[-1].value == 10
     executed = [d for d in resilience.decisions if d["executed"]]
     assert len(executed) == 2
 
@@ -150,15 +129,7 @@ def test_closed_loop_mission_with_multiple_triggers():
 def test_bursty_load_buffered_by_gate():
     world, pair, client = build(seed=84)
     engine = AdaptationEngine(world, pair)
-    results = {}
-
-    def load():
-        result = yield from bursty(
-            world, client, bursts=6, burst_size=4, gap_ms=250.0
-        )
-        results["load"] = result
-
-    loader = world.sim.spawn(load())
+    loader = world.sim.spawn(bursty(client, bursts=6, burst_size=4, gap_ms=250.0))
 
     def adapt():
         yield Timeout(500.0)
@@ -166,8 +137,8 @@ def test_bursty_load_buffered_by_gate():
         yield loader
 
     world.run_process(adapt(), name="adapt")
-    assert results["load"].all_ok
-    assert results["load"].replies[-1].value == 24
+    assert client.all_ok
+    assert client.replies[-1].value == 24
 
 
 def test_double_transition_round_trip_restores_architecture():

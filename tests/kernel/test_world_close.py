@@ -220,6 +220,27 @@ def test_close_twice_harvests_once_and_keeps_the_clock():
     assert world.now == ended
 
 
+def test_a_table3_trial_that_raises_still_closes_its_world(monkeypatch):
+    from repro.core.adaptation_engine import AdaptationEngine
+
+    closed = []
+
+    class Watched(World):
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    def broken(self, target_ftm, context=None):
+        raise RuntimeError("transition broke")
+        yield  # pragma: no cover - generator marker
+
+    monkeypatch.setattr(table3, "World", Watched)
+    monkeypatch.setattr(AdaptationEngine, "transition", broken)
+    with pytest.raises(RuntimeError, match="transition broke"):
+        table3.measure_transition("pbr", "lfr", seed=1)
+    assert len(closed) == 1 and not closed[0].trace.records
+
+
 def test_two_hundred_missions_leave_the_heap_flat():
     """The leak regression: worlds come and go, the process stays level."""
 
