@@ -58,16 +58,8 @@ class NodeContext:
         """Send a datagram from this node."""
         self.network.send(self.node.name, destination, port, payload, size)
 
-    def compute(self, duration_ms: float):
-        """Charge CPU time on the host (``yield from ctx.compute(...)``)."""
-        return self.node.compute(duration_ms)
-
     def compute_charge(self, duration_ms: float):
-        """Flat form of :meth:`compute` — ``yield ctx.compute_charge(...)``.
-
-        Same accounting and wait instants, no generator frame per
-        computation; the request hot path uses this.
-        """
+        """Charge CPU time on the host — ``yield ctx.compute_charge(...)``."""
         return self.node.compute_charge(duration_ms)
 
 

@@ -493,7 +493,7 @@ class AdaptationEngine:
         node = replica.node
         costs = self.world.costs
         if not self._networked():
-            yield from node.compute(costs.package_fetch / node.disk_speed)
+            yield node.compute_charge(costs.package_fetch / node.disk_speed)
             report.fetch_attempts = 1
             return
 
@@ -530,7 +530,7 @@ class AdaptationEngine:
                         chunks=total_chunks,
                         attempts=report.fetch_attempts,
                     )
-                    yield from node.compute(
+                    yield node.compute_charge(
                         costs.package_checksum / node.disk_speed
                     )
                     return
@@ -615,7 +615,7 @@ class AdaptationEngine:
                 with phase("fetch"):
                     yield from self._fetch_package(replica, package, report)
                 with phase("deploy"):
-                    yield from node.compute(
+                    yield node.compute_charge(
                         (costs.package_unpack_base
                          + costs.package_unpack_component
                          * package.component_count) / node.disk_speed
@@ -660,7 +660,7 @@ class AdaptationEngine:
 
             # -- step 3: remove the residual package -------------------------------
             with phase("remove"):
-                yield from node.compute(
+                yield node.compute_charge(
                     (costs.package_remove_base
                      + costs.package_remove_component
                      * package.component_count) / node.disk_speed

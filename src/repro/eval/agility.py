@@ -28,7 +28,7 @@ from repro.eval.format import render_table
 from repro.exp import ExperimentSpec, Trial
 from repro.ftm import FTMPair, deploy_ftm_pair, ftm_assembly
 from repro.ftm.errors import UnknownFTM
-from repro.kernel import World
+from repro.kernel import World, WorldTask, run_solo
 
 #: Related-work switch times the paper cites (ms).
 RELATED_WORK = {
@@ -39,16 +39,36 @@ RELATED_WORK = {
 }
 
 
-def _deploy_agile(world: World):
-    return world.run_scenario(
-        lambda w: deploy_ftm_pair(w, "pbr", ["alpha", "beta"]),
-        name="deploy-agile",
-    )
+def _hardened_builder(role, peer, app="counter", assertion="always-true",
+                      composite="ftm", **kwargs):
+    """The FTM integrated during operation: PBR+TR under a new name."""
+    return ftm_assembly("pbr+tr", role=role, peer=peer, app=app,
+                        assertion=assertion, composite=composite)
 
 
-def _deploy_preprogrammed(world: World):
-    nodes = [world.cluster.node("alpha"), world.cluster.node("beta")]
-    pair = FTMPair(world, "pbr", nodes)
+def _agile(world: World):
+    """Deploy PBR, switch to LFR, then integrate a brand-new FTM."""
+    pair = yield from deploy_ftm_pair(world, "pbr", ["alpha", "beta"])
+    deploy_ms = world.now
+    engine = AdaptationEngine(world, pair)
+    switch = yield from engine.transition("lfr")
+    engine.repository.register_ftm("field-update-ftm", _hardened_builder)
+    field_update = yield from engine.transition("field-update-ftm")
+    resident = ftm_assembly("pbr", role="master", peer="beta")
+    return {
+        "deploy_ms": deploy_ms,
+        "switch_ms": switch.per_replica_ms,
+        "resident_bytes": sum(component.size for component in resident.components),
+        "resident_variants": 3,
+        "field_update_ms": field_update.per_replica_ms,
+        "field_update_possible": True,
+    }
+
+
+def _preprogrammed(world: World):
+    """Deploy the all-branches PBR pair, switch to LFR, try a new FTM."""
+    pair = FTMPair(world, "pbr", [world.cluster.node("alpha"),
+                                  world.cluster.node("beta")])
 
     def spec_for(index, ftm_name=None):
         peer = pair.replicas[1 - index].node.name
@@ -59,83 +79,37 @@ def _deploy_preprogrammed(world: World):
         )
 
     pair.spec_for = spec_for
-
-    def do():
-        yield from pair.deploy()
-        return pair
-
-    return world.run_scenario(do(), name="deploy-preprogrammed")
-
-
-def _trial(seed: int, _params: Mapping) -> Dict:
-    """Measure both systems on identical platforms; returns the comparison."""
-    # -- agile side ----------------------------------------------------------
-    agile_world = World(seed=seed)
-    agile_world.add_nodes(["alpha", "beta"])
-    agile_pair = _deploy_agile(agile_world)
-    agile_deploy_ms = agile_world.now
-    engine = AdaptationEngine(agile_world, agile_pair)
-
-    def agile_switch():
-        report = yield from engine.transition("lfr")
-        return report
-
-    agile_report = agile_world.run_process(agile_switch(), name="switch")
-    agile_spec = ftm_assembly("pbr", role="master", peer="beta")
-    agile_bytes = sum(component.size for component in agile_spec.components)
-
-    # agility: a brand-new FTM registered during operation
-    def hardened_builder(role, peer, app="counter", assertion="always-true",
-                         composite="ftm", **kwargs):
-        return ftm_assembly("pbr+tr", role=role, peer=peer, app=app,
-                            assertion=assertion, composite=composite)
-
-    engine.repository.register_ftm("field-update-ftm", hardened_builder)
-
-    def field_update():
-        report = yield from engine.transition("field-update-ftm")
-        return report
-
-    field_report = agile_world.run_process(field_update(), name="field-update")
-    agile_world.close()
-
-    # -- preprogrammed side ----------------------------------------------------
-    pre_world = World(seed=seed)
-    pre_world.add_nodes(["alpha", "beta"])
-    pre_pair = _deploy_preprogrammed(pre_world)
-    pre_deploy_ms = pre_world.now
-    adaptation = PreprogrammedAdaptation(pre_world, pre_pair)
-
-    def pre_switch():
-        record = yield from adaptation.switch("lfr")
-        return record
-
-    pre_record = pre_world.run_process(pre_switch(), name="switch")
-
+    yield from pair.deploy()
+    deploy_ms = world.now
+    adaptation = PreprogrammedAdaptation(world, pair)
+    record = yield from adaptation.switch("lfr")
     field_update_possible = True
     try:
         list(adaptation.switch("field-update-ftm"))
     except UnknownFTM:
         field_update_possible = False
-    pre_world.close()
-
     return {
-        "agile": {
-            "deploy_ms": agile_deploy_ms,
-            "switch_ms": agile_report.per_replica_ms,
-            "resident_bytes": agile_bytes,
-            "resident_variants": 3,
-            "field_update_ms": field_report.per_replica_ms,
-            "field_update_possible": True,
-        },
-        "preprogrammed": {
-            "deploy_ms": pre_deploy_ms,
-            "switch_ms": pre_record["duration_ms"],
-            "resident_bytes": adaptation.resident_bytes(),
-            "resident_variants": adaptation.resident_variant_count(),
-            "field_update_ms": None,
-            "field_update_possible": field_update_possible,
-        },
+        "deploy_ms": deploy_ms,
+        "switch_ms": record["duration_ms"],
+        "resident_bytes": adaptation.resident_bytes(),
+        "resident_variants": adaptation.resident_variant_count(),
+        "field_update_ms": None,
+        "field_update_possible": field_update_possible,
+    }
+
+
+def _measured(seed: int, side) -> Dict:
+    """Run one side on its own fresh two-node world, closed however it ends."""
+    world = World(seed=seed)
+    world.add_nodes(["alpha", "beta"])
+    return run_solo(WorldTask(world, side(world), name=side.__name__))
+
+
+def _trial(seed: int, _params: Mapping) -> Dict:
+    """Measure both systems on identical platforms; returns the comparison."""
+    return {
+        "agile": _measured(seed, _agile),
+        "preprogrammed": _measured(seed, _preprogrammed),
         "related_work": dict(RELATED_WORK),
     }
 

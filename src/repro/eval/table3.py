@@ -22,7 +22,7 @@ from repro.core.adaptation_engine import AdaptationEngine
 from repro.eval.format import render_table
 from repro.exp import ExperimentSpec, Trial, derive_seeds
 from repro.ftm import FTM_NAMES, deploy_ftm_pair, variable_feature_distance
-from repro.kernel import World
+from repro.kernel import World, WorldTask, run_solo
 
 #: The paper's Table 3 (ms); row ∅ is deployment from scratch.
 PAPER_TABLE3: Dict[Tuple[str, str], float] = {
@@ -44,31 +44,30 @@ PAPER_TABLE3: Dict[Tuple[str, str], float] = {
 }
 
 
+def _pair_world(seed: int) -> World:
+    """A fresh world with the two FTM hosts, ``alpha`` then ``beta``."""
+    world = World(seed=seed)
+    world.add_nodes(["alpha", "beta"])
+    return world
+
+
 def measure_deployment(ftm: str, seed: int) -> float:
     """Virtual time to deploy one FTM pair from scratch (per replica)."""
-    world = World(seed=seed)
-    try:
-        world.run_scenario(
-            lambda w: deploy_ftm_pair(w, ftm, ["alpha", "beta"]),
-            nodes=("alpha", "beta"), name="deploy",
-        )
-    finally:
-        world.close()
+    world = _pair_world(seed)
+    run_solo(WorldTask(world, deploy_ftm_pair(world, ftm, ["alpha", "beta"]),
+                       name="deploy"))
     return world.now
 
 
 def transition_report(source: str, target: str, seed: int):
     """The engine's report of one ``source`` → ``target`` transition."""
-    world = World(seed=seed)
+    world = _pair_world(seed)
 
-    def do():
+    def measure():
         pair = yield from deploy_ftm_pair(world, source, ["alpha", "beta"])
         return (yield from AdaptationEngine(world, pair).transition(target))
 
-    try:
-        return world.run_scenario(do(), nodes=("alpha", "beta"), name="measure")
-    finally:
-        world.close()
+    return run_solo(WorldTask(world, measure(), name="measure"))
 
 
 def measure_transition(source: str, target: str, seed: int) -> float:

@@ -15,9 +15,11 @@ every evaluation into data plus a pure function:
   every backend and ``jobs=N`` is byte-identical to ``jobs=1``
   (:mod:`repro.exp.runner`);
 * :class:`ResultStore` persists results **per cell**, content-addressed
-  by :func:`cell_hash`, so editing one cell recomputes one cell, a
-  killed run resumes from its finished cells, and re-running an
-  identical experiment simulates nothing (:mod:`repro.exp.store`).
+  by :func:`cell_hash` over the cell and the code digest (the bytes of
+  the whole ``repro`` package), so editing one cell recomputes one
+  cell, editing any code recomputes every cell, a killed run resumes
+  from its finished cells, and re-running an identical experiment on
+  identical code simulates nothing (:mod:`repro.exp.store`).
 
 Typical use::
 

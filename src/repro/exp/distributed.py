@@ -19,7 +19,7 @@ finishes and persists every cell exactly as it does for ``serial`` and
   accepts one coordinator at a time and answers each batch with one
   frame.
 
-Wire protocol (version 4)
+Wire protocol (version 5)
 -------------------------
 
 Every message is one *frame*::
@@ -34,8 +34,8 @@ Every message is one *frame*::
 
 Payloads always carry a ``"type"`` key.  The conversation::
 
-    coordinator -> worker   {"type": "hello", "version": 4,
-                             "trial": "mod:fn", "trial_source": sha256}
+    coordinator -> worker   {"type": "hello", "version": 5,
+                             "trial": "mod:fn", "code": sha256}
     worker -> coordinator   {"type": "ready"}
                             (or an "error" frame saying why the hello
                              cannot be honoured, then the socket closes)
@@ -48,12 +48,13 @@ Payloads always carry a ``"type"`` key.  The conversation::
                             (or {"type": "error", "id": N, "message": ...})
     coordinator -> worker   {"type": "bye"}
 
-``"trial_source"`` is the SHA-256 of the trial function's source, the
-digest every cell address covers: a worker whose trial code differs
-refuses the hello with "trial source skew", so a value computed by
-other code never reaches the store.  ``"ev"`` is the batch's kernel
-event attribution (one short list of counts per reply, in
-:data:`~repro.exp.runner.EVENT_KEYS` order), credited to the run's
+``"code"`` is :func:`~repro.exp.spec.code_digest` of the trial — the
+bytes of the whole ``repro`` package, the digest every cell address
+covers: a worker whose code differs anywhere (kernel, FTMs, the trial)
+refuses the hello with "code digest skew" naming both digests, so a
+value computed by other code never reaches the store.  ``"ev"`` is the
+batch's kernel event attribution (one short list of counts per reply,
+in :data:`~repro.exp.runner.EVENT_KEYS` order), credited to the run's
 stats so remote runs report ``events_by_source`` too.
 
 Failure model and the rebatching invariant
@@ -110,7 +111,7 @@ MAGIC = b"RXP1"
 #: The retired digest-ack magic: still read, so a peer that frames a
 #: message under it is understood, but nothing here sends it.
 DIGEST_MAGIC = b"RXD1"
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 CHECKSUM_BYTES = 8
 HEADER_BYTES = len(MAGIC) + 4 + CHECKSUM_BYTES
 #: Refuse absurd frames before allocating for them (64 MiB).
@@ -483,7 +484,7 @@ class RemoteBackend(ExecutorBackend):
             "type": "hello",
             "version": PROTOCOL_VERSION,
             "trial": function_ref(spec.trial),
-            "trial_source": spec_mod._trial_source_digest(spec.trial),
+            "code": spec_mod.code_digest(spec.trial),
         }
         wire = WireStats()
         scheduler = _BatchScheduler(batches)
@@ -547,9 +548,9 @@ def _resolve_hello(hello: Dict[str, Any]) -> Any:
 
     Raises :class:`ProtocolError` saying why this worker cannot honour
     it — the reason travels back to the coordinator in an ``error``
-    frame, so a version skew, an unimportable trial or a trial whose
-    source differs from the coordinator's is reported by name instead
-    of as a closed socket.
+    frame, so a version skew, an unimportable trial or code that differs
+    from the coordinator's is reported by name instead of as a closed
+    socket.
     """
     if hello.get("type") != "hello":
         raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
@@ -566,12 +567,11 @@ def _resolve_hello(hello: Dict[str, Any]) -> Any:
             f"cannot resolve trial {trial_ref!r} on this worker: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
-    source = spec_mod._trial_source_digest(trial_fn)
-    if hello.get("trial_source") != source:
+    code = spec_mod.code_digest(trial_fn)
+    if hello.get("code") != code:
         raise ProtocolError(
-            f"trial source skew between hosts: {trial_ref!r} hashes to "
-            f"{source[:12] or '(no source)'} on this worker, "
-            f"{str(hello.get('trial_source'))[:12]} on the coordinator"
+            f"code digest skew between hosts: {trial_ref!r} runs code "
+            f"{code} on this worker, {hello.get('code')} on the coordinator"
         )
     return trial_fn
 

@@ -22,21 +22,26 @@ result store keys on.
 Identity is computed at two granularities:
 
 * :func:`spec_hash` covers the whole spec — every cell, every seed, the
-  trial source.  It names a complete run.
+  code digest.  It names a complete run.
 * :func:`cell_hash` covers one cell plus the spec-level identity (name,
-  version, trial/reduce source).  Editing one cell's params or seeds
-  changes only that cell's hash, which is what lets the store serve the
-  untouched cells and the runner re-execute just the delta.
+  trial/reduce references, code digest).  Editing one cell's params or
+  seeds changes only that cell's hash, which is what lets the store
+  serve the untouched cells and the runner re-execute just the delta.
+
+The code digest (:func:`code_digest`) hashes the bytes of every ``.py``
+file of the ``repro`` package, so an edit anywhere below a trial — the
+kernel, an FTM, a helper the trial calls — moves every address and a
+warm store never serves a value the current code would not compute.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exp.errors import SpecError
@@ -103,24 +108,16 @@ def _require_importable(name: str, fn: Callable, role: str) -> None:
 class ExperimentSpec:
     """A complete, runnable experiment: cells plus the trial function.
 
-    ``version`` is a manual invalidation knob: bump it when the *meaning*
-    of the experiment changes in a way the automatic source fingerprint
-    cannot see (e.g. a calibration constant moved to another module).
-    The default is ``"2"``: the 64-bit seed derivation introduced with
-    the cell-granular store changed every derived seed, so entries
-    written under the ``"1"`` scheme must miss cleanly.
-
     ``reduce``, when set, collapses a completed cell's per-run value list
     to a summary *before* it is stored or returned — the streaming hook
     that lets a 10k-mission campaign keep counts instead of 10k dicts.
-    Like the trial function it must be a module-level ``def`` and its
-    source participates in the content hash.
+    Like the trial function it must be a module-level ``def``; the code
+    digest covers its defining file.
     """
 
     name: str
     trial: TrialFn
     trials: Tuple[Trial, ...]
-    version: str = "2"
     reduce: Optional[ReduceFn] = None
 
     def __post_init__(self) -> None:
@@ -150,36 +147,60 @@ def _trial_ref(fn: Callable) -> str:
     return f"{fn.__module__}:{getattr(fn, '__qualname__', fn.__name__)}"
 
 
-@functools.lru_cache(maxsize=None)
-def _trial_source_digest(fn: Callable) -> str:
-    """SHA-256 of the trial function's source (best effort).
+#: The directory :func:`code_digest` hashes: the ``repro`` package.
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
-    Editing the measurement code silently invalidates stored results; when
-    the source is unavailable (REPL, frozen app) the digest degrades to the
-    import reference alone.  Memoised on the function *object* (held for
-    the life of the process, as module-level functions are anyway): the
-    source is tokenised once per function, a reloaded or redefined function
-    is a new object and hashes afresh, and the digest names the code that
-    was imported, not whatever the file holds mid-run.
+
+def code_digest(*fns: Optional[Callable]) -> str:
+    """SHA-256 of the code that runs ``fns``.
+
+    Covers the sorted relative paths and bytes of every ``.py`` file under
+    :data:`PACKAGE_ROOT`, plus the defining file of any of ``fns`` that
+    lives outside it (named by its module, so the digest does not depend
+    on where a checkout sits; a function without a readable file adds
+    nothing).  A ``functools.wraps`` wrapper counts as the function it
+    wraps, whose import reference it carries.  Memoised on the function
+    *objects* (held for the life of the process, as module-level
+    functions are anyway): the files are read once per trial/reduce pair,
+    a reloaded or redefined function is a new object and hashes afresh,
+    and the digest names the code that was imported, not whatever the
+    files hold mid-run.
     """
-    try:
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):
-        return ""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+    return _code_digest(*map(_unwrapped, fns))
+
+
+def _unwrapped(fn: Optional[Callable]) -> Optional[Callable]:
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    return fn
+
+
+@functools.lru_cache(maxsize=None)
+def _code_digest(*fns: Optional[Callable]) -> str:
+    files = {path.relative_to(PACKAGE_ROOT).as_posix(): path
+             for path in PACKAGE_ROOT.rglob("*.py")}
+    for fn in fns:
+        code = getattr(fn, "__code__", None)
+        if code is None:
+            continue
+        path = Path(code.co_filename).resolve()
+        if path.is_file() and not path.is_relative_to(PACKAGE_ROOT):
+            files[fn.__module__] = path
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        data = files[name].read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
     """The cell-independent part of a spec's identity."""
     return {
         "name": spec.name,
-        "version": spec.version,
         "trial": _trial_ref(spec.trial),
-        "trial_source_sha256": _trial_source_digest(spec.trial),
         "reduce": None if spec.reduce is None else _trial_ref(spec.reduce),
-        "reduce_source_sha256": (
-            "" if spec.reduce is None else _trial_source_digest(spec.reduce)
-        ),
+        "code": code_digest(spec.trial, spec.reduce),
     }
 
 
@@ -202,8 +223,8 @@ def fingerprint(spec: ExperimentSpec) -> Dict[str, Any]:
 def cell_fingerprint(spec: ExperimentSpec, trial: Trial) -> Dict[str, Any]:
     """The JSON-safe identity of one cell of a spec.
 
-    Spec-level fields (name, version, trial/reduce source) are included
-    so editing the measurement code invalidates every cell, while the
+    Spec-level fields (name, trial/reduce references, code digest) are
+    included so editing the code invalidates every cell, while the
     per-cell fields (key, params, seeds) scope param/seed edits to the
     one cell they touch.
     """

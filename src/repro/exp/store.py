@@ -11,10 +11,11 @@ plus an advisory spec-level manifest::
         pbr-_lfr-0f9e8d7c6b5a.json
 
 Each cell file is keyed by :func:`repro.exp.spec.cell_hash`, which covers
-the spec identity (name, version, trial/reduce source) plus that cell's
-key, params and seeds — editing one cell invalidates exactly one file, so
-the runner recomputes only the delta and a killed run resumes from the
-cells it already wrote.  The manifest names the cells of the last
+the spec identity (name, trial/reduce references, the code digest of the
+whole ``repro`` package) plus that cell's key, params and seeds — editing
+one cell invalidates exactly one file, editing any code invalidates every
+cell, so the runner recomputes only the delta and a killed run resumes
+from the cells it already wrote.  The manifest names the cells of the last
 *completed* run; cell files are self-describing, so a partial run with no
 (or a stale) manifest is still fully resumable.
 

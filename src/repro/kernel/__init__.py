@@ -8,7 +8,7 @@ Public surface::
     alpha = world.add_node("alpha")
 
     def hello():
-        yield from alpha.compute(5.0)
+        yield alpha.compute_charge(5.0)
         return "done"
 
     result = world.run_process(hello())

@@ -143,14 +143,11 @@ class Node:
     # -- computation ----------------------------------------------------------
 
     def compute_charge(self, duration_ms: float, jitter: bool = True) -> Timeout:
-        """Charge ``duration_ms`` of CPU time and return the wait.
+        """Charge ``duration_ms`` of CPU time (scaled by the node's speed).
 
-        The flat form of :meth:`compute` for hot paths: ``yield
-        node.compute_charge(5.0)`` does the same accounting and the same
-        single wait without allocating and driving a generator frame per
-        computation.  The accounting happens when the expression is
-        evaluated — the same instant a ``yield from node.compute(...)``
-        would run the generator body.
+        Returns the wait: ``yield node.compute_charge(5.0)`` inside a
+        process.  The accounting happens when the call is evaluated, not
+        when the wait ends, and a crashed node refuses the call.
         """
         self.check_up("compute")
         effective = duration_ms / self.cpu_speed
@@ -159,13 +156,6 @@ class Node:
         self.busy_ms += effective
         self.energy += effective * self.costs.energy_per_ms_busy
         return Timeout(effective)
-
-    def compute(self, duration_ms: float, jitter: bool = True) -> Generator:
-        """Charge ``duration_ms`` of CPU time (scaled by the node's speed).
-
-        Usage inside a process: ``yield from node.compute(5.0)``.
-        """
-        yield self.compute_charge(duration_ms, jitter)
 
     def charge_energy_for_send(self, size: int) -> None:
         """Account the energy and byte cost of one outgoing message."""

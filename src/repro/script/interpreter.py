@@ -60,7 +60,7 @@ class ScriptInterpreter:
         """
         package = dict(package or {})
         costs = self.runtime.costs
-        yield from self.runtime.node.compute(costs.script_parse)
+        yield self.runtime.node.compute_charge(costs.script_parse)
 
         undo_stack: List[Callable[[], Generator]] = []
         touched: Set[str] = set()
@@ -77,13 +77,13 @@ class ScriptInterpreter:
                     # unwound, gate reopened by the caller) before the
                     # fail-silent wrapper takes the replica down.
                     raise _Abort(index, ComponentError(failed))
-                yield from self.runtime.node.compute(costs.script_step)
+                yield self.runtime.node.compute_charge(costs.script_step)
                 try:
                     yield from self._apply(statement, package, undo_stack, touched)
                 except (ComponentError, KeyError, ValueError) as cause:
                     raise _Abort(index, cause) from cause
             # transactional commit: architectural integrity must hold
-            yield from self.runtime.node.compute(costs.script_commit)
+            yield self.runtime.node.compute_charge(costs.script_commit)
             violations: List[str] = []
             for composite_name in sorted(touched):
                 composite = self.runtime.composites.get(composite_name)
@@ -170,7 +170,7 @@ class ScriptInterpreter:
                 composite=composite, component=removed
             ) -> Generator:
                 _reinsert(composite, component)
-                yield from runtime.node.compute(runtime.costs.component_attach)
+                yield runtime.node.compute_charge(runtime.costs.component_attach)
 
             undo_stack.append(undo_remove)
             return
@@ -220,7 +220,7 @@ class ScriptInterpreter:
                     component.properties.pop(key, None)
                 else:
                     component.properties[key] = old
-                yield from runtime.node.compute(runtime.costs.script_step)
+                yield runtime.node.compute_charge(runtime.costs.script_step)
 
             undo_stack.append(undo_set)
             return
@@ -229,7 +229,7 @@ class ScriptInterpreter:
             composite = runtime.composite(statement.composite)
             touched.add(statement.composite)
             composite.promote(statement.external, statement.component, statement.service)
-            yield from runtime.node.compute(runtime.costs.script_step)
+            yield runtime.node.compute_charge(runtime.costs.script_step)
             undo_stack.append(
                 lambda: _noop_gen(lambda: composite.demote(statement.external))
             )
@@ -240,7 +240,7 @@ class ScriptInterpreter:
             touched.add(statement.composite)
             old_target = composite.promotions.get(statement.external)
             composite.demote(statement.external)
-            yield from runtime.node.compute(runtime.costs.script_step)
+            yield runtime.node.compute_charge(runtime.costs.script_step)
             undo_stack.append(
                 lambda: _noop_gen(
                     lambda: composite.promote(statement.external, *old_target)
@@ -261,7 +261,7 @@ class ScriptInterpreter:
     # -- rollback ----------------------------------------------------------------------
 
     def _rollback(self, undo_stack: List[Callable[[], Generator]]) -> Generator:
-        yield from self.runtime.node.compute(self.runtime.costs.script_rollback)
+        yield self.runtime.node.compute_charge(self.runtime.costs.script_rollback)
         try:
             while undo_stack:
                 undo = undo_stack.pop()

@@ -226,7 +226,7 @@ def test_crashed_node_is_not_an_idle_cpu():
 
     def scenario():
         while world.now < 3_000.0:  # saturate alpha: cpu-drop fires
-            yield from alpha.compute(25.0)
+            yield alpha.compute_charge(25.0)
         alpha.crash()  # a dead host charges no busy time ...
         yield Timeout(1_000.0)
         ups_while_down = [t for t in monitoring.trigger_history

@@ -20,6 +20,7 @@ import pytest
 
 from repro import exp
 from repro.exp import distributed
+from repro.exp import spec as spec_mod
 
 
 def _dump(result):
@@ -385,7 +386,7 @@ def test_version_skewed_hello_is_refused_with_an_error_frame(two_workers):
     with socket.create_connection((host, port), timeout=10) as sock:
         distributed.send_msg(sock, {
             "type": "hello", "version": 2,
-            "trial": f"{__name__}:echo_trial", "trial_source": "",
+            "trial": f"{__name__}:echo_trial", "code": "",
         })
         reply = distributed.recv_msg(sock)
     assert reply["type"] == "error"
@@ -393,17 +394,19 @@ def test_version_skewed_hello_is_refused_with_an_error_frame(two_workers):
     assert str(distributed.PROTOCOL_VERSION) in reply["message"]
 
 
-def test_trial_source_skewed_hello_is_refused_with_an_error_frame(
+def test_a_worker_running_other_code_refuses_the_hello_naming_both_digests(
         two_workers):
     host, port = distributed.parse_address(two_workers[0])
     with socket.create_connection((host, port), timeout=10) as sock:
         distributed.send_msg(sock, {
             "type": "hello", "version": distributed.PROTOCOL_VERSION,
-            "trial": f"{__name__}:echo_trial", "trial_source": "0" * 64,
+            "trial": f"{__name__}:echo_trial", "code": "0" * 64,
         })
         reply = distributed.recv_msg(sock)
     assert reply["type"] == "error"
-    assert "trial source skew" in reply["message"]
+    assert "code digest skew" in reply["message"]
+    assert "0" * 64 in reply["message"]
+    assert spec_mod.code_digest(echo_trial) in reply["message"]
 
 
 def ghost_trial(seed, params):

@@ -1,18 +1,19 @@
 """Unit tests for experiment specs: seed derivation, hashing, validation."""
 
+import functools
 import hashlib
 import importlib
-import inspect
 import json
+import shutil
 import sys
 import zlib
 
 import pytest
 
 from repro import exp
-from repro.eval import table3
+from repro.eval import campaign, table3
+from repro.exp import spec as spec_mod
 from repro.exp.errors import SpecError
-from tests.golden import cell_addresses
 
 
 def _echo(seed, params):
@@ -110,21 +111,15 @@ def test_spec_hash_is_stable():
     "mutation",
     [
         {"name": "other"},
-        {"version": "3"},
         {"trials": (exp.Trial("a", {"x": 1}, (1, 2)), exp.Trial("b", {"x": 2}, (4,)))},
         {"trials": (exp.Trial("a", {"x": 9}, (1, 2)), exp.Trial("b", {"x": 2}, (3,)))},
         {"trials": (exp.Trial("a", {"x": 1}, (1, 2, 3)), exp.Trial("b", {"x": 2}, (3,)))},
         {"reduce": _sum_reduce},
     ],
-    ids=["name", "version", "seed", "params", "runs", "reduce"],
+    ids=["name", "seed", "params", "runs", "reduce"],
 )
 def test_spec_hash_sees_every_identity_field(mutation):
     assert exp.spec_hash(_spec(**mutation)) != exp.spec_hash(_spec())
-
-
-def test_default_version_is_bumped_for_the_64bit_seeds():
-    # entries stored under the "1" (crc32 % 100_000) scheme must miss
-    assert _spec().version == "2"
 
 
 def test_fingerprint_is_json_safe_and_names_the_trial():
@@ -162,7 +157,7 @@ def test_editing_one_cell_changes_only_that_cells_hash():
 
 def test_spec_level_changes_invalidate_every_cell():
     spec = _spec()
-    for mutated in (_spec(version="3"), _spec(reduce=_sum_reduce)):
+    for mutated in (_spec(name="other"), _spec(reduce=_sum_reduce)):
         for trial in spec.trials:
             assert exp.cell_hash(spec, trial) != exp.cell_hash(
                 mutated, mutated.cell(trial.key)
@@ -174,7 +169,7 @@ def test_cell_fingerprint_is_json_safe():
     fp = exp.cell_fingerprint(spec, spec.cell("a"))
     json.dumps(fp)
     assert fp["cell"]["key"] == "a"
-    assert fp["version"] == spec.version
+    assert fp["code"] == spec_mod.code_digest(_echo, None)
 
 
 def test_cell_slug_is_filesystem_safe():
@@ -212,14 +207,70 @@ def test_spec_cell_lookup():
         spec.cell("missing")
 
 
-# -- identity is computed once per function object -----------------------------
+# -- identity is the code digest, computed once per function object -----------
 
 
-@pytest.mark.parametrize("label", sorted(cell_addresses.SPECS))
-def test_cell_addresses_match_the_pre_memo_golden(label):
-    # recorded from the parent tree: stores it wrote must still be full hits
-    golden = json.loads(cell_addresses.GOLDEN_PATH.read_text())[label]
-    assert cell_addresses.addresses(cell_addresses.SPECS[label]()) == golden
+@pytest.fixture
+def package_copy(tmp_path, monkeypatch):
+    """The code digest pointed at a scratch copy of the ``repro`` package.
+
+    Clearing the memo stands for a fresh process: nothing has been
+    hashed yet, so the next address reads the copy's bytes.
+    """
+    root = tmp_path / "repro"
+    shutil.copytree(spec_mod.PACKAGE_ROOT, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(spec_mod, "PACKAGE_ROOT", root)
+    spec_mod._code_digest.cache_clear()
+    yield root
+    spec_mod._code_digest.cache_clear()
+
+
+def test_an_address_moves_with_the_bytes_of_any_package_file(package_copy):
+    spec = table3.spec(runs=1)
+    cell = spec.trials[0]
+    before = exp.cell_hash(spec, cell)
+    files = sorted(package_copy.rglob("*.py"))
+    assert len(files) > 90
+    kept = []
+    for path in files:
+        original = path.read_bytes()
+        path.write_bytes(original + b"\n")
+        spec_mod._code_digest.cache_clear()
+        if exp.cell_hash(spec, cell) == before:
+            kept.append(path.relative_to(package_copy).as_posix())
+        path.write_bytes(original)
+    assert kept == []
+    (package_copy / "kernel" / "extra.py").write_text("")
+    spec_mod._code_digest.cache_clear()
+    assert exp.cell_hash(spec, cell) != before
+    (package_copy / "kernel" / "extra.py").unlink()
+    spec_mod._code_digest.cache_clear()
+    assert exp.cell_hash(spec, cell) == before
+
+
+def test_an_edit_below_the_trial_misses_a_warm_store(package_copy, tmp_path):
+    # the stale hit this digest closes: an edit in the mission builder,
+    # two calls below campaign._trial, used to replay the old values
+    spec = campaign.sharded_spec(missions=2, requests=10, cell_size=2)
+    store = exp.ResultStore(tmp_path / "store")
+    cold = exp.run(spec, jobs=1, backend="serial", store=store)
+    assert cold.executed == 2
+    old_files = {p.name for p in store.spec_dir(spec).glob("shard-*.json")}
+    assert exp.run(spec, jobs=1, backend="serial", store=store).cache_state == "full"
+
+    mission = package_copy / "eval" / "mission.py"
+    source = mission.read_text()
+    assert source.count("World(seed=seed)") == 1
+    mission.write_text(source.replace("World(seed=seed)", "World(seed=seed + 1)"))
+    spec_mod._code_digest.cache_clear()
+    edited = exp.run(spec, jobs=1, backend="serial", store=store)
+    assert edited.cache_state == "cold" and edited.executed == 2
+    new_files = {p.name for p in store.spec_dir(spec).glob("shard-*.json")}
+    assert len(new_files - old_files) == 1
+
+    replay = exp.run(spec, jobs=1, backend="serial", store=store)
+    assert replay.cache_state == "full" and replay.executed == 0
 
 
 def test_reloading_an_edited_trial_module_changes_cell_hash(tmp_path, monkeypatch):
@@ -242,21 +293,27 @@ def test_reloading_an_edited_trial_module_changes_cell_hash(tmp_path, monkeypatc
         sys.modules.pop(name, None)
 
 
-def test_sourceless_function_is_reference_only_and_memoised(monkeypatch):
+def test_a_wrapper_is_addressed_as_the_function_it_wraps():
+    # a profiler wraps trial and reduce per run: its stores must be the
+    # plain run's, and the wrapper must not cost a second package read
+    @functools.wraps(_echo)
+    def wrapped(seed, params):
+        return _echo(seed, params)
+
+    plain = exp.spec_hash(_spec())
+    misses = spec_mod._code_digest.cache_info().misses
+    assert exp.spec_hash(_spec(trial=wrapped)) == plain
+    assert spec_mod._code_digest.cache_info().misses == misses
+
+
+def test_sourceless_function_is_reference_only_and_memoised():
     namespace = {"__name__": __name__}
     exec("def ghost(seed, params):\n    return seed\n", namespace)
-    calls = []
-    real_getsource = inspect.getsource
-
-    def counting_getsource(fn):
-        calls.append(fn)
-        return real_getsource(fn)
-
-    monkeypatch.setattr(inspect, "getsource", counting_getsource)
     cell = exp.Trial("a", {}, (1,))
     spec = exp.ExperimentSpec(name="t", trial=namespace["ghost"], trials=(cell,))
+    misses = spec_mod._code_digest.cache_info().misses
     first = exp.cell_hash(spec, cell)
     assert exp.cell_hash(spec, cell) == first
-    assert exp.fingerprint(spec)["trial_source_sha256"] == ""
+    assert spec_mod._code_digest.cache_info().misses == misses + 1
+    assert exp.fingerprint(spec)["code"] == spec_mod.code_digest()
     assert exp.fingerprint(spec)["trial"].endswith(":ghost")
-    assert calls == [namespace["ghost"]]

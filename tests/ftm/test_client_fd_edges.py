@@ -180,7 +180,7 @@ def test_cpu_probe_requires_sustained_saturation():
     def burn():
         node = world.cluster.node("alpha")
         for _ in range(80):
-            yield from node.compute(25.0)
+            yield node.compute_charge(25.0)
 
     world.cluster.node("alpha").spawn(burn(), name="burn")
     world.run(until=world.now + 3_000.0)
@@ -201,7 +201,7 @@ def test_short_burst_does_not_trigger_cpu_probe():
     def burst():
         node = world.cluster.node("alpha")
         for _ in range(20):
-            yield from node.compute(25.0)  # ~500 ms of saturation
+            yield node.compute_charge(25.0)  # ~500 ms of saturation
 
     world.cluster.node("alpha").spawn(burst(), name="burst")
     world.run(until=world.now + 3_000.0)

@@ -31,7 +31,7 @@ def test_node_compute_advances_time_and_charges_energy(world):
     node = world.add_node("alpha")
 
     def proc():
-        yield from node.compute(10.0, jitter=False)
+        yield node.compute_charge(10.0, jitter=False)
 
     world.run_process(proc())
     assert world.now == pytest.approx(10.0)
@@ -43,7 +43,7 @@ def test_faster_cpu_computes_quicker(world):
     fast = world.add_node("fast", cpu_speed=2.0)
 
     def proc():
-        yield from fast.compute(10.0, jitter=False)
+        yield fast.compute_charge(10.0, jitter=False)
 
     world.run_process(proc())
     assert world.now == pytest.approx(5.0)
@@ -82,7 +82,7 @@ def test_crashed_node_refuses_work(world):
     with pytest.raises(NodeDown):
         node.spawn((x for x in []))
     with pytest.raises(NodeDown):
-        list(node.compute(1.0))
+        node.compute_charge(1.0)
 
 
 def test_restart_brings_node_up_with_hooks(world):

@@ -183,9 +183,6 @@ def test_every_transition_matrix_cell_leaves_the_collector_nothing(collector_off
 def test_post_mortem_reads_still_answer():
     """Close keeps what readers use after it: composite membership,
     ``Component.implementation`` and the implementation's context."""
-    result = agility._trial(3000, {})
-    assert result["preprogrammed"]["resident_variants"] == 8  # read after close
-
     world = World(seed=5)
     pair = world.run_scenario(
         lambda w: deploy_ftm_pair(w, "pbr", ["alpha", "beta"]),
@@ -239,6 +236,31 @@ def test_a_table3_trial_that_raises_still_closes_its_world(monkeypatch):
     with pytest.raises(RuntimeError, match="transition broke"):
         table3.measure_transition("pbr", "lfr", seed=1)
     assert len(closed) == 1 and not closed[0].trace.records
+
+
+@pytest.mark.parametrize("switch, built", [
+    ("repro.core.adaptation_engine.AdaptationEngine.transition", 1),
+    ("repro.core.preprogrammed.PreprogrammedAdaptation.switch", 2),
+], ids=["agile", "preprogrammed"])
+def test_an_agility_trial_that_raises_still_closes_its_worlds(monkeypatch, switch, built):
+    closed = []
+
+    class Watched(World):
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    def broken(self, target_ftm, context=None):
+        raise RuntimeError("switch broke")
+        yield  # pragma: no cover - generator marker
+
+    monkeypatch.setattr(agility, "World", Watched)
+    monkeypatch.setattr(switch, broken)
+    with pytest.raises(RuntimeError, match="switch broke"):
+        agility._trial(3000, {})
+    # the agile side runs first: when it breaks, no second world is built
+    assert len(closed) == built
+    assert not any(world.trace.records for world in closed)
 
 
 def test_two_hundred_missions_leave_the_heap_flat():
