@@ -11,7 +11,6 @@ Public surface::
 from repro.components.composite import Composite
 from repro.components.errors import (
     ComponentError,
-    IntegrityViolation,
     LifecycleError,
     UnknownComponentError,
     UnknownReferenceError,
@@ -51,7 +50,6 @@ from repro.components.spec import (
 __all__ = [
     "Composite",
     "ComponentError",
-    "IntegrityViolation",
     "LifecycleError",
     "UnknownComponentError",
     "UnknownReferenceError",

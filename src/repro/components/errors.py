@@ -29,15 +29,3 @@ class UnknownServiceError(ComponentError):
 
 class UnknownReferenceError(ComponentError):
     """Lookup of a reference the component does not declare."""
-
-
-class IntegrityViolation(ComponentError):
-    """An architectural integrity constraint does not hold.
-
-    Carried by the script engine's transactional commit: a violation rolls
-    the whole reconfiguration back (Section 5.3, local consistency).
-    """
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations) or "integrity violation")

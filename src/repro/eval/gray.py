@@ -29,7 +29,7 @@ backends also certifies event-order identity.
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
@@ -68,7 +68,7 @@ def trace_digest(world) -> str:
         f"{record.time!r}|{record.category}|{record.event}|{record.details!r}\n"
         for record in world.trace.records
     ])
-    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+    return blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def gray_thresholds() -> Thresholds:

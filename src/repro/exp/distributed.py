@@ -35,7 +35,7 @@ Every message is one *frame*::
 Payloads always carry a ``"type"`` key.  The conversation::
 
     coordinator -> worker   {"type": "hello", "version": 5,
-                             "trial": "mod:fn", "code": sha256}
+                             "trial": "mod:fn", "code": blake2b-256}
     worker -> coordinator   {"type": "ready"}
                             (or an "error" frame saying why the hello
                              cannot be honoured, then the socket closes)
@@ -91,8 +91,8 @@ import os
 import socket
 import threading
 import time
+from _blake2 import blake2b
 from collections import deque
-from hashlib import blake2b
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exp import spec as spec_mod
@@ -102,7 +102,6 @@ from repro.exp.runner import (
     ExecutorBackend,
     ExecutionStats,
     batch_event_counts,
-    function_ref,
     resolve_function_ref,
     run_unit_batch,
 )
@@ -483,7 +482,7 @@ class RemoteBackend(ExecutorBackend):
         hello = {
             "type": "hello",
             "version": PROTOCOL_VERSION,
-            "trial": function_ref(spec.trial),
+            "trial": spec_mod.function_ref(spec.trial),
             "code": spec_mod.code_digest(spec.trial),
         }
         wire = WireStats()

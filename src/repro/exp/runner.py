@@ -64,7 +64,7 @@ from typing import (
 )
 
 from repro.exp.errors import ExperimentError, ResultTypeError
-from repro.exp.spec import ExperimentSpec, spec_hash
+from repro.exp.spec import ExperimentSpec, function_ref, spec_hash
 from repro.exp.store import ResultStore
 
 #: What a batch's event-attribution count list holds, in order: the
@@ -209,11 +209,6 @@ _Unit = Tuple[int, int, Dict[str, Any]]
 
 #: One local-pool task: (trial function's import reference, units).
 _PoolTask = Tuple[str, List[_Unit]]
-
-
-def function_ref(fn: Any) -> str:
-    """The importable ``module:qualname`` reference of a trial function."""
-    return f"{fn.__module__}:{getattr(fn, '__qualname__', fn.__name__)}"
 
 
 def resolve_function_ref(ref: str) -> Any:

@@ -37,9 +37,9 @@ warm store never serves a value the current code would not compute.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import re
+from _blake2 import blake2b
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -66,7 +66,7 @@ def derive_seed(base_seed: int, key: str, run: int) -> int:
     seeds.
     """
     payload = f"{key}\x1f{run}".encode("utf-8")
-    mix = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+    mix = int.from_bytes(blake2b(payload, digest_size=8).digest(), "big")
     return base_seed + mix
 
 
@@ -142,8 +142,8 @@ class ExperimentSpec:
         raise SpecError(f"spec {self.name!r}: no cell {key!r}")
 
 
-def _trial_ref(fn: Callable) -> str:
-    """Importable reference of a trial function, ``module:qualname``."""
+def function_ref(fn: Callable) -> str:
+    """The importable ``module:qualname`` reference of a trial function."""
     return f"{fn.__module__}:{getattr(fn, '__qualname__', fn.__name__)}"
 
 
@@ -152,7 +152,7 @@ PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
 def code_digest(*fns: Optional[Callable]) -> str:
-    """SHA-256 of the code that runs ``fns``.
+    """BLAKE2b-256 of the code that runs ``fns``.
 
     Covers the sorted relative paths and bytes of every ``.py`` file under
     :data:`PACKAGE_ROOT`, plus the defining file of any of ``fns`` that
@@ -186,7 +186,7 @@ def _code_digest(*fns: Optional[Callable]) -> str:
         path = Path(code.co_filename).resolve()
         if path.is_file() and not path.is_relative_to(PACKAGE_ROOT):
             files[fn.__module__] = path
-    digest = hashlib.sha256()
+    digest = blake2b(digest_size=32)
     for name in sorted(files):
         data = files[name].read_bytes()
         digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
@@ -198,8 +198,8 @@ def _spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
     """The cell-independent part of a spec's identity."""
     return {
         "name": spec.name,
-        "trial": _trial_ref(spec.trial),
-        "reduce": None if spec.reduce is None else _trial_ref(spec.reduce),
+        "trial": function_ref(spec.trial),
+        "reduce": None if spec.reduce is None else function_ref(spec.reduce),
         "code": code_digest(spec.trial, spec.reduce),
     }
 
@@ -235,16 +235,16 @@ def cell_fingerprint(spec: ExperimentSpec, trial: Trial) -> Dict[str, Any]:
 
 def _canonical_hash(payload: Dict[str, Any]) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return blake2b(canonical.encode("utf-8"), digest_size=32).hexdigest()
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
-    """Content address of a spec: SHA-256 over its canonical fingerprint."""
+    """Content address of a spec: BLAKE2b-256 over its canonical fingerprint."""
     return _canonical_hash(fingerprint(spec))
 
 
 def cell_hash(spec: ExperimentSpec, trial: Trial) -> str:
-    """Content address of one cell: SHA-256 over its canonical fingerprint."""
+    """Content address of one cell: BLAKE2b-256 over its canonical fingerprint."""
     return _canonical_hash(cell_fingerprint(spec, trial))
 
 

@@ -22,7 +22,7 @@ from the cells it already wrote.  The manifest names the cells of the last
 Cell payload schema::
 
     {
-      "cell_hash":   "<full sha-256 cell hash>",
+      "cell_hash":   "<full BLAKE2b-256 cell hash>",
       "fingerprint": { ... cell identity, human-inspectable ... },
       "meta":        { "jobs": ..., ... },
       "values":      [ <per-run result>, ... ]   # or the reduced summary
@@ -31,7 +31,7 @@ Cell payload schema::
 Manifest schema::
 
     {
-      "hash":        "<full sha-256 spec hash>",
+      "hash":        "<full BLAKE2b-256 spec hash>",
       "fingerprint": { ... spec identity ... },
       "meta":        { "jobs": ..., "elapsed_s": ..., ... },
       "cells":       { "<cell key>": {"file": ..., "hash": ...}, ... }

@@ -20,8 +20,6 @@ from repro.ftm.catalog import (
 from repro.ftm.client import Client
 from repro.ftm.errors import (
     FTMError,
-    NotMaster,
-    PeerUnavailable,
     UnknownFTM,
     UnmaskedFault,
 )
@@ -50,8 +48,6 @@ __all__ = [
     "variable_feature_distance",
     "Client",
     "FTMError",
-    "NotMaster",
-    "PeerUnavailable",
     "UnknownFTM",
     "UnmaskedFault",
     "FTMPair",

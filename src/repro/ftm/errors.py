@@ -11,13 +11,5 @@ class UnmaskedFault(FTMError):
     """A value fault escaped the mechanism (no vote, assertion dead-end)."""
 
 
-class NotMaster(FTMError):
-    """A client request reached a replica that is not (yet) the master."""
-
-
-class PeerUnavailable(FTMError):
-    """An operation needed the peer replica, which is gone."""
-
-
 class UnknownFTM(FTMError):
     """Lookup of an FTM name that the catalog does not define."""

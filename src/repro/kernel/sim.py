@@ -619,12 +619,8 @@ class Process:
             return
         self._cancel_wait = subscribe(self)
 
-    def terminated_with_result(self) -> "_Join":
-        """A join descriptor: yields the result / re-raises the failure."""
-        return _Join(self)
-
     def _subscribe(self, joiner: "Process") -> Callable[[], None]:
-        # yielding a process joins it (sugar for terminated_with_result())
+        # yielding a process joins it: the join yields its result or re-raises
         return _Join(self)._subscribe(joiner)
 
     def _finish(self, result: Any, exception: Optional[BaseException]) -> None:

@@ -8,7 +8,7 @@ comparable across runs (determinism checks diff two traces).
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple,
@@ -166,7 +166,7 @@ class Trace:
         heartbeats) compare digests instead of whole record lists; any
         divergence in event order, timing or payload changes it.
         """
-        h = hashlib.blake2b(digest_size=16)
+        h = blake2b(digest_size=16)
         for rec in self.records:
             h.update(
                 repr((rec.time, rec.category, rec.event, rec.details)).encode()

@@ -28,7 +28,6 @@ from repro.script.errors import (
     ScriptError,
     ScriptException,
     ScriptSyntaxError,
-    ScriptValidationError,
 )
 from repro.script.generate import script_from_diff
 from repro.script.interpreter import ScriptInterpreter
@@ -54,7 +53,6 @@ __all__ = [
     "ScriptError",
     "ScriptException",
     "ScriptSyntaxError",
-    "ScriptValidationError",
     "script_from_diff",
     "ScriptInterpreter",
     "parse",

@@ -16,14 +16,6 @@ class ScriptSyntaxError(ScriptError):
         self.column = column
 
 
-class ScriptValidationError(ScriptError):
-    """Static (off-line) validation of a script against an architecture failed."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
-
-
 class ScriptException(ScriptError):
     """A transactional reconfiguration failed and was rolled back.
 

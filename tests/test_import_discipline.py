@@ -1,5 +1,9 @@
 """A command imports what it runs; a pool forks what its parent loaded.
 
+No process of the program loads OpenSSL: it hashes with CPython's
+built-in BLAKE2b (``_blake2``), so ``hashlib`` -- whose import loads and
+initialises libcrypto through ``_hashlib`` -- stays out of ``src/``.
+
 Every check runs in a fresh interpreter: ``sys.modules`` of the pytest
 process holds the whole package by the time any test runs.
 """
@@ -31,6 +35,14 @@ def _loaded(modules, package):
     return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
+#: What no process of the program loads, whatever it runs: OpenSSL.
+OPENSSL_MODULES = ("_hashlib", "ssl")
+
+
+def _openssl(modules):
+    return [name for name in OPENSSL_MODULES if _loaded(modules, name)]
+
+
 # -- a replay loads no simulator ------------------------------------------------
 
 _RUN_CLI = """
@@ -48,7 +60,7 @@ REPLAY_NEVER_LOADS = (
     "repro.kernel", "repro.components", "repro.script", "repro.ftm",
     "repro.core", "repro.app", "repro.patterns",
     "repro.exp.distributed", "multiprocessing", "socket",
-)
+) + OPENSSL_MODULES
 
 SMOKE_COMMANDS = {
     "campaign": ["--missions", "4", "--cell-size", "2", "--requests", "8"],
@@ -66,6 +78,7 @@ def test_full_hit_replay_loads_no_simulator(command, tmp_path):
     assert cold["exit"] == 0 and cold["summary"]["cache_state"] == "cold"
     assert cold["summary"]["trials_executed"] > 0
     assert "repro.kernel.world" in cold["modules"]  # the cold run did simulate
+    assert not _openssl(cold["modules"])
 
     replay = _fresh_interpreter(_RUN_CLI, *argv)
     assert replay["exit"] == 0
@@ -77,6 +90,20 @@ def test_full_hit_replay_loads_no_simulator(command, tmp_path):
     assert len(_loaded(replay["modules"], "repro")) <= 15
     for key in ("spec", "hash", "cells", "problems"):
         assert replay["summary"][key] == cold["summary"][key]
+
+
+_WORKER_IMPORTS = """
+import json, sys
+import repro.__main__, repro.exp.distributed
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_a_worker_process_loads_no_openssl():
+    # `repro worker` runs repro.__main__ and serves from repro.exp.distributed
+    modules = _fresh_interpreter(_WORKER_IMPORTS)
+    assert "repro.exp.distributed" in modules
+    assert not _openssl(modules)
 
 
 # -- the lazy packages keep their surface ---------------------------------------
@@ -163,3 +190,4 @@ def test_local_pool_forks_from_a_parent_that_ran_the_first_unit():
     # unit 0 ran in the parent; the other five went out in tasks of two
     assert seen["executed"] == 6 and seen["batches"] == 3
     assert seen["requests"] > 0  # parent's and workers' events both counted
+    assert not _openssl(at_fork)
