@@ -4,19 +4,15 @@ import repro.app.applications  # noqa: F401 - registers the built-in catalog
 from repro.app.registry import (
     ApplicationInfo,
     application_info,
-    create_application,
     get_assertion,
     register_application,
     register_assertion,
-    registered_applications,
 )
 
 __all__ = [
     "ApplicationInfo",
     "application_info",
-    "create_application",
     "get_assertion",
     "register_application",
     "register_assertion",
-    "registered_applications",
 ]

@@ -59,11 +59,6 @@ def application_info(name: str) -> ApplicationInfo:
         ) from None
 
 
-def create_application(name: str) -> Server:
-    """Instantiate a fresh application by registry name."""
-    return application_info(name).factory()
-
-
 def register_assertion(name: str, assertion: Callable[[Any, Any], bool]) -> None:
     """Register a safety assertion (payload, result) -> bool."""
     if name in _ASSERTIONS:
@@ -79,8 +74,3 @@ def get_assertion(name: str) -> Callable[[Any, Any], bool]:
         raise KeyError(
             f"unknown assertion {name!r} (registered: {sorted(_ASSERTIONS)})"
         ) from None
-
-
-def registered_applications() -> Dict[str, ApplicationInfo]:
-    """A copy of the whole application catalog."""
-    return dict(_APPLICATIONS)

@@ -17,11 +17,9 @@ from repro.core.adaptation_engine import (
 from repro.core.consistency import (
     ValidityReport,
     evaluate_ftm,
-    is_consistent,
     next_best_ftm,
     rank_ftms,
     select_ftm,
-    transition_necessity,
 )
 from repro.core.errors import (
     AdaptationError,
@@ -79,11 +77,9 @@ __all__ = [
     "TransitionReport",
     "ValidityReport",
     "evaluate_ftm",
-    "is_consistent",
     "next_best_ftm",
     "rank_ftms",
     "select_ftm",
-    "transition_necessity",
     "AdaptationError",
     "NoValidFTM",
     "PackageFetchFailed",

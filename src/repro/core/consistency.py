@@ -148,14 +148,3 @@ def next_best_ftm(
         return report.ftm
     return None
 
-
-def is_consistent(ftm: str, context: SystemContext) -> bool:
-    """Is the deployed FTM still valid for the context (FT + A)?"""
-    return evaluate_ftm(ftm, context).valid
-
-
-def transition_necessity(ftm: str, context: SystemContext) -> str:
-    """``"mandatory"``, ``"possible"`` or ``"none"``: the kind of the rule's verdict."""
-    from repro.core.transition_graph import decide  # it imports this module
-
-    return decide(ftm, context).kind

@@ -242,11 +242,6 @@ def gray_task(
                      max_attempts=6)
 
 
-def run_gray_mission(seed: int, **kwargs) -> GrayOutcome:
-    """One gray mission; fully determined by its seed and parameters."""
-    return GrayOutcome(**run_solo(gray_task(seed, **kwargs)))
-
-
 def _trial(seed: int, params: Mapping) -> Dict:
     """One gray mission as a plain dict (JSON-safe for the store)."""
     return run_solo(gray_task(seed, **dict(params)))

@@ -37,7 +37,6 @@ from repro.exp.errors import (
     ExperimentError,
     ResultTypeError,
     SpecError,
-    StoreError,
 )
 from repro.exp.runner import (
     BACKENDS,
@@ -99,7 +98,6 @@ __all__ = [
     "ResultStore",
     "ResultTypeError",
     "SpecError",
-    "StoreError",
     "Trial",
     "TrialFn",
     "cell_fingerprint",

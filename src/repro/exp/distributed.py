@@ -659,12 +659,3 @@ def serve(host: str, port: int, max_batches: Optional[int] = None) -> None:
     finally:
         server.close()
 
-
-def free_port() -> int:
-    """An OS-assigned free TCP port (test helper)."""
-    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-    finally:
-        probe.close()

@@ -15,10 +15,6 @@ class ResultTypeError(ExperimentError):
     """A trial returned a value the result store cannot serialise."""
 
 
-class StoreError(ExperimentError):
-    """The result store directory or a stored entry is unusable."""
-
-
 class DistributedError(ExperimentError):
     """The remote backend cannot complete the plan (all workers lost,
     protocol violation, or a worker reported a trial failure)."""

@@ -31,7 +31,6 @@ from repro.patterns.messages import PeerMessage, Reply, Request
 from repro.patterns.pbr import PBR
 from repro.patterns.server import (
     CounterServer,
-    FlakyServer,
     KeyValueServer,
     NonDeterministicServer,
     RecoverableRemoteServer,
@@ -70,7 +69,6 @@ __all__ = [
     "Request",
     "PBR",
     "CounterServer",
-    "FlakyServer",
     "KeyValueServer",
     "NonDeterministicServer",
     "RecoverableRemoteServer",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import copy
-from typing import Any, Optional
+from typing import Any
 
 
 class StateManager(abc.ABC):
@@ -143,35 +143,3 @@ class NonDeterministicServer(RemoteServer):
         self._state = (self._state * 1103515245 + 12345) & 0x7FFFFFFF
         return self._state
 
-
-class FlakyServer(RecoverableRemoteServer):
-    """A wrapper that corrupts results on demand (fault injection hook).
-
-    ``fail_next(n)`` corrupts the next *n* computations; used by unit
-    tests to exercise TR / Assertion masking without the full kernel.
-    """
-
-    def __init__(self, inner: Optional[RecoverableRemoteServer] = None) -> None:
-        self.inner = inner or CounterServer()
-        self._failures_left = 0
-        self.faults_injected = 0
-
-    def fail_next(self, count: int = 1) -> None:
-        """Corrupt the next ``count`` computations."""
-        self._failures_left = count
-
-    def process(self, payload: Any) -> Any:
-        result = self.inner.process(payload)
-        if self._failures_left > 0:
-            self._failures_left -= 1
-            self.faults_injected += 1
-            if isinstance(result, int):
-                return result ^ 0x40
-            return ("corrupted", result)
-        return result
-
-    def capture_state(self) -> Any:
-        return self.inner.capture_state()
-
-    def restore_state(self, snapshot: Any) -> None:
-        self.inner.restore_state(snapshot)

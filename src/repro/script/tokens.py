@@ -31,30 +31,6 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-#: Words with statement meaning.  They are scanned as IDENT and the parser
-#: decides from position whether they are keywords — so a component may
-#: legitimately be called e.g. ``start`` without breaking the grammar.
-KEYWORDS = frozenset(
-    {
-        "transition",
-        "stop",
-        "start",
-        "add",
-        "remove",
-        "wire",
-        "unwire",
-        "set",
-        "promote",
-        "demote",
-        "from",
-        "package",
-        "true",
-        "false",
-        "null",
-    }
-)
-
-
 @dataclass(frozen=True)
 class Token:
     kind: TokenKind

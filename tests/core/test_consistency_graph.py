@@ -8,13 +8,11 @@ from repro.core import (
     build_scenario_graph,
     evaluate_ftm,
     figure2_graph,
-    is_consistent,
     rank_ftms,
     select_ftm,
     select_target,
-    transition_necessity,
 )
-from repro.core.transition_graph import EVENTS, _ctx, event
+from repro.core.transition_graph import EVENTS, _ctx, decide, event
 from repro.ftm import FTM_NAMES
 
 
@@ -114,14 +112,14 @@ def test_select_target_none_for_impossible_context():
 
 
 def test_transition_necessity_classes():
-    assert transition_necessity("pbr", ctx()) == "none"
-    assert transition_necessity("pbr", ctx(bandwidth_ok=False)) == "mandatory"
-    assert transition_necessity("pbr", ctx(state_accessible=False)) == "mandatory"
+    assert decide("pbr", ctx()).kind == "none"
+    assert decide("pbr", ctx(bandwidth_ok=False)).kind == "mandatory"
+    assert decide("pbr", ctx(state_accessible=False)).kind == "mandatory"
 
 
 def test_is_consistent():
-    assert is_consistent("pbr", ctx())
-    assert not is_consistent("pbr", ctx(state_accessible=False))
+    assert evaluate_ftm("pbr", ctx()).valid
+    assert not evaluate_ftm("pbr", ctx(state_accessible=False)).valid
 
 
 # -- Figure 2 graph ---------------------------------------------------------------------

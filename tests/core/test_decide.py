@@ -2,11 +2,11 @@
 
 Two pins.  (1) Over the full grid the scenario graph spans, ``decide``
 equals the logic ``ResilienceManager.handle_trigger`` carried inline
-before it was extracted (kept verbatim below as the reference), and
-``transition_necessity`` is its ``kind``.  (2) Figure 8's derivation
-(``_edges_for``) stays a separate function on purpose — it enumerates
-every newly enabled option where the runtime proposes one — so the graph
-is held against ``decide`` by a conformance table instead.
+before it was extracted (kept verbatim below as the reference).
+(2) Figure 8's derivation (``_edges_for``) stays a separate function on
+purpose — it enumerates every newly enabled option where the runtime
+proposes one — so the graph is held against ``decide`` by a conformance
+table instead.
 """
 
 from collections import Counter
@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.core import verify_no_oscillation
-from repro.core.consistency import evaluate_ftm, transition_necessity
+from repro.core.consistency import evaluate_ftm
 from repro.core.transition_graph import (
     EVENTS,
     _edges_for,
@@ -66,7 +66,6 @@ def test_decide_equals_the_former_inline_rule(label, event_name, ftm):
     verdict = decide(ftm, context)
     assert (verdict.kind, verdict.target) == _reference(ftm, context)
     assert verdict.current == evaluate_ftm(ftm, context)
-    assert transition_necessity(ftm, context) == verdict.kind
 
 
 def test_grid_covers_both_quiet_outcomes_of_a_mandatory_verdict():

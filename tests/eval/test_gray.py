@@ -6,6 +6,12 @@ import pytest
 
 from repro import exp
 from repro.eval import gray
+from repro.eval.mission import run_solo
+
+
+def mission(seed, **kwargs):
+    """One gray mission; fully determined by its seed and parameters."""
+    return gray.GrayOutcome(**run_solo(gray.gray_task(seed, **kwargs)))
 
 
 def test_spec_covers_the_full_grid_with_unique_keys_and_seeds():
@@ -34,16 +40,15 @@ def test_gray_task_rejects_requests_that_end_with_the_warmup(requests):
 
 def test_mission_is_deterministic_for_a_seed():
     kwargs = dict(ftm="pbr", resource="disk", factor=8.0, requests=60)
-    first = gray.run_gray_mission(41_000, **kwargs)
-    second = gray.run_gray_mission(41_000, **kwargs)
+    first = mission(41_000, **kwargs)
+    second = mission(41_000, **kwargs)
     assert asdict(first) == asdict(second)
     assert first.trace_digest == second.trace_digest
 
 
 def test_limping_primary_is_slow_not_dead():
     """The full-stack discrimination claim on the flagship scenario."""
-    outcome = gray.run_gray_mission(41_000, ftm="pbr", resource="disk",
-                                    factor=8.0)
+    outcome = mission(41_000, ftm="pbr", resource="disk", factor=8.0)
     assert outcome.peer_suspected == 0      # never tripped the crash path
     assert outcome.detected                 # but the latency probe saw it
     assert outcome.detection_latency_ms is not None
@@ -55,8 +60,8 @@ def test_limping_primary_is_slow_not_dead():
 
 def test_lfr_rides_out_a_disk_limp_invisibly():
     """LFR never touches the disk: the limp is invisible *and* harmless."""
-    outcome = gray.run_gray_mission(41_000, ftm="lfr", resource="disk",
-                                    factor=8.0, requests=60)
+    outcome = mission(41_000, ftm="lfr", resource="disk", factor=8.0,
+                      requests=60)
     assert not outcome.detected
     assert outcome.peer_suspected == 0
     assert outcome.ok == outcome.sent
@@ -66,8 +71,8 @@ def test_lfr_rides_out_a_disk_limp_invisibly():
 def test_proactive_beats_reactive_on_the_limping_primary():
     scenario = dict(ftm="pbr", resource="disk", factor=8.0, slo_ms=10.0)
     for seed in (41_000, 41_211, 41_422):
-        reactive = gray.run_gray_mission(seed, proactive=False, **scenario)
-        proactive = gray.run_gray_mission(seed, proactive=True, **scenario)
+        reactive = mission(seed, proactive=False, **scenario)
+        proactive = mission(seed, proactive=True, **scenario)
         assert not reactive.detected  # no probe, no detection — only crashes
         assert proactive.detected and proactive.transitioned
         assert proactive.unavailability < reactive.unavailability, seed

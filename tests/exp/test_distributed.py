@@ -23,6 +23,16 @@ from repro.exp import distributed
 from repro.exp import spec as spec_mod
 
 
+def free_port():
+    """A TCP port the OS just assigned and released: connects are refused."""
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+    finally:
+        probe.close()
+
+
 def _dump(result):
     return json.dumps(result.results, sort_keys=True)
 
@@ -134,7 +144,7 @@ def test_parse_address():
 def test_connect_backs_off_only_between_attempts(monkeypatch):
     sleeps = []
     monkeypatch.setattr(distributed.time, "sleep", sleeps.append)
-    refused = ("127.0.0.1", distributed.free_port())
+    refused = ("127.0.0.1", free_port())
     with pytest.raises(exp.DistributedError, match="after 5 attempts"):
         distributed._connect(refused, timeout=0.5)
     assert sleeps == [0.2, 0.4, 0.8, 1.6]
@@ -341,7 +351,7 @@ def test_a_reply_naming_other_units_is_a_protocol_error():
 
 def test_all_workers_dead_raises_distributed_error():
     # ports that were bound and closed: connections will be refused
-    dead = [f"127.0.0.1:{distributed.free_port()}" for _ in range(2)]
+    dead = [f"127.0.0.1:{free_port()}" for _ in range(2)]
     backend = distributed.RemoteBackend(dead, connect_timeout=0.5)
     with pytest.raises(exp.DistributedError, match="worker"):
         exp.run(_echo_spec(cells=4, name="echo-dead"), batch=1,

@@ -4,21 +4,19 @@ import pytest
 
 from repro.app import (
     application_info,
-    create_application,
     get_assertion,
     register_application,
     register_assertion,
-    registered_applications,
 )
 from repro.patterns import CounterServer, KeyValueServer, NonDeterministicServer
 
 
 def test_builtin_catalog_present():
-    apps = registered_applications()
-    assert {"counter", "kv-store", "sensor-fusion"} <= set(apps)
-    assert apps["counter"].deterministic
-    assert apps["counter"].state_accessible
-    assert not apps["sensor-fusion"].deterministic
+    counter = application_info("counter")
+    assert counter.deterministic
+    assert counter.state_accessible
+    assert application_info("kv-store").name == "kv-store"
+    assert not application_info("sensor-fusion").deterministic
 
 
 def test_unknown_application_rejected():
@@ -39,8 +37,8 @@ def test_double_registration_rejected():
 
 
 def test_create_application_fresh_instances():
-    a = create_application("counter")
-    b = create_application("counter")
+    a = application_info("counter").factory()
+    b = application_info("counter").factory()
     assert a is not b
     a.process(("add", 1))
     assert b.total == 0

@@ -1,5 +1,7 @@
 """Tests for TimeRedundancy, Assertion, and the composed FTMs."""
 
+from typing import Any, Optional
+
 import pytest
 
 from repro.patterns import (
@@ -10,15 +12,48 @@ from repro.patterns import (
     Assertion,
     AssertionFailedError,
     CounterServer,
-    FlakyServer,
     LocalLink,
     NonDeterministicServer,
     PatternError,
+    RecoverableRemoteServer,
     Request,
     Role,
     TimeRedundancy,
     UnmaskedFaultError,
 )
+
+
+class FlakyServer(RecoverableRemoteServer):
+    """A wrapper that corrupts results on demand (fault injection hook).
+
+    ``fail_next(n)`` corrupts the next *n* computations, so TR and
+    Assertion masking are exercised without the full kernel.
+    """
+
+    def __init__(self, inner: Optional[RecoverableRemoteServer] = None) -> None:
+        self.inner = inner or CounterServer()
+        self._failures_left = 0
+        self.faults_injected = 0
+
+    def fail_next(self, count: int = 1) -> None:
+        """Corrupt the next ``count`` computations."""
+        self._failures_left = count
+
+    def process(self, payload: Any) -> Any:
+        result = self.inner.process(payload)
+        if self._failures_left > 0:
+            self._failures_left -= 1
+            self.faults_injected += 1
+            if isinstance(result, int):
+                return result ^ 0x40
+            return ("corrupted", result)
+        return result
+
+    def capture_state(self) -> Any:
+        return self.inner.capture_state()
+
+    def restore_state(self, snapshot: Any) -> None:
+        self.inner.restore_state(snapshot)
 
 
 def request(request_id, payload=("add", 1), client="c1"):

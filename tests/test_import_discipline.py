@@ -1,5 +1,9 @@
 """A command imports what it runs; a pool forks what its parent loaded.
 
+The package runs on the standard library alone: every module imports in
+an interpreter that sees no site-packages, so a clean install of
+``repro`` (``dependencies = []``) can run all of it.
+
 No process of the program loads OpenSSL: it hashes with CPython's
 built-in BLAKE2b (``_blake2``), so ``hashlib`` -- whose import loads and
 initialises libcrypto through ``_hashlib`` -- stays out of ``src/``.
@@ -41,6 +45,37 @@ OPENSSL_MODULES = ("_hashlib", "ssl")
 
 def _openssl(modules):
     return [name for name in OPENSSL_MODULES if _loaded(modules, name)]
+
+
+# -- the standard library is enough ---------------------------------------------
+
+_IMPORT_EVERY_MODULE = """
+import importlib, json, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import repro
+failed = {}
+def note(name):
+    failed[name] = repr(sys.exc_info()[1])
+names = [info.name for info in
+         pkgutil.walk_packages(repro.__path__, "repro.", onerror=note)]
+for name in names:
+    try:
+        importlib.import_module(name)
+    except Exception as exc:
+        failed[name] = repr(exc)
+print(json.dumps({"modules": names, "failed": failed}))
+"""
+
+
+def test_every_module_imports_on_the_standard_library_alone():
+    # -S: no site-packages; -E: no PYTHONPATH; -B: no bytecode left behind
+    done = subprocess.run(
+        [sys.executable, "-S", "-E", "-B", "-c", _IMPORT_EVERY_MODULE, SRC],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert "repro.exp.distributed" in seen["modules"]  # the walk went deep
+    assert seen["failed"] == {}
 
 
 # -- a replay loads no simulator ------------------------------------------------
@@ -136,7 +171,7 @@ EXP_ALL = [
     "ExecutionPlan", "ExecutionStats", "ExecutorBackend", "ExperimentError",
     "ExperimentResult", "ExperimentSpec", "LocalPoolBackend", "RemoteBackend",
     "SerialBackend", "ReduceFn", "ResultStore", "ResultTypeError", "SpecError",
-    "StoreError", "Trial", "TrialFn", "cell_fingerprint", "cell_hash",
+    "Trial", "TrialFn", "cell_fingerprint", "cell_hash",
     "cell_slug", "default_batch", "default_jobs", "derive_seed",
     "derive_seeds", "fingerprint", "run", "shutdown_local_pool", "spec_hash",
 ]
