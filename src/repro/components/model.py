@@ -146,16 +146,6 @@ class Reference:
                 target._quiescent.trigger()
         return result
 
-    def invoke_all(self, operation: str, *args: Any, **kwargs: Any) -> Generator:
-        """Invoke through every wire in order; returns the list of results."""
-        results = []
-        for wire in list(self.wires):
-            result = yield from wire.target.call(
-                wire.service, operation, *args, **kwargs
-            )
-            results.append(result)
-        return results
-
 
 class Component:
     """A runtime component: implementation + ports + lifecycle + quiescence."""

@@ -177,23 +177,6 @@ class AssemblyDiff:
     promotions_added: Tuple[PromotionSpec, ...]
     promotions_removed: Tuple[PromotionSpec, ...]
 
-    @property
-    def touched_component_count(self) -> int:
-        """Components the transition installs (added + replaced)."""
-        return len(self.added) + len(self.replaced)
-
-    @property
-    def is_identity(self) -> bool:
-        return not (
-            self.added
-            or self.removed
-            or self.replaced
-            or self.wires_added
-            or self.wires_removed
-            or self.promotions_added
-            or self.promotions_removed
-        )
-
     def new_components(self) -> Tuple[ComponentSpec, ...]:
         """Everything the transition package must ship."""
         return self.added + tuple(new for _old, new in self.replaced)
@@ -201,7 +184,3 @@ class AssemblyDiff:
     def dead_components(self) -> Tuple[ComponentSpec, ...]:
         """Everything the transition removes from the running system."""
         return self.removed + tuple(old for old, _new in self.replaced)
-
-    def package_size(self) -> int:
-        """Total packaged bytes of the shipped components."""
-        return sum(spec.size for spec in self.new_components())

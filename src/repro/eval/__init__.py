@@ -22,7 +22,7 @@ import importlib
 #: Re-exported helpers -> the submodule that defines them.
 _HELPERS = {
     "render_table": "format",
-    "class_sloc": "sloc", "count_sloc": "sloc", "module_sloc": "sloc",
+    "class_sloc": "sloc", "count_sloc": "sloc",
     "format_interval": "stats", "wilson_interval": "stats",
 }
 
@@ -190,7 +190,6 @@ __all__ = [
     "render_table",
     "class_sloc",
     "count_sloc",
-    "module_sloc",
     "format_interval",
     "wilson_interval",
 ]

@@ -132,13 +132,6 @@ class GrayOutcome:
     masked: bool = False
     trace_digest: str = ""
 
-    @property
-    def unavailability(self) -> float:
-        """Post-limp SLO-miss fraction — gray-failure 'downtime'."""
-        if self.post_requests == 0:
-            return 0.0
-        return self.slo_misses / self.post_requests
-
 
 def gray_task(
     seed: int,

@@ -52,11 +52,6 @@ def class_sloc(cls: type) -> int:
     return count_sloc(inspect.getsource(cls))
 
 
-def module_sloc(module) -> int:
-    """SLOC of one module."""
-    return count_sloc(inspect.getsource(module))
-
-
 def classes_sloc(classes: Iterable[type]) -> int:
     """Summed SLOC over several classes."""
     return sum(class_sloc(cls) for cls in classes)

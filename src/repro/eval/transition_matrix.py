@@ -113,8 +113,8 @@ def cell_task(
 ) -> WorldTask:
     """One matrix cell as an unrun :class:`WorldTask`.
 
-    The task's result is the cell outcome as a plain dict;
-    :func:`run_cell` is the solo wrapper returning :class:`CellOutcome`.
+    The task's result is the cell outcome as a plain dict, the fields of
+    :class:`CellOutcome`.
     The platform is :func:`~repro.eval.mission.pair_task`'s, with the
     repository hosted on a fourth node.
     """
@@ -200,15 +200,6 @@ def cell_task(
         return asdict(outcome)
 
     return pair_task(seed, source, run)
-
-
-def run_cell(
-    seed: int, source: str, target: str, fault: str, requests: int = 20
-) -> CellOutcome:
-    """One seeded mission: transition under load with the cell's fault."""
-    return CellOutcome(**run_solo(
-        cell_task(seed, source, target, fault, requests=requests)
-    ))
 
 
 # -- experiment plumbing ---------------------------------------------------------------

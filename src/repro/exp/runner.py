@@ -355,8 +355,7 @@ class ExecutorBackend:
 
     Implementations must yield every unit of the plan exactly once as
     ``(unit index, raw value)`` pairs; order is irrelevant (the caller
-    merges by index).  ``close()`` releases backend resources; backends
-    with cheap or process-global resources may make it a no-op.
+    merges by index).
     """
 
     name = "abstract"
@@ -369,9 +368,6 @@ class ExecutorBackend:
         decides where units run, never which units run.
         """
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (no-op by default)."""
 
 
 class SerialBackend(ExecutorBackend):
@@ -593,7 +589,6 @@ def run(
     run_stats.record_cached_cells(len(cached_cells))
 
     executor = _resolve_backend(backend, workers)
-    owned = not isinstance(backend, ExecutorBackend)
     assembler = _CellAssembler(spec, store, run_stats)
     assembler.completed.update(cached_cells)
     units: List[_Unit] = []
@@ -614,8 +609,6 @@ def run(
             for index, value in executor.execute(plan):
                 assembler.feed(index, value)
         finally:
-            if owned:
-                executor.close()
             run_stats.record_event_counts(batch_event_counts())
     elapsed = time.perf_counter() - started if units else 0.0
 

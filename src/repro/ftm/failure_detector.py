@@ -29,7 +29,7 @@ from repro.kernel.sim import Process
 class HeartbeatFailureDetector(ComponentImpl):
     """Heartbeat sender + timeout monitor."""
 
-    SERVICES = {"fd": ("status", "reset", "suspend", "resume")}
+    SERVICES = {"fd": ("reset",)}
     REFERENCES = {"control": Multiplicity.ONE}
 
     def on_attach(self) -> None:
@@ -38,7 +38,6 @@ class HeartbeatFailureDetector(ComponentImpl):
         #: Counts heartbeats and keeps the expiry deadline; installed as
         #: the ``fd`` mailbox's sink while the detector runs.
         self._beats = BeatMonitor(self.ctx.sim, self.prop("timeout", 60.0))
-        self._suspended = False
         self._started_at = 0.0
         self._mailbox = None
 
@@ -107,25 +106,9 @@ class HeartbeatFailureDetector(ComponentImpl):
 
     # -- service operations ----------------------------------------------------------
 
-    def status(self) -> dict:
-        """Suspicion flag and heartbeat counters."""
-        return {
-            "suspected": self.suspected,
-            "heartbeats_seen": self.heartbeats_seen,
-            "suspended": self._suspended,
-        }
-
     def reset(self) -> None:
         """Clear the suspicion (a fresh peer was reintegrated)."""
         self.suspected = False
-
-    def suspend(self) -> None:
-        """Stop suspecting (e.g. while the peer is deliberately rebooted)."""
-        self._suspended = True
-
-    def resume(self) -> None:
-        """Resume suspecting after a :meth:`suspend`."""
-        self._suspended = False
 
     # -- background processes ------------------------------------------------------------
 
@@ -146,7 +129,7 @@ class HeartbeatFailureDetector(ComponentImpl):
                 yield monitor
                 continue
             monitor.deadline = now + timeout  # expiry window restarts
-            if self._suspended or self.suspected:
+            if self.suspected:
                 continue
             if (
                 monitor.seen == 0

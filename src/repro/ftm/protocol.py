@@ -28,7 +28,6 @@ class FTProtocol(ComponentImpl):
             "describe",
             "peer_failed",
             "peer_recovered",
-            "set_role",
             "get_state",
             "put_state",
         ),
@@ -186,10 +185,6 @@ class FTProtocol(ComponentImpl):
         self.ctx.trace.record(
             "ftm", "peer_recovered", node=self.ctx.node.name, peer=peer_node
         )
-
-    def set_role(self, role: str) -> None:
-        """Management override of the replica role."""
-        self.component.set_property("role", role)
 
     def get_state(self) -> Any:
         """State transfer (replica reintegration): capture the app state."""

@@ -23,7 +23,6 @@ from repro.kernel.errors import (
     ProcessInterrupted,
     ProcessKilled,
     SimulationError,
-    StorageError,
 )
 from repro.kernel.faults import (
     TRANSITION_FAULT_KINDS,
@@ -72,7 +71,6 @@ __all__ = [
     "ProcessInterrupted",
     "ProcessKilled",
     "SimulationError",
-    "StorageError",
     "TRANSITION_FAULT_KINDS",
     "TRANSITION_PHASES",
     "Corrupted",

@@ -18,8 +18,9 @@ counters, energy accumulation and ``drop`` records of ``Network.send`` /
 traces, stores and final RNG states are byte-identical.
 
 **One specialisation.**  The clock re-implements only the *quiet* beat:
-both nodes up, a plain link, no partition or loss in the way, a :class:`BeatMonitor` listening.  Anything else goes through
-``Network.send`` / ``Network._deliver`` themselves.  Quietness is checked
+both nodes up, a plain link, no loss in the way, a :class:`BeatMonitor`
+listening.  Anything else goes through ``Network.send`` /
+``Network._deliver`` themselves.  Quietness is checked
 once per replay window: nothing but the clock runs inside one, so the
 answer holds until foreign code does.
 """
@@ -150,7 +151,6 @@ class BeatStream:
             or not route[1].is_up
             or link.loss > 0.0 or network._loss_probability > 0.0
             or self._span <= 0.0
-            or (network._partitions and network.partitioned(node.name, peer))
         ):
             return False
         self._monitor = mailbox._sink

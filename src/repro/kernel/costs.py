@@ -21,7 +21,7 @@ behaviour, only timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class CostModel:
     link_bandwidth: float = 12_500.0     #: bytes per millisecond (~100 Mbit/s)
 
     # -- application processing --------------------------------------------------
-    request_processing: float = 5.0      #: nominal service time of one request
     checkpoint_capture: float = 1.2      #: capturing application state
     checkpoint_apply: float = 0.9        #: applying a received checkpoint
     assertion_check: float = 0.6         #: evaluating a safety assertion
@@ -88,39 +87,6 @@ class CostModel:
 
     # -- stochastic noise ---------------------------------------------------------
     jitter_fraction: float = 0.035       #: ±3.5% noise on every charged cost
-
-    def scaled(self, factor: float) -> "CostModel":
-        """Return a copy with every *time* cost multiplied by ``factor``.
-
-        Used to study how sensitive the Table 3 ratios are to the
-        platform speed.
-        """
-        time_fields = {
-            name: getattr(self, name) * factor
-            for name in (
-                "runtime_boot",
-                "composite_create",
-                "component_install",
-                "component_attach",
-                "component_start",
-                "component_stop",
-                "component_remove",
-                "wire_connect",
-                "wire_disconnect",
-                "script_parse",
-                "script_step",
-                "script_commit",
-                "script_rollback",
-                "package_fetch",
-                "package_serve_chunk",
-                "package_checksum",
-                "package_unpack_base",
-                "package_unpack_component",
-                "package_remove_base",
-                "package_remove_component",
-            )
-        }
-        return replace(self, **time_fields)
 
 
 #: The default calibration used by tests, examples and the eval modules.

@@ -46,13 +46,9 @@ class NodeDown(KernelError):
 
 
 class NetworkUnreachable(KernelError):
-    """No route exists between two nodes (partition or unknown node)."""
+    """No link exists between two nodes (an unknown node)."""
 
     def __init__(self, source: str, destination: str):
         super().__init__(f"no route from {source!r} to {destination!r}")
         self.source = source
         self.destination = destination
-
-
-class StorageError(KernelError):
-    """Stable storage was used incorrectly (unknown key, bad namespace)."""

@@ -1,4 +1,4 @@
-"""Simulated network: links, mailboxes, partitions, loss and corruption.
+"""Simulated network: links, mailboxes, loss and corruption.
 
 The network connects :class:`repro.kernel.node.Node` instances with
 point-to-point links characterised by latency and bandwidth.  Processes
@@ -16,7 +16,7 @@ the ``bandwidth drop`` adaptation trigger of Figure 8 is produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.kernel.costs import CostModel, DEFAULT_COSTS
 from repro.kernel.errors import NetworkUnreachable, NodeDown
@@ -65,10 +65,6 @@ class Link:
     bandwidth: float  # bytes per millisecond
     loss: float = 0.0  # per-message omission probability on this link
 
-    def transfer_time(self, size: int) -> float:
-        """Latency plus serialisation delay for ``size`` bytes."""
-        return self.latency + size / self.bandwidth
-
 
 class Network:
     """The message-passing fabric between nodes."""
@@ -85,7 +81,6 @@ class Network:
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._mailboxes: Dict[Tuple[str, str], Channel] = {}
-        self._partitions: Set[FrozenSet[str]] = set()
         self._loss_probability = 0.0
         self._rand = sim.random.substream("network")
         # bound once: one delivery callback is scheduled per message, so a
@@ -152,23 +147,7 @@ class Network:
             bandwidth=bandwidth,
         )
 
-    # -- partitions & loss ---------------------------------------------------------
-
-    def partition(self, group_a: List[str], group_b: List[str]) -> None:
-        """Block all traffic between the two node groups."""
-        for a in group_a:
-            for b in group_b:
-                self._partitions.add(frozenset((a, b)))
-        self.trace.record("network", "partition", group_a=tuple(group_a), group_b=tuple(group_b))
-
-    def heal(self) -> None:
-        """Remove every partition."""
-        self._partitions.clear()
-        self.trace.record("network", "heal")
-
-    def partitioned(self, a: str, b: str) -> bool:
-        """Is traffic between the two nodes currently blocked?"""
-        return frozenset((a, b)) in self._partitions
+    # -- loss -------------------------------------------------------------------------
 
     def set_loss_probability(self, probability: float) -> None:
         """Drop each message independently with this probability."""
@@ -214,12 +193,6 @@ class Network:
         """Remove a mailbox; subsequent deliveries to it are dropped."""
         self._mailboxes.pop((node, port), None)
 
-    def flush_node(self, node: str) -> None:
-        """Drop all buffered messages for a node (used on crash)."""
-        for (owner, _port), mailbox in self._mailboxes.items():
-            if owner == node:
-                mailbox.drain()
-
     # -- sending --------------------------------------------------------------------
 
     def send(
@@ -233,8 +206,8 @@ class Network:
         """Fire-and-forget message send (datagram semantics).
 
         Raises :class:`NodeDown` if the *source* is crashed.  Messages to a
-        crashed or partitioned destination are silently dropped, like a
-        real datagram — failure detection is the protocols' job.
+        crashed destination are silently dropped, like a real datagram —
+        failure detection is the protocols' job.
         """
         nodes = self._nodes
         src_node = nodes.get(source)
@@ -253,9 +226,6 @@ class Network:
         if source == destination:
             delay = 0.01  # loopback
         else:
-            if self._partitions and self.partitioned(source, destination):
-                self._drop(message, "partition")
-                return
             link = self._links.get((source, destination))
             if link is None:
                 raise NetworkUnreachable(source, destination)
@@ -293,9 +263,6 @@ class Network:
         destination = self._nodes[dest_name]
         if not destination.is_up:
             self._drop(message, "destination_down")
-            return
-        if self._partitions and self.partitioned(message.source, dest_name):
-            self._drop(message, "partition")
             return
         mailbox = self._mailboxes.get((dest_name, message.port))
         if mailbox is None:

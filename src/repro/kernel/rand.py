@@ -46,14 +46,6 @@ class DeterministicRandom:
         """A float drawn uniformly from [0, 1)."""
         return self._rng.random()
 
-    def expovariate(self, rate: float) -> float:
-        """An exponentially distributed draw with the given rate."""
-        return self._rng.expovariate(rate)
-
-    def normal(self, mean: float, stddev: float) -> float:
-        """A Gaussian draw."""
-        return self._rng.gauss(mean, stddev)
-
     def randint(self, low: int, high: int) -> int:
         """An integer drawn uniformly from [low, high] inclusive."""
         return self._rng.randint(low, high)
@@ -61,10 +53,6 @@ class DeterministicRandom:
     def choice(self, seq):
         """One element drawn uniformly from the sequence."""
         return self._rng.choice(seq)
-
-    def shuffle(self, seq) -> None:
-        """Shuffle the sequence in place."""
-        self._rng.shuffle(seq)
 
     def chance(self, probability: float) -> bool:
         """Return True with the given probability."""

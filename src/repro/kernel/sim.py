@@ -474,12 +474,6 @@ class Channel:
         """A wait descriptor: yield it to receive the next item (or TIMEOUT)."""
         return _Get(self, timeout)
 
-    def drain(self) -> List[Any]:
-        """Remove and return all buffered items (no waiting)."""
-        items = list(self._items)
-        self._items.clear()
-        return items
-
     def _subscribe_get(self, process: "Process", timeout: Optional[float]) -> Any:
         if self._items:
             item = self._items.popleft()

@@ -67,7 +67,6 @@ class World:
         self.trace.records.clear()
         self.trace._subscribers.clear()
         self.trace._listeners.clear()
-        self.storage._data.clear()
         self.storage._logs.clear()
         for node in self.cluster.nodes.values():
             node.processes.clear()

@@ -246,17 +246,17 @@ def test_integrity_violations_detect_unwired_reference(world, runtime):
 
 def test_diff_identity():
     diff = spec_pair().diff(spec_pair())
-    assert diff.is_identity
-    assert diff.touched_component_count == 0
+    assert diff.new_components() == diff.dead_components() == ()
+    assert diff.wires_added == diff.wires_removed == ()
+    assert diff.promotions_added == diff.promotions_removed == ()
 
 
 def test_diff_detects_property_change_as_replacement():
     diff = spec_pair("v1").diff(spec_pair("v2"))
-    assert not diff.is_identity
     assert len(diff.replaced) == 1
     old, new = diff.replaced[0]
     assert old.name == new.name == "src"
-    assert diff.touched_component_count == 1
+    assert diff.new_components() == (new,)
 
 
 def test_diff_detects_added_and_removed():
@@ -290,7 +290,7 @@ def test_diff_package_contents():
     diff = spec_pair("v1").diff(spec_pair("v2"))
     names = [c.name for c in diff.new_components()]
     assert names == ["src"]
-    assert diff.package_size() == 4096
+    assert diff.new_components()[0].size == 4096
     assert [c.name for c in diff.dead_components()] == ["src"]
 
 

@@ -75,7 +75,9 @@ def test_proactive_beats_reactive_on_the_limping_primary():
         proactive = mission(seed, proactive=True, **scenario)
         assert not reactive.detected  # no probe, no detection — only crashes
         assert proactive.detected and proactive.transitioned
-        assert proactive.unavailability < reactive.unavailability, seed
+        # the post-limp SLO-miss fraction: gray-failure 'downtime'
+        assert (proactive.slo_misses / proactive.post_requests
+                < reactive.slo_misses / reactive.post_requests), seed
         for outcome in (reactive, proactive):
             assert outcome.peer_suspected == 0, seed  # slow, not dead
             assert outcome.ok == outcome.sent, seed  # no request lost

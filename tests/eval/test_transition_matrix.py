@@ -2,32 +2,33 @@
 
 from repro import exp
 from repro.eval import transition_matrix
+from repro.kernel import run_solo
 
 
 def test_fault_free_cell_survives_cleanly():
-    cell = transition_matrix.run_cell(7001, "pbr", "lfr", "none")
-    assert cell.status == "S"
-    assert cell.outcome == "success"
-    assert cell.all_ok and cell.exactly_once
-    assert cell.converged
-    assert cell.final_ftm == "lfr"
-    assert cell.faults_injected == 0
+    cell = run_solo(transition_matrix.cell_task(7001, "pbr", "lfr", "none"))
+    assert cell["status"] == "S"
+    assert cell["outcome"] == "success"
+    assert cell["all_ok"] and cell["exactly_once"]
+    assert cell["converged"]
+    assert cell["final_ftm"] == "lfr"
+    assert cell["faults_injected"] == 0
 
 
 def test_fetch_corrupt_cell_detects_and_survives():
-    cell = transition_matrix.run_cell(7002, "pbr", "lfr", "fetch/corrupt")
-    assert "!" not in cell.status
-    assert cell.faults_injected > 0
-    assert cell.corrupt_detected > 0  # checksum caught the tampered chunk
-    assert cell.converged
+    cell = run_solo(transition_matrix.cell_task(7002, "pbr", "lfr", "fetch/corrupt"))
+    assert "!" not in cell["status"]
+    assert cell["faults_injected"] > 0
+    assert cell["corrupt_detected"] > 0  # checksum caught the tampered chunk
+    assert cell["converged"]
 
 
 def test_script_crash_cell_rolls_back_and_recovers():
-    cell = transition_matrix.run_cell(7003, "pbr", "lfr", "script/crash")
-    assert cell.status == "R"
-    assert cell.rolled_back
-    assert cell.converged  # quarantine/recovery brought the replica back
-    assert cell.replicas_alive == 2
+    cell = run_solo(transition_matrix.cell_task(7003, "pbr", "lfr", "script/crash"))
+    assert cell["status"] == "R"
+    assert cell["rolled_back"]
+    assert cell["converged"]  # quarantine/recovery brought the replica back
+    assert cell["replicas_alive"] == 2
 
 
 def test_smoke_grid_runs_green_end_to_end():
@@ -65,10 +66,7 @@ def test_hash_label_is_deterministic_across_calls():
 
 
 def test_shape_checks_flag_lost_requests():
-    good = transition_matrix.run_cell(7001, "pbr", "lfr", "none")
-    from dataclasses import asdict
-
-    raw = asdict(good)
+    raw = run_solo(transition_matrix.cell_task(7001, "pbr", "lfr", "none"))
     raw["status"] = "S!"
     raw["all_ok"] = False
     data = transition_matrix.from_results({"pbr->lfr|none": [raw]})

@@ -1,8 +1,8 @@
-"""Tests for the workload generators and the client's record of them."""
+"""Tests for the constant workload and the client's record of it."""
 
 import pytest
 
-from repro.app.workloads import bursty, constant, phased
+from repro.app.workloads import constant
 from repro.ftm import Client, deploy_ftm_pair
 from repro.kernel import World
 
@@ -32,30 +32,6 @@ def test_constant_workload(setup):
     assert min(client.latencies_ms) > 0
 
 
-def test_bursty_workload(setup):
-    world, _pair, client = setup
-    started = world.now
-    world.run_process(bursty(client, bursts=3, burst_size=4, gap_ms=300.0))
-    assert client.sent == 12
-    assert client.all_ok
-    assert world.now - started >= 3 * 300.0  # the gaps actually elapsed
-
-
-def test_phased_workload(setup):
-    world, _pair, client = setup
-    world.run_process(phased(client, [(5, 10.0), (5, 100.0)]))
-    assert client.sent == 10
-    assert client.replies[-1].value == 10
-
-
-def test_custom_payload_fn(setup):
-    world, _pair, client = setup
-    world.run_process(
-        constant(client, count=3, period_ms=5.0, payload_fn=lambda i: ("add", i * 10))
-    )
-    assert [r.value for r in client.replies] == [0, 10, 30]
-
-
 def test_client_records_each_answer_in_answer_order(setup):
     world, _pair, client = setup
     starts = []
@@ -65,7 +41,8 @@ def test_client_records_each_answer_in_answer_order(setup):
         starts.append(world.now)
         yield from client.request(("add", 5))
         starts.append(world.now)
-        yield from bursty(client, bursts=1, burst_size=2, gap_ms=0.0)
+        for _ in range(2):  # back to back
+            yield from client.request(("add", 1))
 
     world.run_process(mixed())
     assert [r.request_id for r in client.replies] == [1, 2, 3, 4, 5]

@@ -1,7 +1,7 @@
 """End-to-end integration tests combining every layer of the system."""
 
 
-from repro.app.workloads import bursty, constant
+from repro.app.workloads import constant
 from repro.core import (
     AdaptationEngine,
     MonitoringEngine,
@@ -129,7 +129,14 @@ def test_closed_loop_mission_with_multiple_triggers():
 def test_bursty_load_buffered_by_gate():
     world, pair, client = build(seed=84)
     engine = AdaptationEngine(world, pair)
-    loader = world.sim.spawn(bursty(client, bursts=6, burst_size=4, gap_ms=250.0))
+
+    def bursts():
+        for _ in range(6):
+            for _ in range(4):  # back to back, then a silence
+                yield from client.request(("add", 1))
+            yield Timeout(250.0)
+
+    loader = world.sim.spawn(bursts())
 
     def adapt():
         yield Timeout(500.0)

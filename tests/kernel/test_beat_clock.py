@@ -4,7 +4,7 @@ Two oracles.  The golden file pins the bytes of the tree before the
 clock (it had two kernel events per beat) for whole missions.  The
 reference detector (``beat_reference``) spells the beat path in plain
 kernel events on *this* tree, so any scenario can be run both ways:
-crash, restart and redeploy, omission loss, partition and heal, limp,
+crash, restart and redeploy, omission loss, an outage and its end, limp,
 delivery filters, a detector stopped with beats buffered, a ``peer``
 changed mid-run, and exact ``(time, seq)`` ties with other traffic.
 """
@@ -116,11 +116,12 @@ def test_omission_loss_draws_and_drops_the_same_beats():
     _assert_parity(scenario)
 
 
-def test_partition_and_heal():
+def test_link_cut_and_restore():
     def scenario(world):
         _deploy(world)
-        _at(world, 400.0, world.network.partition, ["alpha"], ["beta"])
-        _at(world, 700.0, world.network.heal)
+        # a transient outage: the pair's link is cut, then restored
+        _at(world, 400.0, world.network.set_link_loss, "alpha", "beta", 1.0)
+        _at(world, 700.0, world.network.set_link_loss, "alpha", "beta", 0.0)
         world.run(until=world.now + 2_000.0)
         assert world.trace.count("ftm", "peer_suspected") >= 1
 

@@ -156,18 +156,6 @@ def test_delivery_to_crashed_node_dropped(world, pair):
     assert world.network.messages_delivered == 0
 
 
-def test_partition_blocks_messages_and_heal_restores(world, pair):
-    mailbox = world.network.bind("beta", "in")
-    world.network.partition(["alpha"], ["beta"])
-    world.network.send("alpha", "beta", "in", payload="lost")
-    world.run()
-    assert len(mailbox) == 0
-    world.network.heal()
-    world.network.send("alpha", "beta", "in", payload="found")
-    world.run()
-    assert len(mailbox) == 1
-
-
 def test_loss_probability_drops_messages(world, pair):
     world.network.bind("beta", "in")
     world.network.set_loss_probability(1.0)
@@ -251,24 +239,11 @@ def test_permanent_campaign_corrupts_forever(world):
 # -- stable storage ----------------------------------------------------------------
 
 
-def test_storage_read_write(world):
-    world.storage.write("alpha", "config", {"ftm": "pbr"})
-    assert world.storage.read("alpha", "config") == {"ftm": "pbr"}
-    assert world.storage.read("alpha", "missing", default="d") == "d"
-
-
 def test_storage_survives_crash(world):
     node = world.add_node("alpha")
-    world.storage.write("alpha", "config", "pbr")
+    world.storage.append("ftm-config:alpha", "pbr")
     node.crash()
-    assert world.storage.read("alpha", "config") == "pbr"
-
-
-def test_storage_delete_unknown_key(world):
-    from repro.kernel import StorageError
-
-    with pytest.raises(StorageError):
-        world.storage.delete("alpha", "nope")
+    assert world.storage.last("ftm-config:alpha").value == "pbr"
 
 
 def test_storage_log_append_and_last(world):

@@ -262,15 +262,6 @@ def test_channel_get_timeout_cancelled_by_put():
     assert sim.now == 2.0  # the stale timeout never extends the run
 
 
-def test_channel_drain():
-    sim = Simulator()
-    channel = Channel(sim)
-    channel.put(1)
-    channel.put(2)
-    assert channel.drain() == [1, 2]
-    assert len(channel) == 0
-
-
 def test_join_returns_child_result():
     sim = Simulator()
 

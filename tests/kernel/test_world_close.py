@@ -85,7 +85,6 @@ def _kernel_mission(world):
     def main():
         for i in range(5):
             yield Timeout(7.0)
-            world.storage.write("alpha", "k", i)
             world.storage.append("log", i)
         world.faults.arm(Fault("crash", "alpha", start=world.now + 1.0))
         yield Timeout(50.0)
@@ -209,7 +208,6 @@ def test_close_twice_harvests_once_and_keeps_the_clock():
     assert first["timer"] > 0 and first["fault"] == 1
     assert world.sim.events_by_source["timer"] == 0  # moved, not copied
     assert world.sim.pending() == 0 and not world.trace.records
-    assert not world.storage.exists("alpha", "k")
     assert world.storage.last("log") is None
 
     world.close()

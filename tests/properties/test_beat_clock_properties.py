@@ -13,7 +13,7 @@ NODES = st.sampled_from(["alpha", "beta"])
 #: One fault: (kind, node, magnitude index).
 FAULTS = st.tuples(
     st.sampled_from([
-        "crash", "loss", "link_loss", "partition", "heal", "limp",
+        "crash", "loss", "link_loss", "limp",
         "latency", "requests",
     ]),
     NODES,
@@ -34,10 +34,6 @@ def _apply(world, kind, node, level, client=None):
         network.set_loss_probability((0.0, 0.2, 0.6, 1.0)[level])
     elif kind == "link_loss":
         network.set_link_loss("alpha", "beta", (0.0, 0.3, 0.7, 1.0)[level])
-    elif kind == "partition":
-        network.partition(["alpha"], ["beta"])
-    elif kind == "heal":
-        network.heal()
     elif kind == "limp":
         world.faults.arm(Fault(
             "slow", node, resource=("link", "cpu", "disk", "link")[level],
@@ -89,7 +85,7 @@ def test_deployed_pair_survives_any_fault_schedule_identically(seed, schedule):
 #: instants tie with them constantly: each tie must resolve by ``seq``.
 BARE = st.tuples(
     st.sampled_from([
-        "ping", "ping", "crash", "restart", "loss", "partition", "heal",
+        "ping", "ping", "crash", "restart", "loss", "link_loss",
         "latency",
     ]),
     NODES,

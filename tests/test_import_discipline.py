@@ -163,7 +163,7 @@ EVAL_ALL = [
     "agility", "campaign", "consistency_eval", "figure2", "figure4",
     "figure5", "figure8", "figure9", "gray", "table1", "table2",
     "table3", "transition_matrix", "render_table", "class_sloc",
-    "count_sloc", "module_sloc", "format_interval", "wilson_interval",
+    "count_sloc", "format_interval", "wilson_interval",
 ]
 
 EXP_ALL = [
