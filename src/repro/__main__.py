@@ -11,8 +11,8 @@ Commands
 ``reproduce [--runs N] [--jobs N] [--seed S] [--json] [...]``
     Run the full evaluation (Table 3, Figure 9, agility, consistency
     included); exits non-zero if any paper claim fails to reproduce.
-    Experiments fan out over a process pool (``--jobs``, default: all
-    CPUs) and land in the result store (``.repro-results/``), so a
+    Experiments fan out over forked worker processes (``--jobs``,
+    default: all CPUs) and land in the result store (``.repro-results/``), so a
     second identical invocation simulates nothing.  ``--json`` prints a
     machine-readable summary to stdout (tables move to stderr);
     ``--seed`` offsets every experiment's base seed; ``--fresh``

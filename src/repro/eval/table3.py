@@ -11,7 +11,7 @@ repetitions per cell (the paper used 100), averaging the per-replica
 transition time reported by the Adaptation Engine.  The experiment is
 declared as an :class:`~repro.exp.spec.ExperimentSpec` (see
 :func:`spec`), so the 36 deployments + 90 transitions of a full
-regeneration fan out over a process pool and land in the result store.
+regeneration fan out over worker processes and land in the result store.
 """
 
 from __future__ import annotations

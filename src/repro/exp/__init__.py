@@ -8,11 +8,11 @@ every evaluation into data plus a pure function:
   cells, parameter points and explicit per-run seeds
   (:mod:`repro.exp.spec`);
 * :func:`run` executes a spec through a pluggable
-  :class:`ExecutorBackend` — inline (``serial``), over a persistent
-  in-host process pool (``local``), or fanned over TCP workers on other
-  hosts (``remote``, :mod:`repro.exp.distributed`) — on one lifecycle
-  with an order-independent merge and one way for a cell to finish, so
-  every backend and ``jobs=N`` is byte-identical to ``jobs=1``
+  :class:`ExecutorBackend` — inline (``serial``), on forked workers
+  (``local``) or on TCP workers (``remote``), the two sharing one
+  fan-out (:mod:`repro.exp.distributed`) — on one lifecycle with an
+  order-independent merge and one way for a cell to finish, so every
+  backend and ``jobs=N`` is byte-identical to ``jobs=1``
   (:mod:`repro.exp.runner`);
 * :class:`ResultStore` persists results **per cell**, content-addressed
   by :func:`cell_hash` over the cell and the code digest (the bytes of
@@ -68,8 +68,8 @@ from repro.exp.store import DEFAULT_ROOT, ResultStore
 
 
 def __getattr__(name: str):
-    """``RemoteBackend`` on first use (PEP 562): the TCP backend — and
-    ``socket``/``threading`` with it — loads for remote runs only."""
+    """``RemoteBackend`` on first use (PEP 562): the fan-out module — and
+    ``socket``/``threading`` with it — loads only where units fan out."""
     if name != "RemoteBackend":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from repro.exp.distributed import RemoteBackend

@@ -1,23 +1,16 @@
-"""Remote execution backend: TCP fan-out to ``repro worker`` processes.
+"""Fan-out for both parallel backends: framed sockets to worker processes.
 
 The ``exp.run`` contract — pure trials, blake2b-derived seeds,
-order-independent merge by unit index — is machine-agnostic, so the
-remote backend is the local pool over sockets.  It ships the same
-:meth:`~repro.exp.runner.ExecutionPlan.batches` of ``(index, seed,
-params)`` units, a worker runs each batch through the same
-:func:`~repro.exp.runner.run_unit_batch` body, and the ``(index,
-value)`` pairs it sends back go through the runner's assembler, which
-finishes and persists every cell exactly as it does for ``serial`` and
-``local``.  This module supplies both halves:
-
-* :class:`RemoteBackend` — the coordinator.  One feeder thread per
-  worker pulls batches from a shared :class:`_BatchScheduler`, ships
-  them over a framed TCP connection and streams the replies into the
-  caller's merge loop, so a cell hits the store the moment its last
-  unit lands (``--resume`` keeps working mid-campaign).
-* :func:`serve` — the worker.  ``repro worker --listen HOST:PORT``
-  accepts one coordinator at a time and answers each batch with one
-  frame.
+order-independent merge by unit index — is machine-agnostic, so
+``local`` and ``remote`` share one transport, batch scheduler and
+failure model.  They differ only in where a worker's socket comes from:
+:class:`RemoteBackend` dials ``repro worker`` processes over TCP,
+:func:`execute_forked` (``local``) forks workers onto socketpair ends.
+One feeder thread per worker ships batches of ``(index, seed, params)``
+units from a shared :class:`_BatchScheduler`; the worker
+(:func:`_serve_connection`) runs each through
+:func:`~repro.exp.runner.run_unit_batch` and answers with one frame,
+whose pairs the runner's assembler stores as they land.
 
 Wire protocol (version 5)
 -------------------------
@@ -55,7 +48,7 @@ refuses the hello with "code digest skew" naming both digests, so a
 value computed by other code never reaches the store.  ``"ev"`` is the
 batch's kernel event attribution (one short list of counts per reply,
 in :data:`~repro.exp.runner.EVENT_KEYS` order), credited to the run's
-stats so remote runs report ``events_by_source`` too.
+stats so parallel runs report ``events_by_source`` too.
 
 Failure model and the rebatching invariant
 ------------------------------------------
@@ -71,7 +64,9 @@ have sent.  The run fails with :class:`DistributedError` when a worker
 reports an error (a trial raised, or returned a value JSON cannot
 carry — pure trials fail identically everywhere) or when every worker
 is dead while batches remain.  Connection attempts retry with capped
-exponential backoff, sleeping only between attempts.
+exponential backoff, sleeping only between attempts.  A forked worker
+exits on EOF when its coordinator dies; the coordinator reaps its forked
+workers however the run ends, SIGKILLing any past :data:`REAP_TIMEOUT`.
 
 Dispatch pipelining
 -------------------
@@ -85,15 +80,18 @@ keeps a FIFO of the batch ids it is owed.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import os
+import signal
 import socket
 import threading
 import time
 from _blake2 import blake2b
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.exp import spec as spec_mod
 from repro.exp.errors import DistributedError
@@ -123,6 +121,9 @@ DEFAULT_BATCH_TIMEOUT = 300.0
 CONNECT_ATTEMPTS = 5
 CONNECT_BACKOFF_BASE = 0.2
 CONNECT_BACKOFF_CAP = 2.0
+
+#: Seconds forked workers get to exit after their conversations end.
+REAP_TIMEOUT = 5.0
 
 #: Dispatches a feeder keeps in flight per worker connection.  Depth 2
 #: hides one full coordinator->worker round-trip behind each batch's
@@ -354,17 +355,160 @@ class _BatchScheduler:
             return len(self._batches) - len(self._done)
 
 
+def _hello(spec: Any) -> Dict[str, Any]:
+    """The hello a coordinator opens every worker conversation with."""
+    return {"type": "hello", "version": PROTOCOL_VERSION,
+            "trial": spec_mod.function_ref(spec.trial),
+            "code": spec_mod.code_digest(spec.trial)}
+
+
+def _feed(label: str, sock: socket.socket, scheduler: _BatchScheduler,
+          stats: ExecutionStats, out: List[Any],
+          out_cond: threading.Condition, wire: WireStats) -> None:
+    """The feeder loop: unit batches out, one results frame back each.
+
+    A batch's pairs are handed over — and the batch completed — only
+    once its whole reply has arrived and names exactly the units sent,
+    so a worker that dies or misbehaves mid-batch leaves the batch to be
+    re-dispatched whole.
+    """
+    in_flight: Deque[Tuple[int, List[Any]]] = deque()
+    while True:
+        while len(in_flight) < PIPELINE_DEPTH:
+            item = (scheduler.acquire(label) if not in_flight
+                    else scheduler.acquire_nowait(label))
+            if item is None:
+                break
+            bid, units = item
+            send_msg(sock, {"type": "units", "id": bid, "units": units},
+                     wire=wire)
+            in_flight.append(item)
+        if not in_flight:
+            return  # blocking acquire said: plan done (or failed)
+        bid, units = in_flight.popleft()
+        reply = recv_msg(sock, wire=wire)
+        if reply.get("type") == "error":
+            scheduler.fail(DistributedError(
+                f"worker {label} batch {bid}: {reply.get('message')}"
+            ))
+            return
+        try:
+            pairs = [(index, value) for index, value in reply["results"]]
+            valid = (reply["type"] == "results" and reply["id"] == bid
+                     and [pair[0] for pair in pairs]
+                     == [unit[0] for unit in units])
+        except (KeyError, TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ProtocolError(
+                f"worker {label} sent {reply.get('type')!r} (id "
+                f"{reply.get('id')}) that is not the results of "
+                f"batch {bid}"
+            )
+        scheduler.complete(bid)
+        with out_cond:  # also serialises the feeders' credits
+            stats.record_event_counts(reply.get("ev", ()))
+            out.append(pairs)
+            out_cond.notify()
+
+
+def _feed_worker(label: str, open_socket: Callable[[], socket.socket],
+                 hello: Dict[str, Any], batch_timeout: float,
+                 scheduler: _BatchScheduler, stats: ExecutionStats,
+                 out: List[Any], out_cond: threading.Condition,
+                 dead: Dict[str, str], wire: WireStats) -> None:
+    """One feeder thread: open the worker's socket, greet it, feed it;
+    any failure marks the worker dead and re-heaps its batches."""
+    sock: Optional[socket.socket] = None
+    try:
+        sock = open_socket()
+        sock.settimeout(batch_timeout)
+        send_msg(sock, hello, wire=wire)
+        ready = recv_msg(sock, wire=wire)
+        if ready.get("type") != "ready":
+            reason = ready.get("message") or f"sent {ready.get('type')!r}"
+            raise ProtocolError(f"worker {label} refused the hello: {reason}")
+        _feed(label, sock, scheduler, stats, out, out_cond, wire)
+        send_msg(sock, {"type": "bye"}, wire=wire)
+    except (DistributedError, ConnectionError, OSError) as exc:
+        dead[label] = str(exc)
+        scheduler.abandon(label)
+    finally:
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:
+                pass
+        with out_cond:
+            out_cond.notify()
+
+
+def _fan_out(plan: ExecutionPlan, hello: Dict[str, Any],
+             channels: Sequence[Tuple[str, Callable[[], socket.socket]]],
+             batch_timeout: float) -> Iterator[Tuple[int, Any]]:
+    """Fan the plan's batches over worker conversations, yielding as they land.
+
+    One feeder thread per ``(label, open_socket)`` channel; pairs are
+    yielded on the caller's thread, in completion order.  Raises
+    :class:`DistributedError` when a worker reports an error or every
+    worker is dead with batches unfinished.
+    """
+    batches = plan.batches()
+    plan.stats.record_batches(len(batches))
+    wire = WireStats()
+    scheduler = _BatchScheduler(batches)
+    out: List[List[Tuple[int, Any]]] = []
+    out_cond = threading.Condition()
+    dead: Dict[str, str] = {}
+    threads: List[threading.Thread] = []
+    for label, open_socket in channels:
+        thread = threading.Thread(
+            target=_feed_worker,
+            args=(label, open_socket, hello, batch_timeout, scheduler,
+                  plan.stats, out, out_cond, dead, wire),
+            name=f"repro-feed-{label}",
+            daemon=True,
+        )
+        threads.append(thread)
+        thread.start()
+    try:
+        done = False
+        while not done:
+            with out_cond:
+                while (not out and any(t.is_alive() for t in threads)
+                       and scheduler.failure is None):
+                    out_cond.wait(timeout=0.5)
+                # a feeder appends under this lock before it exits, so
+                # once all are gone nothing lands after this take
+                done = not any(t.is_alive() for t in threads)
+                landed, out[:] = list(out), []
+            for pairs in landed:
+                yield from pairs
+            failure = scheduler.failure
+            if failure is not None:
+                raise failure
+        if scheduler.unfinished():
+            details = "; ".join(
+                f"{label}: {reason}" for label, reason in dead.items()
+            ) or "no worker details"
+            raise DistributedError(
+                f"all {len(channels)} worker(s) died with "
+                f"{scheduler.unfinished()} batch(es) unfinished "
+                f"({details})"
+            )
+    finally:
+        scheduler.fail(DistributedError("coordinator shut down"))
+        for thread in threads:
+            thread.join(timeout=2.0)
+        plan.stats.record_wire(wire.bytes_in, wire.bytes_out)
+
+
 class RemoteBackend(ExecutorBackend):
     """Coordinator: fan the plan's unit batches over TCP workers.
 
-    One feeder thread per worker address; each thread owns its socket
-    and loops acquire → send → receive → complete, pushing results onto
-    a queue the ``execute`` generator drains (store writes therefore
-    happen on the caller's thread, preserving the streaming/resume
-    contract).  Worker death at any point — connect failure after
-    backoff, batch timeout, broken frame — abandons that worker's
-    outstanding batches for the survivors.  Only when *no* worker
-    remains does the run raise :class:`DistributedError`.
+    Each address is dialled by :func:`_connect` on its feeder thread, so
+    a worker that cannot be reached after backoff is one more dead
+    worker; only when *no* worker remains does the run fail.
     """
 
     name = "remote"
@@ -381,160 +525,76 @@ class RemoteBackend(ExecutorBackend):
         self.batch_timeout = batch_timeout
         self.connect_timeout = connect_timeout
 
-    # -- feeder thread ------------------------------------------------
-
-    def _feed(self, label: str, sock: socket.socket,
-              scheduler: _BatchScheduler, stats: ExecutionStats,
-              out: List[Any], out_cond: threading.Condition,
-              wire: WireStats) -> None:
-        """The feeder loop: unit batches out, one results frame back each.
-
-        A batch's pairs are handed over — and the batch completed — only
-        once its whole reply has arrived and names exactly the units
-        sent, so a worker that dies or misbehaves mid-batch leaves the
-        batch to be re-dispatched whole.
-        """
-        in_flight: Deque[Tuple[int, List[Any]]] = deque()
-        while True:
-            while len(in_flight) < PIPELINE_DEPTH:
-                item = (scheduler.acquire(label) if not in_flight
-                        else scheduler.acquire_nowait(label))
-                if item is None:
-                    break
-                bid, units = item
-                send_msg(sock, {"type": "units", "id": bid, "units": units},
-                         wire=wire)
-                in_flight.append(item)
-            if not in_flight:
-                return  # blocking acquire said: plan done (or failed)
-            bid, units = in_flight.popleft()
-            reply = recv_msg(sock, wire=wire)
-            if reply.get("type") == "error":
-                scheduler.fail(DistributedError(
-                    f"worker {label} batch {bid}: {reply.get('message')}"
-                ))
-                return
-            try:
-                pairs = [(index, value) for index, value in reply["results"]]
-                valid = (reply["type"] == "results" and reply["id"] == bid
-                         and [pair[0] for pair in pairs]
-                         == [unit[0] for unit in units])
-            except (KeyError, TypeError, ValueError):
-                valid = False
-            if not valid:
-                raise ProtocolError(
-                    f"worker {label} sent {reply.get('type')!r} (id "
-                    f"{reply.get('id')}) that is not the results of "
-                    f"batch {bid}"
-                )
-            scheduler.complete(bid)
-            with out_cond:  # also serialises the feeders' credits
-                stats.record_event_counts(reply.get("ev", ()))
-                out.append(pairs)
-                out_cond.notify()
-
-    def _feed_worker(self, label: str, address: Tuple[str, int],
-                     hello: Dict[str, Any], scheduler: _BatchScheduler,
-                     stats: ExecutionStats, out: List[Any],
-                     out_cond: threading.Condition, dead: Dict[str, str],
-                     wire: WireStats) -> None:
-        sock: Optional[socket.socket] = None
-        try:
-            sock = _connect(address, self.connect_timeout)
-            sock.settimeout(self.batch_timeout)
-            send_msg(sock, hello, wire=wire)
-            ready = recv_msg(sock, wire=wire)
-            if ready.get("type") != "ready":
-                reason = ready.get("message") or f"sent {ready.get('type')!r}"
-                raise ProtocolError(f"worker {label} refused the hello: {reason}")
-            self._feed(label, sock, scheduler, stats, out, out_cond, wire)
-            try:
-                send_msg(sock, {"type": "bye"}, wire=wire)
-            except OSError:
-                pass
-        except (DistributedError, ConnectionError, OSError) as exc:
-            dead[label] = str(exc)
-            scheduler.abandon(label)
-        finally:
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            with out_cond:
-                out_cond.notify()
-
-    # -- coordinator --------------------------------------------------
-
     def execute(self, plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
-        """Fan the plan's batches over the workers, yielding as they land.
+        """Fan the plan's batches over the workers, yielding as they land."""
+        channels = [(f"{host}:{port}#{idx}",
+                     functools.partial(_connect, (host, port), self.connect_timeout))
+                    for idx, (host, port) in enumerate(self.addresses)]
+        yield from _fan_out(plan, _hello(plan.spec), channels, self.batch_timeout)
 
-        One feed thread per worker; the ``(index, value)`` pairs are
-        yielded on the caller's thread (so store writes stay on the
-        coordinator), in completion order — the runner's merge is
-        order-independent.  Raises :class:`DistributedError` when a
-        worker reports an error or every worker is dead with batches
-        still unfinished.
-        """
-        batches = plan.batches()
-        plan.stats.record_batches(len(batches))
-        spec = plan.spec
-        hello = {
-            "type": "hello",
-            "version": PROTOCOL_VERSION,
-            "trial": spec_mod.function_ref(spec.trial),
-            "code": spec_mod.code_digest(spec.trial),
-        }
-        wire = WireStats()
-        scheduler = _BatchScheduler(batches)
-        out: List[List[Tuple[int, Any]]] = []
-        out_cond = threading.Condition()
-        dead: Dict[str, str] = {}
-        threads: List[threading.Thread] = []
-        for idx, address in enumerate(self.addresses):
-            label = f"{address[0]}:{address[1]}#{idx}"
-            thread = threading.Thread(
-                target=self._feed_worker,
-                args=(label, address, hello, scheduler, plan.stats, out,
-                      out_cond, dead, wire),
-                name=f"repro-remote-{label}",
-                daemon=True,
-            )
-            threads.append(thread)
-            thread.start()
+
+# ---------------------------------------------------------------------------
+# Forked workers (the local backend)
+# ---------------------------------------------------------------------------
+
+
+def execute_forked(plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
+    """The local backend's fan-out: the plan's batches on forked workers.
+
+    Forks ``min(plan.worker_count, batches)`` children, each on one
+    socketpair end, before any feeder thread starts and after the hello
+    (so they inherit its memoised code digest), and reaps them however
+    the run ends, SIGKILLing any still running after :data:`REAP_TIMEOUT`.
+    """
+    hello = _hello(plan.spec)
+    ends: List[socket.socket] = []
+    pids: List[int] = []
+    try:
+        for _ in range(min(plan.worker_count, len(plan.batches()))):
+            ours, theirs = socket.socketpair()
+            ends.append(ours)
+            pid = os.fork()
+            if pid == 0:
+                _serve_forked(theirs, ends)
+            theirs.close()
+            pids.append(pid)
+        channels = [(f"local#{idx} (pid {pid})", lambda end=end: end)
+                    for idx, (pid, end) in enumerate(zip(pids, ends))]
+        yield from _fan_out(plan, hello, channels, DEFAULT_BATCH_TIMEOUT)
+    finally:
+        for end in ends:
+            end.close()
+        _reap(pids, REAP_TIMEOUT)
+
+
+def _serve_forked(sock: socket.socket,
+                  coordinator_ends: Sequence[socket.socket]) -> None:
+    """A forked worker's life: one conversation, then ``os._exit`` (no
+    parent teardown).  With the coordinator's ends closed here, the
+    coordinator is the only peer, so its death reads as EOF."""
+    code = 1
+    try:
+        for end in coordinator_ends:
+            end.close()
+        _serve_connection(sock, [None])
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pids: Sequence[int], timeout: float) -> None:
+    """Wait for forked workers to exit; SIGKILL those past the deadline."""
+    deadline = time.monotonic() + timeout
+    for pid in pids:
         try:
-            while True:
-                with out_cond:
-                    while (not out and any(t.is_alive() for t in threads)
-                           and scheduler.failure is None):
-                        out_cond.wait(timeout=0.5)
-                    landed, out[:] = list(out), []
-                for pairs in landed:
-                    yield from pairs
-                failure = scheduler.failure
-                if failure is not None:
-                    raise failure
-                if not any(t.is_alive() for t in threads):
+            while os.waitpid(pid, os.WNOHANG)[0] == 0:
+                if time.monotonic() >= deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
                     break
-            if scheduler.unfinished():
-                details = "; ".join(
-                    f"{label}: {reason}" for label, reason in dead.items()
-                ) or "no worker details"
-                raise DistributedError(
-                    f"all {len(self.addresses)} worker(s) died with "
-                    f"{scheduler.unfinished()} batch(es) unfinished "
-                    f"({details})"
-                )
-            # drain replies that landed between the last wait and thread exit
-            with out_cond:
-                landed, out[:] = list(out), []
-            for pairs in landed:
-                yield from pairs
-        finally:
-            scheduler.fail(DistributedError("coordinator shut down"))
-            for thread in threads:
-                thread.join(timeout=2.0)
-            plan.stats.record_wire(wire.bytes_in, wire.bytes_out)
+                time.sleep(0.001)
+        except ChildProcessError:  # reaped elsewhere (SIGCHLD ignored)
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -16,5 +16,5 @@ class ResultTypeError(ExperimentError):
 
 
 class DistributedError(ExperimentError):
-    """The remote backend cannot complete the plan (all workers lost,
+    """A parallel backend cannot complete the plan (all workers lost,
     protocol violation, or a worker reported a trial failure)."""

@@ -21,22 +21,18 @@ strategy:
 *Where* units execute is delegated to an :class:`ExecutorBackend`:
 
 * ``serial`` runs units inline, in unit order;
-* ``local`` fans batches over a **persistent** ``multiprocessing.Pool``
-  that outlives individual :func:`run` calls — campaign pipelines that
-  execute several specs in one process pay pool startup once, and
-  workers resolve the trial function from a compact import reference
-  instead of unpickling a function object per task;
-* ``remote`` (:mod:`repro.exp.distributed`) ships the same unit
-  batches over TCP to ``repro worker`` processes on other hosts, which
-  send back what they ran.
+* ``local`` runs the first unit inline, then forks workers onto
+  ``socket.socketpair()`` ends;
+* ``remote`` ships the batches over TCP to ``repro worker`` processes.
 
-A backend is *pure execution strategy*: the merged results — and the
-bytes the store writes — are identical across all three, which the
-backend equivalence tests assert.  All three run on the one lifecycle
-in :func:`run` and yield ``(unit index, value)`` pairs into the one
-assembler that finishes and persists cells; they differ in transport
-and nothing else.  Units are grouped into **batches**
-per dispatch, amortising pickling and round-trip overhead for
+The two parallel backends share one transport, scheduler and failure
+model (:mod:`repro.exp.distributed`).  A backend is *pure execution
+strategy*: the merged results — and the bytes the store writes — are
+identical across all three, which the backend equivalence tests
+assert.  All three run on the one lifecycle in :func:`run` and yield
+``(unit index, value)`` pairs into the one assembler that finishes and
+persists cells.  Units are grouped into **batches**
+per dispatch, amortising framing and round-trip overhead for
 campaign-style workloads with thousands of tiny trials; a spec-level
 ``reduce`` hook then collapses each completed cell to a summary so such
 campaigns stream counts instead of accumulating every raw result.
@@ -44,14 +40,13 @@ campaigns stream counts instead of accumulating every raw result.
 
 from __future__ import annotations
 
-import atexit
 import gc
 import importlib
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Dict,
@@ -64,7 +59,7 @@ from typing import (
 )
 
 from repro.exp.errors import ExperimentError, ResultTypeError
-from repro.exp.spec import ExperimentSpec, function_ref, spec_hash
+from repro.exp.spec import ExperimentSpec, spec_hash
 from repro.exp.store import ResultStore
 
 #: What a batch's event-attribution count list holds, in order: the
@@ -99,7 +94,7 @@ class ExecutionStats:
         """Accumulate the kernel's per-subsystem event attribution.
 
         Counters come from worlds closed in this process plus the
-        per-batch deltas pool and remote workers ship back with their
+        per-batch deltas forked and remote workers ship back with their
         results.  The beat clock's two counters travel with them but
         are kept apart: ``events_by_source`` stays "kernel events by
         producer".
@@ -127,7 +122,7 @@ class ExecutionStats:
         self.executed += units
 
     def record_batches(self, count: int) -> None:
-        """Count ``count`` batch tasks handed to a worker pool."""
+        """Count ``count`` batches handed to forked or remote workers."""
         self.batches += count
 
     def record_wire(self, bytes_in: int, bytes_out: int) -> None:
@@ -207,17 +202,10 @@ class ExperimentResult:
 _Unit = Tuple[int, int, Dict[str, Any]]
 
 
-#: One local-pool task: (trial function's import reference, units).
-_PoolTask = Tuple[str, List[_Unit]]
-
-
 def resolve_function_ref(ref: str) -> Any:
     """Import a function back from its ``module:qualname`` reference."""
     module_name, _, qualname = ref.partition(":")
-    module = sys.modules.get(module_name)
-    if module is None:
-        module = importlib.import_module(module_name)
-    obj: Any = module
+    obj: Any = importlib.import_module(module_name)
     for part in qualname.split("."):
         obj = getattr(obj, part)
     return obj
@@ -227,8 +215,8 @@ def run_unit_batch(trial_fn: Any, units: Sequence[_Unit]) -> List[Tuple[int, Any
     """Run one batch of (cell, seed) units in the current process.
 
     The shared execution body of every backend's worker side: a batch is
-    a plain list so a single dispatch (one pickle or one network frame)
-    covers many tiny trials.  Automatic garbage collection is suspended
+    a plain list so a single dispatch (one frame) covers many tiny
+    trials.  Automatic garbage collection is suspended
     while the batch runs and restored after it, even when a unit
     raises: a closed world leaves no reference cycle (DESIGN.md
     "Mission lifecycle"), so each finished mission is freed by
@@ -247,24 +235,10 @@ def run_unit_batch(trial_fn: Any, units: Sequence[_Unit]) -> List[Tuple[int, Any
             gc.enable()
 
 
-def _execute_pool_task(
-    task: _PoolTask,
-) -> Tuple[List[Tuple[int, Any]], List[int]]:
-    """Run one batch in a pool worker, resolving the trial by reference.
-
-    Returns the labelled results plus the batch's event-source counts
-    (see :func:`batch_event_counts`).
-    """
-    trial_ref, units = task
-    batch_event_counts()  # scope the counters to this batch
-    results = run_unit_batch(resolve_function_ref(trial_ref), units)
-    return results, batch_event_counts()
-
-
 def batch_event_counts() -> List[int]:
     """Take this process's event attribution as a bare list of counts.
 
-    Attribution accumulates per process, so pool and remote workers ship
+    Attribution accumulates per process, so forked and remote workers ship
     the delta of every batch back for the coordinating process to fold
     in with :meth:`ExecutionStats.record_event_counts` — otherwise
     ``jobs>1`` and remote runs would report zero events by source.  One
@@ -312,7 +286,7 @@ def default_batch(unit_count: int, worker_count: int) -> int:
     """Units grouped per worker task.
 
     Large enough to amortise dispatch overhead over tiny trials, small
-    enough to keep the pool load-balanced and the per-task result list
+    enough to keep the workers load-balanced and the per-batch result list
     bounded — the cap is what keeps worker memory independent of the
     total unit count.
     """
@@ -341,12 +315,12 @@ class ExecutionPlan:
     batch_size: int = 1
     stats: ExecutionStats = field(default_factory=ExecutionStats)
 
-    def batches(self, start: int = 0) -> List[List[_Unit]]:
-        """The units from ``start`` on, in dispatch batches, in unit order."""
+    def batches(self) -> List[List[_Unit]]:
+        """The plan's units in dispatch batches, in unit order."""
         size = max(1, self.batch_size)
         return [
             list(self.units[at:at + size])
-            for at in range(start, len(self.units), size)
+            for at in range(0, len(self.units), size)
         ]
 
 
@@ -381,65 +355,13 @@ class SerialBackend(ExecutorBackend):
             yield from run_unit_batch(trial, (unit,))
 
 
-# -- persistent local pool --------------------------------------------------
-
-_LOCAL_POOL: Optional[Any] = None
-_LOCAL_POOL_PROCESSES = 0
-
-
-def local_pool(processes: int):
-    """The process-wide persistent worker pool, (re)sized to ``processes``.
-
-    The pool outlives individual :func:`run` calls: campaign pipelines
-    that execute several specs in one process (``repro reproduce`` runs
-    eleven) pay fork-and-import startup once instead of once per spec.
-    Asking for a different worker count tears the old pool down first —
-    the common case (same count throughout) is a dictionary hit.
-    """
-    global _LOCAL_POOL, _LOCAL_POOL_PROCESSES
-    if _LOCAL_POOL is not None and _LOCAL_POOL_PROCESSES == processes:
-        return _LOCAL_POOL
-    shutdown_local_pool()
-    import multiprocessing  # only a process that forks pays for it
-
-    _LOCAL_POOL = multiprocessing.Pool(processes=processes)
-    _LOCAL_POOL_PROCESSES = processes
-    return _LOCAL_POOL
-
-
-def shutdown_local_pool() -> None:
-    """Tear down the persistent local pool (idempotent).
-
-    Called automatically at interpreter exit and whenever a run needs a
-    different worker count; call it explicitly to reclaim the worker
-    processes early or to force a cold pool in a measurement.
-    """
-    global _LOCAL_POOL, _LOCAL_POOL_PROCESSES
-    pool = _LOCAL_POOL
-    _LOCAL_POOL = None
-    _LOCAL_POOL_PROCESSES = 0
-    if pool is not None:
-        pool.terminate()
-        pool.join()
-
-
-atexit.register(shutdown_local_pool)
-
-
 class LocalPoolBackend(ExecutorBackend):
-    """Fan batches over the persistent in-host ``multiprocessing.Pool``.
+    """Fan batches over worker processes forked for this plan.
 
-    Tasks carry the trial's import-reference string instead of a
-    pickled function object; workers resolve it against their own
-    ``sys.modules``.  The plan's first unit runs here, before the pool
-    exists: eval modules import the simulator at their first mission,
-    so this is what makes a new pool fork from a parent that already
-    holds every module the plan executes — and the process-wide
-    package catalogue and assembly caches that unit filled — instead of
-    each worker importing and rebuilding them.  Plans with one worker
-    or at most one unit left for a pool run inline — a pool cannot beat
-    a function call.  A failure mid-dispatch tears the pool down so
-    stale in-flight tasks never burn CPU into the next run.
+    The first unit runs here, before any fork, so the workers inherit
+    the simulator modules and caches that unit loaded; the rest goes to
+    :func:`~repro.exp.distributed.execute_forked`.  With one worker or
+    at most one unit left for the workers, everything runs inline.
     """
 
     name = "local"
@@ -449,21 +371,33 @@ class LocalPoolBackend(ExecutorBackend):
             yield from SerialBackend().execute(plan)
             return
         yield from run_unit_batch(plan.spec.trial, plan.units[:1])
-        ref = function_ref(plan.spec.trial)
-        tasks: List[_PoolTask] = [(ref, batch) for batch in plan.batches(1)]
-        plan.stats.record_batches(len(tasks))
-        pool = local_pool(plan.worker_count)
-        try:
-            for batch_results, counts in pool.imap_unordered(
-                _execute_pool_task, tasks
-            ):
-                plan.stats.record_event_counts(counts)
-                yield from batch_results
-        except BaseException:
-            # in-flight tasks of the abandoned iterator would keep
-            # running in the background; a failed run forfeits the pool
-            shutdown_local_pool()
-            raise
+        # sockets and threads load only where units fan out
+        from repro.exp.distributed import execute_forked
+
+        yield from execute_forked(replace(plan, units=plan.units[1:]))
+
+
+# -- the bench's pool probe --------------------------------------------------
+
+_BENCH_POOLS: List[Any] = []
+
+
+def local_pool(processes: int):
+    """A new ``multiprocessing.Pool`` (the previous one terminated).
+
+    Only ``bench/entry.py pool-spawn`` calls it; no run path uses a pool.
+    """
+    shutdown_local_pool()
+    import multiprocessing
+
+    _BENCH_POOLS.append(multiprocessing.Pool(processes=processes))
+    return _BENCH_POOLS[-1]
+
+
+def shutdown_local_pool() -> None:
+    """Terminate the pool :func:`local_pool` made, if any (idempotent)."""
+    while _BENCH_POOLS:
+        _BENCH_POOLS.pop().terminate()
 
 
 #: Registry of the built-in backend names.
@@ -572,10 +506,12 @@ def run(
     :class:`ExecutionStats` that is folded in once the run succeeds).
 
     ``backend`` picks the execution strategy: ``"serial"``, ``"local"``
-    (the default — a persistent in-host process pool), ``"remote"``
-    (TCP fan-out to ``repro worker`` processes named by ``workers=
-    ["host:port", ...]``; implied when ``workers`` is given), or any
-    :class:`ExecutorBackend` instance.  Backends — like ``jobs`` and
+    (the default — up to ``jobs`` worker processes forked for this run),
+    ``"remote"`` (TCP fan-out to ``repro worker`` processes named by
+    ``workers=["host:port", ...]``; implied when ``workers`` is given),
+    or any :class:`ExecutorBackend` instance.  On ``local`` and
+    ``remote`` a dead worker's batches go to the survivors, and a trial
+    that raises fails the run with :class:`DistributedError`.  Backends — like ``jobs`` and
     ``batch`` — are pure execution strategy: results and store bytes
     are identical across all of them.
     """

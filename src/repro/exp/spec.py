@@ -1,8 +1,8 @@
 """Declarative experiment specifications.
 
 An :class:`ExperimentSpec` says *what* an experiment measures; the runner
-(:mod:`repro.exp.runner`) decides *how* to execute it — serially, over a
-process pool, or straight out of the result store.  The contract that
+(:mod:`repro.exp.runner`) decides *how* to execute it — serially, over worker
+processes, or straight out of the result store.  The contract that
 makes all three execution strategies interchangeable:
 
 * a **trial function** is a pure function ``(seed, params) -> result``

@@ -88,11 +88,8 @@ def test_small_matrix_is_byte_identical_serial_vs_local_pool():
                 requests=60)
     serial = exp.run(gray.spec(missions=2, **grid), jobs=1,
                      backend="serial")
-    try:
-        local = exp.run(gray.spec(missions=2, **grid), jobs=2,
-                        backend="local", batch=1)
-    finally:
-        exp.shutdown_local_pool()
+    local = exp.run(gray.spec(missions=2, **grid), jobs=2,
+                    backend="local", batch=1)
     assert serial.results == local.results
 
 

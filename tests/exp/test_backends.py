@@ -1,20 +1,27 @@
-"""Executor-backend equivalence and persistent-pool behavior.
+"""Executor-backend equivalence and forked-worker behaviour.
 
-The backend contract: *where* units execute — inline, over the
-persistent local pool, or on remote workers — is pure execution
-strategy.  Results, and the bytes the store writes, are identical
-across every backend.
+The backend contract: *where* units execute — inline, on forked local
+workers, or on remote workers — is pure execution strategy.  Results,
+and the bytes the store writes, are identical across every backend,
+and a local worker that dies costs the run nothing but time.
 """
 
 import gc
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro import exp
 from repro.eval import campaign, table3
 from repro.exp import runner
+from repro.exp.spec import function_ref
 from tests.exp.test_distributed import _start_worker, _stop_worker
 
 
@@ -122,39 +129,145 @@ def test_workers_argument_implies_remote_backend():
         exp.run(_echo_spec(), workers=["not-an-address"])
 
 
-def test_local_pool_persists_across_runs():
-    exp.shutdown_local_pool()
-    try:
-        spec_a = _echo_spec(cells=8)
-        spec_b = table3.spec(runs=2, base_seed=5, ftms=("pbr",))
-        exp.run(spec_a, jobs=2, backend="local", batch=1)
-        first_pool = runner._LOCAL_POOL
-        assert first_pool is not None
-        exp.run(spec_b, jobs=2, backend="local", batch=1)
-        assert runner._LOCAL_POOL is first_pool
-    finally:
-        exp.shutdown_local_pool()
+def _no_fork():
+    raise AssertionError("the local backend forked")
 
 
-def test_local_pool_resizes_on_different_worker_count():
-    exp.shutdown_local_pool()
-    try:
-        spec = _echo_spec(cells=8)
-        exp.run(spec, jobs=2, backend="local", batch=1)
-        first_pool = runner._LOCAL_POOL
-        exp.run(spec, jobs=3, backend="local", batch=1)
-        assert runner._LOCAL_POOL is not first_pool
-        assert runner._LOCAL_POOL_PROCESSES == 3
-    finally:
-        exp.shutdown_local_pool()
-
-
-def test_plan_with_one_unit_left_for_a_pool_runs_inline():
-    # the parent runs the first unit itself; one more is no work for a pool
-    exp.shutdown_local_pool()
+def test_plan_with_one_unit_left_for_a_pool_runs_inline(monkeypatch):
+    # the parent runs the first unit itself; one more is no work for a fork
+    monkeypatch.setattr(os, "fork", _no_fork)
     result = exp.run(_echo_spec(cells=2, runs=1), jobs=2, backend="local")
     assert result.executed == 2 and result.backend == "local"
-    assert runner._LOCAL_POOL is None
+
+
+# -- a forked worker's death costs only time ------------------------------------
+
+SRC = str(Path(exp.__file__).resolve().parents[2])
+
+#: A trial that kills the first forked worker to run it, once: the marker
+#: file (created exclusively) says a worker already died.
+_DYING_WORKER = """
+import json, os, sys
+from repro import exp
+
+COORDINATOR = os.getpid()
+MARKER = sys.argv[1]
+
+
+def trial(seed, params):
+    if os.getpid() != COORDINATOR:
+        try:
+            os.close(os.open(MARKER, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)  # mid-batch, before any reply
+    return {"seed": seed, "cell": params["cell"]}
+
+
+if __name__ == "__main__":
+    spec = exp.ExperimentSpec(name="dying-worker", trial=trial, trials=tuple(
+        exp.Trial(key=f"c{i}", params={"cell": i}, seeds=(2 * i, 2 * i + 1))
+        for i in range(10)))
+    serial = exp.run(spec, jobs=1, backend="serial")
+    local = exp.run(spec, jobs=2, backend="local", batch=2)
+    print(json.dumps({"same": local.results == serial.results,
+                      "died": os.path.exists(MARKER)}))
+"""
+
+#: A slow trial whose forked workers leave their pids behind, so a test
+#: can watch them after it kills the coordinator.
+_SLOW_COORDINATOR = """
+import os, sys, time
+from repro import exp
+
+COORDINATOR = os.getpid()
+PIDS = sys.argv[1]
+
+
+def trial(seed, params):
+    if os.getpid() != COORDINATOR:
+        open(os.path.join(PIDS, str(os.getpid())), "w").close()
+    time.sleep(0.05)
+    return {"seed": seed}
+
+
+if __name__ == "__main__":
+    spec = exp.ExperimentSpec(name="slow", trial=trial, trials=tuple(
+        exp.Trial(key=f"c{i}", params={}, seeds=(i,)) for i in range(400)))
+    exp.run(spec, jobs=2, backend="local", batch=1)
+"""
+
+#: Seconds a forked worker may take to exit once its coordinator is gone.
+WORKER_EXIT_DEADLINE_S = 5.0
+
+
+def _script(tmp_path, code):
+    path = tmp_path / "coordinator.py"
+    path.write_text(code)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return path, env
+
+
+def _kill_session(proc):
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an exited, unreaped one is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def test_a_dying_local_worker_hands_its_batches_to_the_survivor(tmp_path):
+    # a pool that loses a worker mid-task waits for its result forever,
+    # so the run goes in a subprocess with a deadline
+    path, env = _script(tmp_path, _DYING_WORKER)
+    proc = subprocess.Popen([sys.executable, str(path), str(tmp_path / "died")],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        _kill_session(proc)
+        proc.communicate()
+        pytest.fail("the local run hung after one of its workers died")
+    assert proc.returncode == 0, err
+    assert json.loads(out.splitlines()[-1]) == {"same": True, "died": True}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_forked_workers_exit_when_their_coordinator_is_killed(tmp_path):
+    pids_dir = tmp_path / "pids"
+    pids_dir.mkdir()
+    path, env = _script(tmp_path, _SLOW_COORDINATOR)
+    proc = subprocess.Popen([sys.executable, str(path), str(pids_dir)],
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        give_up = time.monotonic() + 60
+        while len(list(pids_dir.iterdir())) < 2:
+            assert proc.poll() is None, "the coordinator ended early"
+            assert time.monotonic() < give_up, "no two workers ran a unit"
+            time.sleep(0.05)
+        workers = [int(p.name) for p in pids_dir.iterdir()]
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + WORKER_EXIT_DEADLINE_S
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        _kill_session(proc)
+        proc.wait(timeout=10)
 
 
 def failing_trial(seed, params):
@@ -206,7 +319,7 @@ def test_serial_backend_pauses_the_collector_per_unit_not_per_run():
 
 
 def test_function_ref_roundtrip():
-    ref = runner.function_ref(echo_trial)
+    ref = function_ref(echo_trial)
     assert ref == f"{__name__}:echo_trial"
     assert runner.resolve_function_ref(ref) is echo_trial
 

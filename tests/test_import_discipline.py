@@ -1,4 +1,4 @@
-"""A command imports what it runs; a pool forks what its parent loaded.
+"""A command imports what it runs; local workers fork what their parent loaded.
 
 The package runs on the standard library alone: every module imports in
 an interpreter that sees no site-packages, so a clean install of
@@ -191,23 +191,22 @@ def test_lazy_packages_keep_their_surface():
     assert not _loaded(seen["on_import"], "repro.kernel")
 
 
-# -- the pool forks warm --------------------------------------------------------
+# -- the local workers fork warm -----------------------------------------------
 
 _POOLED_RUN = """
-import json, multiprocessing, sys
+import json, os, sys
 at_fork = []
-real_pool = multiprocessing.Pool
-def spying_pool(*args, **kwargs):
+real_fork = os.fork
+def spying_fork():
     at_fork.append(sorted(sys.modules))
-    return real_pool(*args, **kwargs)
-multiprocessing.Pool = spying_pool
+    return real_fork()
+os.fork = spying_fork
 from repro import exp
 from repro.eval import campaign
 spec = campaign.sharded_spec(missions=6, base_seed=77, requests=8, cell_size=3)
 before = sorted(sys.modules)
 stats = exp.ExecutionStats()
 result = exp.run(spec, jobs=2, backend="local", batch=2, stats=stats)
-exp.shutdown_local_pool()
 print(json.dumps({"before": before, "at_fork": at_fork,
                   "executed": result.executed, "batches": stats.batches,
                   "requests": result.events_by_source["request"]}))
@@ -217,12 +216,15 @@ print(json.dumps({"before": before, "at_fork": at_fork,
 def test_local_pool_forks_from_a_parent_that_ran_the_first_unit():
     seen = _fresh_interpreter(_POOLED_RUN)
     assert not _loaded(seen["before"], "repro.kernel")  # the parent was lazy
-    (at_fork,) = seen["at_fork"]  # one pool, made once
-    for module in ("repro.kernel.world", "repro.components", "repro.script",
-                   "repro.ftm", "repro.core.adaptation_engine",
-                   "repro.app.workloads"):
-        assert module in at_fork, module
-    # unit 0 ran in the parent; the other five went out in tasks of two
+    # unit 0 ran in the parent; the other five went out in batches of two,
+    # to two workers forked for this run
     assert seen["executed"] == 6 and seen["batches"] == 3
+    assert len(seen["at_fork"]) == 2
+    for at_fork in seen["at_fork"]:
+        for module in ("repro.kernel.world", "repro.components", "repro.script",
+                       "repro.ftm", "repro.core.adaptation_engine",
+                       "repro.app.workloads", "repro.exp.distributed"):
+            assert module in at_fork, module
+        assert not _loaded(at_fork, "multiprocessing")
+        assert not _openssl(at_fork)
     assert seen["requests"] > 0  # parent's and workers' events both counted
-    assert not _openssl(at_fork)
