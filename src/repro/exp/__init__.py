@@ -69,7 +69,7 @@ from repro.exp.store import DEFAULT_ROOT, ResultStore
 
 def __getattr__(name: str):
     """``RemoteBackend`` on first use (PEP 562): the fan-out module — and
-    ``socket``/``threading`` with it — loads only where units fan out."""
+    ``socket``/``selectors`` with it — loads only where units fan out."""
     if name != "RemoteBackend":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from repro.exp.distributed import RemoteBackend

@@ -2,15 +2,18 @@
 
 The ``exp.run`` contract — pure trials, blake2b-derived seeds,
 order-independent merge by unit index — is machine-agnostic, so
-``local`` and ``remote`` share one transport, batch scheduler and
-failure model.  They differ only in where a worker's socket comes from:
+``local`` and ``remote`` share one transport, dispatch loop and failure
+model.  They differ only in where a worker's socket comes from:
 :class:`RemoteBackend` dials ``repro worker`` processes over TCP,
 :func:`execute_forked` (``local``) forks workers onto socketpair ends.
-One feeder thread per worker ships batches of ``(index, seed, params)``
-units from a shared :class:`_BatchScheduler`; the worker
-(:func:`_serve_connection`) runs each through
-:func:`~repro.exp.runner.run_unit_batch` and answers with one frame,
-whose pairs the runner's assembler stores as they land.
+One :mod:`selectors` loop on the caller's thread (:class:`_FanOut`)
+drives every worker socket.  It keeps up to :data:`PIPELINE_DEPTH`
+batches of ``(index, seed, params)`` units in flight per worker and
+refills a reply's slot before yielding its pairs to the runner's
+assembler, so the worker computes the next batch while the caller
+stores the last.  The worker (:func:`_serve_connection`) runs each
+batch through :func:`~repro.exp.runner.run_unit_batch` and answers
+with one frame; replies are FIFO per connection.
 
 Wire protocol (version 5)
 -------------------------
@@ -54,51 +57,43 @@ Failure model and the rebatching invariant
 ------------------------------------------
 
 A batch is one reply or nothing: nothing of a batch is yielded before
-its reply has arrived whole and checked.  A recv timeout, a broken
-connection, a checksum mismatch or a protocol violation marks the
-worker dead; every batch that was outstanding on it is returned to the
-scheduler's pending heap **by batch id**, so surviving workers pick
-orphans up in the original dispatch order.  A re-dispatched batch
-re-runs pure units, so its values are the ones the dead worker would
-have sent.  The run fails with :class:`DistributedError` when a worker
-reports an error (a trial raised, or returned a value JSON cannot
-carry — pure trials fail identically everywhere) or when every worker
-is dead while batches remain.  Connection attempts retry with capped
-exponential backoff, sleeping only between attempts.  A forked worker
-exits on EOF when its coordinator dies; the coordinator reaps its forked
-workers however the run ends, SIGKILLing any past :data:`REAP_TIMEOUT`.
-
-Dispatch pipelining
--------------------
-
-Each feeder keeps up to :data:`PIPELINE_DEPTH` batches in flight: the
-next batch is sent while the previous one is still computing, so the
-worker never idles between batches waiting on a coordinator
-round-trip.  Replies are strictly FIFO per connection, so the feeder
-keeps a FIFO of the batch ids it is owed.
+its reply has arrived whole and checked.  Each worker has one deadline,
+its last progress plus ``batch_timeout``, that runs while it owes the
+coordinator a reply.  A passed deadline, a broken connection, a checksum
+mismatch or a protocol violation marks the worker dead; every batch that
+was outstanding on it goes back to the pending heap **by batch id**, so
+surviving workers pick orphans up in the original dispatch order.  A
+re-dispatched batch re-runs pure units, so its values are the ones the
+dead worker would have sent.  The run fails with
+:class:`DistributedError` the moment a worker reports an error (a trial
+raised, or returned a value JSON cannot carry — pure trials fail
+identically everywhere) or every worker is dead while batches remain;
+either way every socket is closed before the error reaches the caller.
+A remote worker is dialled inside the loop, retrying with capped
+exponential backoff between attempts, so a reachable worker never waits
+on an unreachable one.  A forked worker exits on EOF when its
+coordinator dies; the coordinator reaps its forked workers however the
+run ends, SIGKILLing any past :data:`REAP_TIMEOUT`.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import os
+import selectors
 import signal
 import socket
-import threading
 import time
 from _blake2 import blake2b
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exp import spec as spec_mod
 from repro.exp.errors import DistributedError
 from repro.exp.runner import (
     ExecutionPlan,
     ExecutorBackend,
-    ExecutionStats,
     batch_event_counts,
     resolve_function_ref,
     run_unit_batch,
@@ -125,39 +120,15 @@ CONNECT_BACKOFF_CAP = 2.0
 #: Seconds forked workers get to exit after their conversations end.
 REAP_TIMEOUT = 5.0
 
-#: Dispatches a feeder keeps in flight per worker connection.  Depth 2
-#: hides one full coordinator->worker round-trip behind each batch's
-#: compute time; deeper pipelines only delay failover (more orphans per
-#: dead worker) without adding overlap.
+#: Dispatches kept in flight per worker connection.  Depth 2 hides one
+#: full coordinator->worker round-trip behind each batch's compute time;
+#: deeper pipelines only delay failover (more orphans per dead worker)
+#: without adding overlap.
 PIPELINE_DEPTH = 2
 
 
 class ProtocolError(DistributedError):
     """A frame or message violated the wire protocol."""
-
-
-class WireStats:
-    """Thread-safe byte counters for one coordinator's socket traffic.
-
-    ``bytes_out`` is everything the coordinator sent (dispatch path),
-    ``bytes_in`` everything it received (return path) — header bytes
-    included, because what they measure is the wire.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.bytes_in = 0
-        self.bytes_out = 0
-
-    def sent(self, count: int) -> None:
-        """Count ``count`` bytes written to a worker socket."""
-        with self._lock:
-            self.bytes_out += count
-
-    def received(self, count: int) -> None:
-        """Count ``count`` bytes read from a worker socket."""
-        with self._lock:
-            self.bytes_in += count
 
 
 def _checksum(payload: bytes) -> bytes:
@@ -179,12 +150,9 @@ def _frame(message: Dict[str, Any], magic: bytes = MAGIC) -> bytes:
 
 
 def send_msg(sock: socket.socket, message: Dict[str, Any],
-             magic: bytes = MAGIC, wire: Optional[WireStats] = None) -> None:
+             magic: bytes = MAGIC) -> None:
     """Serialise and send one framed message."""
-    frame = _frame(message, magic)
-    sock.sendall(frame)
-    if wire is not None:
-        wire.sent(len(frame))
+    sock.sendall(_frame(message, magic))
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -201,8 +169,19 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_msg(sock: socket.socket,
-             wire: Optional[WireStats] = None) -> Dict[str, Any]:
+def _payload_length(header: bytes) -> int:
+    """The payload byte count a frame header announces, once its magic
+    and size are checked."""
+    magic = header[:4]
+    if magic not in (MAGIC, DIGEST_MAGIC):
+        raise ProtocolError(f"bad frame magic {magic!r}")
+    length = int.from_bytes(header[4:8], "big")
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds the protocol cap")
+    return length
+
+
+def recv_msg(sock: socket.socket) -> Dict[str, Any]:
     """Receive and validate one framed message.
 
     Raises :class:`ProtocolError` on bad magic, oversize frames or a
@@ -210,17 +189,22 @@ def recv_msg(sock: socket.socket,
     peer — both of which the coordinator treats as a dead worker.
     """
     header = _recv_exact(sock, HEADER_BYTES)
-    magic = header[:4]
-    if magic not in (MAGIC, DIGEST_MAGIC):
-        raise ProtocolError(f"bad frame magic {magic!r}")
-    length = int.from_bytes(header[4:8], "big")
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds the protocol cap")
-    digest = header[8:HEADER_BYTES]
-    payload = _recv_exact(sock, length)
-    if wire is not None:
-        wire.received(HEADER_BYTES + length)
-    if _checksum(payload) != digest:
+    payload = _recv_exact(sock, _payload_length(header))
+    return _cut_frame(bytearray(header + payload))
+
+
+def _cut_frame(buffer: bytearray) -> Optional[Dict[str, Any]]:
+    """Take the first whole frame off ``buffer`` and return its checked
+    message, or ``None`` while the frame is still incomplete."""
+    if len(buffer) < HEADER_BYTES:
+        return None
+    header = bytes(buffer[:HEADER_BYTES])
+    end = HEADER_BYTES + _payload_length(header)
+    if len(buffer) < end:
+        return None
+    payload = bytes(buffer[HEADER_BYTES:end])
+    del buffer[:end]
+    if _checksum(payload) != header[8:]:
         raise ProtocolError("frame checksum mismatch (corrupted payload)")
     try:
         message = json.loads(payload.decode("utf-8"))
@@ -245,114 +229,9 @@ def parse_address(text: str) -> Tuple[str, int]:
     return host, port  # port 0 = OS-assigned (listen side only)
 
 
-def _connect(address: Tuple[str, int], timeout: float) -> socket.socket:
-    """Connect with capped exponential backoff; raise after the budget."""
-    last: Optional[Exception] = None
-    for attempt in range(CONNECT_ATTEMPTS):
-        if attempt:  # back off between attempts, never after the last
-            time.sleep(min(CONNECT_BACKOFF_CAP,
-                           CONNECT_BACKOFF_BASE * 2 ** (attempt - 1)))
-        try:
-            sock = socket.create_connection(address, timeout=timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return sock
-        except OSError as exc:
-            last = exc
-    raise DistributedError(
-        f"cannot connect to worker {address[0]}:{address[1]} "
-        f"after {CONNECT_ATTEMPTS} attempts: {last}"
-    )
-
-
-class _BatchScheduler:
-    """Thread-safe batch dispenser with deterministic orphan rebatching.
-
-    Batches enter the pending heap keyed by their original dispatch id;
-    feeder threads ``acquire`` the smallest pending id, and a dead
-    worker's outstanding batches are ``abandon``-ed back into the heap —
-    so survivors drain orphans in the original order, and a re-run with
-    the same failure pattern re-dispatches identically.  The plan is
-    done only when every batch has *completed* (not merely left the
-    queue): survivors therefore block in ``acquire`` while batches are
-    outstanding elsewhere, ready to adopt them if their worker dies.
-    """
-
-    def __init__(self, batches: Sequence[List[Any]]):
-        self._cond = threading.Condition()
-        self._batches = {bid: batch for bid, batch in enumerate(batches)}
-        self._pending: List[int] = list(range(len(batches)))
-        heapq.heapify(self._pending)
-        self._outstanding: Dict[int, str] = {}
-        self._done: set = set()
-        self._failure: Optional[Exception] = None
-
-    def acquire(self, worker: str) -> Optional[Tuple[int, List[Any]]]:
-        """The next pending (id, batch), or ``None`` when the plan is done.
-
-        Blocks while other workers hold outstanding batches that might
-        yet be abandoned back to us.
-        """
-        with self._cond:
-            while True:
-                if self._failure is not None:
-                    return None
-                if self._pending:
-                    bid = heapq.heappop(self._pending)
-                    self._outstanding[bid] = worker
-                    return bid, self._batches[bid]
-                if len(self._done) == len(self._batches):
-                    return None
-                self._cond.wait(timeout=0.5)
-
-    def acquire_nowait(self, worker: str) -> Optional[Tuple[int, List[Any]]]:
-        """The next pending (id, batch) if one is ready *right now*.
-
-        The pipelining hook: a feeder with replies already in flight
-        must not block here — ``None`` just means "nothing to pipeline
-        at this instant", not "the plan is done".
-        """
-        with self._cond:
-            if self._failure is not None or not self._pending:
-                return None
-            bid = heapq.heappop(self._pending)
-            self._outstanding[bid] = worker
-            return bid, self._batches[bid]
-
-    def complete(self, bid: int) -> None:
-        """Mark one batch finished (its results are fully received)."""
-        with self._cond:
-            self._outstanding.pop(bid, None)
-            self._done.add(bid)
-            self._cond.notify_all()
-
-    def abandon(self, worker: str) -> List[int]:
-        """Return a dead worker's outstanding batches to the heap."""
-        with self._cond:
-            orphaned = sorted(
-                bid for bid, owner in self._outstanding.items()
-                if owner == worker
-            )
-            for bid in orphaned:
-                del self._outstanding[bid]
-                heapq.heappush(self._pending, bid)
-            self._cond.notify_all()
-            return orphaned
-
-    def fail(self, exc: Exception) -> None:
-        """Abort the plan: wake every feeder with a terminal failure."""
-        with self._cond:
-            if self._failure is None:
-                self._failure = exc
-            self._cond.notify_all()
-
-    @property
-    def failure(self) -> Optional[Exception]:
-        with self._cond:
-            return self._failure
-
-    def unfinished(self) -> int:
-        with self._cond:
-            return len(self._batches) - len(self._done)
+def _backoff(attempts: int) -> float:
+    """Seconds to wait after ``attempts`` failed connection attempts."""
+    return min(CONNECT_BACKOFF_CAP, CONNECT_BACKOFF_BASE * 2 ** (attempts - 1))
 
 
 def _hello(spec: Any) -> Dict[str, Any]:
@@ -362,153 +241,267 @@ def _hello(spec: Any) -> Dict[str, Any]:
             "code": spec_mod.code_digest(spec.trial)}
 
 
-def _feed(label: str, sock: socket.socket, scheduler: _BatchScheduler,
-          stats: ExecutionStats, out: List[Any],
-          out_cond: threading.Condition, wire: WireStats) -> None:
-    """The feeder loop: unit batches out, one results frame back each.
+class _Worker:
+    """One worker conversation, as the fan-out loop holds it.
 
-    A batch's pairs are handed over — and the batch completed — only
-    once its whole reply has arrived and names exactly the units sent,
-    so a worker that dies or misbehaves mid-batch leaves the batch to be
-    re-dispatched whole.
+    ``sock`` is ``None`` while a remote worker waits to be dialled (again);
+    ``in_flight`` holds the ids of the batches it owes replies for, oldest
+    first (replies are FIFO per connection); ``deadline`` is when the loop
+    next acts on it: redial it, give up on a connect, or — while it owes a
+    reply — declare it dead.
     """
-    in_flight: Deque[Tuple[int, List[Any]]] = deque()
-    while True:
-        while len(in_flight) < PIPELINE_DEPTH:
-            item = (scheduler.acquire(label) if not in_flight
-                    else scheduler.acquire_nowait(label))
-            if item is None:
-                break
-            bid, units = item
-            send_msg(sock, {"type": "units", "id": bid, "units": units},
-                     wire=wire)
-            in_flight.append(item)
-        if not in_flight:
-            return  # blocking acquire said: plan done (or failed)
-        bid, units = in_flight.popleft()
-        reply = recv_msg(sock, wire=wire)
-        if reply.get("type") == "error":
-            scheduler.fail(DistributedError(
-                f"worker {label} batch {bid}: {reply.get('message')}"
-            ))
-            return
+
+    def __init__(self, label: str, sock: Optional[socket.socket] = None,
+                 address: Optional[Tuple[str, int]] = None):
+        self.label, self.sock, self.address = label, sock, address
+        self.attempts, self.connecting, self.ready = 0, False, False
+        self.inbox, self.outbox = bytearray(), bytearray()
+        self.in_flight: Deque[int] = deque()
+        self.deadline = 0.0
+
+    @property
+    def idle(self) -> bool:
+        """Ready and owed nothing: no deadline runs."""
+        return self.ready and not self.in_flight
+
+
+class _FanOut:
+    """Fan a plan's batches over worker conversations from one thread.
+
+    Iterating yields ``(unit index, value)`` pairs in completion order.
+    Raises :class:`DistributedError` when a worker reports an error or
+    every worker is dead with batches unfinished; every socket is closed
+    however the iteration ends.
+    """
+
+    def __init__(self, plan: ExecutionPlan, hello: Dict[str, Any],
+                 workers: Sequence[_Worker], batch_timeout: float,
+                 connect_timeout: float = 0.0):
+        self.stats = plan.stats
+        self.batches = plan.batches()
+        self.stats.record_batches(len(self.batches))
+        self.pending = list(range(len(self.batches)))  # a heap of batch ids
+        self.unfinished = len(self.batches)
+        self.hello = _frame(hello)
+        self.workers, self.live = list(workers), list(workers)
+        self.dead: Dict[str, str] = {}
+        self.batch_timeout, self.connect_timeout = batch_timeout, connect_timeout
+        self.bytes_in = self.bytes_out = 0
+        self.selector = selectors.DefaultSelector()
+        for worker in self.workers:
+            if worker.sock is not None:
+                worker.sock.setblocking(False)
+                self.selector.register(worker.sock, selectors.EVENT_READ, worker)
+
+    def __iter__(self) -> Iterator[Tuple[int, Any]]:
         try:
-            pairs = [(index, value) for index, value in reply["results"]]
-            valid = (reply["type"] == "results" and reply["id"] == bid
+            for worker in self.workers:
+                if worker.sock is None:
+                    self._dial(worker)
+                else:
+                    self._greet(worker)
+            while self.unfinished:
+                if not self.live:
+                    details = "; ".join(f"{label}: {reason}"
+                                        for label, reason in self.dead.items())
+                    raise DistributedError(
+                        f"all {len(self.workers)} worker(s) died with "
+                        f"{self.unfinished} batch(es) unfinished ({details})")
+                for worker in list(self.live):
+                    self._fill(worker)
+                deadline = min((w.deadline for w in self.live if not w.idle),
+                               default=time.monotonic() + self.batch_timeout)
+                events = self.selector.select(max(0.0, deadline - time.monotonic()))
+                # read before any pairs are yielded, so the caller's store
+                # writes never count against a deadline
+                now = time.monotonic()
+                for key, mask in events:
+                    worker = key.data
+                    if worker.sock is not key.fileobj:
+                        continue  # dropped while this event waited
+                    if worker.connecting:
+                        self._connected(worker)
+                        continue
+                    if mask & selectors.EVENT_WRITE:
+                        self._flush(worker)
+                    if mask & selectors.EVENT_READ and worker.sock is not None:
+                        yield from self._read(worker)
+                self._expire(now)
+            bye = _frame({"type": "bye"})
+            for worker in self.live:
+                if worker.sock is not None and not worker.connecting:
+                    self._send(worker, bye)
+        finally:
+            for worker in self.workers:
+                self._close(worker)
+            self.selector.close()
+            self.stats.record_wire(self.bytes_in, self.bytes_out)
+
+    def _dial(self, worker: _Worker) -> None:
+        """Start one connection attempt; the socket turns writable when it
+        ends.  IPv4 only, as ``repro worker`` listens."""
+        worker.attempts += 1
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        try:
+            sock.connect(worker.address)
+        except BlockingIOError:
+            pass
+        except OSError as exc:
+            sock.close()
+            self._retry(worker, exc)
+            return
+        worker.sock, worker.connecting = sock, True
+        worker.deadline = time.monotonic() + self.connect_timeout
+        self.selector.register(sock, selectors.EVENT_WRITE, worker)
+
+    def _connected(self, worker: _Worker) -> None:
+        code = worker.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if code:
+            self._close(worker)
+            self._retry(worker, OSError(code, os.strerror(code)))
+            return
+        worker.connecting = False
+        worker.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._greet(worker)
+
+    def _retry(self, worker: _Worker, error: Exception) -> None:
+        """Back off before the next connection attempt, or give up."""
+        if worker.attempts < CONNECT_ATTEMPTS:
+            worker.deadline = time.monotonic() + _backoff(worker.attempts)
+            return
+        host, port = worker.address
+        self._drop(worker, f"cannot connect to worker {host}:{port} after "
+                           f"{CONNECT_ATTEMPTS} attempts: {error}")
+
+    def _greet(self, worker: _Worker) -> None:
+        worker.deadline = time.monotonic() + self.batch_timeout
+        self._send(worker, self.hello)
+
+    def _fill(self, worker: _Worker) -> None:
+        """Top the worker's pipeline up from the pending heap."""
+        while (worker.ready and worker.sock is not None and self.pending
+               and len(worker.in_flight) < PIPELINE_DEPTH):
+            if not worker.in_flight:
+                worker.deadline = time.monotonic() + self.batch_timeout
+            bid = heapq.heappop(self.pending)
+            worker.in_flight.append(bid)
+            self._send(worker, _frame({"type": "units", "id": bid,
+                                       "units": self.batches[bid]}))
+
+    def _read(self, worker: _Worker) -> List[Tuple[int, Any]]:
+        """Take what the socket holds: the pairs of each whole, checked
+        reply (its worker already refilled), or drop the worker."""
+        landed: List[Tuple[int, Any]] = []
+        try:
+            chunk = worker.sock.recv(1 << 16)
+            if not chunk:
+                raise ConnectionError(
+                    f"peer closed the connection ({len(worker.inbox)} "
+                    f"bytes of a frame read)")
+            self.bytes_in += len(chunk)
+            worker.deadline = time.monotonic() + self.batch_timeout
+            worker.inbox += chunk
+            while worker.sock is not None:
+                message = _cut_frame(worker.inbox)
+                if message is None:
+                    break
+                landed += self._answer(worker, message)
+        except BlockingIOError:
+            pass
+        except (ProtocolError, OSError) as exc:
+            self._drop(worker, str(exc))
+        return landed
+
+    def _answer(self, worker: _Worker,
+                message: Dict[str, Any]) -> List[Tuple[int, Any]]:
+        """Act on one message: the ready, or a batch's results."""
+        kind = message.get("type")
+        if not worker.ready:
+            if kind != "ready":
+                reason = message.get("message") or f"sent {kind!r}"
+                raise ProtocolError(
+                    f"worker {worker.label} refused the hello: {reason}")
+            worker.ready = True
+            return []
+        bid = worker.in_flight[0] if worker.in_flight else None
+        if kind == "error":
+            raise DistributedError(
+                f"worker {worker.label} batch {bid}: {message.get('message')}")
+        try:
+            pairs = [(index, value) for index, value in message["results"]]
+            valid = (kind == "results" and bid is not None
+                     and message["id"] == bid
                      and [pair[0] for pair in pairs]
-                     == [unit[0] for unit in units])
+                     == [unit[0] for unit in self.batches[bid]])
         except (KeyError, TypeError, ValueError):
             valid = False
         if not valid:
             raise ProtocolError(
-                f"worker {label} sent {reply.get('type')!r} (id "
-                f"{reply.get('id')}) that is not the results of "
-                f"batch {bid}"
-            )
-        scheduler.complete(bid)
-        with out_cond:  # also serialises the feeders' credits
-            stats.record_event_counts(reply.get("ev", ()))
-            out.append(pairs)
-            out_cond.notify()
+                f"worker {worker.label} sent {kind!r} (id "
+                f"{message.get('id')}) that is not the results of "
+                f"batch {bid}")
+        worker.in_flight.popleft()
+        self.unfinished -= 1
+        self.stats.record_event_counts(message.get("ev", ()))
+        self._fill(worker)
+        return pairs
 
+    def _send(self, worker: _Worker, frame: bytes) -> None:
+        worker.outbox += frame
+        self._flush(worker)
 
-def _feed_worker(label: str, open_socket: Callable[[], socket.socket],
-                 hello: Dict[str, Any], batch_timeout: float,
-                 scheduler: _BatchScheduler, stats: ExecutionStats,
-                 out: List[Any], out_cond: threading.Condition,
-                 dead: Dict[str, str], wire: WireStats) -> None:
-    """One feeder thread: open the worker's socket, greet it, feed it;
-    any failure marks the worker dead and re-heaps its batches."""
-    sock: Optional[socket.socket] = None
-    try:
-        sock = open_socket()
-        sock.settimeout(batch_timeout)
-        send_msg(sock, hello, wire=wire)
-        ready = recv_msg(sock, wire=wire)
-        if ready.get("type") != "ready":
-            reason = ready.get("message") or f"sent {ready.get('type')!r}"
-            raise ProtocolError(f"worker {label} refused the hello: {reason}")
-        _feed(label, sock, scheduler, stats, out, out_cond, wire)
-        send_msg(sock, {"type": "bye"}, wire=wire)
-    except (DistributedError, ConnectionError, OSError) as exc:
-        dead[label] = str(exc)
-        scheduler.abandon(label)
-    finally:
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        with out_cond:
-            out_cond.notify()
+    def _flush(self, worker: _Worker) -> None:
+        """Write what the socket takes; watch for room while bytes remain."""
+        try:
+            sent = worker.sock.send(worker.outbox)
+        except BlockingIOError:
+            sent = 0
+        except OSError as exc:
+            self._drop(worker, str(exc))
+            return
+        self.bytes_out += sent
+        del worker.outbox[:sent]
+        self.selector.modify(worker.sock, selectors.EVENT_READ | (
+            selectors.EVENT_WRITE if worker.outbox else 0), worker)
 
+    def _expire(self, now: float) -> None:
+        """Act on every deadline that has passed."""
+        for worker in list(self.live):
+            if worker.idle or now < worker.deadline:
+                continue
+            if worker.sock is None:
+                self._dial(worker)
+            elif worker.connecting:
+                self._close(worker)
+                self._retry(worker, TimeoutError("connect timed out"))
+            else:
+                self._drop(worker, f"no reply within {self.batch_timeout:g} s")
 
-def _fan_out(plan: ExecutionPlan, hello: Dict[str, Any],
-             channels: Sequence[Tuple[str, Callable[[], socket.socket]]],
-             batch_timeout: float) -> Iterator[Tuple[int, Any]]:
-    """Fan the plan's batches over worker conversations, yielding as they land.
+    def _close(self, worker: _Worker) -> None:
+        if worker.sock is not None:
+            self.selector.unregister(worker.sock)
+            worker.sock.close()
+            worker.sock, worker.connecting = None, False
 
-    One feeder thread per ``(label, open_socket)`` channel; pairs are
-    yielded on the caller's thread, in completion order.  Raises
-    :class:`DistributedError` when a worker reports an error or every
-    worker is dead with batches unfinished.
-    """
-    batches = plan.batches()
-    plan.stats.record_batches(len(batches))
-    wire = WireStats()
-    scheduler = _BatchScheduler(batches)
-    out: List[List[Tuple[int, Any]]] = []
-    out_cond = threading.Condition()
-    dead: Dict[str, str] = {}
-    threads: List[threading.Thread] = []
-    for label, open_socket in channels:
-        thread = threading.Thread(
-            target=_feed_worker,
-            args=(label, open_socket, hello, batch_timeout, scheduler,
-                  plan.stats, out, out_cond, dead, wire),
-            name=f"repro-feed-{label}",
-            daemon=True,
-        )
-        threads.append(thread)
-        thread.start()
-    try:
-        done = False
-        while not done:
-            with out_cond:
-                while (not out and any(t.is_alive() for t in threads)
-                       and scheduler.failure is None):
-                    out_cond.wait(timeout=0.5)
-                # a feeder appends under this lock before it exits, so
-                # once all are gone nothing lands after this take
-                done = not any(t.is_alive() for t in threads)
-                landed, out[:] = list(out), []
-            for pairs in landed:
-                yield from pairs
-            failure = scheduler.failure
-            if failure is not None:
-                raise failure
-        if scheduler.unfinished():
-            details = "; ".join(
-                f"{label}: {reason}" for label, reason in dead.items()
-            ) or "no worker details"
-            raise DistributedError(
-                f"all {len(channels)} worker(s) died with "
-                f"{scheduler.unfinished()} batch(es) unfinished "
-                f"({details})"
-            )
-    finally:
-        scheduler.fail(DistributedError("coordinator shut down"))
-        for thread in threads:
-            thread.join(timeout=2.0)
-        plan.stats.record_wire(wire.bytes_in, wire.bytes_out)
+    def _drop(self, worker: _Worker, reason: str) -> None:
+        """Mark the worker dead and heap its outstanding batches again."""
+        if worker not in self.live:
+            return
+        self.live.remove(worker)
+        self.dead[worker.label] = reason
+        self._close(worker)
+        for bid in worker.in_flight:
+            heapq.heappush(self.pending, bid)
+        worker.in_flight.clear()
 
 
 class RemoteBackend(ExecutorBackend):
     """Coordinator: fan the plan's unit batches over TCP workers.
 
-    Each address is dialled by :func:`_connect` on its feeder thread, so
-    a worker that cannot be reached after backoff is one more dead
-    worker; only when *no* worker remains does the run fail.
+    Each address is dialled inside the fan-out loop, so a worker that
+    cannot be reached after backoff is one more dead worker; only when
+    *no* worker remains does the run fail.
     """
 
     name = "remote"
@@ -527,10 +520,10 @@ class RemoteBackend(ExecutorBackend):
 
     def execute(self, plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
         """Fan the plan's batches over the workers, yielding as they land."""
-        channels = [(f"{host}:{port}#{idx}",
-                     functools.partial(_connect, (host, port), self.connect_timeout))
-                    for idx, (host, port) in enumerate(self.addresses)]
-        yield from _fan_out(plan, _hello(plan.spec), channels, self.batch_timeout)
+        workers = [_Worker(f"{host}:{port}#{idx}", address=(host, port))
+                   for idx, (host, port) in enumerate(self.addresses)]
+        yield from _FanOut(plan, _hello(plan.spec), workers,
+                           self.batch_timeout, self.connect_timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +535,7 @@ def execute_forked(plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
     """The local backend's fan-out: the plan's batches on forked workers.
 
     Forks ``min(plan.worker_count, batches)`` children, each on one
-    socketpair end, before any feeder thread starts and after the hello
+    socketpair end, before the fan-out loop starts and after the hello
     (so they inherit its memoised code digest), and reaps them however
     the run ends, SIGKILLing any still running after :data:`REAP_TIMEOUT`.
     """
@@ -558,9 +551,9 @@ def execute_forked(plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
                 _serve_forked(theirs, ends)
             theirs.close()
             pids.append(pid)
-        channels = [(f"local#{idx} (pid {pid})", lambda end=end: end)
-                    for idx, (pid, end) in enumerate(zip(pids, ends))]
-        yield from _fan_out(plan, hello, channels, DEFAULT_BATCH_TIMEOUT)
+        workers = [_Worker(f"local#{idx} (pid {pid})", sock=end)
+                   for idx, (pid, end) in enumerate(zip(pids, ends))]
+        yield from _FanOut(plan, hello, workers, DEFAULT_BATCH_TIMEOUT)
     finally:
         for end in ends:
             end.close()

@@ -25,7 +25,7 @@ strategy:
   ``socket.socketpair()`` ends;
 * ``remote`` ships the batches over TCP to ``repro worker`` processes.
 
-The two parallel backends share one transport, scheduler and failure
+The two parallel backends share one transport, dispatch loop and failure
 model (:mod:`repro.exp.distributed`).  A backend is *pure execution
 strategy*: the merged results — and the bytes the store writes — are
 identical across all three, which the backend equivalence tests
@@ -371,7 +371,7 @@ class LocalPoolBackend(ExecutorBackend):
             yield from SerialBackend().execute(plan)
             return
         yield from run_unit_batch(plan.spec.trial, plan.units[:1])
-        # sockets and threads load only where units fan out
+        # sockets load only where units fan out
         from repro.exp.distributed import execute_forked
 
         yield from execute_forked(replace(plan, units=plan.units[1:]))

@@ -160,31 +160,35 @@ def code_digest(*fns: Optional[Callable]) -> str:
     on where a checkout sits; a function without a readable file adds
     nothing).  A ``functools.wraps`` wrapper counts as the function it
     wraps, whose import reference it carries.  Memoised on the function
-    *objects* (held for the life of the process, as module-level
-    functions are anyway): the files are read once per trial/reduce pair,
-    a reloaded or redefined function is a new object and hashes afresh,
-    and the digest names the code that was imported, not whatever the
-    files hold mid-run.
+    *objects* that can add a file (held for the life of the process, as
+    module-level functions are anyway): a package function adds nothing,
+    so ``(trial)`` and ``(trial, reduce)`` share one read of the files; a
+    reloaded or redefined function hashes afresh, and the digest names
+    the code that was imported, not whatever the files hold mid-run.
     """
-    return _code_digest(*map(_unwrapped, fns))
-
-
-def _unwrapped(fn: Optional[Callable]) -> Optional[Callable]:
-    while hasattr(fn, "__wrapped__"):
-        fn = fn.__wrapped__
-    return fn
+    return _code_digest(*_outside_package(fns))
 
 
 @functools.lru_cache(maxsize=None)
-def _code_digest(*fns: Optional[Callable]) -> str:
+def _outside_package(fns: Tuple[Optional[Callable], ...]) -> Tuple[Callable, ...]:
+    """The unwrapped ``fns`` whose code lies outside :data:`PACKAGE_ROOT`."""
+    kept = []
+    for fn in fns:
+        while hasattr(fn, "__wrapped__"):
+            fn = fn.__wrapped__
+        code = getattr(fn, "__code__", None)
+        if code and not Path(code.co_filename).resolve().is_relative_to(PACKAGE_ROOT):
+            kept.append(fn)
+    return tuple(kept)
+
+
+@functools.lru_cache(maxsize=None)
+def _code_digest(*fns: Callable) -> str:
     files = {path.relative_to(PACKAGE_ROOT).as_posix(): path
              for path in PACKAGE_ROOT.rglob("*.py")}
     for fn in fns:
-        code = getattr(fn, "__code__", None)
-        if code is None:
-            continue
-        path = Path(code.co_filename).resolve()
-        if path.is_file() and not path.is_relative_to(PACKAGE_ROOT):
+        path = Path(fn.__code__.co_filename).resolve()
+        if path.is_file():
             files[fn.__module__] = path
     digest = blake2b(digest_size=32)
     for name in sorted(files):

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro import exp
-from repro.exp import distributed
+from repro.exp import distributed, runner
 from repro.exp import spec as spec_mod
 
 
@@ -142,62 +142,60 @@ def test_parse_address():
 
 
 def test_connect_backs_off_only_between_attempts(monkeypatch):
+    # the loop asks for each wait before it redials; recording the asks
+    # (and waiting none of them) reads its whole retry schedule
     sleeps = []
-    monkeypatch.setattr(distributed.time, "sleep", sleeps.append)
-    refused = ("127.0.0.1", free_port())
+    backoff = distributed._backoff
+    monkeypatch.setattr(distributed, "_backoff",
+                        lambda attempts: sleeps.append(backoff(attempts)) or 0.0)
+    refused = distributed.RemoteBackend([f"127.0.0.1:{free_port()}"],
+                                        connect_timeout=0.5)
     with pytest.raises(exp.DistributedError, match="after 5 attempts"):
-        distributed._connect(refused, timeout=0.5)
+        exp.run(_echo_spec(cells=1, runs=1, name="echo-refused"), batch=1,
+                backend=refused)
     assert sleeps == [0.2, 0.4, 0.8, 1.6]
 
 
-# -- batch scheduler --------------------------------------------------------
+# -- dispatch order -----------------------------------------------------------
 
 
-def test_scheduler_rebatches_orphans_in_dispatch_order():
-    scheduler = distributed._BatchScheduler([["b0"], ["b1"], ["b2"], ["b3"]])
-    assert scheduler.acquire("w1") == (0, ["b0"])
-    assert scheduler.acquire("w2") == (1, ["b1"])
-    assert scheduler.acquire("w1") is not None  # bid 2
-    scheduler.complete(2)
-    # w1 dies holding bid 0; its orphan must come back before bid 3
-    assert scheduler.abandon("w1") == [0]
-    assert scheduler.acquire("w2") == (0, ["b0"])
-    scheduler.complete(0)
-    scheduler.complete(1)
-    assert scheduler.acquire("w2") == (3, ["b3"])
-    scheduler.complete(3)
-    assert scheduler.acquire("w2") is None
-    assert scheduler.unfinished() == 0
+def _results(bid):
+    """The results frame of a one-unit batch whose unit index is ``bid``."""
+    return {"type": "results", "id": bid, "results": [[bid, {}]], "ev": []}
 
 
-def test_scheduler_acquire_nowait_never_blocks():
-    scheduler = distributed._BatchScheduler([["b0"], ["b1"]])
-    assert scheduler.acquire_nowait("w1") == (0, ["b0"])
-    assert scheduler.acquire_nowait("w1") == (1, ["b1"])
-    # nothing pending (both outstanding on w1): returns None immediately
-    # instead of blocking for an abandon that may never come
-    assert scheduler.acquire_nowait("w2") is None
-    scheduler.complete(0)
-    scheduler.complete(1)
-    assert scheduler.acquire_nowait("w1") is None
-    assert scheduler.unfinished() == 0
-
-
-def test_scheduler_fail_wakes_blocked_acquirers():
-    scheduler = distributed._BatchScheduler([["b0"]])
-    assert scheduler.acquire("w1") == (0, ["b0"])
-    results = []
-
-    def blocked():
-        results.append(scheduler.acquire("w2"))
-
-    thread = threading.Thread(target=blocked)
-    thread.start()
-    time.sleep(0.05)
-    scheduler.fail(exp.DistributedError("boom"))
-    thread.join(timeout=5)
-    assert results == [None]
-    assert isinstance(scheduler.failure, exp.DistributedError)
+def test_orphans_go_back_to_the_heap_in_dispatch_order():
+    spec = _echo_spec(cells=6, runs=1, name="echo-orphans")
+    plan = runner.ExecutionPlan(
+        spec=spec, units=[(i, i, {"cell": i}) for i in range(6)],
+        worker_count=2)
+    pairs = [socket.socketpair() for _ in range(2)]
+    doomed, survivor = (distributed._Worker(f"w{i}", sock=ours)
+                        for i, (ours, _theirs) in enumerate(pairs))
+    fan_out = distributed._FanOut(plan, {"type": "hello"}, [doomed, survivor],
+                                  batch_timeout=30.0)
+    try:
+        for worker in (doomed, survivor):
+            worker.ready = True
+            fan_out._fill(worker)
+        assert list(doomed.in_flight) == [0, 1]
+        dispatched = list(survivor.in_flight)
+        assert dispatched == [2, 3]
+        fan_out._answer(survivor, _results(2))  # refilled: 2 done, 4 sent
+        # the doomed worker dies holding 0 and 1: both come back before 5
+        fan_out._drop(doomed, "gone")
+        assert sorted(fan_out.pending) == [0, 1, 5]
+        while survivor.in_flight:
+            bid = survivor.in_flight[0]
+            fan_out._answer(survivor, _results(bid))
+            dispatched += [b for b in survivor.in_flight if b not in dispatched]
+        assert dispatched == [2, 3, 4, 0, 1, 5]
+        assert fan_out.unfinished == 0 and fan_out.dead == {"w0": "gone"}
+    finally:
+        for ours, theirs in pairs:
+            ours.close()
+            theirs.close()
+        fan_out.selector.close()
 
 
 # -- live workers (subprocesses, as in production) --------------------------
@@ -280,8 +278,8 @@ def test_each_unit_value_crosses_the_wire_once(two_workers):
 
 def slow_echo_trial(seed, params):
     # slow enough that one worker cannot drain the whole campaign before
-    # the other's feed thread gets scheduled — the failover test needs
-    # the mortal worker to actually receive (and serve) its one batch
+    # the other has answered its hello — the failover test needs the
+    # mortal worker to actually receive (and serve) its one batch
     time.sleep(0.05)
     return {"seed": seed, "cell": params["cell"]}
 
@@ -356,6 +354,65 @@ def test_all_workers_dead_raises_distributed_error():
     with pytest.raises(exp.DistributedError, match="worker"):
         exp.run(_echo_spec(cells=4, name="echo-dead"), batch=1,
                 backend=backend)
+
+
+def sleeping_or_raising_trial(seed, params):
+    if params["cell"] < 2:
+        time.sleep(3.0)
+        return {"seed": seed}
+    raise RuntimeError(f"boom at seed {seed}")
+
+
+def test_an_error_frame_stops_the_run_at_once(two_workers):
+    # whichever worker is ready first takes batches 0 and 1 and sleeps
+    # through them; the other takes batch 2, whose trial raises: the run
+    # must fail on that error frame, not wait for the sleeper's reply
+    spec = _echo_spec(cells=4, runs=1, name="echo-abort",
+                      trial=sleeping_or_raising_trial)
+    threads = threading.enumerate()
+    started = time.monotonic()
+    with pytest.raises(exp.DistributedError, match="RuntimeError"):
+        exp.run(spec, batch=1, workers=two_workers)
+    assert time.monotonic() - started < 1.5
+    assert threading.enumerate() == threads
+
+
+def test_a_stalled_worker_is_dropped_at_its_deadline():
+    """A worker that takes batches and never answers costs the run
+    ``batch_timeout`` and no values: its batches go to the live one."""
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    taken, release = [], threading.Event()
+
+    def stalled_worker():
+        conn, _addr = server.accept()
+        with conn:
+            distributed.recv_msg(conn)  # hello
+            distributed.send_msg(conn, {"type": "ready"})
+            taken.append(distributed.recv_msg(conn)["id"])
+            release.wait(timeout=30)
+
+    thread = threading.Thread(target=stalled_worker, daemon=True)
+    thread.start()
+    real, real_address = _start_worker()
+    try:
+        spec = _echo_spec(cells=8, runs=2, name="echo-stalled",
+                          trial=slow_echo_trial)
+        backend = distributed.RemoteBackend(
+            [f"127.0.0.1:{server.getsockname()[1]}", real_address],
+            batch_timeout=1.0)
+        started = time.monotonic()
+        remote = exp.run(spec, batch=1, backend=backend)
+        elapsed = time.monotonic() - started
+        assert _dump(remote) == _dump(exp.run(spec, jobs=1, backend="serial"))
+        assert remote.executed == spec.unit_count
+        assert taken and elapsed >= 1.0
+    finally:
+        release.set()
+        thread.join(timeout=10)
+        server.close()
+        _stop_worker(real)
 
 
 def test_trial_error_on_worker_aborts_the_run(two_workers):

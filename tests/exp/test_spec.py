@@ -4,7 +4,9 @@ import functools
 import hashlib
 import importlib
 import json
+import os
 import shutil
+import subprocess
 import sys
 import zlib
 
@@ -304,6 +306,26 @@ def test_a_wrapper_is_addressed_as_the_function_it_wraps():
     misses = spec_mod._code_digest.cache_info().misses
     assert exp.spec_hash(_spec(trial=wrapped)) == plain
     assert spec_mod._code_digest.cache_info().misses == misses
+
+
+_FAN_OUT_DIGESTS = """
+from repro import exp
+from repro.eval import campaign
+from repro.exp import spec
+exp.run(campaign.sharded_spec(missions=6, cell_size=3), jobs=2, backend="local")
+print(spec._code_digest.cache_info().misses)
+"""
+
+
+def test_a_fan_out_run_reads_the_package_once():
+    # the cell addresses (trial and reduce) and the workers' hello (trial
+    # alone) name the same package code, so they share one digest
+    src = str(spec_mod.PACKAGE_ROOT.parent)
+    done = subprocess.run([sys.executable, "-c", _FAN_OUT_DIGESTS],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]
 
 
 def test_sourceless_function_is_reference_only_and_memoised():

@@ -94,7 +94,7 @@ print(json.dumps({"exit": code, "summary": json.loads(out.getvalue()),
 REPLAY_NEVER_LOADS = (
     "repro.kernel", "repro.components", "repro.script", "repro.ftm",
     "repro.core", "repro.app", "repro.patterns",
-    "repro.exp.distributed", "multiprocessing", "socket",
+    "repro.exp.distributed", "multiprocessing", "selectors", "socket",
 ) + OPENSSL_MODULES
 
 SMOKE_COMMANDS = {
