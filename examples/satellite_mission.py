@@ -18,7 +18,9 @@ The scenario below runs the full closed loop on the simulated platform:
   transition to LFR⊕TR (checkpointing is unaffordable);
 * **orbit-insertion (critical phase)** — ground proactively hardens to
   A&Duplex before the burn;
-* **after the burn** — going back is merely *possible*; ground approves it;
+* **after the burn** — the restored downlink and the end of the critical
+  phase each make a move merely *possible*: ground declines switching
+  within A&Duplex and approves relaxing to PBR;
 * **year 3: field update** — a brand-new FTM, developed on the ground
   after launch, is uplinked into the repository and deployed on-line —
   the agility the preprogrammed alternative cannot offer.
@@ -103,12 +105,18 @@ def main() -> None:
         resilience.notify_event("critical-phase-end")
         yield Timeout(2_000.0)
         assert pair.ftm in ("a+lfr", "a+pbr")  # nothing moved automatically
-        print(f"[{world.now:9.0f} ms] proposal queued for ground: "
-              f"{ground_control.pending[0].source_ftm} -> "
-              f"{ground_control.pending[0].target_ftm}")
+        for proposal in ground_control.pending:
+            print(f"[{world.now:9.0f} ms] proposal queued for ground "
+                  f"({proposal.trigger.event}): "
+                  f"{proposal.source_ftm} -> {proposal.target_ftm}")
+        assert [p.target_ftm for p in ground_control.pending] == ["a+pbr", "pbr"]
+        # checkpointing is affordable again, but the burn is over: ground
+        # declines the move within A&Duplex and approves dropping it
+        yield from resilience.execute_pending(approve=False)
         report = yield from resilience.execute_pending(approve=True)
-        print(f"[{world.now:9.0f} ms] ground approved -> {pair.ftm} "
-              f"({report.per_replica_ms:.0f} ms/replica)")
+        print(f"[{world.now:9.0f} ms] ground declined the first, approved the "
+              f"second -> {pair.ftm} ({report.per_replica_ms:.0f} ms/replica)")
+        assert pair.ftm == "pbr"
 
         phase("year 3: uplink of an FTM unknown at launch")
 

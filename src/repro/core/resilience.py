@@ -32,8 +32,9 @@ class Proposal:
     source_ftm: str
     target_ftm: str
     trigger: Trigger
+    before: SystemContext  #: the context the trigger found
     approved: Optional[bool] = None
-    stale: bool = False  #: approved, but the rule no longer named its target
+    stale: bool = False  #: approved, but the rule no longer offered its target
 
 
 class SystemManager:
@@ -115,8 +116,9 @@ class ResilienceManager:
 
     def handle_trigger(self, trigger: Trigger):
         """Update the context, decide, and possibly execute (generator)."""
-        self.context = lookup_event(trigger.event).apply(self.context)
-        verdict = decide(self.engine.pair.ftm, self.context)
+        before = self.context
+        self.context = lookup_event(trigger.event).apply(before)
+        verdict = decide(self.engine.pair.ftm, self.context, before)
         decision = {
             "time": self.world.now,
             "trigger": trigger.event,
@@ -136,7 +138,8 @@ class ResilienceManager:
             # the System Manager approves on submission (else it waits)
             if verdict.kind == "mandatory" or self.system_manager.submit(
                 Proposal(time=self.world.now, source_ftm=verdict.current.ftm,
-                         target_ftm=verdict.target, trigger=trigger)
+                         target_ftm=verdict.target, trigger=trigger,
+                         before=before)
             ):
                 report = yield from self.engine.transition(
                     verdict.target, context=self.context
@@ -161,15 +164,16 @@ class ResilienceManager:
     def execute_pending(self, approve: bool = True):
         """Decide the oldest queued proposal and run it if approved (generator).
 
-        Approval re-enters the rule: the context may have moved since the
-        proposal was queued, so it runs only if :func:`decide` still
-        names its target; otherwise it is dropped as stale.
+        Approval re-enters the rule against the context the proposal's
+        trigger found: the context may have moved since it was queued, so
+        it runs only if :func:`decide` still offers its target; otherwise
+        it is dropped as stale.
         """
         proposal = self.system_manager.decide(approve)
         if proposal is None or not proposal.approved:
             return None
-        verdict = decide(self.engine.pair.ftm, self.context)
-        if not verdict.moves or verdict.target != proposal.target_ftm:
+        verdict = decide(self.engine.pair.ftm, self.context, proposal.before)
+        if proposal.target_ftm not in verdict.options:
             proposal.stale = True
             self.world.trace.record(
                 "resilience", "proposal_stale", source=proposal.source_ftm,

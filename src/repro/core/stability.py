@@ -115,9 +115,9 @@ def replay_oscillation(
     outcome = OscillationOutcome(transitions=0, trajectory=[ftm])
 
     for event_name in events:
-        context = event(event_name).apply(context)
+        before, context = context, event(event_name).apply(context)
         if man_in_the_loop:
-            verdict = decide(ftm, context)
+            verdict = decide(ftm, context, before)
             target = verdict.target if verdict.kind == "mandatory" else None
         else:
             target = select_target(None, context)

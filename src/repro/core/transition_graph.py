@@ -7,13 +7,14 @@ Figure 8's *extended graph of transition scenarios* is **derived** from
 the consistency model rather than hand-drawn: for every scenario state
 (an FTM plus the application characteristics that matter) and every
 parameter-change event, we apply the event to the state's context and ask
-the selection logic what must happen.  The result reproduces the paper's
-taxonomy:
+:func:`decide`, the rule the running system follows, what must happen.
+The result reproduces the paper's taxonomy:
 
 * **mandatory** transitions — the event invalidates or degrades the
   current FTM (executed automatically);
-* **possible** transitions — the current FTM stays valid but a strictly
-  better one exists (the System Manager decides);
+* **possible** transitions — the current FTM stays valid and preferred,
+  but the event enabled another FTM or a strictly cheaper one exists
+  (the System Manager decides);
 * **intra-FTM** transitions — same FTM, different sub-state (e.g. PBR
   when the application becomes deterministic).
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.consistency import ValidityReport, evaluate_ftm, rank_ftms
+from repro.core.consistency import ValidityReport, evaluate_ftm
 from repro.core.parameters import (
     ApplicationCharacteristics,
     FaultClass,
@@ -36,7 +37,7 @@ from repro.core.parameters import (
     ResourceState,
     SystemContext,
 )
-from repro.ftm.catalog import FTM_NAMES, variable_feature_distance
+from repro.ftm.catalog import FTM_NAMES, PATTERN_CLASSES, variable_feature_distance
 
 # ---------------------------------------------------------------------------
 # Figure 2: the FTM-level transition graph
@@ -187,6 +188,20 @@ STICKINESS = 0.8
 OVER_COVERAGE_WEIGHT = 0.3
 
 
+def _score(report: ValidityReport, current_ftm: Optional[str], context: SystemContext) -> Tuple:
+    """Selection order: preferred first, then ``cost + STICKINESS ×
+    distance + over-coverage penalty``, then the name."""
+    distance = (
+        variable_feature_distance(current_ftm, report.ftm) if current_ftm in FTM_NAMES else 0
+    )
+    over_coverage = len(set(PATTERN_CLASSES[report.ftm].FAULT_MODELS) - context.ft.names())
+    return (
+        not report.preferred,
+        report.cost + STICKINESS * distance + OVER_COVERAGE_WEIGHT * over_coverage,
+        report.ftm,
+    )
+
+
 def select_target(
     current_ftm: Optional[str], context: SystemContext
 ) -> Optional[str]:
@@ -202,32 +217,10 @@ def select_target(
 
     Returns ``None`` when no FTM is valid ("No generic solution").
     """
-    reports = [evaluate_ftm(ftm, context) for ftm in FTM_NAMES]
-    valid = [r for r in reports if r.valid]
+    valid = [r for r in (evaluate_ftm(ftm, context) for ftm in FTM_NAMES) if r.valid]
     if not valid:
         return None
-
-    def over_coverage(report) -> int:
-        from repro.ftm.catalog import PATTERN_CLASSES
-
-        covered = set(PATTERN_CLASSES[report.ftm].FAULT_MODELS)
-        return len(covered - context.ft.names())
-
-    def score(report) -> Tuple:
-        distance = (
-            variable_feature_distance(current_ftm, report.ftm)
-            if current_ftm in FTM_NAMES
-            else 0
-        )
-        return (
-            not report.preferred,
-            report.cost
-            + STICKINESS * distance
-            + OVER_COVERAGE_WEIGHT * over_coverage(report),
-            report.ftm,
-        )
-
-    return min(valid, key=score).ftm
+    return min(valid, key=lambda report: _score(report, current_ftm, context)).ftm
 
 
 @dataclass(frozen=True)
@@ -236,29 +229,50 @@ class Decision:
 
     kind: str                #: "none" | "mandatory" | "possible"
     target: Optional[str]    #: ``None``: no FTM is valid; the running FTM: stay
-    current: ValidityReport  #: the running FTM's report — the reasons travel along
+    #: the running FTM's report, so the reasons travel along (``None``: no FTM runs)
+    current: Optional[ValidityReport]
+    options: Tuple[str, ...] = ()  #: a possible verdict's offers, best first
 
     @property
     def moves(self) -> bool:
         """Does the verdict name an FTM other than the running one?"""
-        return self.target not in (None, self.current.ftm)
+        return self.target not in (None, self.current and self.current.ftm)
 
 
-def decide(current_ftm: str, context: SystemContext) -> Decision:
+def decide(
+    current_ftm: Optional[str], context: SystemContext, before: SystemContext
+) -> Decision:
     """The mandatory/possible rule (paper Sec. 3 and 5.4), stated once.
 
-    **Mandatory** — the running FTM is invalid or degraded: it moves by
-    itself to the differential-friendly target (``None`` when nothing is
-    valid, itself when nothing valid differs from it).  **Possible** — it
-    still fits, but the best FTM chosen *without* stickiness is strictly
-    cheaper: the System Manager weighs the transition cost.  Else **none**.
+    ``before`` is the context the event that produced ``context`` found.
+    **Mandatory** — no FTM runs, or the running one is invalid or
+    degraded: it moves by itself to the differential-friendly target
+    (``None`` when nothing is valid, itself when nothing valid differs
+    from it).  **Possible** — it still fits, and ``options`` lists every
+    other FTM valid and preferred now that either was not under
+    ``before`` (the event enabled it) or is the best FTM chosen *without*
+    stickiness and strictly cheaper; the System Manager weighs the
+    transition cost.  ``options`` is in :func:`select_target`'s order, so
+    ``target`` is its first entry.  Else **none**.
     """
-    current = evaluate_ftm(current_ftm, context)
-    if not current.valid or current.degraded:
+    current = None if current_ftm is None else evaluate_ftm(current_ftm, context)
+    if current is None or not current.valid or current.degraded:
         return Decision("mandatory", select_target(current_ftm, context), current)
     best = select_target(None, context)
-    if best != current_ftm and evaluate_ftm(best, context).cost < current.cost:
-        return Decision("possible", best, current)
+    options = tuple(
+        report.ftm
+        for report in sorted(
+            (evaluate_ftm(ftm, context) for ftm in FTM_NAMES if ftm != current_ftm),
+            key=lambda report: _score(report, None, context),
+        )
+        if report.preferred
+        and (
+            not evaluate_ftm(report.ftm, before).preferred
+            or (report.ftm == best and report.cost < current.cost)
+        )
+    )
+    if options:
+        return Decision("possible", options[0], current, options)
     return Decision("none", current_ftm, current)
 
 
@@ -372,93 +386,36 @@ def scenario_states() -> Tuple[ScenarioState, ...]:
 
 
 def build_scenario_graph() -> Tuple[Tuple[ScenarioState, ...], Tuple[ScenarioEdge, ...]]:
-    """Derive the Figure 8 graph from the consistency model."""
+    """Derive the Figure 8 graph from :func:`decide`.
+
+    Each (state, event) pair gives an intra-FTM edge when the running
+    FTM stays put under a new label, plus one edge per distinct label of
+    the verdict's mandatory move or possible options.
+    """
     states = scenario_states()
     edges: List[ScenarioEdge] = []
-
     for state in states:
         for parameter_event in EVENTS:
             new_context = parameter_event.apply(state.context)
             if new_context == state.context:
                 continue  # the event does not change this state's context
-            edges.extend(_edges_for(state, parameter_event, new_context))
-
+            verdict = decide(state.ftm, new_context, state.context)
+            if verdict.kind == "mandatory":
+                targets = {state_label(verdict.target, new_context): "mandatory"}
+            else:
+                targets = {state_label(state.ftm, new_context): "intra"}
+                for ftm in verdict.options:
+                    targets.setdefault(state_label(ftm, new_context), "possible")
+            edges.extend(
+                ScenarioEdge(
+                    source=state.label,
+                    target=label,
+                    event=parameter_event.name,
+                    kind=kind,
+                    detection=parameter_event.detection,
+                    nature=parameter_event.nature,
+                )
+                for label, kind in targets.items()
+                if label != state.label
+            )
     return states, tuple(edges)
-
-
-def _edges_for(
-    state: ScenarioState, parameter_event: ParameterEvent, new_context: SystemContext
-) -> List[ScenarioEdge]:
-    def edge(target_label: str, kind: str) -> ScenarioEdge:
-        return ScenarioEdge(
-            source=state.label,
-            target=target_label,
-            event=parameter_event.name,
-            kind=kind,
-            detection=parameter_event.detection,
-            nature=parameter_event.nature,
-        )
-
-    # Escaping the no-generic-solution state: any valid FTM is mandatory.
-    if state.ftm is None:
-        target_ftm = select_target(None, new_context)
-        if target_ftm is None:
-            return []
-        return [edge(state_label(target_ftm, new_context), "mandatory")]
-
-    current = evaluate_ftm(state.ftm, new_context)
-    best_ftm = select_target(state.ftm, new_context)
-
-    # The current FTM became INVALID: mandatory transition (possibly into
-    # the no-generic-solution sink).
-    if not current.valid:
-        target_label = state_label(best_ftm, new_context)
-        if target_label == state.label:
-            return []
-        return [edge(target_label, "mandatory")]
-
-    # The current FTM became DEGRADED (an R constraint bites): mandatory
-    # if a preferred replacement exists; otherwise a cheaper valid FTM is
-    # merely a possible improvement.
-    if current.degraded:
-        if best_ftm is not None and best_ftm != state.ftm:
-            best_report = evaluate_ftm(best_ftm, new_context)
-            target_label = state_label(best_ftm, new_context)
-            if target_label != state.label:
-                kind = "mandatory" if best_report.preferred else "possible"
-                if best_report.preferred or best_report.cost < current.cost:
-                    return [edge(target_label, kind)]
-        # no better option: fall through to check for cheaper valid FTMs
-        cheaper = [
-            report
-            for report in rank_ftms(new_context)
-            if report.valid
-            and report.cost < current.cost
-            and state_label(report.ftm, new_context) != state.label
-        ]
-        if cheaper:
-            return [edge(state_label(cheaper[0].ftm, new_context), "possible")]
-        return []
-
-    # The current FTM is still valid and preferred.
-    out: List[ScenarioEdge] = []
-    intra_label = state_label(state.ftm, new_context)
-    if intra_label != state.label:
-        out.append(edge(intra_label, "intra"))
-
-    # Possible transitions: FTMs this event newly enabled (invalid or
-    # degraded before, valid + preferred now).
-    seen_labels = {state.label, intra_label}
-    for candidate in FTM_NAMES:
-        if candidate == state.ftm:
-            continue
-        label = state_label(candidate, new_context)
-        if label in seen_labels:
-            continue
-        now = evaluate_ftm(candidate, new_context)
-        before = evaluate_ftm(candidate, state.context)
-        if now.valid and now.preferred and not (before.valid and before.preferred):
-            out.append(edge(label, "possible"))
-            seen_labels.add(label)
-    return out
-

@@ -73,7 +73,8 @@ A remote worker is dialled inside the loop, retrying with capped
 exponential backoff between attempts, so a reachable worker never waits
 on an unreachable one.  A forked worker exits on EOF when its
 coordinator dies; the coordinator reaps its forked workers however the
-run ends, SIGKILLing any past :data:`REAP_TIMEOUT`.
+run ends, SIGKILLing any past :data:`REAP_TIMEOUT`, or at once if the
+run failed.
 """
 
 from __future__ import annotations
@@ -537,11 +538,14 @@ def execute_forked(plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
     Forks ``min(plan.worker_count, batches)`` children, each on one
     socketpair end, before the fan-out loop starts and after the hello
     (so they inherit its memoised code digest), and reaps them however
-    the run ends, SIGKILLing any still running after :data:`REAP_TIMEOUT`.
+    the run ends: after a clean end, SIGKILLing any still running after
+    :data:`REAP_TIMEOUT`; when the fan-out raises or is closed early, at
+    once, so a failed run does not wait out the other workers' batches.
     """
     hello = _hello(plan.spec)
     ends: List[socket.socket] = []
     pids: List[int] = []
+    clean = False
     try:
         for _ in range(min(plan.worker_count, len(plan.batches()))):
             ours, theirs = socket.socketpair()
@@ -554,10 +558,11 @@ def execute_forked(plan: ExecutionPlan) -> Iterator[Tuple[int, Any]]:
         workers = [_Worker(f"local#{idx} (pid {pid})", sock=end)
                    for idx, (pid, end) in enumerate(zip(pids, ends))]
         yield from _FanOut(plan, hello, workers, DEFAULT_BATCH_TIMEOUT)
+        clean = True
     finally:
         for end in ends:
             end.close()
-        _reap(pids, REAP_TIMEOUT)
+        _reap(pids, REAP_TIMEOUT if clean else 0.0)
 
 
 def _serve_forked(sock: socket.socket,

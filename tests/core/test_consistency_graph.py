@@ -112,9 +112,9 @@ def test_select_target_none_for_impossible_context():
 
 
 def test_transition_necessity_classes():
-    assert decide("pbr", ctx()).kind == "none"
-    assert decide("pbr", ctx(bandwidth_ok=False)).kind == "mandatory"
-    assert decide("pbr", ctx(state_accessible=False)).kind == "mandatory"
+    assert decide("pbr", ctx(), ctx()).kind == "none"
+    assert decide("pbr", ctx(bandwidth_ok=False), ctx()).kind == "mandatory"
+    assert decide("pbr", ctx(state_accessible=False), ctx()).kind == "mandatory"
 
 
 def test_is_consistent():

@@ -1,12 +1,12 @@
 """The mandatory/possible rule has one home: ``decide``.
 
-Two pins.  (1) Over the full grid the scenario graph spans, ``decide``
-equals the logic ``ResilienceManager.handle_trigger`` carried inline
-before it was extracted (kept verbatim below as the reference).
-(2) Figure 8's derivation (``_edges_for``) stays a separate function on
-purpose — it enumerates every newly enabled option where the runtime
-proposes one — so the graph is held against ``decide`` by a conformance
-table instead.
+Three pins.  (1) Over the full grid the scenario graph spans, ``decide``
+with no event (``before`` equal to the context) equals the logic
+``ResilienceManager.handle_trigger`` carried inline before it was
+extracted (kept verbatim below as the reference).  (2) After an event,
+the options it newly enabled join that proposal without displacing it.
+(3) Figure 8 is drawn from ``decide``: every edge but the intra-FTM ones
+is the verdict's move or one of its options.
 """
 
 from collections import Counter
@@ -17,7 +17,7 @@ from repro.core import verify_no_oscillation
 from repro.core.consistency import evaluate_ftm
 from repro.core.transition_graph import (
     EVENTS,
-    _edges_for,
+    GRAY_EVENTS,
     build_scenario_graph,
     decide,
     event,
@@ -63,7 +63,7 @@ def _reference(current_ftm, context):
 @pytest.mark.parametrize("label", STATES)
 def test_decide_equals_the_former_inline_rule(label, event_name, ftm):
     context = _context(label, event_name)
-    verdict = decide(ftm, context)
+    verdict = decide(ftm, context, context)
     assert (verdict.kind, verdict.target) == _reference(ftm, context)
     assert verdict.current == evaluate_ftm(ftm, context)
 
@@ -75,7 +75,7 @@ def test_grid_covers_both_quiet_outcomes_of_a_mandatory_verdict():
         for event_name in EVENT_NAMES:
             context = _context(label, event_name)
             for ftm in FTM_NAMES:
-                verdict = decide(ftm, context)
+                verdict = decide(ftm, context, context)
                 assert verdict.moves == (verdict.target not in (None, ftm))
                 if verdict.kind == "mandatory" and not verdict.moves:
                     quiet[verdict.target is None] += 1
@@ -84,57 +84,82 @@ def test_grid_covers_both_quiet_outcomes_of_a_mandatory_verdict():
     assert quiet == {True: 108, False: 15}  # no valid FTM / target is the current FTM
 
 
-# -- Figure 8 conformance ----------------------------------------------------------
+# -- the event-driven options -------------------------------------------------------
 
 
-def _conformance_shape(state, parameter_event, new_context):
-    graph = {
-        (edge.kind, edge.target)
-        for edge in _edges_for(state, parameter_event, new_context)
-        if edge.kind != "intra"
-    }
-    verdict = decide(state.ftm, new_context)
-    label = state_label(verdict.target, new_context)
-    if verdict.target is not None and not verdict.moves:
-        runtime = set()
-    elif label == state.label:
-        # the only label holding two FTMs is a+duplex (a+pbr <-> a+lfr)
-        assert verdict.kind == "mandatory" and label == "a+duplex"
-        assert not graph
-        return "label-internal"
-    else:
-        runtime = {(verdict.kind, label)}
-    if graph == runtime:
-        return "identical"
-    # every disagreement is the graph offering *possible* options
-    assert graph and all(kind == "possible" for kind, _target in graph), (
-        state.label, parameter_event.name, graph, runtime,
-    )
-    if runtime:
-        assert runtime < graph
-        return "graph lists a superset of the proposal"
-    assert not verdict.moves
-    return "graph lists options, runtime proposes none"
-
-
-def test_figure8_conforms_to_decide():
-    shapes = Counter()
+def _event_pairs(events=EVENTS):
     for state in scenario_states():
-        if state.ftm is None:
-            continue
-        for parameter_event in EVENTS:
+        for parameter_event in events:
             new_context = parameter_event.apply(state.context)
             if new_context != state.context:
-                shapes[_conformance_shape(state, parameter_event, new_context)] += 1
-    assert shapes == {
-        "identical": 30,
-        "graph lists a superset of the proposal": 6,
-        "graph lists options, runtime proposes none": 6,
-        "label-internal": 2,
+                yield state, parameter_event, new_context
+
+
+@pytest.mark.parametrize("ftm", FTM_NAMES)
+def test_newly_enabled_options_never_displace_the_former_proposal(ftm):
+    for state, _event, new_context in _event_pairs(EVENTS + GRAY_EVENTS):
+        verdict = decide(ftm, new_context, state.context)
+        kind, target = _reference(ftm, new_context)
+        if kind == "none" and verdict.kind == "possible":
+            # the event enabled it: invalid or degraded before, preferred now
+            assert not evaluate_ftm(verdict.target, state.context).preferred
+        else:
+            assert (verdict.kind, verdict.target) == (kind, target)
+        assert verdict.options[:1] == ((verdict.target,) if verdict.kind == "possible" else ())
+        assert ftm not in verdict.options
+        assert all(evaluate_ftm(option, new_context).preferred for option in verdict.options)
+
+
+def test_four_scenario_verdicts_go_from_none_to_possible():
+    changed = {}
+    for state, parameter_event, new_context in _event_pairs(EVENTS + GRAY_EVENTS):
+        if state.ftm is None:
+            continue
+        former = decide(state.ftm, new_context, new_context)
+        verdict = decide(state.ftm, new_context, state.context)
+        if (former.kind, former.target) != (verdict.kind, verdict.target):
+            assert former.kind == "none"
+            changed[state.label, parameter_event.name] = (verdict.kind, verdict.target)
+    assert changed == {
+        ("pbr (non-determinism)", "application-determinism"): ("possible", "lfr"),
+        ("lfr+tr", "bandwidth-increase"): ("possible", "pbr+tr"),
+        ("lfr+tr", "hardware-replaced"): ("possible", "lfr"),
+        ("lfr+tr", "critical-phase-end"): ("possible", "lfr"),
     }
+
+
+# -- Figure 8 is drawn from decide ---------------------------------------------------
+
+
+def test_every_figure8_edge_is_a_move_or_option_of_decide():
+    _states, edges = build_scenario_graph()
+    drawn = {}
+    for edge in edges:
+        if edge.kind != "intra":
+            drawn.setdefault((edge.source, edge.event), []).append(edge)
+    pairs = list(_event_pairs())
+    # 44 pairs with a running FTM, 6 escapes from no-generic-solution
+    assert Counter(state.ftm is None for state, _e, _c in pairs) == {False: 44, True: 6}
+    for state, parameter_event, new_context in pairs:
+        verdict = decide(state.ftm, new_context, state.context)
+        offered = (verdict.target,) if verdict.kind == "mandatory" else verdict.options
+        labels = {state_label(ftm, new_context) for ftm in offered}
+        pair_edges = drawn.pop((state.label, parameter_event.name), [])
+        assert all(edge.kind == verdict.kind for edge in pair_edges)
+        targets = [edge.target for edge in pair_edges]
+        # one edge per offered label, bar the state itself and its intra edge
+        assert len(targets) == len(set(targets))
+        assert set(targets) == labels - {state.label, state_label(state.ftm, new_context)}
+    assert drawn == {}
 
 
 def test_scenario_graph_is_unchanged():
     states, edges = build_scenario_graph()
-    assert (len(states), len(edges)) == (8, 56)
+    assert (len(states), len(edges)) == (8, 54)
+    assert Counter(edge.kind for edge in edges) == {
+        "mandatory": 23, "possible": 27, "intra": 4,
+    }
+    # a mandatory verdict that keeps the running FTM offers nothing
+    drawn = {(edge.source, edge.event) for edge in edges}
+    assert not drawn & {("lfr (state access)", "cpu-drop"), ("pbr+tr", "cpu-drop")}
     assert verify_no_oscillation(edges) == []

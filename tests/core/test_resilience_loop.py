@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.core.consistency import evaluate_ftm
 from repro.core.preprogrammed import preprogrammed_assembly
-from repro.core.transition_graph import _ctx
+from repro.core.transition_graph import _ctx, scenario_states
 from repro.ftm import Client, FTMPair, deploy_ftm_pair, ftm_assembly
 from repro.kernel import Fault, World
 
@@ -157,6 +157,37 @@ def test_manager_rejection_keeps_current_ftm():
     report = world.run_process(reject(), name="reject")
     assert report is None
     assert pair.ftm == "lfr"
+
+
+@pytest.mark.parametrize("ftm, label, event_name, target", [
+    ("lfr+tr", "lfr+tr", "hardware-replaced", "lfr"),
+    ("pbr", "pbr (non-determinism)", "application-determinism", "lfr"),
+])
+def test_event_enabled_option_is_proposed_and_runs_on_approval(
+    ftm, label, event_name, target
+):
+    # the event enables an FTM while the running one still fits: the
+    # System Manager is offered it (Figure 8's edge)
+    world = make_world()
+    pair = deploy(world, ftm)
+    _engine, _monitoring, manager, resilience = stack(world, pair)
+    (state,) = [s for s in scenario_states() if s.label == label]
+    resilience.context = state.context
+    resilience.notify_event(event_name)
+    world.run(until=world.now + 4_000.0)
+    assert pair.ftm == ftm  # a possible move waits
+    (proposal,) = manager.pending
+    assert (proposal.source_ftm, proposal.target_ftm) == (ftm, target)
+    assert proposal.before == state.context
+    assert resilience.decisions[-1]["kind"] == "possible"
+
+    def approve():
+        return (yield from resilience.execute_pending(approve=True))
+
+    report = world.run_process(approve(), name="approve")
+    assert report.success and not proposal.stale
+    assert pair.ftm == target
+    assert world.trace.count("resilience", "proposal_stale") == 0
 
 
 def test_fault_model_trigger_composes_tr():

@@ -270,6 +270,36 @@ def test_forked_workers_exit_when_their_coordinator_is_killed(tmp_path):
         proc.wait(timeout=10)
 
 
+#: The test process: the local backend runs a plan's first unit here.
+COORDINATOR = os.getpid()
+
+
+def sleep_or_raise_trial(seed, params):
+    """Nothing in the coordinator; in the first forked worker to run a
+    unit, 3 s of work; in any other, an error."""
+    if os.getpid() != COORDINATOR:
+        try:
+            os.close(os.open(params["marker"], os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            raise RuntimeError("the other worker fails") from None
+        time.sleep(3.0)
+    return {"seed": seed}
+
+
+def test_a_failed_local_run_kills_its_other_worker_at_once(tmp_path):
+    # five units, batches of one: the coordinator runs the first, and each
+    # of the two workers takes at most two of the other four
+    spec = exp.ExperimentSpec(
+        name="sleep-or-raise", trial=sleep_or_raise_trial,
+        trials=tuple(exp.Trial(key=f"c{i}", params={"marker": str(tmp_path / "m")},
+                               seeds=(i,)) for i in range(5)),
+    )
+    started = time.monotonic()
+    with pytest.raises(exp.DistributedError, match="the other worker fails"):
+        exp.run(spec, jobs=2, backend="local", batch=1)
+    assert time.monotonic() - started < 1.0
+
+
 def failing_trial(seed, params):
     raise RuntimeError(f"unit {seed} fails")
 
